@@ -977,10 +977,9 @@ void ReportSnapshotRoundtrip(const ParkFixture& fixture, JsonWriter* json) {
 // Multi-park serving: the DTB model snapshot registered under 8 park ids
 // in one ParkService. Reports repeated-risk-map latency at three serving
 // depths — the uncached per-request path (feature rows re-assembled from
-// the rasters every call), the FeaturePlane path (cached rows, fresh
+// the rasters every call), the snapshot's tile pool (warm tile rows, fresh
 // scoring), and ParkService LRU hits — plus batched fleet throughput.
-// Every served map is checked bit-identical to a direct ModelSnapshot
-// call.
+// Every served map is checked bit-identical to the per-request path.
 void ReportParkService(JsonWriter* json) {
   constexpr int kParks = 8;
   const ParkFixture& fixture = GetDtbFixture();
@@ -1012,7 +1011,8 @@ void ReportParkService(JsonWriter* json) {
 
   // Bit-identity across the fleet.
   bool identical = true;
-  const RiskMaps want = direct.PredictRisk(2.0);
+  const RiskMaps want =
+      PredictRiskMap(direct.model(), park, one_step, /*t=*/1, 2.0);
   for (int p = 0; p < kParks; ++p) {
     const auto served = service.RiskMap("park-" + std::to_string(p), 2.0);
     CheckOrDie(served.ok(), "fig9: service risk map failed");
@@ -1034,7 +1034,7 @@ void ReportParkService(JsonWriter* json) {
         }
       }) /
       iters;
-  const double plane_ms =
+  const double pool_ms =
       MinMs(reps, [&] {
         for (int k = 0; k < iters; ++k) {
           const RiskMaps maps = direct.PredictRisk(2.0);
@@ -1050,12 +1050,12 @@ void ReportParkService(JsonWriter* json) {
         }
       }) /
       iters;
-  const double plane_speedup = plane_ms > 0 ? uncached_ms / plane_ms : 0.0;
+  const double pool_speedup = pool_ms > 0 ? uncached_ms / pool_ms : 0.0;
   const double cached_speedup = cached_ms > 0 ? uncached_ms / cached_ms : 0.0;
   std::printf(
       "repeated risk map (%d cells): per-request re-assembly %.4f ms, "
-      "FeaturePlane %.4f ms (%.2fx), LRU hit %.5f ms (%.0fx) — maps %s\n",
-      n, uncached_ms, plane_ms, plane_speedup, cached_ms, cached_speedup,
+      "tile pool %.4f ms (%.2fx), LRU hit %.5f ms (%.0fx) — maps %s\n",
+      n, uncached_ms, pool_ms, pool_speedup, cached_ms, cached_speedup,
       identical ? "bit-identical" : "DIFFER");
 
   // Batched fleet throughput: every park at three effort levels per batch.
@@ -1081,9 +1081,9 @@ void ReportParkService(JsonWriter* json) {
     json->Add("parks", kParks);
     json->Add("cells_per_park", n);
     json->Add("uncached_ms", uncached_ms);
-    json->Add("feature_plane_ms", plane_ms);
+    json->Add("tile_pool_ms", pool_ms);
     json->Add("cached_ms", cached_ms);
-    json->Add("feature_plane_speedup", plane_speedup);
+    json->Add("tile_pool_speedup", pool_speedup);
     json->Add("cached_speedup", cached_speedup);
     json->Add("bit_identical", identical);
     json->Add("batch_requests", static_cast<int>(requests.size()));
@@ -1112,13 +1112,13 @@ double ReadPeakRssMb() {
 }
 
 // Tiled mega-park serving: a park sized by --mega-cells served through a
-// tiled-only ModelSnapshot (no eager all-cells feature rows — the pooled
-// TiledFeaturePlane is the only row storage, LRU-bounded at 64 MiB).
+// ModelSnapshot whose feature-tile pool is LRU-bounded at 64 MiB (no
+// O(cells) feature rows ever exist).
 // Reports synthesis time, cold single-tile latency (rows materialized +
 // scored; the `ns_per_cell` bench_trend_check tracks), warm served-tile
 // LRU hits, pool/cache counters, and peak RSS — which stays at park
 // rasters + model + pool budget instead of growing an O(cells) row plane
-// (the `eager_rows_mb_avoided` line is what the eager path would add).
+// (`eager_rows_mb_avoided` is what all-cells rows held at once would add).
 void ReportMegaPark(long long target_cells, JsonWriter* json) {
   // Train a small DTB model on a park with the same 11-feature stack; row
   // widths match by construction, so the model serves the mega park.
@@ -1165,10 +1165,10 @@ void ReportMegaPark(long long target_cells, JsonWriter* json) {
   CheckOrDie(service.Register("mega", std::move(snapshot)).ok(),
              "fig9: mega-park register failed");
 
-  std::printf("=== Tiled mega-park serving (tiled-only snapshot) ===\n");
+  std::printf("=== Tiled mega-park serving (64 MiB tile pool) ===\n");
   std::printf(
       "%lld cells, %d tiles, row width %d: synthesis %.0f ms, train %.0f ms; "
-      "pool budget %.0f MiB (eager rows would add %.1f MiB)\n",
+      "pool budget %.0f MiB (all-cells rows would add %.1f MiB)\n",
       cells, num_tiles, row_width, gen_ms, train_ms, pool_budget_mb,
       eager_rows_mb);
 

@@ -6,11 +6,11 @@
 //
 // The example trains one model per park preset (small synthetic parks),
 // registers every park in a ParkService, then:
-//   1. verifies each served risk map is bit-identical to a direct
-//      per-park ModelSnapshot call,
-//   2. measures repeated-risk-map latency — uncached per-request
-//      (raster re-assembly + scoring) vs FeaturePlane (cached rows) vs
-//      ParkService LRU hits,
+//   1. verifies each served risk map is bit-identical to the per-request
+//      path (raster re-assembly + scoring) over the park's coverage layer,
+//   2. measures repeated-risk-map latency — uncached per-request vs the
+//      snapshot's tile pool (warm tile rows, fresh scoring) vs ParkService
+//      LRU hits,
 //   3. drives a mixed concurrent workload (readers + a coverage writer)
 //      and reports throughput.
 #include <atomic>
@@ -70,6 +70,15 @@ ModelSnapshot LoadSnapshot(const std::string& bytes) {
   return std::move(snapshot).value();
 }
 
+// A history whose only step is the snapshot's coverage layer: at t = 1 the
+// per-request path assembles exactly the rows the snapshot serves from.
+PatrolHistory OneStep(const ModelSnapshot& snapshot) {
+  PatrolHistory history;
+  history.steps.emplace_back();
+  history.steps.back().effort = snapshot.lagged_effort();
+  return history;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -106,8 +115,8 @@ int main(int argc, char** argv) {
   }
   std::printf("registered %d parks\n", service.num_parks());
 
-  // 1. Bit-identity: the service must serve exactly what a dedicated
-  //    per-park snapshot would.
+  // 1. Bit-identity: the service must serve exactly what the per-request
+  //    path computes from the park's snapshot.
   int total_cells = 0;
   for (int p = 0; p < num_parks; ++p) {
     const std::string id = "park-" + std::to_string(p);
@@ -115,29 +124,27 @@ int main(int argc, char** argv) {
     total_cells += direct.park().num_cells();
     const auto served = service.RiskMap(id, 2.0);
     CheckOrDie(served.ok(), "serve_fleet: risk map failed");
-    const RiskMaps want = direct.PredictRisk(2.0);
+    const RiskMaps want = PredictRiskMap(direct.model(), direct.park(),
+                                         OneStep(direct), /*t=*/1, 2.0);
     CheckOrDie((*served)->risk == want.risk &&
                    (*served)->variance == want.variance,
-               "serve_fleet: served map differs from direct snapshot call");
+               "serve_fleet: served map differs from the per-request path");
   }
   std::printf(
-      "served risk maps for every park: bit-identical to direct "
-      "ModelSnapshot calls (%d cells total)\n\n",
+      "served risk maps for every park: bit-identical to per-request "
+      "ModelSnapshot predictions (%d cells total)\n\n",
       total_cells);
 
   // 2. Repeated-risk-map latency, three serving depths on park-0.
   {
     const ModelSnapshot direct = LoadSnapshot(snapshots[0]);
     const Park& park = direct.park();
-    PatrolHistory one_step;
-    StepRecord step;
-    step.effort = direct.lagged_effort();
-    one_step.steps.push_back(std::move(step));
+    const PatrolHistory one_step = OneStep(direct);
     const int reps = smoke ? 20 : 50;
     const auto t0 = Clock::now();
     for (int i = 0; i < reps; ++i) {
-      // The pre-FeaturePlane per-request path: re-assemble every cell's
-      // feature row from the rasters, then score.
+      // The per-request path: re-assemble every cell's feature row from
+      // the rasters, then score.
       const RiskMaps maps =
           PredictRiskMap(direct.model(), park, one_step, /*t=*/1, 2.0);
       (void)maps;
@@ -145,10 +152,10 @@ int main(int argc, char** argv) {
     const double uncached_ms = MsSince(t0) / reps;
     const auto t1 = Clock::now();
     for (int i = 0; i < reps; ++i) {
-      const RiskMaps maps = direct.PredictRisk(2.0);  // FeaturePlane rows
+      const RiskMaps maps = direct.PredictRisk(2.0);  // warm tile rows
       (void)maps;
     }
-    const double plane_ms = MsSince(t1) / reps;
+    const double pool_ms = MsSince(t1) / reps;
     const auto t2 = Clock::now();
     for (int i = 0; i < reps; ++i) {
       CheckOrDie(service.RiskMap("park-0", 2.0).ok(), "risk map failed");
@@ -157,8 +164,8 @@ int main(int argc, char** argv) {
     std::printf("repeated risk map, park-0 (%d cells, %d reps):\n",
                 park.num_cells(), reps);
     std::printf("  per-request re-assembly  %8.3f ms\n", uncached_ms);
-    std::printf("  FeaturePlane (no cache)  %8.3f ms  (%.1fx)\n", plane_ms,
-                plane_ms > 0 ? uncached_ms / plane_ms : 0.0);
+    std::printf("  tile pool (no cache)     %8.3f ms  (%.1fx)\n", pool_ms,
+                pool_ms > 0 ? uncached_ms / pool_ms : 0.0);
     std::printf("  ParkService LRU hit      %8.3f ms  (%.0fx)\n\n", cached_ms,
                 cached_ms > 0 ? uncached_ms / cached_ms : 0.0);
   }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks (CI `docs` job).
 
-Two checks, both stdlib-only:
+Four checks, all stdlib-only:
 
 1. Relative markdown links in README.md and docs/*.md must resolve to
    files that exist in the repo (anchors are stripped; absolute URLs and
@@ -16,12 +16,20 @@ Two checks, both stdlib-only:
    `kScoringBackendNames` (src/ml/scoring_backend.h) must appear in it
    verbatim (e.g. `compiled-dtb-avx512`). Adding a backend or a
    dispatch tier without documenting it fails CI.
+4. Stale-path guard: every backticked `src/...` or `tests/...` path in a
+   git-tracked markdown file must exist. A `:123` line suffix is
+   ignored, `{h,cc}` braces must all exist, and a `*` glob must match at
+   least one file. Top-level markdown other than README.md and ROADMAP.md
+   is exempt: those files are the change log and working notes, which name
+   files as they were before a change deleted them.
+   Deleting or moving a source file without updating the docs fails CI.
 
 Exit status: 0 if everything checks out, 1 otherwise (each problem is
 printed on its own line).
 """
 
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -130,8 +138,50 @@ def check_backend_doc():
     return problems
 
 
+CODE_PATH_RE = re.compile(r"`((?:src|tests)/[^`\s]*)`")
+PATH_CHECKED_TOP_LEVEL = {"README.md", "ROADMAP.md"}
+
+
+def tracked_markdown():
+    out = subprocess.run(
+        ["git", "ls-files", "*.md"], cwd=REPO, capture_output=True, text=True
+    )
+    if out.returncode != 0:
+        raise SystemExit(f"error: git ls-files failed: {out.stderr.strip()}")
+    return [p for p in out.stdout.split()
+            if "/" in p or p in PATH_CHECKED_TOP_LEVEL]
+
+
+def expand_braces(path):
+    """`a.{h,cc}` -> [`a.h`, `a.cc`] (one brace group, as the docs use)."""
+    match = re.search(r"\{([^{}]*)\}", path)
+    if match is None:
+        return [path]
+    head, tail = path[: match.start()], path[match.end() :]
+    return [head + alt + tail for alt in match.group(1).split(",")]
+
+
+def check_code_paths():
+    problems = []
+    for rel in tracked_markdown():
+        text = (REPO / rel).read_text(encoding="utf-8")
+        for match in CODE_PATH_RE.finditer(text):
+            ref = re.sub(r":\d+$", "", match.group(1))
+            if "…" in ref or "..." in ref:
+                continue  # a placeholder (`src/…`), not a path
+            for path in expand_braces(ref):
+                if "*" in path:
+                    found = any(REPO.glob(path))
+                else:
+                    found = (REPO / path).exists()
+                if not found:
+                    problems.append(f"{rel}: stale path `{match.group(1)}`")
+    return problems
+
+
 def main():
-    problems = check_links() + check_wire_doc() + check_backend_doc()
+    problems = (check_links() + check_wire_doc() + check_backend_doc() +
+                check_code_paths())
     for p in problems:
         print(p)
     if problems:
@@ -140,7 +190,8 @@ def main():
     n_files = len(markdown_files())
     print(f"docs OK: {n_files} markdown files, links resolve, "
           f"WIRE_PROTOCOL.md covers every opcode and status code, "
-          f"ARCHITECTURE.md covers every scoring backend.")
+          f"ARCHITECTURE.md covers every scoring backend, "
+          f"every backticked src/ and tests/ path exists.")
     return 0
 
 

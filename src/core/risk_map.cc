@@ -1,8 +1,6 @@
 #include "core/risk_map.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
 #include "sim/dataset_builder.h"
 #include "util/thread_pool.h"
@@ -49,17 +47,17 @@ StatusOr<RiskMaps> LoadRiskMaps(ArchiveReader* ar) {
   return maps;
 }
 
-namespace {
-
-// Scores the all-cells view (row i = dense cell id i) and scatters the
-// predictions into risk/variance layers.
-RiskMaps ScoreCellsToMaps(const IWareEnsemble& model,
-                          const FeatureMatrixView& cells,
-                          double assumed_effort) {
+RiskMaps PredictRiskMap(const IWareEnsemble& model, const Park& park,
+                        const PatrolHistory& history, int t,
+                        double assumed_effort) {
   CheckOrDie(assumed_effort >= 0.0, "assumed_effort must be >= 0");
+  // Dense cell ids in order, so prediction i maps straight to cell id i —
+  // one flat feature buffer, no Dataset construction on the hot path.
+  const std::vector<double> rows = BuildCellFeatureRows(park, history, t);
   std::vector<Prediction> preds;
-  model.PredictBatch(cells, assumed_effort, &preds);
-  const int n = cells.rows();
+  model.PredictBatch(FeatureMatrixView::FromFlat(rows, park.num_features() + 1),
+                     assumed_effort, &preds);
+  const int n = park.num_cells();
   RiskMaps maps;
   maps.assumed_effort = assumed_effort;
   maps.risk.resize(n);
@@ -72,26 +70,6 @@ RiskMaps ScoreCellsToMaps(const IWareEnsemble& model,
                 }
               });
   return maps;
-}
-
-}  // namespace
-
-RiskMaps PredictRiskMap(const IWareEnsemble& model, const Park& park,
-                        const PatrolHistory& history, int t,
-                        double assumed_effort) {
-  // Dense cell ids in order, so prediction i maps straight to cell id i —
-  // one flat feature buffer, no Dataset construction on the hot path.
-  const std::vector<double> rows = BuildCellFeatureRows(park, history, t);
-  return ScoreCellsToMaps(
-      model, FeatureMatrixView::FromFlat(rows, park.num_features() + 1),
-      assumed_effort);
-}
-
-RiskMaps PredictRiskMap(const IWareEnsemble& model, const FeaturePlane& plane,
-                        double assumed_effort) {
-  // The plane's rows are byte-identical to BuildCellFeatureRows output for
-  // the same coverage layer, so this only skips the per-request assembly.
-  return ScoreCellsToMaps(model, plane.Cells(), assumed_effort);
 }
 
 void SaveRiskTile(const RiskTile& tile, ArchiveWriter* ar) {
@@ -155,7 +133,6 @@ RiskMaps PredictRiskMapTiled(const IWareEnsemble& model, const Park& park,
                              double assumed_effort,
                              const ParallelismConfig& fanout) {
   CheckOrDie(assumed_effort >= 0.0, "assumed_effort must be >= 0");
-  const int num_tiles = plane.num_tiles();
   RiskMaps maps;
   maps.assumed_effort = assumed_effort;
   maps.risk.resize(park.num_cells());
@@ -163,7 +140,12 @@ RiskMaps PredictRiskMapTiled(const IWareEnsemble& model, const Park& park,
   // Tiles partition the dense id space and each tile writes only its own
   // cells, so assembly order — and the fan-out width — never changes the
   // result (the same argument that makes ParallelFor bit-identical).
-  auto score_tile = [&](int t) {
+  // Dedicated threads, not the shared pool: GetTile locks the plane's
+  // pool mutex, and shared-pool tasks must stay lock-free (the tile's own
+  // PredictBatch below may run pool chunks while this thread holds
+  // nothing — but a pool chunk blocking on pool_mu_ while its holder
+  // waits for the pool would close the reader->pool->writer cycle).
+  ForEachOnDedicatedThreads(fanout, plane.num_tiles(), [&](int t) {
     const std::shared_ptr<const TiledFeaturePlane::Tile> tile =
         plane.GetTile(park, t);
     thread_local std::vector<Prediction> preds;
@@ -174,29 +156,7 @@ RiskMaps PredictRiskMapTiled(const IWareEnsemble& model, const Park& park,
       maps.risk[tile->cell_ids[i]] = preds[i].prob;
       maps.variance[tile->cell_ids[i]] = preds[i].variance;
     }
-  };
-  const int num_threads =
-      std::min(fanout.ResolveNumThreads(), num_tiles);
-  if (num_threads <= 1) {
-    for (int t = 0; t < num_tiles; ++t) score_tile(t);
-    return maps;
-  }
-  // Dedicated threads, not the shared pool: GetTile locks the plane's
-  // pool mutex, and shared-pool tasks must stay lock-free (the tile's own
-  // PredictBatch below may run pool chunks while this thread holds
-  // nothing — but a pool chunk blocking on pool_mu_ while its holder
-  // waits for the pool would close the reader->pool->writer cycle).
-  std::atomic<int> next{0};
-  auto drain = [&] {
-    for (int t = next.fetch_add(1); t < num_tiles; t = next.fetch_add(1)) {
-      score_tile(t);
-    }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads - 1);
-  for (int i = 0; i < num_threads - 1; ++i) threads.emplace_back(drain);
-  drain();
-  for (auto& t : threads) t.join();
+  });
   return maps;
 }
 
@@ -220,15 +180,6 @@ EffortCurveTable PredictCellEffortCurves(const IWareEnsemble& model,
   return model.PredictEffortCurves(
       FeatureMatrixView::FromFlat(rows, park.num_features() + 1),
       std::move(effort_grid));
-}
-
-EffortCurveTable PredictCellEffortCurves(const IWareEnsemble& model,
-                                         const FeaturePlane& plane,
-                                         const std::vector<int>& cell_ids,
-                                         std::vector<double> effort_grid) {
-  std::vector<double> buf;
-  const FeatureMatrixView rows = plane.GatherCells(cell_ids, &buf);
-  return model.PredictEffortCurves(rows, std::move(effort_grid));
 }
 
 std::vector<double> ConvolveRisk(const Park& park,

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/iware.h"
-#include "geo/feature_plane.h"
 #include "geo/park.h"
 #include "geo/tiled_feature_plane.h"
 #include "geo/raster_ops.h"
@@ -35,14 +34,6 @@ StatusOr<RiskMaps> LoadRiskMaps(ArchiveReader* ar);
 /// of patrol during the step (lagged coverage read from `history`).
 RiskMaps PredictRiskMap(const IWareEnsemble& model, const Park& park,
                         const PatrolHistory& history, int t,
-                        double assumed_effort);
-
-/// Serving-side variant over a prebuilt FeaturePlane: the per-request
-/// feature-row assembly is skipped entirely (the plane caches all-cells
-/// rows as derived state), so repeated risk maps only pay the model
-/// scoring. Bit-identical to the history-based overload built from the
-/// same coverage layer.
-RiskMaps PredictRiskMap(const IWareEnsemble& model, const FeaturePlane& plane,
                         double assumed_effort);
 
 /// One spatial tile's worth of risk map — the sub-park serving unit. Row i
@@ -76,7 +67,8 @@ RiskTile ScoreRiskTile(const IWareEnsemble& model,
 /// Whole-park risk map assembled tile by tile from a TiledFeaturePlane:
 /// every tile is fetched (materializing on demand through the plane's
 /// bounded pool), scored, and scattered into dense-id order. Bit-identical
-/// to the FeaturePlane overload at the same coverage layer. Tiles fan out
+/// to the history-based PredictRiskMap at the same coverage layer (per-row
+/// scoring is batch-composition independent). Tiles fan out
 /// across dedicated threads (never the shared ThreadPool: fetching a tile
 /// takes the plane's pool mutex, and pool tasks must stay lock-free —
 /// see ParkService::RiskMapBatch for the deadlock this rule prevents);
@@ -98,14 +90,6 @@ GridD ToGrid(const Park& park, const std::vector<double>& values);
 EffortCurveTable PredictCellEffortCurves(const IWareEnsemble& model,
                                          const Park& park,
                                          const PatrolHistory& history, int t,
-                                         const std::vector<int>& cell_ids,
-                                         std::vector<double> effort_grid);
-
-/// Serving-side variant over a prebuilt FeaturePlane (rows gathered from
-/// the cache instead of re-assembled from the rasters). Bit-identical to
-/// the history-based overload built from the same coverage layer.
-EffortCurveTable PredictCellEffortCurves(const IWareEnsemble& model,
-                                         const FeaturePlane& plane,
                                          const std::vector<int>& cell_ids,
                                          std::vector<double> effort_grid);
 

@@ -14,7 +14,7 @@ constexpr uint32_t kSnapshotSectionTag = FourCc("SNAP");
 
 // Validates the post/config, builds the post's planning graph and solves
 // the robust MILP from curves supplied by `tabulate(cell_ids, grid)` — the
-// shared skeleton of the history- and plane-backed planning paths.
+// shared skeleton of the history- and snapshot-backed planning paths.
 template <typename TabulateFn>
 StatusOr<PatrolPlan> PlanForPostImpl(const Park& park, int post_index,
                                      const PlannerConfig& config,
@@ -38,55 +38,33 @@ StatusOr<PatrolPlan> PlanForPostImpl(const Park& park, int post_index,
   return PlanPatrols(graph, utilities, config);
 }
 
-// FeaturePlane treats an empty vector as all-zero coverage; a snapshot
-// must not — an accidentally defaulted coverage layer from a custom
-// serving stack should fail loudly, exactly as a wrong-sized one does.
-std::vector<double> RequireParkSizedLag(const Park& park,
-                                        std::vector<double> lagged_effort) {
-  CheckOrDie(static_cast<int>(lagged_effort.size()) == park.num_cells(),
-             "ModelSnapshot: lagged-effort layer does not match the park");
-  return lagged_effort;
-}
-
 }  // namespace
-
-ModelSnapshot::ModelSnapshot(IWareEnsemble model, Park park,
-                             std::vector<double> lagged_effort)
-    : model_(std::move(model)), park_(std::move(park)) {
-  std::vector<double> lag =
-      RequireParkSizedLag(park_, std::move(lagged_effort));
-  plane_ = std::make_unique<FeaturePlane>(park_, lag);
-  tiled_ = std::make_unique<TiledFeaturePlane>(park_, std::move(lag),
-                                               TiledPlaneOptions{});
-}
 
 ModelSnapshot::ModelSnapshot(IWareEnsemble model, Park park,
                              std::vector<double> lagged_effort,
                              TiledPlaneOptions tiled_options)
     : model_(std::move(model)), park_(std::move(park)) {
-  tiled_ = std::make_unique<TiledFeaturePlane>(
-      park_, RequireParkSizedLag(park_, std::move(lagged_effort)),
-      tiled_options);
-}
-
-const FeaturePlane& ModelSnapshot::feature_plane() const {
-  CheckOrDie(plane_ != nullptr,
-             "ModelSnapshot: no eager feature plane in tiled-only mode");
-  return *plane_;
-}
-
-void ModelSnapshot::UpdateLaggedEffort(std::vector<double> lagged_effort) {
+  // The plane treats an empty vector as all-zero coverage; a snapshot must
+  // not — an accidentally defaulted coverage layer from a custom serving
+  // stack should fail loudly, exactly as a wrong-sized one does.
   CheckOrDie(static_cast<int>(lagged_effort.size()) == park_.num_cells(),
              "ModelSnapshot: lagged-effort layer does not match the park");
-  if (plane_ != nullptr) plane_->UpdateLaggedEffort(lagged_effort);
-  tiled_->UpdateLaggedEffort(park_, std::move(lagged_effort));
+  tiled_ = std::make_unique<TiledFeaturePlane>(park_, std::move(lagged_effort),
+                                               tiled_options);
 }
 
-RiskMaps ModelSnapshot::PredictRisk(double assumed_effort) const {
-  if (plane_ != nullptr) {
-    return PredictRiskMap(model_, *plane_, assumed_effort);
+Status ModelSnapshot::UpdateLaggedEffort(std::vector<double> lagged_effort) {
+  // Checked here too: the plane would take an empty layer as zeros.
+  if (static_cast<int>(lagged_effort.size()) != park_.num_cells()) {
+    return Status::InvalidArgument(
+        "ModelSnapshot: lagged-effort layer does not match the park");
   }
-  return PredictRiskMapTiled(model_, park_, *tiled_, assumed_effort);
+  return tiled_->UpdateLaggedEffort(park_, std::move(lagged_effort));
+}
+
+RiskMaps ModelSnapshot::PredictRisk(double assumed_effort,
+                                    const ParallelismConfig& fanout) const {
+  return PredictRiskMapTiled(model_, park_, *tiled_, assumed_effort, fanout);
 }
 
 RiskTile ModelSnapshot::PredictRiskTile(int tile_id,
@@ -96,19 +74,9 @@ RiskTile ModelSnapshot::PredictRiskTile(int tile_id,
   return ScoreRiskTile(model_, *tile, tiled_->row_width(), assumed_effort);
 }
 
-RiskMaps ModelSnapshot::PredictRiskTiled(double assumed_effort,
-                                         const ParallelismConfig& fanout)
-    const {
-  return PredictRiskMapTiled(model_, park_, *tiled_, assumed_effort, fanout);
-}
-
 EffortCurveTable ModelSnapshot::PredictCellCurves(
     const std::vector<int>& cell_ids, std::vector<double> effort_grid) const {
-  if (plane_ != nullptr) {
-    return PredictCellEffortCurves(model_, *plane_, cell_ids,
-                                   std::move(effort_grid));
-  }
-  // Tiled-only mode: gather straight from the rasters (no O(cells) rows).
+  // Gathered straight from the rasters: a subset never materializes tiles.
   std::vector<double> buf;
   const FeatureMatrixView rows = tiled_->GatherCells(park_, cell_ids, &buf);
   return model_.PredictEffortCurves(rows, std::move(effort_grid));
@@ -117,10 +85,6 @@ EffortCurveTable ModelSnapshot::PredictCellCurves(
 StatusOr<PatrolPlan> ModelSnapshot::PlanForPost(
     int post_index, const PlannerConfig& config,
     const RobustParams& robust) const {
-  if (plane_ != nullptr) {
-    return PlanForPostWithPlane(model_, park_, *plane_, post_index, config,
-                                robust);
-  }
   return PlanForPostImpl(
       park_, post_index, config, robust,
       [&](const std::vector<int>& cell_ids, std::vector<double> grid) {
@@ -163,9 +127,11 @@ StatusOr<ModelSnapshot> ModelSnapshot::Load(ArchiveReader* ar) {
   std::vector<double> lagged;
   PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&lagged));
   PAWS_RETURN_IF_ERROR(ar->LeaveSection());
-  if (static_cast<int>(lagged.size()) != park.num_cells()) {
+  if (static_cast<int>(lagged.size()) != park.num_cells() ||
+      !std::all_of(lagged.begin(), lagged.end(), IsValidCoverage)) {
     return Status::InvalidArgument(
-        "ModelSnapshot: lagged-effort layer does not match the park");
+        "ModelSnapshot: lagged-effort layer must hold one finite, "
+        "non-negative value per park cell");
   }
   return ModelSnapshot(std::move(model), std::move(park), std::move(lagged));
 }
@@ -200,20 +166,6 @@ StatusOr<PatrolPlan> PlanForPostWithModel(const IWareEnsemble& model,
       park, post_index, config, robust,
       [&](const std::vector<int>& cell_ids, std::vector<double> grid) {
         return PredictCellEffortCurves(model, park, history, t, cell_ids,
-                                       std::move(grid));
-      });
-}
-
-StatusOr<PatrolPlan> PlanForPostWithPlane(const IWareEnsemble& model,
-                                          const Park& park,
-                                          const FeaturePlane& plane,
-                                          int post_index,
-                                          const PlannerConfig& config,
-                                          const RobustParams& robust) {
-  return PlanForPostImpl(
-      park, post_index, config, robust,
-      [&](const std::vector<int>& cell_ids, std::vector<double> grid) {
-        return PredictCellEffortCurves(model, plane, cell_ids,
                                        std::move(grid));
       });
 }

@@ -7,7 +7,6 @@
 
 #include "core/iware.h"
 #include "core/risk_map.h"
-#include "geo/feature_plane.h"
 #include "geo/park.h"
 #include "geo/tiled_feature_plane.h"
 #include "plan/planner.h"
@@ -24,54 +23,35 @@ namespace paws {
 /// present, and its predictions are bit-identical to the model that was
 /// saved.
 ///
-/// Feature rows live in two derived (never serialized) forms:
+/// Feature rows are derived (never serialized) state held in one
+/// TiledFeaturePlane: rows materialized per 64x64-cell tile on demand into
+/// an LRU pool. The default unbounded pool keeps every touched tile (small
+/// parks); a `pool_budget_bytes` bound keeps a multi-million-cell park's
+/// feature-row memory at the budget instead of O(cells). Whole-park calls
+/// stream tiles through the pool; subset calls (curves, planning) gather
+/// rows straight from the rasters.
 ///
-///  - An eager FeaturePlane: all-cells rows built once at construction —
-///    the classic serving path, O(cells) memory.
-///  - A TiledFeaturePlane: rows materialized per 64x64-cell tile on
-///    demand into a bounded LRU pool — the sub-park serving unit and the
-///    only feature-row storage for mega parks.
-///
-/// The default constructor builds both (small parks: eager rows for
-/// whole-park serving, tiles for per-tile serving). The TiledPlaneOptions
-/// constructor builds ONLY the tiled plane, so a multi-million-cell park
-/// serves with feature-row memory bounded by the pool budget instead of
-/// O(cells); whole-park calls stream tiles through the pool.
-///
-/// Both planes always carry the same coverage layer: UpdateLaggedEffort is
-/// the only invalidation point — it rewrites the coverage column(s) and
-/// bumps coverage_version(), which serving caches above (ParkService) key
-/// on; per-tile caches key on tile_coverage_version(t), which only moves
-/// for tiles whose cells actually changed.
+/// UpdateLaggedEffort is the only invalidation point — it installs the new
+/// coverage layer and bumps coverage_version(), which serving caches above
+/// (ParkService) key on; per-tile caches key on tile_coverage_version(t),
+/// which only moves for tiles whose cells actually changed.
 ///
 /// Produced by PawsPipeline::SaveModel / LoadModel (or assembled directly
 /// from parts for custom serving stacks).
 class ModelSnapshot {
  public:
   /// `lagged_effort` is the previous step's per-dense-cell patrol coverage
-  /// — the time-variant feature every serving-side row carries. Builds the
-  /// eager plane AND the tiled plane (default tile size, unbounded pool).
-  ModelSnapshot(IWareEnsemble model, Park park,
-                std::vector<double> lagged_effort);
-
-  /// Tiled-only mode: no eager all-cells rows are ever built — feature-row
-  /// memory is bounded by `tiled_options.pool_budget_bytes`, not by the
-  /// park size. Whole-park predictions stream tiles; feature_plane() must
-  /// not be called.
+  /// — the time-variant feature every serving-side row carries.
+  /// `tiled_options` sets the tile size and the feature-tile pool budget.
   ModelSnapshot(IWareEnsemble model, Park park,
                 std::vector<double> lagged_effort,
-                TiledPlaneOptions tiled_options);
+                TiledPlaneOptions tiled_options = {});
 
   const IWareEnsemble& model() const { return model_; }
   /// For re-pinning prediction parallelism (IWareEnsemble::set_parallelism).
   IWareEnsemble& mutable_model() { return model_; }
   const Park& park() const { return park_; }
-  /// The eager all-cells plane. Dies (CheckOrDie) in tiled-only mode —
-  /// callers that can see mega parks must use the tiled accessors.
-  const FeaturePlane& feature_plane() const;
-  /// Always present, in both modes.
   const TiledFeaturePlane& tiled_plane() const { return *tiled_; }
-  bool has_eager_plane() const { return plane_ != nullptr; }
   const std::vector<double>& lagged_effort() const {
     return tiled_->lagged_effort();
   }
@@ -87,27 +67,23 @@ class ModelSnapshot {
   TilePoolStats tile_pool_stats() const { return tiled_->pool_stats(); }
 
   /// Installs a new lagged patrol-coverage layer (a fresh step of SMART
-  /// data arriving in the field): rewrites the coverage column(s) in
-  /// place and invalidates anything keyed on coverage_version() /
-  /// tile_coverage_version(t) for changed tiles.
-  void UpdateLaggedEffort(std::vector<double> lagged_effort);
+  /// data arriving in the field): invalidates the pool tiles and anything
+  /// keyed on coverage_version() / tile_coverage_version(t) for changed
+  /// tiles. A layer that is not one finite, non-negative value per park
+  /// cell is rejected with InvalidArgument and changes nothing.
+  Status UpdateLaggedEffort(std::vector<double> lagged_effort);
 
   /// Risk/uncertainty maps over every park cell at `assumed_effort` km —
-  /// the serving analogue of PawsPipeline::PredictRisk. Eager mode scores
-  /// the cached all-cells rows in one batch; tiled-only mode streams
-  /// tiles (bit-identical either way).
-  RiskMaps PredictRisk(double assumed_effort) const;
+  /// the serving analogue of PawsPipeline::PredictRisk. Assembled tile by
+  /// tile through the pool, fanning tiles out across `fanout` dedicated
+  /// threads; bit-identical for every fan-out width.
+  RiskMaps PredictRisk(double assumed_effort,
+                       const ParallelismConfig& fanout = {}) const;
 
   /// One tile's risk/uncertainty at `assumed_effort` km — the sub-park
   /// serving unit. Prediction i equals the whole-park PredictRisk value
   /// at dense cell cell_ids[i], bit for bit.
   RiskTile PredictRiskTile(int tile_id, double assumed_effort) const;
-
-  /// Whole-park risk map assembled tile by tile through the pool, fanning
-  /// tiles out across `fanout` dedicated threads. Bit-identical to
-  /// PredictRisk; this is the serving path (ParkService) in both modes.
-  RiskMaps PredictRiskTiled(double assumed_effort,
-                            const ParallelismConfig& fanout = {}) const;
 
   /// Tabulated g_v(c)/nu_v(c) planner inputs for the given cells.
   EffortCurveTable PredictCellCurves(const std::vector<int>& cell_ids,
@@ -133,8 +109,7 @@ class ModelSnapshot {
   IWareEnsemble model_;
   Park park_;
   /// Derived serving state (rebuilt on construction/load, never
-  /// serialized). plane_ is null in tiled-only mode; tiled_ always exists.
-  std::unique_ptr<FeaturePlane> plane_;
+  /// serialized). Heap-held: the plane's pool mutex is immovable.
   std::unique_ptr<TiledFeaturePlane> tiled_;
 };
 
@@ -151,17 +126,6 @@ void SaveModelSnapshotParts(const IWareEnsemble& model, const Park& park,
 StatusOr<PatrolPlan> PlanForPostWithModel(const IWareEnsemble& model,
                                           const Park& park,
                                           const PatrolHistory& history, int t,
-                                          int post_index,
-                                          const PlannerConfig& config,
-                                          const RobustParams& robust);
-
-/// FeaturePlane-backed variant (the snapshot/ParkService serving path):
-/// effort curves are tabulated from the plane's cached rows instead of
-/// re-assembling them from the rasters. Bit-identical plans for the same
-/// coverage layer.
-StatusOr<PatrolPlan> PlanForPostWithPlane(const IWareEnsemble& model,
-                                          const Park& park,
-                                          const FeaturePlane& plane,
                                           int post_index,
                                           const PlannerConfig& config,
                                           const RobustParams& robust);

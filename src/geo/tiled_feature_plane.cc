@@ -45,8 +45,19 @@ TiledFeaturePlane::TiledFeaturePlane(const Park& park,
   }
   CheckOrDie(static_cast<int>(lagged_effort.size()) == num_cells_,
              "TiledFeaturePlane: lagged-effort layer does not match the park");
+  CheckOrDie(std::all_of(lagged_effort.begin(), lagged_effort.end(),
+                         IsValidCoverage),
+             "TiledFeaturePlane: lagged-effort layer must be finite and "
+             "non-negative");
   lagged_effort_ = std::move(lagged_effort);
   tile_versions_.assign(geometry_.num_tiles(), 0);
+}
+
+void TiledFeaturePlane::CheckPark(const Park& park) const {
+  CheckOrDie(park.num_cells() == num_cells_ &&
+                 park.width() == grid_width_ &&
+                 park.height() == grid_height_,
+             "TiledFeaturePlane: park does not match this plane");
 }
 
 uint64_t TiledFeaturePlane::tile_coverage_version(int tile_id) const {
@@ -57,10 +68,7 @@ uint64_t TiledFeaturePlane::tile_coverage_version(int tile_id) const {
 
 void TiledFeaturePlane::TileCellIds(const Park& park, int tile_id,
                                     std::vector<int>* out) const {
-  CheckOrDie(park.num_cells() == num_cells_ &&
-                 park.width() == grid_width_ &&
-                 park.height() == grid_height_,
-             "TiledFeaturePlane: park does not match this plane");
+  CheckPark(park);
   int x0, y0, x1, y1;
   geometry_.TileRect(tile_id, grid_width_, grid_height_, &x0, &y0, &x1, &y1);
   out->clear();
@@ -78,15 +86,7 @@ std::shared_ptr<TiledFeaturePlane::Tile> TiledFeaturePlane::Materialize(
   tile->tile_id = tile_id;
   tile->coverage_version = tile_versions_[tile_id];
   TileCellIds(park, tile_id, &tile->cell_ids);
-  // Row assembly mirrors FeaturePlane::BuildRows cell for cell: the static
-  // raster features in park order, then the lagged-coverage column. Same
-  // source doubles, same order — byte-identical rows by construction.
-  tile->rows.reserve(tile->cell_ids.size() * row_width_);
-  for (int id : tile->cell_ids) {
-    const std::vector<double> static_x = park.FeatureVector(id);
-    tile->rows.insert(tile->rows.end(), static_x.begin(), static_x.end());
-    tile->rows.push_back(lagged_effort_[id]);
-  }
+  AppendCellFeatureRows(park, &lagged_effort_, tile->cell_ids, &tile->rows);
   return tile;
 }
 
@@ -147,31 +147,36 @@ void TiledFeaturePlane::ShrinkToBudgetLocked() const {
   }
 }
 
-void TiledFeaturePlane::UpdateLaggedEffort(
+Status TiledFeaturePlane::UpdateLaggedEffort(
     const Park& park, std::vector<double> lagged_effort) {
   if (lagged_effort.empty()) {
     lagged_effort.assign(num_cells_, 0.0);
   }
-  CheckOrDie(static_cast<int>(lagged_effort.size()) == num_cells_,
-             "TiledFeaturePlane::UpdateLaggedEffort: layer/park mismatch");
-  CheckOrDie(park.num_cells() == num_cells_ &&
-                 park.width() == grid_width_ &&
-                 park.height() == grid_height_,
-             "TiledFeaturePlane: park does not match this plane");
-  ++coverage_version_;
+  if (static_cast<int>(lagged_effort.size()) != num_cells_) {
+    return Status::InvalidArgument(
+        "lagged-effort layer does not match the park");
+  }
+  CheckPark(park);
   // Diff the layers cell by cell (by bit pattern: a -0.0 -> 0.0 flip is a
   // row change even though == would miss it) and mark the containing
   // tiles dirty. Only dirty tiles pay: version bump + pool eviction.
   std::vector<bool> dirty(geometry_.num_tiles(), false);
   const std::vector<int>& indices = park.cell_indices();
+  bool valid = true;
   for (int id = 0; id < num_cells_; ++id) {
     const double a = lagged_effort_[id];
     const double b = lagged_effort[id];
     if (std::memcmp(&a, &b, sizeof(double)) == 0) continue;
+    valid = valid && IsValidCoverage(b);  // unchanged cells were checked
     const int grid_index = indices[id];
     dirty[geometry_.TileOf(grid_index % grid_width_,
                            grid_index / grid_width_)] = true;
   }
+  if (!valid) {
+    return Status::InvalidArgument(
+        "lagged-effort layer must be finite and non-negative");
+  }
+  ++coverage_version_;
   lagged_effort_ = std::move(lagged_effort);
   std::lock_guard<std::mutex> lock(pool_mu_);
   for (int t = 0; t < geometry_.num_tiles(); ++t) {
@@ -182,6 +187,7 @@ void TiledFeaturePlane::UpdateLaggedEffort(
     // coverage layer they started under.
     EvictLocked(t);
   }
+  return Status::OK();
 }
 
 std::vector<double> TiledFeaturePlane::BuildAllRows(const Park& park) const {
@@ -205,17 +211,13 @@ std::vector<double> TiledFeaturePlane::BuildAllRows(const Park& park) const {
 FeatureMatrixView TiledFeaturePlane::GatherCells(
     const Park& park, const std::vector<int>& cell_ids,
     std::vector<double>* buf) const {
-  CheckOrDie(park.num_cells() == num_cells_,
-             "TiledFeaturePlane: park does not match this plane");
-  buf->clear();
-  buf->reserve(cell_ids.size() * row_width_);
+  CheckPark(park);
   for (int id : cell_ids) {
     CheckOrDie(id >= 0 && id < num_cells_,
                "TiledFeaturePlane::GatherCells: cell id out of range");
-    const std::vector<double> static_x = park.FeatureVector(id);
-    buf->insert(buf->end(), static_x.begin(), static_x.end());
-    buf->push_back(lagged_effort_[id]);
   }
+  buf->clear();
+  AppendCellFeatureRows(park, &lagged_effort_, cell_ids, buf);
   return FeatureMatrixView::FromFlat(*buf, row_width_);
 }
 

@@ -2,6 +2,7 @@
 #define PAWS_GEO_TILED_FEATURE_PLANE_H_
 
 #include <cstdint>
+#include <limits>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -11,6 +12,7 @@
 #include "geo/park.h"
 #include "util/aligned.h"
 #include "util/feature_matrix.h"
+#include "util/status.h"
 
 namespace paws {
 
@@ -46,9 +48,31 @@ struct TiledPlaneOptions {
   int tile_size = 64;
   /// Byte budget for materialized tile rows; least-recently-used tiles are
   /// evicted past it. 0 = unbounded (every touched tile stays resident —
-  /// the small-park default, equivalent to an eager plane after one sweep).
+  /// the small-park default: after one sweep every row is resident).
   size_t pool_budget_bytes = 0;
 };
+
+/// Whether `km` may serve as a cell's lagged patrol coverage: finite and
+/// non-negative (NaN fails both comparisons).
+inline bool IsValidCoverage(double km) {
+  return km >= 0.0 && km <= std::numeric_limits<double>::max();
+}
+
+/// The one per-cell feature-row assembly loop: for each cell, the park's
+/// static raster features in park order, then the lagged-coverage value
+/// (zero when `lagged` is null). Appends to `*rows`. Tile materialization,
+/// subset gathers and the training-side BuildCellFeatureRows all run this
+/// loop, so their rows are byte-identical by construction.
+template <typename Rows>
+void AppendCellFeatureRows(const Park& park, const std::vector<double>* lagged,
+                           const std::vector<int>& cell_ids, Rows* rows) {
+  rows->reserve(rows->size() + cell_ids.size() * (park.num_features() + 1));
+  for (int id : cell_ids) {
+    const std::vector<double> static_x = park.FeatureVector(id);
+    rows->insert(rows->end(), static_x.begin(), static_x.end());
+    rows->push_back(lagged != nullptr ? (*lagged)[id] : 0.0);
+  }
+}
 
 /// Cumulative tile-pool counters (monotone except resident_*, which report
 /// the current pool contents).
@@ -60,16 +84,17 @@ struct TilePoolStats {
   uint64_t evictions = 0;
 };
 
-/// The tiled counterpart of FeaturePlane: feature rows are materialized
-/// per tile on demand into a bounded, LRU-evicted pool instead of all at
-/// once, so the feature-row layer's memory is O(pool budget), not
-/// O(park cells). Each materialized row is byte-identical to the row
-/// FeaturePlane::BuildRows assembles for the same cell and coverage layer
-/// — tiling changes residency, never bits.
+/// The serving-side feature-row store: every dense cell's static
+/// geospatial features plus the one time-variant covariate (the lagged
+/// patrol-coverage column), materialized per tile on demand into a
+/// bounded, LRU-evicted pool, so the feature-row layer's memory is O(pool
+/// budget), not O(park cells). An unbounded pool (the small-park default)
+/// holds every touched tile. Each materialized row is byte-identical to
+/// the row BuildCellFeatureRows assembles for the same cell and coverage
+/// layer (AppendCellFeatureRows) — tiling changes residency, never bits.
 ///
-/// Row storage is 64-byte-aligned (AlignedAllocator) so the SIMD scoring
-/// backends' gathered walks read tile rows exactly as they read an eager
-/// plane's.
+/// Row storage is 64-byte-aligned (AlignedAllocator) for the SIMD scoring
+/// backends' gathered walks.
 ///
 /// Invalidation contract: UpdateLaggedEffort diffs the old and new
 /// coverage layers and touches only the tiles whose cells changed — each
@@ -112,7 +137,9 @@ class TiledFeaturePlane {
   };
 
   /// `lagged_effort` is the previous step's per-dense-cell patrol
-  /// coverage; empty = zero coverage everywhere (FeaturePlane semantics).
+  /// coverage; empty = zero coverage everywhere. Every value must be a
+  /// valid coverage (dies otherwise; outside input is checked first, as
+  /// ModelSnapshot::Load does).
   /// The park is NOT retained — every materializing call takes it again,
   /// and the caller must always pass the park this plane was built for
   /// (geometry and feature count are validated).
@@ -146,21 +173,26 @@ class TiledFeaturePlane {
                    std::vector<int>* out) const;
 
   /// Replaces the lagged-coverage layer; see the invalidation contract
-  /// above. Size must match num_cells() (or be empty for all-zero).
-  void UpdateLaggedEffort(const Park& park,
-                          std::vector<double> lagged_effort);
+  /// above. Size must match num_cells() (or be empty for all-zero), and
+  /// every value must be a valid coverage (IsValidCoverage); otherwise
+  /// returns InvalidArgument and changes nothing. Only changed cells are
+  /// checked, in the pass that diffs the layers: the current layer is
+  /// always valid, so an invalid value always differs from the value it
+  /// would replace.
+  Status UpdateLaggedEffort(const Park& park,
+                            std::vector<double> lagged_effort);
 
   /// Whole-park compatibility path: streams every tile through GetTile
   /// and concatenates the rows in dense-id order. Bit-identical to
-  /// FeaturePlane::BuildRows over all cells (tests enforce it). Intended
-  /// for parity checks and small-park callers — the output is O(cells) by
+  /// BuildCellFeatureRows over all cells (tests enforce it). Intended for
+  /// parity checks and small-park callers — the output is O(cells) by
   /// definition.
   std::vector<double> BuildAllRows(const Park& park) const;
 
   /// Packs the given cells' rows into `*buf` and returns a view over it —
   /// the subset gather behind the curve/planning paths. Rows are
   /// assembled straight from the park's rasters (no tile
-  /// materialization), byte-identical to FeaturePlane::GatherCells.
+  /// materialization).
   FeatureMatrixView GatherCells(const Park& park,
                                 const std::vector<int>& cell_ids,
                                 std::vector<double>* buf) const;
@@ -168,6 +200,8 @@ class TiledFeaturePlane {
   TilePoolStats pool_stats() const;
 
  private:
+  /// Dies unless `park` is the park this plane was built for.
+  void CheckPark(const Park& park) const;
   /// Builds the tile's rows from the park rasters (no locks held).
   std::shared_ptr<Tile> Materialize(const Park& park, int tile_id) const;
   /// Drops `tile_id` from the pool if resident (pool_mu_ must be held).

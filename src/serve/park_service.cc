@@ -1,8 +1,6 @@
 #include "serve/park_service.h"
 
-#include <algorithm>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 #include "util/archive.h"
@@ -22,51 +20,39 @@ uint64_t EffortBits(double effort) {
   return bits;
 }
 
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+// One FNV-1a step over the 8 little-endian bytes of `v` — the mix every
+// served-cache key hash folds its fields through, starting at kFnvOffset.
+uint64_t FnvMix(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 }  // namespace
 
 size_t ParkService::RiskKeyHash::operator()(const RiskKey& key) const {
-  // FNV-1a over the three key fields.
-  uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
-  mix(key.snapshot_version);
-  mix(key.coverage_version);
-  mix(key.effort_bits);
-  return static_cast<size_t>(h);
+  uint64_t h = FnvMix(kFnvOffset, key.snapshot_version);
+  h = FnvMix(h, key.coverage_version);
+  return static_cast<size_t>(FnvMix(h, key.effort_bits));
 }
 
 size_t ParkService::TileKeyHash::operator()(const TileKey& key) const {
-  uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
-  mix(key.snapshot_version);
-  mix(key.tile_coverage_version);
-  mix(static_cast<uint64_t>(key.tile_id));
-  mix(key.effort_bits);
-  return static_cast<size_t>(h);
+  uint64_t h = FnvMix(kFnvOffset, key.snapshot_version);
+  h = FnvMix(h, key.tile_coverage_version);
+  h = FnvMix(h, static_cast<uint64_t>(key.tile_id));
+  return static_cast<size_t>(FnvMix(h, key.effort_bits));
 }
 
 size_t ParkService::CurveKeyHash::operator()(const CurveKey& key) const {
-  uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
-  mix(key.snapshot_version);
-  mix(key.coverage_version);
-  mix(key.cell_ids.size());
-  for (int id : key.cell_ids) mix(static_cast<uint64_t>(id));
-  for (uint64_t bits : key.grid_bits) mix(bits);
+  uint64_t h = FnvMix(kFnvOffset, key.snapshot_version);
+  h = FnvMix(h, key.coverage_version);
+  h = FnvMix(h, key.cell_ids.size());
+  for (int id : key.cell_ids) h = FnvMix(h, static_cast<uint64_t>(id));
+  for (uint64_t bits : key.grid_bits) h = FnvMix(h, bits);
   return static_cast<size_t>(h);
 }
 
@@ -85,10 +71,7 @@ Status ParkService::Register(const std::string& park_id,
   if (park_id.empty()) {
     return Status::InvalidArgument("ParkService: empty park id");
   }
-  auto entry = std::make_shared<Entry>(std::move(snapshot),
-                                       options_.risk_cache_capacity,
-                                       options_.curve_cache_capacity,
-                                       options_.tile_cache_capacity);
+  auto entry = std::make_shared<Entry>(std::move(snapshot), options_);
   std::unique_lock<std::shared_mutex> lock(registry_mu_);
   if (!parks_.emplace(park_id, std::move(entry)).second) {
     return Status::InvalidArgument("ParkService: park '" + park_id +
@@ -145,30 +128,13 @@ StatusOr<std::shared_ptr<const RiskMaps>> ParkService::RiskMap(
   const RiskKey key{entry->snapshot_version,
                     entry->snapshot.coverage_version(),
                     EffortBits(assumed_effort)};
-  {
-    std::lock_guard<std::mutex> cache_lock(entry->cache_mu);
-    if (const auto* hit = entry->cache.Get(key)) {
-      entry->hits.fetch_add(1, std::memory_order_relaxed);
-      return *hit;
-    }
-  }
-  entry->misses.fetch_add(1, std::memory_order_relaxed);
   // Whole-park maps are assembled tile by tile through the snapshot's
-  // feature-tile pool — bit-identical to PredictRisk (per-row scoring is
-  // batch-composition independent) and the only viable path for
-  // tiled-only mega parks, where no eager all-cells rows exist. Tiles
-  // fan out across dedicated threads (never the shared pool; the tile
-  // fetch takes the plane's pool mutex).
-  auto maps = std::make_shared<const RiskMaps>(
-      entry->snapshot.PredictRiskTiled(assumed_effort,
-                                       options_.parallelism));
-  {
-    // Two concurrent misses on one key both compute (bit-identical) maps;
-    // the second Put simply refreshes the entry — no special casing.
-    std::lock_guard<std::mutex> cache_lock(entry->cache_mu);
-    entry->cache.Put(key, maps);
-  }
-  return StatusOr<std::shared_ptr<const RiskMaps>>(std::move(maps));
+  // feature-tile pool, with tiles fanned out across dedicated threads
+  // (never the shared pool; the tile fetch takes the plane's pool mutex).
+  return entry->risk_cache.GetOrCompute(key, [&] {
+    return std::make_shared<const RiskMaps>(
+        entry->snapshot.PredictRisk(assumed_effort, options_.parallelism));
+  });
 }
 
 StatusOr<std::shared_ptr<const paws::RiskTile>> ParkService::RiskTile(
@@ -190,23 +156,10 @@ StatusOr<std::shared_ptr<const paws::RiskTile>> ParkService::RiskTile(
   const TileKey key{entry->snapshot_version,
                     entry->snapshot.tile_coverage_version(tile_id), tile_id,
                     EffortBits(assumed_effort)};
-  {
-    std::lock_guard<std::mutex> cache_lock(entry->tile_cache_mu);
-    if (const auto* hit = entry->tile_cache.Get(key)) {
-      entry->tile_hits.fetch_add(1, std::memory_order_relaxed);
-      return *hit;
-    }
-  }
-  entry->tile_misses.fetch_add(1, std::memory_order_relaxed);
-  auto tile = std::make_shared<const paws::RiskTile>(
-      entry->snapshot.PredictRiskTile(tile_id, assumed_effort));
-  {
-    // Racing misses both compute bit-identical tiles; the second Put just
-    // refreshes the entry.
-    std::lock_guard<std::mutex> cache_lock(entry->tile_cache_mu);
-    entry->tile_cache.Put(key, tile);
-  }
-  return StatusOr<std::shared_ptr<const paws::RiskTile>>(std::move(tile));
+  return entry->tile_cache.GetOrCompute(key, [&] {
+    return std::make_shared<const paws::RiskTile>(
+        entry->snapshot.PredictRiskTile(tile_id, assumed_effort));
+  });
 }
 
 StatusOr<std::shared_ptr<const EffortCurveTable>> ParkService::CellCurves(
@@ -242,21 +195,10 @@ StatusOr<std::shared_ptr<const EffortCurveTable>> ParkService::CellCurves(
   key.cell_ids = cell_ids;
   key.grid_bits.reserve(effort_grid.size());
   for (double e : effort_grid) key.grid_bits.push_back(EffortBits(e));
-  {
-    std::lock_guard<std::mutex> cache_lock(entry->curve_cache_mu);
-    if (const auto* hit = entry->curve_cache.Get(key)) {
-      entry->curve_hits.fetch_add(1, std::memory_order_relaxed);
-      return *hit;
-    }
-  }
-  entry->curve_misses.fetch_add(1, std::memory_order_relaxed);
-  auto table = std::make_shared<const EffortCurveTable>(
-      entry->snapshot.PredictCellCurves(cell_ids, std::move(effort_grid)));
-  {
-    std::lock_guard<std::mutex> cache_lock(entry->curve_cache_mu);
-    entry->curve_cache.Put(std::move(key), table);
-  }
-  return StatusOr<std::shared_ptr<const EffortCurveTable>>(std::move(table));
+  return entry->curve_cache.GetOrCompute(key, [&] {
+    return std::make_shared<const EffortCurveTable>(
+        entry->snapshot.PredictCellCurves(cell_ids, std::move(effort_grid)));
+  });
 }
 
 StatusOr<PatrolPlan> ParkService::PlanForPost(
@@ -283,15 +225,10 @@ Status ParkService::UpdateCoverage(const std::string& park_id,
   const std::shared_ptr<Entry> entry = Find(park_id);
   if (entry == nullptr) return UnknownPark(park_id);
   std::unique_lock<std::shared_mutex> lock(entry->mu);
-  if (static_cast<int>(lagged_effort.size()) !=
-      entry->snapshot.park().num_cells()) {
-    return Status::InvalidArgument(
-        "ParkService: coverage layer does not match the park");
-  }
-  // Bumps the plane's coverage version; cached maps keyed on the old
-  // version can never be served again and age out of the LRU.
-  entry->snapshot.UpdateLaggedEffort(std::move(lagged_effort));
-  return Status::OK();
+  // A malformed layer is rejected untouched. Otherwise the plane's
+  // coverage version bumps; cached maps keyed on the old version can
+  // never be served again and age out of the LRU.
+  return entry->snapshot.UpdateLaggedEffort(std::move(lagged_effort));
 }
 
 Status ParkService::SwapSnapshot(const std::string& park_id,
@@ -301,25 +238,11 @@ Status ParkService::SwapSnapshot(const std::string& park_id,
   std::unique_lock<std::shared_mutex> lock(entry->mu);
   entry->snapshot = std::move(snapshot);
   ++entry->snapshot_version;
-  {
-    // Old-version keys are unreachable; clearing just frees them early.
-    std::lock_guard<std::mutex> cache_lock(entry->cache_mu);
-    entry->cache.Clear();
-  }
-  {
-    std::lock_guard<std::mutex> cache_lock(entry->curve_cache_mu);
-    entry->curve_cache.Clear();
-  }
-  {
-    std::lock_guard<std::mutex> cache_lock(entry->tile_cache_mu);
-    entry->tile_cache.Clear();
-  }
-  entry->hits.store(0, std::memory_order_relaxed);
-  entry->misses.store(0, std::memory_order_relaxed);
-  entry->curve_hits.store(0, std::memory_order_relaxed);
-  entry->curve_misses.store(0, std::memory_order_relaxed);
-  entry->tile_hits.store(0, std::memory_order_relaxed);
-  entry->tile_misses.store(0, std::memory_order_relaxed);
+  // Old-version keys are unreachable; clearing frees them early and
+  // zeroes the counters.
+  entry->risk_cache.Clear();
+  entry->curve_cache.Clear();
+  entry->tile_cache.Clear();
   return Status::OK();
 }
 
@@ -347,24 +270,9 @@ ParkService::RiskMapBatch(const std::vector<RiskRequest>& requests) const {
   // while a lock holder waits for the pool — with a writer pending on a
   // writer-preferring rwlock — would deadlock; keeping pool tasks
   // lock-free breaks the cycle.
-  const int num_threads =
-      std::min(options_.parallelism.ResolveNumThreads(), n);
-  auto serve = [&](int i) {
+  ForEachOnDedicatedThreads(options_.parallelism, n, [&](int i) {
     results[i] = RiskMap(requests[i].park_id, requests[i].assumed_effort);
-  };
-  if (num_threads <= 1) {
-    for (int i = 0; i < n; ++i) serve(i);
-    return results;
-  }
-  std::atomic<int> next{0};
-  auto drain = [&] {
-    for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) serve(i);
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads - 1);
-  for (int t = 0; t < num_threads - 1; ++t) threads.emplace_back(drain);
-  drain();
-  for (auto& t : threads) t.join();
+  });
   return results;
 }
 
@@ -372,20 +280,14 @@ StatusOr<ParkService::CacheStats> ParkService::RiskCacheStats(
     const std::string& park_id) const {
   const std::shared_ptr<Entry> entry = Find(park_id);
   if (entry == nullptr) return UnknownPark(park_id);
-  CacheStats stats;
-  stats.hits = entry->hits.load(std::memory_order_relaxed);
-  stats.misses = entry->misses.load(std::memory_order_relaxed);
-  return stats;
+  return entry->risk_cache.stats();
 }
 
 StatusOr<ParkService::CacheStats> ParkService::CurveCacheStats(
     const std::string& park_id) const {
   const std::shared_ptr<Entry> entry = Find(park_id);
   if (entry == nullptr) return UnknownPark(park_id);
-  CacheStats stats;
-  stats.hits = entry->curve_hits.load(std::memory_order_relaxed);
-  stats.misses = entry->curve_misses.load(std::memory_order_relaxed);
-  return stats;
+  return entry->curve_cache.stats();
 }
 
 StatusOr<ParkService::TileStats> ParkService::RiskTileStats(
@@ -393,8 +295,9 @@ StatusOr<ParkService::TileStats> ParkService::RiskTileStats(
   const std::shared_ptr<Entry> entry = Find(park_id);
   if (entry == nullptr) return UnknownPark(park_id);
   TileStats stats;
-  stats.hits = entry->tile_hits.load(std::memory_order_relaxed);
-  stats.misses = entry->tile_misses.load(std::memory_order_relaxed);
+  const CacheStats served = entry->tile_cache.stats();
+  stats.hits = served.hits;
+  stats.misses = served.misses;
   // Shared lock: the pool and geometry live inside the snapshot, which
   // SwapSnapshot replaces under the exclusive lock.
   std::shared_lock<std::shared_mutex> lock(entry->mu);

@@ -1,7 +1,6 @@
 #ifndef PAWS_SERVE_PARK_SERVICE_H_
 #define PAWS_SERVE_PARK_SERVICE_H_
 
-#include <atomic>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -37,10 +36,10 @@ struct ParkServiceOptions {
 /// Multi-tenant serving front end: one process answering risk-map,
 /// risk-tile, effort-curve and patrol-plan queries for many protected
 /// areas at once. Three layers deep — each park's ModelSnapshot carries
-/// its feature rows (an eager FeaturePlane and/or a pooled
-/// TiledFeaturePlane), its model scores through the selected
-/// ScoringBackend, and this registry adds concurrent lookup plus per-park
-/// LRUs of recently served risk maps, tiles and curve tables.
+/// its feature rows (a pooled TiledFeaturePlane), its model scores through
+/// the selected ScoringBackend, and this registry adds concurrent lookup
+/// plus per-park LRUs of recently served risk maps, tiles and curve
+/// tables.
 ///
 /// Concurrency model (read-mostly):
 ///  - The registry map is guarded by a shared_mutex: serving calls take it
@@ -107,7 +106,9 @@ class ParkService {
                                    const RobustParams& robust) const;
 
   /// Writer: installs a fresh lagged patrol-coverage layer (invalidates
-  /// cached risk maps via the coverage version key).
+  /// cached risk maps via the coverage version key). A layer that is not
+  /// one finite, non-negative value per park cell is rejected with
+  /// InvalidArgument and changes nothing.
   Status UpdateCoverage(const std::string& park_id,
                         std::vector<double> lagged_effort);
 
@@ -136,10 +137,7 @@ class ParkService {
 
   /// Cumulative cache counters for one park (zeroed on SwapSnapshot;
   /// Evict discards them).
-  struct CacheStats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-  };
+  using CacheStats = ServedCacheStats;
   StatusOr<CacheStats> RiskCacheStats(const std::string& park_id) const;
   /// Same counters for the effort-curve-table LRU.
   StatusOr<CacheStats> CurveCacheStats(const std::string& park_id) const;
@@ -224,12 +222,11 @@ class ParkService {
   };
 
   struct Entry {
-    Entry(ModelSnapshot snap, int cache_capacity, int curve_capacity,
-          int tile_capacity)
+    Entry(ModelSnapshot snap, const ParkServiceOptions& options)
         : snapshot(std::move(snap)),
-          cache(cache_capacity),
-          curve_cache(curve_capacity),
-          tile_cache(tile_capacity) {}
+          risk_cache(options.risk_cache_capacity),
+          curve_cache(options.curve_cache_capacity),
+          tile_cache(options.tile_cache_capacity) {}
 
     /// Guards `snapshot` and `snapshot_version`: serving reads hold it
     /// shared, SwapSnapshot/UpdateCoverage hold it exclusive.
@@ -237,27 +234,16 @@ class ParkService {
     ModelSnapshot snapshot;
     uint64_t snapshot_version = 1;
 
-    /// The LRUs are guarded by their own small mutexes so cache hits
-    /// from concurrent readers (who only hold `mu` shared) stay safe.
-    mutable std::mutex cache_mu;
-    mutable LruCache<RiskKey, std::shared_ptr<const RiskMaps>, RiskKeyHash>
-        cache;
-    mutable std::atomic<uint64_t> hits{0};
-    mutable std::atomic<uint64_t> misses{0};
-
-    mutable std::mutex curve_cache_mu;
-    mutable LruCache<CurveKey, std::shared_ptr<const EffortCurveTable>,
-                     CurveKeyHash>
+    /// Each cache locks internally, so hits from concurrent readers (who
+    /// only hold `mu` shared) stay safe.
+    mutable ServedCache<RiskKey, std::shared_ptr<const RiskMaps>, RiskKeyHash>
+        risk_cache;
+    mutable ServedCache<CurveKey, std::shared_ptr<const EffortCurveTable>,
+                        CurveKeyHash>
         curve_cache;
-    mutable std::atomic<uint64_t> curve_hits{0};
-    mutable std::atomic<uint64_t> curve_misses{0};
-
-    mutable std::mutex tile_cache_mu;
-    mutable LruCache<TileKey, std::shared_ptr<const paws::RiskTile>,
-                     TileKeyHash>
+    mutable ServedCache<TileKey, std::shared_ptr<const paws::RiskTile>,
+                        TileKeyHash>
         tile_cache;
-    mutable std::atomic<uint64_t> tile_hits{0};
-    mutable std::atomic<uint64_t> tile_misses{0};
   };
 
   /// Shared-locked registry lookup; nullptr when absent.

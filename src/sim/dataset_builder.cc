@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "geo/feature_plane.h"
+#include "geo/tiled_feature_plane.h"
 #include "util/stats.h"
 
 namespace paws {
@@ -59,9 +59,11 @@ std::vector<double> BuildCellFeatureRows(const Park& park,
   const std::vector<double>* prev =
       (t > 0 && t - 1 < history.num_steps()) ? &history.steps[t - 1].effort
                                              : nullptr;
-  // One shared assembly loop with the serving-side FeaturePlane cache, so
-  // cached and per-request rows are byte-identical by construction.
-  return FeaturePlane::BuildRows(park, prev, cell_ids);
+  // One shared assembly loop with the serving-side tile pool, so served
+  // and per-request rows are byte-identical by construction.
+  std::vector<double> rows;
+  AppendCellFeatureRows(park, prev, cell_ids, &rows);
+  return rows;
 }
 
 std::vector<double> BuildCellFeatureRows(const Park& park,

@@ -1,7 +1,9 @@
 #ifndef PAWS_UTIL_LRU_CACHE_H_
 #define PAWS_UTIL_LRU_CACHE_H_
 
+#include <cstdint>
 #include <list>
+#include <mutex>
 #include <unordered_map>
 #include <utility>
 
@@ -9,11 +11,8 @@
 
 namespace paws {
 
-/// Small bounded map with least-recently-used eviction — the cache shape
-/// behind ParkService's per-park store of recently served risk maps. Not
-/// thread-safe: callers guard it with their own mutex (the service keeps
-/// the critical section to a lookup/insert; values are shared_ptrs so
-/// evicted entries stay alive for readers already holding them).
+/// Small bounded map with least-recently-used eviction. Not thread-safe:
+/// ServedCache below wraps it with a mutex and counters.
 template <typename K, typename V, typename Hash = std::hash<K>>
 class LruCache {
  public:
@@ -60,6 +59,60 @@ class LruCache {
   std::list<std::pair<K, V>> items_;  // front = most recently used
   std::unordered_map<K, typename std::list<std::pair<K, V>>::iterator, Hash>
       index_;
+};
+
+/// Cumulative lookup counters of one ServedCache.
+struct ServedCacheStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+};
+
+/// A thread-safe LruCache of served results plus its hit/miss counters —
+/// the one shape of ParkService's per-park caches. Values should be cheap
+/// to copy (shared_ptrs), so a hit is a lookup, a splice and a refcount
+/// bump with no heap traffic, and an evicted entry stays alive for readers
+/// already holding it.
+template <typename K, typename V, typename Hash = std::hash<K>>
+class ServedCache {
+ public:
+  explicit ServedCache(size_t capacity) : lru_(capacity) {}
+
+  /// The cached value for `key`, or `compute()`'s result, which is then
+  /// cached. `compute` runs outside the lock, so two racing misses on one
+  /// key both compute; callers guarantee both produce equal values, and
+  /// the second insert just refreshes the entry.
+  template <typename Compute>
+  V GetOrCompute(const K& key, const Compute& compute) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (const V* hit = lru_.Get(key)) {
+        ++stats_.hits;
+        return *hit;
+      }
+      ++stats_.misses;
+    }
+    V value = compute();
+    std::lock_guard<std::mutex> lock(mu_);
+    lru_.Put(key, value);
+    return value;
+  }
+
+  /// Drops every entry and zeroes the counters.
+  void Clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    lru_.Clear();
+    stats_ = ServedCacheStats();
+  }
+
+  ServedCacheStats stats() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return stats_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  LruCache<K, V, Hash> lru_;
+  ServedCacheStats stats_;
 };
 
 }  // namespace paws

@@ -151,4 +151,26 @@ void ParallelFor(const ParallelismConfig& config, std::int64_t begin,
   ThreadPool::Shared().ParallelFor(begin, end, grain, max_threads, fn);
 }
 
+void ForEachOnDedicatedThreads(const ParallelismConfig& config, int n,
+                               const std::function<void(int)>& fn) {
+  const int num_threads = std::min(config.ResolveNumThreads(), n);
+  std::atomic<int> next{0};
+  std::mutex error_mu;
+  std::exception_ptr error;
+  auto drain = [&] {
+    try {
+      for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) fn(i);
+    } catch (...) {
+      next.store(n);  // skip the indices no thread has claimed yet
+      std::lock_guard<std::mutex> lock(error_mu);
+      if (!error) error = std::current_exception();
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 1; t < num_threads; ++t) threads.emplace_back(drain);
+  drain();
+  for (auto& t : threads) t.join();
+  if (error) std::rethrow_exception(error);
+}
+
 }  // namespace paws

@@ -108,6 +108,17 @@ void ParallelFor(const ParallelismConfig& config, std::int64_t begin,
                  std::int64_t end, std::int64_t grain,
                  const std::function<void(std::int64_t, std::int64_t)>& fn);
 
+/// Runs `fn(i)` for every i in [0, n) on up to `config`'s thread count of
+/// DEDICATED threads — the caller plus fresh std::threads, never the
+/// shared pool — claiming indices one at a time. For work that takes
+/// locks, which shared-pool tasks must never do (a lock holder waiting on
+/// the pool while a pool task waits on the lock deadlocks). `fn(i)` must
+/// write only index i's state, so results never depend on the width. The
+/// first exception `fn` throws is rethrown on the caller once every
+/// thread has joined; indices not yet claimed are skipped.
+void ForEachOnDedicatedThreads(const ParallelismConfig& config, int n,
+                               const std::function<void(int)>& fn);
+
 }  // namespace paws
 
 #endif  // PAWS_UTIL_THREAD_POOL_H_

@@ -1,5 +1,6 @@
 #include "util/lru_cache.h"
 
+#include <memory>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -59,6 +60,65 @@ TEST(LruCacheTest, ClearEmptiesTheCache) {
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.Get(1), nullptr);
+}
+
+// A compute function that counts its calls and returns a fresh object, so
+// a hit (the cached object) is distinguishable from a recompute.
+struct CountingCompute {
+  std::shared_ptr<const std::string> operator()() const {
+    ++*calls;
+    return std::make_shared<const std::string>(value);
+  }
+  int* calls;
+  std::string value;
+};
+
+TEST(ServedCacheTest, CountsHitsAndMissesAndServesTheCachedObject) {
+  ServedCache<int, std::shared_ptr<const std::string>> cache(2);
+  int calls = 0;
+  const auto first = cache.GetOrCompute(1, CountingCompute{&calls, "one"});
+  const auto second = cache.GetOrCompute(1, CountingCompute{&calls, "uno"});
+  EXPECT_EQ(first.get(), second.get());  // hit = the cached object
+  EXPECT_EQ(*second, "one");
+  EXPECT_EQ(calls, 1);
+  cache.GetOrCompute(2, CountingCompute{&calls, "two"});
+  EXPECT_EQ(calls, 2);
+  const ServedCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+}
+
+TEST(ServedCacheTest, EvictsLeastRecentlyUsedBeyondCapacity) {
+  ServedCache<int, std::shared_ptr<const std::string>> cache(2);
+  int calls = 0;
+  cache.GetOrCompute(1, CountingCompute{&calls, "one"});
+  cache.GetOrCompute(2, CountingCompute{&calls, "two"});
+  cache.GetOrCompute(1, CountingCompute{&calls, "one"});    // 1 most recent
+  cache.GetOrCompute(3, CountingCompute{&calls, "three"});  // evicts 2
+  EXPECT_EQ(calls, 3);
+  cache.GetOrCompute(1, CountingCompute{&calls, "one"});  // still cached
+  EXPECT_EQ(calls, 3);
+  cache.GetOrCompute(2, CountingCompute{&calls, "two"});  // recomputed
+  EXPECT_EQ(calls, 4);
+  const ServedCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 4u);
+}
+
+TEST(ServedCacheTest, ClearDropsEntriesAndZeroesCounters) {
+  ServedCache<int, std::shared_ptr<const std::string>> cache(2);
+  int calls = 0;
+  const auto held = cache.GetOrCompute(1, CountingCompute{&calls, "one"});
+  cache.GetOrCompute(1, CountingCompute{&calls, "one"});
+  cache.Clear();
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+  // The entry is gone (recomputed), but a reader's copy stays valid.
+  const auto again = cache.GetOrCompute(1, CountingCompute{&calls, "one"});
+  EXPECT_EQ(calls, 2);
+  EXPECT_NE(held.get(), again.get());
+  EXPECT_EQ(*held, "one");
+  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // ParkService: the multi-tenant serving registry. Every served artifact
-// must be bit-identical to calling the underlying ModelSnapshot directly
-// (caching and concurrency only short-circuit recomputation), the LRU must
+// must be bit-identical to the history-based per-request paths over the
+// park's coverage layer (caching, tiling and concurrency only
+// short-circuit recomputation), the LRU must
 // hit on repeated (snapshot, coverage, effort) triples and be invalidated
 // by coverage updates and snapshot swaps, and — in the
 // ParkServiceParallelTest suite, which CI also runs under TSan — hammering
@@ -18,6 +19,7 @@
 
 #include "gtest/gtest.h"
 #include "core/pipeline.h"
+#include "serving_reference.h"
 
 namespace paws {
 namespace {
@@ -149,7 +151,7 @@ TEST_F(ParkServiceTest, RejectsMalformedServingInputsWithoutAborting) {
 TEST_F(ParkServiceTest, ServesManyParksBitIdenticalToDirectSnapshots) {
   // 8 registered parks (the fleet shape), each pinned to its own coverage
   // layer so the parks genuinely differ; every served map must equal the
-  // direct per-park ModelSnapshot call bit for bit.
+  // history-based reference over that park's layer bit for bit.
   constexpr int kParks = 8;
   ParkService service;
   std::vector<ModelSnapshot> direct;
@@ -171,7 +173,7 @@ TEST_F(ParkServiceTest, ServesManyParksBitIdenticalToDirectSnapshots) {
   for (int p = 0; p < kParks; ++p) {
     const auto served = service.RiskMap("park-" + std::to_string(p), 2.0);
     ASSERT_TRUE(served.ok()) << served.status();
-    const RiskMaps want = direct[p].PredictRisk(2.0);
+    const RiskMaps want = ReferenceRiskMap(direct[p], 2.0);
     EXPECT_EQ((*served)->risk, want.risk);
     EXPECT_EQ((*served)->variance, want.variance);
   }
@@ -217,11 +219,47 @@ TEST_F(ParkServiceTest, UpdateCoverageInvalidatesCachedMaps) {
   EXPECT_NE(before->get(), after->get());
   ModelSnapshot direct = MakeSnapshot();
   direct.UpdateLaggedEffort(fresh);
-  const RiskMaps want = direct.PredictRisk(2.0);
+  const RiskMaps want = ReferenceRiskMap(direct, 2.0);
   EXPECT_EQ((*after)->risk, want.risk);
   // Wrong-size layers are rejected before touching the park.
   EXPECT_EQ(service.UpdateCoverage("p", {1.0}).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(ParkServiceTest, RejectedCoverageUpdateLeavesTheCoverageVersion) {
+  ParkService service;
+  ASSERT_TRUE(service.Register("p", MakeSnapshot()).ok());
+  const auto before = service.RiskMap("p", 2.0);
+  ASSERT_TRUE(before.ok());
+  ModelSnapshot direct = MakeSnapshot();
+  const std::vector<double> valid = direct.lagged_effort();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -0.5}) {
+    std::vector<double> layer = valid;
+    layer[num_cells_ / 2] = bad;
+    EXPECT_EQ(service.UpdateCoverage("p", layer).code(),
+              StatusCode::kInvalidArgument)
+        << "value " << bad;
+    EXPECT_EQ(direct.UpdateLaggedEffort(layer).code(),
+              StatusCode::kInvalidArgument)
+        << "value " << bad;
+  }
+  EXPECT_EQ(direct.coverage_version(), 0u);
+  EXPECT_EQ(direct.lagged_effort(), valid);
+  // The risk-map key holds the coverage version: a hit on the pre-update
+  // entry shows no rejected layer moved it.
+  const auto after = service.RiskMap("p", 2.0);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(before->get(), after->get());
+  const auto stats = service.RiskCacheStats("p");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->hits, 1u);
+  // And the served layer is still the original one.
+  const auto bytes = service.SnapshotBytes("p");
+  ASSERT_TRUE(bytes.ok());
+  const auto served = ModelSnapshot::FromBytes(*bytes);
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(served->lagged_effort(), valid);
 }
 
 TEST_F(ParkServiceTest, SwapSnapshotResetsCacheAndServesTheNewModel) {
@@ -240,7 +278,7 @@ TEST_F(ParkServiceTest, SwapSnapshotResetsCacheAndServesTheNewModel) {
   ASSERT_TRUE(served.ok());
   ModelSnapshot direct = MakeSnapshot();
   direct.UpdateLaggedEffort(coverage);
-  EXPECT_EQ((*served)->risk, direct.PredictRisk(2.0).risk);
+  EXPECT_EQ((*served)->risk, ReferenceRiskMap(direct, 2.0).risk);
 }
 
 TEST_F(ParkServiceTest, CurvesAndPlansMatchDirectSnapshotCalls) {
@@ -252,7 +290,7 @@ TEST_F(ParkServiceTest, CurvesAndPlansMatchDirectSnapshotCalls) {
   const std::vector<double> grid = UniformEffortGrid(0.0, 4.0, 8);
   const auto curves = service.CellCurves("p", cells, grid);
   ASSERT_TRUE(curves.ok()) << curves.status();
-  const EffortCurveTable want = direct.PredictCellCurves(cells, grid);
+  const EffortCurveTable want = ReferenceCurves(direct, cells, grid);
   EXPECT_EQ((*curves)->prob, want.prob);
   EXPECT_EQ((*curves)->variance, want.variance);
   EXPECT_EQ(service.CellCurves("p", {-1}, grid).status().code(),
@@ -261,7 +299,7 @@ TEST_F(ParkServiceTest, CurvesAndPlansMatchDirectSnapshotCalls) {
   const RobustParams robust;
   const auto plan = service.PlanForPost("p", 0, TinyPlanner(), robust);
   ASSERT_TRUE(plan.ok()) << plan.status();
-  const auto want_plan = direct.PlanForPost(0, TinyPlanner(), robust);
+  const auto want_plan = ReferencePlan(direct, 0, TinyPlanner(), robust);
   ASSERT_TRUE(want_plan.ok());
   EXPECT_EQ(plan->objective, want_plan->objective);
   EXPECT_EQ(plan->coverage, want_plan->coverage);
@@ -308,7 +346,7 @@ TEST_F(ParkServiceTest, CurveCacheInvalidatesOnCoverageAndSwap) {
   EXPECT_NE(before->get(), after->get());
   ModelSnapshot direct = MakeSnapshot();
   direct.UpdateLaggedEffort(coverage);
-  const EffortCurveTable want = direct.PredictCellCurves(cells, grid);
+  const EffortCurveTable want = ReferenceCurves(direct, cells, grid);
   EXPECT_EQ((*after)->prob, want.prob);
   EXPECT_EQ((*after)->variance, want.variance);
 
@@ -364,8 +402,10 @@ TEST_F(ParkServiceParallelTest, HammerMixedReadersAndWritersNoTornReads) {
   for (const auto* cov : {&cov_a, &cov_b}) {
     ModelSnapshot direct = MakeSnapshot();
     direct.UpdateLaggedEffort(*cov);
-    for (double e : efforts) valid_maps.push_back(direct.PredictRisk(e));
-    auto plan = direct.PlanForPost(0, TinyPlanner(), robust);
+    for (double e : efforts) {
+      valid_maps.push_back(ReferenceRiskMap(direct, e));
+    }
+    auto plan = ReferencePlan(direct, 0, TinyPlanner(), robust);
     ASSERT_TRUE(plan.ok());
     valid_plans.push_back(std::move(plan).value());
   }

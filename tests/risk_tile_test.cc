@@ -1,10 +1,10 @@
 // Risk-map tiles: the sub-park serving unit. The contract under test is
 // bit-identity at every boundary — a tile's predictions equal the
-// whole-park risk map at its cells bit for bit, regardless of tile
-// raggedness, masked-out cells, the SIMD dispatch tier the scoring
-// backend runs, the tile fan-out thread count, eager vs tiled-only
-// snapshot mode, or a snapshot save/load round trip. Plus the RiskTile
-// archive codec round trip and its truncation rejection.
+// history-based whole-park risk map at its cells bit for bit, regardless
+// of tile raggedness, masked-out cells, the SIMD dispatch tier the scoring
+// backend runs, the tile fan-out thread count, the feature-tile pool
+// budget, or a snapshot save/load round trip. Plus the RiskTile archive
+// codec round trip and its truncation rejection.
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -15,6 +15,7 @@
 #include "core/risk_map.h"
 #include "core/snapshot.h"
 #include "serve/park_service.h"
+#include "serving_reference.h"
 #include "util/cpu_features.h"
 
 namespace paws {
@@ -87,25 +88,33 @@ class RiskTileTest : public ::testing::Test {
   std::vector<double> Lagged() const {
     return data_->history.steps[data_->num_steps() - 2].effort;
   }
-  // Eager+tiled snapshot with small (8-cell) tiles via the tiled-only
-  // ctor; `eager` selects the default two-plane mode (64-cell tiles).
-  ModelSnapshot MakeSnapshot(bool eager) const {
-    if (eager) {
-      return ModelSnapshot(LoadModel(), data_->park, Lagged());
-    }
+  // Small (8-cell) tiles — interior, ragged and mostly-masked ones — under
+  // an unbounded pool, or under `pool_budget_bytes` (1 = one resident
+  // tile, so nearly every fetch re-materializes).
+  ModelSnapshot MakeSnapshot(size_t pool_budget_bytes = 0) const {
     TiledPlaneOptions options;
     options.tile_size = 8;
+    options.pool_budget_bytes = pool_budget_bytes;
     return ModelSnapshot(LoadModel(), data_->park, Lagged(), options);
+  }
+  // The default plane options (64-cell tiles, unbounded pool) — the shape
+  // every loaded snapshot gets.
+  ModelSnapshot MakeDefaultSnapshot() const {
+    return ModelSnapshot(LoadModel(), data_->park, Lagged());
   }
 };
 
 ScenarioData* RiskTileTest::data_ = nullptr;
 std::string* RiskTileTest::model_bytes_ = nullptr;
 
-// Tile predictions must equal the whole-park map at the tile's cells,
-// bit for bit, on every tile (interior, ragged, mostly masked).
+// Tile predictions must equal the history-based whole-park map at the
+// tile's cells, bit for bit, on every tile (interior, ragged, mostly
+// masked) — and so must the snapshot's own tile-assembled map.
 void ExpectTilesMatchMap(const ModelSnapshot& snapshot, double effort) {
-  const RiskMaps whole = snapshot.PredictRisk(effort);
+  const RiskMaps whole = ReferenceRiskMap(snapshot, effort);
+  const RiskMaps assembled = snapshot.PredictRisk(effort);
+  EXPECT_EQ(assembled.risk, whole.risk);
+  EXPECT_EQ(assembled.variance, whole.variance);
   int covered = 0;
   for (int t = 0; t < snapshot.num_tiles(); ++t) {
     const RiskTile tile = snapshot.PredictRiskTile(t, effort);
@@ -122,32 +131,39 @@ void ExpectTilesMatchMap(const ModelSnapshot& snapshot, double effort) {
 }
 
 TEST_F(RiskTileTest, TilesBitIdenticalToWholeParkMapBothModes) {
-  ExpectTilesMatchMap(MakeSnapshot(/*eager=*/true), 2.0);
-  ExpectTilesMatchMap(MakeSnapshot(/*eager=*/false), 2.0);
+  ExpectTilesMatchMap(MakeSnapshot(), 2.0);
+  ExpectTilesMatchMap(MakeSnapshot(/*pool_budget_bytes=*/1), 2.0);
 }
 
-TEST_F(RiskTileTest, TiledOnlyModeMatchesEagerModeBitForBit) {
-  const ModelSnapshot eager = MakeSnapshot(/*eager=*/true);
-  const ModelSnapshot tiled = MakeSnapshot(/*eager=*/false);
-  const RiskMaps a = eager.PredictRisk(1.5);
-  const RiskMaps b = tiled.PredictRisk(1.5);
-  EXPECT_EQ(a.risk, b.risk);
-  EXPECT_EQ(a.variance, b.variance);
+TEST_F(RiskTileTest, OneTileBudgetMatchesDefaultPoolBitForBit) {
+  const ModelSnapshot pooled = MakeDefaultSnapshot();
+  const ModelSnapshot starved = MakeSnapshot(/*pool_budget_bytes=*/1);
+  const RiskMaps want = ReferenceRiskMap(pooled, 1.5);
+  for (const ModelSnapshot* snapshot : {&pooled, &starved}) {
+    const RiskMaps got = snapshot->PredictRisk(1.5);
+    EXPECT_EQ(got.risk, want.risk);
+    EXPECT_EQ(got.variance, want.variance);
+  }
+  EXPECT_EQ(starved.tile_pool_stats().resident_tiles, 1u);
   // The planner inputs too: curves gathered straight from rasters.
-  const std::vector<int> cells = {0, 3, 9, eager.park().num_cells() - 1};
-  const EffortCurveTable ca = eager.PredictCellCurves(cells, {0.0, 1.0, 2.0});
-  const EffortCurveTable cb = tiled.PredictCellCurves(cells, {0.0, 1.0, 2.0});
-  EXPECT_EQ(ca.prob, cb.prob);
-  EXPECT_EQ(ca.variance, cb.variance);
+  const std::vector<int> cells = {0, 3, 9, pooled.park().num_cells() - 1};
+  const EffortCurveTable want_curves =
+      ReferenceCurves(pooled, cells, {0.0, 1.0, 2.0});
+  for (const ModelSnapshot* snapshot : {&pooled, &starved}) {
+    const EffortCurveTable got =
+        snapshot->PredictCellCurves(cells, {0.0, 1.0, 2.0});
+    EXPECT_EQ(got.prob, want_curves.prob);
+    EXPECT_EQ(got.variance, want_curves.variance);
+  }
 }
 
 TEST_F(RiskTileTest, TiledAssemblyBitIdenticalAcrossThreadCounts) {
-  const ModelSnapshot snapshot = MakeSnapshot(/*eager=*/false);
-  const RiskMaps want = snapshot.PredictRisk(2.0);
+  const ModelSnapshot snapshot = MakeSnapshot();
+  const RiskMaps want = ReferenceRiskMap(snapshot, 2.0);
   for (const int threads : {1, 2, 3, 0 /* hardware default */}) {
     ParallelismConfig fanout;
     fanout.num_threads = threads;
-    const RiskMaps got = snapshot.PredictRiskTiled(2.0, fanout);
+    const RiskMaps got = snapshot.PredictRisk(2.0, fanout);
     EXPECT_EQ(got.risk, want.risk) << "threads=" << threads;
     EXPECT_EQ(got.variance, want.variance) << "threads=" << threads;
   }
@@ -166,14 +182,14 @@ TEST_F(RiskTileTest, TilesBitIdenticalOnEverySimdTierThisHostRuns) {
     }
     ScopedForceBackend force(tier);
     // Backend selection happens at construction; build under the pin.
-    ModelSnapshot snapshot = MakeSnapshot(/*eager=*/false);
+    ModelSnapshot snapshot = MakeSnapshot();
     snapshot.mutable_model().set_compiled_serving(true);
     ExpectTilesMatchMap(snapshot, 2.0);
   }
 }
 
 TEST_F(RiskTileTest, TilesSurviveSnapshotRoundTripBitForBit) {
-  const ModelSnapshot original = MakeSnapshot(/*eager=*/true);
+  const ModelSnapshot original = MakeDefaultSnapshot();
   ArchiveWriter writer;
   original.Save(&writer);
   auto loaded = ModelSnapshot::FromBytes(writer.Bytes());
@@ -188,7 +204,7 @@ TEST_F(RiskTileTest, TilesSurviveSnapshotRoundTripBitForBit) {
 }
 
 TEST_F(RiskTileTest, CoverageUpdateChangesOnlyTouchedTilesOutputs) {
-  ModelSnapshot snapshot = MakeSnapshot(/*eager=*/false);
+  ModelSnapshot snapshot = MakeSnapshot();
   std::vector<RiskTile> before;
   for (int t = 0; t < snapshot.num_tiles(); ++t) {
     before.push_back(snapshot.PredictRiskTile(t, 2.0));
@@ -199,8 +215,7 @@ TEST_F(RiskTileTest, CoverageUpdateChangesOnlyTouchedTilesOutputs) {
   lag[changed_cell] += 2.0;
   snapshot.UpdateLaggedEffort(lag);
   // Re-derive from scratch what the new outputs should be.
-  const ModelSnapshot fresh(LoadModel(), data_->park, lag);
-  const RiskMaps want = fresh.PredictRisk(2.0);
+  const RiskMaps want = ReferenceRiskMap(snapshot, 2.0);
   for (int t = 0; t < snapshot.num_tiles(); ++t) {
     const RiskTile after = snapshot.PredictRiskTile(t, 2.0);
     for (size_t i = 0; i < after.cell_ids.size(); ++i) {
@@ -220,7 +235,7 @@ TEST_F(RiskTileTest, CoverageUpdateChangesOnlyTouchedTilesOutputs) {
 
 TEST_F(RiskTileTest, ServiceTileCacheHitsServeTheSameObjectAndCount) {
   ParkService service;
-  ASSERT_TRUE(service.Register("p", MakeSnapshot(/*eager=*/false)).ok());
+  ASSERT_TRUE(service.Register("p", MakeSnapshot()).ok());
   const auto first = service.RiskTile("p", 2, 2.0);
   ASSERT_TRUE(first.ok());
   const auto second = service.RiskTile("p", 2, 2.0);
@@ -248,9 +263,12 @@ TEST_F(RiskTileTest, ServiceTileCacheHitsServeTheSameObjectAndCount) {
 
 TEST_F(RiskTileTest, ServiceServedTilesMatchServedWholeMapBitForBit) {
   ParkService service;
-  ASSERT_TRUE(service.Register("p", MakeSnapshot(/*eager=*/false)).ok());
+  ASSERT_TRUE(service.Register("p", MakeSnapshot()).ok());
   const auto map = service.RiskMap("p", 2.0);
   ASSERT_TRUE(map.ok());
+  const RiskMaps want = ReferenceRiskMap(MakeSnapshot(), 2.0);
+  EXPECT_EQ((*map)->risk, want.risk);
+  EXPECT_EQ((*map)->variance, want.variance);
   const auto stats = service.RiskTileStats("p");
   ASSERT_TRUE(stats.ok());
   for (int t = 0; t < stats->tiles_x * stats->tiles_y; ++t) {
@@ -266,8 +284,8 @@ TEST_F(RiskTileTest, ServiceServedTilesMatchServedWholeMapBitForBit) {
 
 TEST_F(RiskTileTest, ServiceCoverageUpdateKeepsUntouchedTilesWarm) {
   ParkService service;
-  ASSERT_TRUE(service.Register("p", MakeSnapshot(/*eager=*/false)).ok());
-  const int num_tiles = MakeSnapshot(/*eager=*/false).num_tiles();
+  ASSERT_TRUE(service.Register("p", MakeSnapshot()).ok());
+  const int num_tiles = MakeSnapshot().num_tiles();
   std::vector<std::shared_ptr<const paws::RiskTile>> before;
   for (int t = 0; t < num_tiles; ++t) {
     auto tile = service.RiskTile("p", t, 2.0);
@@ -279,8 +297,9 @@ TEST_F(RiskTileTest, ServiceCoverageUpdateKeepsUntouchedTilesWarm) {
   const int changed_cell = data_->park.num_cells() / 3;
   lag[changed_cell] += 2.0;
   ASSERT_TRUE(service.UpdateCoverage("p", lag).ok());
-  ModelSnapshot fresh = MakeSnapshot(/*eager=*/false);
+  ModelSnapshot fresh = MakeSnapshot();
   fresh.UpdateLaggedEffort(lag);
+  const RiskMaps want = ReferenceRiskMap(fresh, 2.0);
   int recomputed = 0;
   for (int t = 0; t < num_tiles; ++t) {
     const auto after = service.RiskTile("p", t, 2.0);
@@ -288,19 +307,21 @@ TEST_F(RiskTileTest, ServiceCoverageUpdateKeepsUntouchedTilesWarm) {
     if (after->get() == before[t].get()) continue;  // served from cache
     ++recomputed;
     // The recomputed tile reflects the new coverage exactly.
-    const RiskTile want = fresh.PredictRiskTile(t, 2.0);
-    EXPECT_EQ((*after)->risk, want.risk);
-    EXPECT_EQ((*after)->variance, want.variance);
+    for (size_t i = 0; i < (*after)->cell_ids.size(); ++i) {
+      const int id = (*after)->cell_ids[i];
+      EXPECT_EQ((*after)->risk[i], want.risk[id]);
+      EXPECT_EQ((*after)->variance[i], want.variance[id]);
+    }
   }
   EXPECT_EQ(recomputed, 1);  // exactly the touched tile
 }
 
 TEST_F(RiskTileTest, ServiceSwapSnapshotResetsTileCacheAndCounters) {
   ParkService service;
-  ASSERT_TRUE(service.Register("p", MakeSnapshot(/*eager=*/false)).ok());
+  ASSERT_TRUE(service.Register("p", MakeSnapshot()).ok());
   ASSERT_TRUE(service.RiskTile("p", 1, 2.0).ok());
   ASSERT_TRUE(service.RiskTile("p", 1, 2.0).ok());
-  ASSERT_TRUE(service.SwapSnapshot("p", MakeSnapshot(/*eager=*/false)).ok());
+  ASSERT_TRUE(service.SwapSnapshot("p", MakeSnapshot()).ok());
   const auto stats = service.RiskTileStats("p");
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->hits, 0u);
@@ -310,7 +331,7 @@ TEST_F(RiskTileTest, ServiceSwapSnapshotResetsTileCacheAndCounters) {
 
 TEST_F(RiskTileTest, ServiceRejectsBadTileRequestsWithTypedStatuses) {
   ParkService service;
-  ASSERT_TRUE(service.Register("p", MakeSnapshot(/*eager=*/false)).ok());
+  ASSERT_TRUE(service.Register("p", MakeSnapshot()).ok());
   EXPECT_EQ(service.RiskTile("ghost", 0, 2.0).status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(service.RiskTile("p", -1, 2.0).status().code(),
@@ -322,7 +343,7 @@ TEST_F(RiskTileTest, ServiceRejectsBadTileRequestsWithTypedStatuses) {
 }
 
 TEST_F(RiskTileTest, RiskTileArchiveRoundTripsExactly) {
-  const ModelSnapshot snapshot = MakeSnapshot(/*eager=*/false);
+  const ModelSnapshot snapshot = MakeSnapshot();
   const RiskTile tile = snapshot.PredictRiskTile(1, 2.5);
   ArchiveWriter writer;
   SaveRiskTile(tile, &writer);

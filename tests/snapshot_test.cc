@@ -6,6 +6,7 @@
 #include "core/snapshot.h"
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -342,6 +343,22 @@ TEST_F(PipelineSnapshotTest, CorruptAndTruncatedSnapshotsFailWithStatus) {
     auto reader = ArchiveReader::FromBytes(bad);
     if (!reader.ok()) continue;  // CRC caught it
     EXPECT_FALSE(ModelSnapshot::Load(&*reader).ok()) << "byte " << i;
+  }
+}
+
+TEST_F(PipelineSnapshotTest, NonFiniteOrNegativeCoverageLayerIsRejected) {
+  // The archive CRC is sound, so only semantic validation can catch a
+  // coverage layer that would score NaN or out-of-range risk.
+  const Park& park = pipeline_->data().park;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1.0}) {
+    std::vector<double> lag(park.num_cells(), 0.5);
+    lag[park.num_cells() / 2] = bad;
+    ArchiveWriter writer;
+    SaveModelSnapshotParts(pipeline_->model(), park, lag, &writer);
+    const auto loaded = ModelSnapshot::FromBytes(writer.Bytes());
+    ASSERT_FALSE(loaded.ok()) << "value " << bad;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   }
 }
 

@@ -137,5 +137,24 @@ TEST(ParallelForConfigTest, HonorsConfigAndMatchesSerialResult) {
   EXPECT_EQ(serial, parallel);
 }
 
+TEST(ThreadPoolDedicatedThreadsTest, CoversEveryIndexOnceAndRethrows) {
+  for (const int width : {1, 2, 4, 0 /* hardware default */}) {
+    std::vector<std::atomic<int>> hits(37);
+    ForEachOnDedicatedThreads(ParallelismConfig{width}, 37,
+                              [&](int i) { hits[i].fetch_add(1); });
+    for (int i = 0; i < 37; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "width " << width << " index " << i;
+    }
+    EXPECT_THROW(ForEachOnDedicatedThreads(ParallelismConfig{width}, 37,
+                                           [](int i) {
+                                             if (i == 20) {
+                                               throw std::runtime_error("x");
+                                             }
+                                           }),
+                 std::runtime_error);
+  }
+  ForEachOnDedicatedThreads(ParallelismConfig{4}, 0, [](int) { FAIL(); });
+}
+
 }  // namespace
 }  // namespace paws

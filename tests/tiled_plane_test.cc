@@ -1,10 +1,12 @@
-// TiledFeaturePlane: the pooled, tile-at-a-time counterpart of
-// FeaturePlane. The load-bearing contracts under test: tiles partition
-// the dense cells exactly once; every materialized row is byte-identical
-// to the eager plane's row for the same cell and coverage layer
-// (including ragged edge tiles and masked-out cells); coverage updates
-// invalidate ONLY the tiles whose cells changed (version + residency);
-// and the LRU pool respects its byte budget while never going empty.
+// TiledFeaturePlane: the pooled, tile-at-a-time store of serving feature
+// rows. The load-bearing contracts under test: tiles partition the dense
+// cells exactly once; every materialized row is byte-identical to the
+// per-request BuildCellFeatureRows row for the same cell and coverage
+// layer (including ragged edge tiles and masked-out cells); coverage
+// updates invalidate ONLY the tiles whose cells changed (version +
+// residency); the LRU pool respects its byte budget while never going
+// empty; and (FeaturePlaneTest) predictions served from the plane's rows
+// reproduce the history-based paths bit for bit.
 #include "geo/tiled_feature_plane.h"
 
 #include <algorithm>
@@ -14,7 +16,7 @@
 #include "gtest/gtest.h"
 #include "core/pipeline.h"
 #include "core/risk_map.h"
-#include "geo/feature_plane.h"
+#include "serving_reference.h"
 
 namespace paws {
 namespace {
@@ -83,44 +85,38 @@ TEST_F(TiledPlaneTest, TilesPartitionTheDenseCellsExactlyOnce) {
   EXPECT_EQ(static_cast<int>(seen.size()), data_->park.num_cells());
 }
 
-TEST_F(TiledPlaneTest, TileRowsBitIdenticalToEagerPlaneIncludingRaggedTiles) {
-  const int t = LastStep();
-  const FeaturePlane eager(data_->park, LaggedAt(t));
-  const TiledFeaturePlane plane(data_->park, LaggedAt(t), SmallTiles());
-  ASSERT_EQ(plane.row_width(), eager.row_width());
+// Every tile row equals the per-request assembly's row for the same cell.
+void ExpectTileRowsMatch(const TiledFeaturePlane& plane, const Park& park,
+                         const std::vector<double>& want) {
   const int w = plane.row_width();
   for (int tile_id = 0; tile_id < plane.num_tiles(); ++tile_id) {
-    const auto tile = plane.GetTile(data_->park, tile_id);
+    const auto tile = plane.GetTile(park, tile_id);
     ASSERT_NE(tile, nullptr);
     for (size_t i = 0; i < tile->cell_ids.size(); ++i) {
       const int id = tile->cell_ids[i];
       for (int f = 0; f < w; ++f) {
         // Bit-for-bit, not approximately: tiling must not change rows.
-        EXPECT_EQ(tile->rows[i * w + f], eager.rows()[id * w + f])
+        EXPECT_EQ(tile->rows[i * w + f], want[id * w + f])
             << "tile " << tile_id << " cell " << id << " col " << f;
       }
     }
   }
 }
 
-TEST_F(TiledPlaneTest, BuildAllRowsMatchesEagerPlaneAndHistoryAssembly) {
+TEST_F(TiledPlaneTest,
+       TileRowsBitIdenticalToBuildCellFeatureRowsIncludingRaggedTiles) {
   const int t = LastStep();
-  const FeaturePlane eager(data_->park, LaggedAt(t));
   const TiledFeaturePlane plane(data_->park, LaggedAt(t), SmallTiles());
-  EXPECT_EQ(plane.BuildAllRows(data_->park), eager.rows());
-  EXPECT_EQ(plane.BuildAllRows(data_->park),
-            BuildCellFeatureRows(data_->park, data_->history, t));
+  ASSERT_EQ(plane.row_width(), data_->park.num_features() + 1);
+  ExpectTileRowsMatch(plane, data_->park,
+                      BuildCellFeatureRows(data_->park, data_->history, t));
 }
 
-TEST_F(TiledPlaneTest, GatherCellsMatchesEagerGather) {
+TEST_F(TiledPlaneTest, BuildAllRowsMatchesHistoryAssembly) {
   const int t = LastStep();
-  const FeaturePlane eager(data_->park, LaggedAt(t));
   const TiledFeaturePlane plane(data_->park, LaggedAt(t), SmallTiles());
-  const std::vector<int> cells = {0, 7, 3, data_->park.num_cells() - 1};
-  std::vector<double> buf_eager, buf_tiled;
-  eager.GatherCells(cells, &buf_eager);
-  plane.GatherCells(data_->park, cells, &buf_tiled);
-  EXPECT_EQ(buf_tiled, buf_eager);
+  EXPECT_EQ(plane.BuildAllRows(data_->park),
+            BuildCellFeatureRows(data_->park, data_->history, t));
 }
 
 TEST_F(TiledPlaneTest, EmptyLaggedVectorMeansZeroCoverage) {
@@ -160,17 +156,11 @@ TEST_F(TiledPlaneTest, UpdateInvalidatesOnlyTheTouchedTile) {
   // Only the dirty tile lost residency...
   EXPECT_EQ(plane.pool_stats().resident_tiles,
             static_cast<uint64_t>(plane.num_tiles() - 1));
-  // ...and re-materializing it picks up the new coverage, bit-identical
-  // to an eager plane built from the new layer.
-  const FeaturePlane eager(data_->park, lag);
-  const auto tile = plane.GetTile(data_->park, dirty_tile);
-  const int w = plane.row_width();
-  for (size_t i = 0; i < tile->cell_ids.size(); ++i) {
-    const int id = tile->cell_ids[i];
-    for (int f = 0; f < w; ++f) {
-      EXPECT_EQ(tile->rows[i * w + f], eager.rows()[id * w + f]);
-    }
-  }
+  // ...and re-materializing picks up the new coverage, bit-identical to
+  // the per-request assembly over the new layer.
+  ExpectTileRowsMatch(
+      plane, data_->park,
+      BuildCellFeatureRows(data_->park, OneStepHistory(lag), /*t=*/1));
 }
 
 TEST_F(TiledPlaneTest, UpdateSpanningManyTilesInvalidatesAllOfThem) {
@@ -237,8 +227,8 @@ TEST_F(TiledPlaneTest, BudgetSmallerThanOneTileStillServes) {
   TiledPlaneOptions options = SmallTiles();
   options.pool_budget_bytes = 1;  // degrade to materialize-per-request
   const TiledFeaturePlane plane(data_->park, {}, options);
-  const FeaturePlane eager(data_->park, {});
-  EXPECT_EQ(plane.BuildAllRows(data_->park), eager.rows());
+  EXPECT_EQ(plane.BuildAllRows(data_->park),
+            BuildCellFeatureRows(data_->park, data_->history, /*t=*/0));
   EXPECT_EQ(plane.pool_stats().resident_tiles, 1u);
 }
 
@@ -250,6 +240,143 @@ TEST_F(TiledPlaneTest, RepeatedGetsHitThePool) {
   const TilePoolStats stats = plane.pool_stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
+}
+
+// The feature-row contracts every serving path relies on, on the plane at
+// its default (64-cell, unbounded) options and on a small-tile plane: rows
+// equal the per-request assembly, and predictions scored from them equal
+// the history-based paths bit for bit.
+class FeaturePlaneTest : public TiledPlaneTest {
+ protected:
+  static void SetUpTestSuite() {
+    TiledPlaneTest::SetUpTestSuite();
+    IWareConfig cfg;
+    cfg.num_thresholds = 3;
+    cfg.cv_folds = 2;
+    cfg.weak_learner = WeakLearnerKind::kDecisionTreeBagging;
+    cfg.bagging.num_estimators = 4;
+    model_ = new IWareEnsemble(cfg);
+    Rng rng(7);
+    const Dataset train = BuildDataset(data_->park, data_->history);
+    CheckOrDie(model_->Fit(train, &rng).ok(), "fixture fit failed");
+  }
+  static void TearDownTestSuite() {
+    delete model_;
+    model_ = nullptr;
+    TiledPlaneTest::TearDownTestSuite();
+  }
+  static IWareEnsemble* model_;
+};
+
+IWareEnsemble* FeaturePlaneTest::model_ = nullptr;
+
+TEST_F(FeaturePlaneTest, RowsMatchBuildCellFeatureRows) {
+  const int t = LastStep();
+  const TiledFeaturePlane plane(data_->park, LaggedAt(t));
+  EXPECT_EQ(plane.num_cells(), data_->park.num_cells());
+  EXPECT_EQ(plane.row_width(), data_->park.num_features() + 1);
+  // Byte-identical to the per-request assembly (shared loop).
+  EXPECT_EQ(plane.BuildAllRows(data_->park),
+            BuildCellFeatureRows(data_->park, data_->history, t));
+}
+
+TEST_F(FeaturePlaneTest, EmptyLaggedVectorMeansZeroCoverage) {
+  const TiledFeaturePlane plane(data_->park, {});
+  EXPECT_EQ(plane.BuildAllRows(data_->park),
+            BuildCellFeatureRows(data_->park, data_->history, /*t=*/0));
+  for (double e : plane.lagged_effort()) EXPECT_EQ(e, 0.0);
+}
+
+TEST_F(FeaturePlaneTest, GatherCellsMatchesSubsetAssembly) {
+  const int t = LastStep();
+  const TiledFeaturePlane plane(data_->park, LaggedAt(t), SmallTiles());
+  const std::vector<int> cells = {0, 7, 3, data_->park.num_cells() - 1};
+  std::vector<double> buf;
+  const FeatureMatrixView view = plane.GatherCells(data_->park, cells, &buf);
+  EXPECT_EQ(view.rows(), static_cast<int>(cells.size()));
+  EXPECT_EQ(buf, BuildCellFeatureRows(data_->park, data_->history, t, cells));
+}
+
+TEST_F(FeaturePlaneTest, UpdateLaggedEffortRewritesOnlyTrailingColumn) {
+  const int t = LastStep();
+  TiledFeaturePlane plane(data_->park, LaggedAt(t));
+  const std::vector<double> before = plane.BuildAllRows(data_->park);
+  EXPECT_EQ(plane.coverage_version(), 0u);
+
+  std::vector<double> fresh(data_->park.num_cells());
+  for (int id = 0; id < data_->park.num_cells(); ++id) {
+    fresh[id] = 0.25 * id;
+  }
+  plane.UpdateLaggedEffort(data_->park, fresh);
+  EXPECT_EQ(plane.coverage_version(), 1u);
+  EXPECT_EQ(plane.lagged_effort(), fresh);
+  const std::vector<double> after = plane.BuildAllRows(data_->park);
+  const int k = plane.row_width();
+  for (int id = 0; id < plane.num_cells(); ++id) {
+    for (int f = 0; f < k - 1; ++f) {
+      // Static feature columns are untouched by a coverage update.
+      EXPECT_EQ(after[id * k + f], before[id * k + f]);
+    }
+    EXPECT_EQ(after[id * k + (k - 1)], fresh[id]);
+  }
+}
+
+TEST_F(FeaturePlaneTest, PlaneBackedRiskMapBitIdenticalToHistoryPath) {
+  const int t = LastStep();
+  const TiledFeaturePlane plane(data_->park, LaggedAt(t), SmallTiles());
+  const RiskMaps from_history =
+      PredictRiskMap(*model_, data_->park, data_->history, t, 2.0);
+  const RiskMaps from_plane =
+      PredictRiskMapTiled(*model_, data_->park, plane, 2.0);
+  EXPECT_EQ(from_plane.risk, from_history.risk);
+  EXPECT_EQ(from_plane.variance, from_history.variance);
+}
+
+TEST_F(FeaturePlaneTest, PlaneBackedCurvesBitIdenticalToHistoryPath) {
+  const int t = LastStep();
+  const TiledFeaturePlane plane(data_->park, LaggedAt(t));
+  const std::vector<int> cells = {1, 4, 9, 16};
+  const std::vector<double> grid = UniformEffortGrid(0.0, 4.0, 10);
+  const EffortCurveTable from_history = PredictCellEffortCurves(
+      *model_, data_->park, data_->history, t, cells, grid);
+  std::vector<double> buf;
+  const EffortCurveTable from_plane = model_->PredictEffortCurves(
+      plane.GatherCells(data_->park, cells, &buf), grid);
+  EXPECT_EQ(from_plane.prob, from_history.prob);
+  EXPECT_EQ(from_plane.variance, from_history.variance);
+  EXPECT_EQ(from_plane.qualified_count, from_history.qualified_count);
+}
+
+TEST_F(FeaturePlaneTest, SnapshotServesThroughItsPlane) {
+  const int t = LastStep();
+  // ModelSnapshot owns its (move-only) model, so build one from the
+  // trained fixture via the parts-based archive round trip.
+  ArchiveWriter writer;
+  SaveModelSnapshotParts(*model_, data_->park, LaggedAt(t), &writer);
+  auto reader = ArchiveReader::FromBytes(writer.Bytes());
+  ASSERT_TRUE(reader.ok());
+  auto loaded = ModelSnapshot::Load(&*reader);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->tiled_plane().BuildAllRows(loaded->park()),
+            BuildCellFeatureRows(data_->park, data_->history, t));
+  const RiskMaps want =
+      PredictRiskMap(*model_, data_->park, data_->history, t, 2.0);
+  const RiskMaps got = loaded->PredictRisk(2.0);
+  EXPECT_EQ(got.risk, want.risk);
+  EXPECT_EQ(got.variance, want.variance);
+
+  // A coverage update invalidates and re-derives: version bumps, and the
+  // served map now matches a history whose previous step carries the new
+  // layer.
+  EXPECT_EQ(loaded->coverage_version(), 0u);
+  std::vector<double> fresh(data_->park.num_cells(), 0.5);
+  loaded->UpdateLaggedEffort(fresh);
+  EXPECT_EQ(loaded->coverage_version(), 1u);
+  const RiskMaps want2 = PredictRiskMap(*model_, data_->park,
+                                        OneStepHistory(fresh), /*t=*/1, 2.0);
+  const RiskMaps got2 = loaded->PredictRisk(2.0);
+  EXPECT_EQ(got2.risk, want2.risk);
+  EXPECT_EQ(got2.variance, want2.variance);
 }
 
 }  // namespace
