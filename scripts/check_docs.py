@@ -9,8 +9,10 @@ Four checks, all stdlib-only:
 2. Drift guard: docs/WIRE_PROTOCOL.md is the normative wire spec, so
    every enumerator of `enum class Opcode` (src/net/wire.h) and of
    `enum class StatusCode` (src/util/status.h) must appear in it by
-   exact name (e.g. `kRiskMap`, `kNotFound`). Adding an opcode or a
-   status code without documenting it fails CI.
+   exact name (e.g. `kRiskMap`, `kNotFound`), and so must every
+   `FourCc("....")` section tag in src/net/wire.{h,cc} (e.g. `RQRM`).
+   Adding an opcode, a status code or a payload section without
+   documenting it fails CI.
 3. Backend drift guard: docs/ARCHITECTURE.md documents the scoring
    backends and their SIMD dispatch tiers, so every name in
    `kScoringBackendNames` (src/ml/scoring_backend.h) must appear in it
@@ -103,6 +105,14 @@ def check_wire_doc():
                     f"docs/WIRE_PROTOCOL.md: {enum_name} entry `{member}` "
                     f"({header}) is undocumented"
                 )
+    for source in ("src/net/wire.h", "src/net/wire.cc"):
+        text = (REPO / source).read_text(encoding="utf-8")
+        for tag in sorted(set(re.findall(r'FourCc\("(.{4})"\)', text))):
+            if re.search(r"\b" + re.escape(tag) + r"\b", doc) is None:
+                problems.append(
+                    f"docs/WIRE_PROTOCOL.md: section tag `{tag}` "
+                    f"({source}) is undocumented"
+                )
     return problems
 
 
@@ -189,7 +199,8 @@ def main():
         return 1
     n_files = len(markdown_files())
     print(f"docs OK: {n_files} markdown files, links resolve, "
-          f"WIRE_PROTOCOL.md covers every opcode and status code, "
+          f"WIRE_PROTOCOL.md covers every opcode, status code and "
+          f"section tag, "
           f"ARCHITECTURE.md covers every scoring backend, "
           f"every backticked src/ and tests/ path exists.")
     return 0

@@ -31,6 +31,9 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
+// kSwapSnapshot and kSwapFleetMap answer success with an empty payload.
+Status IgnorePayload(const std::string&) { return Status::OK(); }
+
 }  // namespace
 
 int JitteredBackoffMs(int base_ms, double jitter_pct, double unit_uniform) {
@@ -199,156 +202,109 @@ Status ParkClient::Connect(const std::string& host, int port) {
   return client_.Connect(host, port);
 }
 
-StatusOr<std::string> ParkClient::CallOk(Opcode opcode, std::string payload) {
+template <typename Decode>
+auto ParkClient::Call(Opcode opcode, std::string request, Decode decode) {
+  using Result = decltype(decode(std::string()));
   // Until a well-formed status frame arrives, every failure mode here is
   // the transport's fault: broken connection, timeout, protocol garbage.
   last_error_transport_ = true;
-  StatusOr<Frame> called = client_.Call(opcode, std::move(payload));
-  if (!called.ok()) return called.status();
-  Frame& response = *called;
+  StatusOr<Frame> called = client_.Call(opcode, std::move(request));
+  if (!called.ok()) return Result(called.status());
+  const Frame& response = *called;
   if (response.opcode == static_cast<uint32_t>(Opcode::kStatusResponse)) {
     Status carried;
-    PAWS_RETURN_IF_ERROR(DecodeStatusPayload(response.payload, &carried));
+    const Status decoded = DecodeStatusPayload(response.payload, &carried);
+    if (!decoded.ok()) return Result(decoded);
     if (carried.ok()) {
-      return StatusOr<std::string>(
-          Status::Internal("server sent a status frame carrying OK"));
+      return Result(Status::Internal("server sent a status frame carrying OK"));
     }
     // A decoded status frame is the server *answering* — the one
     // non-transport failure shape (FleetRouter must not fail over on it).
     last_error_transport_ = false;
-    return StatusOr<std::string>(carried);
+    return Result(carried);
   }
   if (response.opcode != static_cast<uint32_t>(Opcode::kOkResponse)) {
-    return StatusOr<std::string>(Status::Internal(
-        "unexpected response opcode " + OpcodeName(response.opcode)));
+    return Result(Status::Internal("unexpected response opcode " +
+                                   OpcodeName(response.opcode)));
   }
-  last_error_transport_ = false;
-  return std::move(response.payload);
+  // A kOkResponse whose payload does not decode means the endpoint is
+  // serving corrupt bytes, not answering the request: still transport.
+  Result result = decode(response.payload);
+  last_error_transport_ = !result.ok();
+  return result;
 }
 
 StatusOr<RiskMaps> ParkClient::RiskMap(const std::string& park_id,
                                        double assumed_effort) {
-  RiskMapRequest request;
-  request.park_id = park_id;
-  request.assumed_effort = assumed_effort;
-  PAWS_ASSIGN_OR_RETURN(
-      std::string payload,
-      CallOk(Opcode::kRiskMap, EncodeRiskMapRequest(request)));
-  return TagDecode(DecodeRiskMapsPayload(payload));
+  return Call(Opcode::kRiskMap, EncodeRiskMapRequest({park_id, assumed_effort}),
+              DecodeRiskMapsPayload);
 }
 
 StatusOr<std::vector<StatusOr<RiskMaps>>> ParkClient::RiskMapBatch(
     const std::vector<RiskMapRequest>& requests) {
-  RiskMapBatchRequest request;
-  request.requests = requests;
-  PAWS_ASSIGN_OR_RETURN(
-      std::string payload,
-      CallOk(Opcode::kRiskMapBatch, EncodeRiskMapBatchRequest(request)));
-  return TagDecode(DecodeRiskMapBatchPayload(payload));
+  return Call(Opcode::kRiskMapBatch, EncodeRiskMapBatchRequest({requests}),
+              DecodeRiskMapBatchPayload);
 }
 
 StatusOr<RiskTile> ParkClient::RiskTile(const std::string& park_id,
                                         int tile_id, double assumed_effort) {
-  RiskTileRequest request;
-  request.park_id = park_id;
-  request.tile_id = tile_id;
-  request.assumed_effort = assumed_effort;
-  PAWS_ASSIGN_OR_RETURN(
-      std::string payload,
-      CallOk(Opcode::kRiskTile, EncodeRiskTileRequest(request)));
-  return TagDecode(DecodeRiskTilePayload(payload));
+  return Call(Opcode::kRiskTile,
+              EncodeRiskTileRequest({park_id, tile_id, assumed_effort}),
+              DecodeRiskTilePayload);
 }
 
 StatusOr<EffortCurveTable> ParkClient::CellCurves(
     const std::string& park_id, const std::vector<int>& cell_ids,
     std::vector<double> effort_grid) {
-  CellCurvesRequest request;
-  request.park_id = park_id;
-  request.cell_ids = cell_ids;
-  request.effort_grid = std::move(effort_grid);
-  PAWS_ASSIGN_OR_RETURN(
-      std::string payload,
-      CallOk(Opcode::kCellCurves, EncodeCellCurvesRequest(request)));
-  return TagDecode(DecodeEffortCurveTablePayload(payload));
+  return Call(Opcode::kCellCurves,
+              EncodeCellCurvesRequest(
+                  {park_id, cell_ids, std::move(effort_grid)}),
+              DecodeEffortCurveTablePayload);
 }
 
 StatusOr<PatrolPlan> ParkClient::PlanForPost(const std::string& park_id,
                                              int post_index,
                                              const PlannerConfig& config,
                                              const RobustParams& robust) {
-  PlanForPostRequest request;
-  request.park_id = park_id;
-  request.post_index = post_index;
-  request.config = config;
-  request.robust = robust;
-  PAWS_ASSIGN_OR_RETURN(
-      std::string payload,
-      CallOk(Opcode::kPlanForPost, EncodePlanForPostRequest(request)));
-  return TagDecode(DecodePatrolPlanPayload(payload));
+  return Call(Opcode::kPlanForPost,
+              EncodePlanForPostRequest({park_id, post_index, config, robust}),
+              DecodePatrolPlanPayload);
 }
 
 Status ParkClient::SwapSnapshot(const std::string& park_id,
                                 const std::string& snapshot_bytes) {
-  SwapSnapshotRequest request;
-  request.park_id = park_id;
-  request.snapshot_bytes = snapshot_bytes;
-  PAWS_ASSIGN_OR_RETURN(
-      std::string payload,
-      CallOk(Opcode::kSwapSnapshot, EncodeSwapSnapshotRequest(request)));
-  (void)payload;
-  return Status::OK();
+  return Call(Opcode::kSwapSnapshot,
+              EncodeSwapSnapshotRequest({park_id, snapshot_bytes}),
+              IgnorePayload);
 }
 
 StatusOr<ServerStatsReport> ParkClient::Stats(const std::string& park_id) {
-  StatsRequest request;
-  request.park_id = park_id;
-  PAWS_ASSIGN_OR_RETURN(std::string payload,
-                        CallOk(Opcode::kStats, EncodeStatsRequest(request)));
-  return TagDecode(DecodeStatsReportPayload(payload));
+  return Call(Opcode::kStats, EncodeStatsRequest({park_id}),
+              DecodeStatsReportPayload);
 }
 
 StatusOr<MapVersionResponse> ParkClient::MapVersion(uint64_t known_version) {
-  MapVersionRequest request;
-  request.known_version = known_version;
-  PAWS_ASSIGN_OR_RETURN(
-      std::string payload,
-      CallOk(Opcode::kMapVersion, EncodeMapVersionRequest(request)));
-  return TagDecode(DecodeMapVersionResponse(payload));
+  return Call(Opcode::kMapVersion, EncodeMapVersionRequest({known_version}),
+              DecodeMapVersionResponse);
 }
 
 Status ParkClient::SwapFleetMap(const std::string& map_bytes) {
-  SwapFleetMapRequest request;
-  request.map_bytes = map_bytes;
-  PAWS_ASSIGN_OR_RETURN(
-      std::string payload,
-      CallOk(Opcode::kSwapFleetMap, EncodeSwapFleetMapRequest(request)));
-  (void)payload;
-  return Status::OK();
+  return Call(Opcode::kSwapFleetMap, EncodeSwapFleetMapRequest({map_bytes}),
+              IgnorePayload);
 }
 
 StatusOr<std::string> ParkClient::GetSnapshot(const std::string& park_id) {
-  GetSnapshotRequest request;
-  request.park_id = park_id;
-  PAWS_ASSIGN_OR_RETURN(
-      std::string payload,
-      CallOk(Opcode::kGetSnapshot, EncodeGetSnapshotRequest(request)));
-  StatusOr<GetSnapshotResponse> decoded = DecodeGetSnapshotResponse(payload);
-  if (!decoded.ok()) {
-    last_error_transport_ = true;
-    return decoded.status();
-  }
-  return std::move(decoded->snapshot_bytes);
+  PAWS_ASSIGN_OR_RETURN(GetSnapshotResponse response,
+                        Call(Opcode::kGetSnapshot,
+                             EncodeGetSnapshotRequest({park_id}),
+                             DecodeGetSnapshotResponse));
+  return std::move(response.snapshot_bytes);
 }
 
 StatusOr<RepairResponse> ParkClient::Repair(
     const std::string& park_id, const std::vector<std::string>& sources) {
-  RepairRequest request;
-  request.park_id = park_id;
-  request.sources = sources;
-  PAWS_ASSIGN_OR_RETURN(
-      std::string payload,
-      CallOk(Opcode::kRepair, EncodeRepairRequest(request)));
-  return TagDecode(DecodeRepairResponse(payload));
+  return Call(Opcode::kRepair, EncodeRepairRequest({park_id, sources}),
+              DecodeRepairResponse);
 }
 
 }  // namespace paws

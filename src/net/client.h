@@ -183,18 +183,13 @@ class ParkClient {
   bool last_error_was_transport() const { return last_error_transport_; }
 
  private:
-  /// Sends the request and unwraps the protocol envelope: a
-  /// kStatusResponse becomes its carried Status, a kOkResponse yields the
-  /// result payload. Sets last_error_transport_.
-  StatusOr<std::string> CallOk(Opcode opcode, std::string payload);
-  /// Marks a post-envelope result-decode failure as transport-grade: a
-  /// kOkResponse whose archive payload does not decode means the endpoint
-  /// is serving corrupt bytes, not answering the request.
-  template <typename T>
-  StatusOr<T> TagDecode(StatusOr<T> decoded) {
-    if (!decoded.ok()) last_error_transport_ = true;
-    return decoded;
-  }
+  /// Sends one request and unwraps the protocol envelope: a
+  /// kStatusResponse becomes its carried Status, a kOkResponse payload
+  /// goes through `decode` (a Decode* function). Sets
+  /// last_error_transport_; a result that fails to decode counts as a
+  /// transport error.
+  template <typename Decode>
+  auto Call(Opcode opcode, std::string request, Decode decode);
 
   WireClient client_;
   bool last_error_transport_ = false;

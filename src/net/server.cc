@@ -416,6 +416,16 @@ void FrameServer::WorkerLoop() {
       response = handler_(task.frame);
       response.request_id = task.frame.request_id;
     }
+    // The peer's FrameParser treats a frame over the cap as a broken
+    // stream, which a client reports as a transport error and a router
+    // answers by failing over; refuse the response in a frame it can read.
+    if (response.payload.size() > options_.max_frame_bytes) {
+      response.opcode = static_cast<uint32_t>(Opcode::kStatusResponse);
+      response.payload = EncodeStatusPayload(Status::ResourceExhausted(
+          "FrameServer: " + OpcodeName(task.frame.opcode) + " response of " +
+          std::to_string(response.payload.size()) + " bytes exceeds the " +
+          std::to_string(options_.max_frame_bytes) + "-byte frame cap"));
+    }
 
     {
       std::lock_guard<std::mutex> lock(response_mu_);

@@ -32,7 +32,8 @@ struct FrameServerOptions {
   /// Connections beyond this are accepted and immediately closed.
   int max_connections = 64;
   /// Per-frame allocation bound; oversized length prefixes break the
-  /// connection before any payload buffering.
+  /// connection before any payload buffering, and a response over it is
+  /// replaced by a ResourceExhausted status frame.
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Close connections with no read activity, no queued work and nothing
   /// left to write after this long. 0 = never.

@@ -1,32 +1,12 @@
 #include "net/wire.h"
 
 #include <cstring>
+#include <iterator>
+#include <utility>
 
 namespace paws {
 
 namespace {
-
-// Section tags: RQ** = request bodies, RS** = response bodies, STAT =
-// status frame. Requests/responses for one opcode deliberately use
-// different tags so a misrouted payload fails tag validation instead of
-// half-parsing.
-constexpr uint32_t kStatusTag = FourCc("STAT");
-constexpr uint32_t kRiskMapReqTag = FourCc("RQRM");
-constexpr uint32_t kRiskBatchReqTag = FourCc("RQRB");
-constexpr uint32_t kCurvesReqTag = FourCc("RQCC");
-constexpr uint32_t kPlanReqTag = FourCc("RQPP");
-constexpr uint32_t kSwapReqTag = FourCc("RQSS");
-constexpr uint32_t kStatsReqTag = FourCc("RQST");
-constexpr uint32_t kRiskBatchRespTag = FourCc("RSRB");
-constexpr uint32_t kStatsRespTag = FourCc("RSST");
-constexpr uint32_t kMapVersionReqTag = FourCc("RQMV");
-constexpr uint32_t kMapVersionRespTag = FourCc("RSMV");
-constexpr uint32_t kSwapMapReqTag = FourCc("RQFM");
-constexpr uint32_t kGetSnapReqTag = FourCc("RQGS");
-constexpr uint32_t kGetSnapRespTag = FourCc("RSGS");
-constexpr uint32_t kRepairReqTag = FourCc("RQRP");
-constexpr uint32_t kRepairRespTag = FourCc("RSRP");
-constexpr uint32_t kRiskTileReqTag = FourCc("RQRT");
 
 void AppendU32(std::string* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -160,63 +140,18 @@ StatusOr<bool> FrameParser::Next(Frame* out) {
 // ---------------------------------------------------------------------------
 // Error taxonomy.
 
-uint32_t WireCodeFromStatus(StatusCode code) {
-  // Explicit table: the in-process enum order is NOT a wire contract.
-  switch (code) {
-    case StatusCode::kOk:
-      return 0;
-    case StatusCode::kInvalidArgument:
-      return 1;
-    case StatusCode::kFailedPrecondition:
-      return 2;
-    case StatusCode::kNotFound:
-      return 3;
-    case StatusCode::kOutOfRange:
-      return 4;
-    case StatusCode::kInternal:
-      return 5;
-    case StatusCode::kUnimplemented:
-      return 6;
-    case StatusCode::kResourceExhausted:
-      return 7;
-    case StatusCode::kInfeasible:
-      return 8;
-    case StatusCode::kUnbounded:
-      return 9;
-  }
-  return 5;  // unreachable; map to kInternal
-}
-
-StatusCode StatusCodeFromWire(uint32_t wire_code) {
-  switch (wire_code) {
-    case 0:
-      return StatusCode::kOk;
-    case 1:
-      return StatusCode::kInvalidArgument;
-    case 2:
-      return StatusCode::kFailedPrecondition;
-    case 3:
-      return StatusCode::kNotFound;
-    case 4:
-      return StatusCode::kOutOfRange;
-    case 5:
-      return StatusCode::kInternal;
-    case 6:
-      return StatusCode::kUnimplemented;
-    case 7:
-      return StatusCode::kResourceExhausted;
-    case 8:
-      return StatusCode::kInfeasible;
-    case 9:
-      return StatusCode::kUnbounded;
-    default:
-      // A newer peer's code we don't know: surface as an internal error
-      // rather than inventing semantics for it.
-      return StatusCode::kInternal;
-  }
-}
-
 namespace {
+
+// Each StatusCode at the index of its wire code: one explicit table for
+// both directions, because the in-process enum order is NOT a wire
+// contract. Append-only.
+constexpr StatusCode kStatusCodeByWireCode[] = {
+    StatusCode::kOk,         StatusCode::kInvalidArgument,
+    StatusCode::kFailedPrecondition, StatusCode::kNotFound,
+    StatusCode::kOutOfRange, StatusCode::kInternal,
+    StatusCode::kUnimplemented, StatusCode::kResourceExhausted,
+    StatusCode::kInfeasible, StatusCode::kUnbounded,
+};
 
 class PawsErrorCategory : public std::error_category {
  public:
@@ -229,6 +164,22 @@ class PawsErrorCategory : public std::error_category {
 
 }  // namespace
 
+uint32_t WireCodeFromStatus(StatusCode code) {
+  for (uint32_t wire = 0; wire < std::size(kStatusCodeByWireCode); ++wire) {
+    if (kStatusCodeByWireCode[wire] == code) return wire;
+  }
+  return 5;  // unreachable; map to kInternal
+}
+
+StatusCode StatusCodeFromWire(uint32_t wire_code) {
+  // A newer peer's code we don't know: surface as an internal error
+  // rather than inventing semantics for it.
+  if (wire_code >= std::size(kStatusCodeByWireCode)) {
+    return StatusCode::kInternal;
+  }
+  return kStatusCodeByWireCode[wire_code];
+}
+
 const std::error_category& paws_error_category() {
   static PawsErrorCategory category;
   return category;
@@ -239,569 +190,461 @@ std::error_code MakeWireErrorCode(StatusCode code) {
                          paws_error_category());
 }
 
-std::string EncodeStatusPayload(const Status& status) {
-  ArchiveWriter writer;
-  writer.BeginSection(kStatusTag);
-  writer.WriteU32(WireCodeFromStatus(status.code()));
-  writer.WriteString(status.message());
-  writer.EndSection();
-  return writer.Bytes();
-}
-
-Status DecodeStatusPayload(const std::string& payload, Status* decoded) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  PAWS_RETURN_IF_ERROR(reader.EnterSection(kStatusTag));
-  uint32_t wire_code = 0;
-  std::string message;
-  PAWS_RETURN_IF_ERROR(reader.ReadU32(&wire_code));
-  PAWS_RETURN_IF_ERROR(reader.ReadString(&message));
-  PAWS_RETURN_IF_ERROR(reader.LeaveSection());
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  *decoded = Status(StatusCodeFromWire(wire_code), std::move(message));
-  return Status::OK();
-}
-
 // ---------------------------------------------------------------------------
-// Typed payload codecs.
+// Payload codecs. Each message is described once, here: the section tag
+// that frames it as a payload (kTag) and its fields in wire order
+// (Fields). WireWriter and WireReader walk that one description in the two
+// directions, so encode and decode cannot drift apart.
 
-std::string EncodeRiskMapRequest(const RiskMapRequest& req) {
-  ArchiveWriter writer;
-  writer.BeginSection(kRiskMapReqTag);
-  writer.WriteString(req.park_id);
-  writer.WriteDouble(req.assumed_effort);
-  writer.EndSection();
-  return writer.Bytes();
+namespace {
+
+/// A field list takes its message as Ref<Io, T>: `const T&` when writing,
+/// `T&` when reading.
+template <typename Io, typename T>
+using Ref = typename Io::template Ref<T>;
+
+/// The section tag that frames a whole payload. The four result archives
+/// (RiskMaps, RiskTile, EffortCurveTable, PatrolPlan) write their own
+/// section, so they have none here; neither do messages that only travel
+/// nested inside another.
+template <typename T>
+constexpr uint32_t kTag = 0;
+
+// RQ** tags frame request bodies, RS** response bodies, STAT the status
+// frame. A request and its response use different tags, so a misrouted
+// payload fails the tag check instead of half-parsing.
+template <>
+constexpr uint32_t kTag<Status> = FourCc("STAT");
+
+template <>
+constexpr uint32_t kTag<RiskMapRequest> = FourCc("RQRM");
+template <typename Io>
+void Fields(Io& io, Ref<Io, RiskMapRequest> m) {
+  io(m.park_id, m.assumed_effort);
 }
 
-StatusOr<RiskMapRequest> DecodeRiskMapRequest(const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  RiskMapRequest req;
-  PAWS_RETURN_IF_ERROR(reader.EnterSection(kRiskMapReqTag));
-  PAWS_RETURN_IF_ERROR(reader.ReadString(&req.park_id));
-  PAWS_RETURN_IF_ERROR(reader.ReadDouble(&req.assumed_effort));
-  PAWS_RETURN_IF_ERROR(reader.LeaveSection());
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return req;
+template <>
+constexpr uint32_t kTag<RiskMapBatchRequest> = FourCc("RQRB");
+template <typename Io>
+void Fields(Io& io, Ref<Io, RiskMapBatchRequest> m) { io(m.requests); }
+
+template <>
+constexpr uint32_t kTag<RiskTileRequest> = FourCc("RQRT");
+template <typename Io>
+void Fields(Io& io, Ref<Io, RiskTileRequest> m) {
+  io(m.park_id, m.tile_id, m.assumed_effort);
 }
 
-std::string EncodeRiskMapBatchRequest(const RiskMapBatchRequest& req) {
-  ArchiveWriter writer;
-  writer.BeginSection(kRiskBatchReqTag);
-  writer.WriteU64(req.requests.size());
-  for (const RiskMapRequest& item : req.requests) {
-    writer.WriteString(item.park_id);
-    writer.WriteDouble(item.assumed_effort);
+template <>
+constexpr uint32_t kTag<CellCurvesRequest> = FourCc("RQCC");
+template <typename Io>
+void Fields(Io& io, Ref<Io, CellCurvesRequest> m) {
+  io(m.park_id, m.cell_ids, m.effort_grid);
+}
+
+template <>
+constexpr uint32_t kTag<PlanForPostRequest> = FourCc("RQPP");
+template <typename Io>
+void Fields(Io& io, Ref<Io, PlanForPostRequest> m) {
+  auto& milp = m.config.milp;
+  io(m.park_id, m.post_index, m.config.horizon, m.config.num_patrols,
+     m.config.pwl_segments, m.config.max_cell_effort, milp.max_nodes,
+     milp.absolute_gap_tolerance, milp.integrality_tolerance,
+     milp.use_rounding_heuristic, milp.simplex.max_iterations,
+     milp.simplex.feasibility_tolerance, milp.simplex.optimality_tolerance,
+     m.robust.beta, m.robust.squash_scale);
+}
+
+template <>
+constexpr uint32_t kTag<SwapSnapshotRequest> = FourCc("RQSS");
+template <typename Io>
+void Fields(Io& io, Ref<Io, SwapSnapshotRequest> m) {
+  io(m.park_id, m.snapshot_bytes);
+}
+
+template <>
+constexpr uint32_t kTag<StatsRequest> = FourCc("RQST");
+template <typename Io>
+void Fields(Io& io, Ref<Io, StatsRequest> m) { io(m.park_id); }
+
+template <>
+constexpr uint32_t kTag<MapVersionRequest> = FourCc("RQMV");
+template <typename Io>
+void Fields(Io& io, Ref<Io, MapVersionRequest> m) { io(m.known_version); }
+
+template <>
+constexpr uint32_t kTag<MapVersionResponse> = FourCc("RSMV");
+template <typename Io>
+void Fields(Io& io, Ref<Io, MapVersionResponse> m) {
+  io(m.version, m.has_map, m.map_bytes);
+}
+
+template <>
+constexpr uint32_t kTag<SwapFleetMapRequest> = FourCc("RQFM");
+template <typename Io>
+void Fields(Io& io, Ref<Io, SwapFleetMapRequest> m) { io(m.map_bytes); }
+
+template <>
+constexpr uint32_t kTag<GetSnapshotRequest> = FourCc("RQGS");
+template <typename Io>
+void Fields(Io& io, Ref<Io, GetSnapshotRequest> m) { io(m.park_id); }
+
+template <>
+constexpr uint32_t kTag<GetSnapshotResponse> = FourCc("RSGS");
+template <typename Io>
+void Fields(Io& io, Ref<Io, GetSnapshotResponse> m) { io(m.snapshot_bytes); }
+
+template <>
+constexpr uint32_t kTag<RepairRequest> = FourCc("RQRP");
+template <typename Io>
+void Fields(Io& io, Ref<Io, RepairRequest> m) { io(m.park_id, m.sources); }
+
+template <>
+constexpr uint32_t kTag<RepairResponse> = FourCc("RSRP");
+template <typename Io>
+void Fields(Io& io, Ref<Io, RepairResponse> m) { io(m.action); }
+
+/// Batch response: one (ok, maps | status) item per request, in order.
+template <>
+constexpr uint32_t kTag<std::vector<StatusOr<RiskMaps>>> = FourCc("RSRB");
+
+template <>
+constexpr uint32_t kTag<ServerStatsReport> = FourCc("RSST");
+template <typename Io>
+void Fields(Io& io, Ref<Io, ServerStatsReport> m) {
+  io(m.accepted_connections, m.rejected_connections, m.active_connections,
+     m.frames_in, m.frames_out, m.protocol_errors, m.deadline_expired,
+     m.parks);
+}
+
+template <typename Io>
+void Fields(Io& io, Ref<Io, ServerStatsReport::ParkStats> m) {
+  io(m.park_id, m.risk_hits, m.risk_misses, m.curve_hits, m.curve_misses,
+     m.tile_hits, m.tile_misses, m.tile_pool_resident_tiles,
+     m.tile_pool_resident_bytes, m.tile_pool_hits, m.tile_pool_misses,
+     m.tile_pool_evictions, m.scoring_backend);
+}
+
+/// Writes fields, in order, into an archive. A type without an overload
+/// here is a message: its field list is written inline.
+class WireWriter {
+ public:
+  template <typename T>
+  using Ref = const T&;
+
+  explicit WireWriter(ArchiveWriter* out) : out_(out) {}
+
+  template <typename... Ts>
+  void operator()(const Ts&... fields) { (Write(fields), ...); }
+
+ private:
+  void Write(uint64_t v) { out_->WriteU64(v); }
+  void Write(int32_t v) { out_->WriteI32(v); }
+  void Write(int64_t v) { out_->WriteI64(v); }
+  void Write(bool v) { out_->WriteBool(v); }
+  void Write(double v) { out_->WriteDouble(v); }
+  void Write(const std::string& v) { out_->WriteString(v); }
+  void Write(const std::vector<int>& v) { out_->WriteIntVector(v); }
+  void Write(const std::vector<double>& v) { out_->WriteDoubleVector(v); }
+  void Write(const Status& status) {
+    out_->WriteU32(WireCodeFromStatus(status.code()));
+    out_->WriteString(status.message());
   }
-  writer.EndSection();
-  return writer.Bytes();
+  void Write(const RiskMaps& v) { SaveRiskMaps(v, out_); }
+  void Write(const RiskTile& v) { SaveRiskTile(v, out_); }
+  void Write(const EffortCurveTable& v) { SaveEffortCurveTable(v, out_); }
+  void Write(const PatrolPlan& v) { SavePatrolPlan(v, out_); }
+  template <typename T>
+  void Write(const StatusOr<T>& result) {
+    out_->WriteBool(result.ok());
+    if (result.ok()) {
+      Write(*result);
+    } else {
+      Write(result.status());
+    }
+  }
+  template <typename T>
+  void Write(const std::vector<T>& items) {
+    out_->WriteU64(items.size());
+    for (const T& item : items) Write(item);
+  }
+  template <typename T>
+  void Write(const T& message) { Fields(*this, message); }
+
+  ArchiveWriter* out_;
+};
+
+/// Reads fields, in order, out of an archive: the mirror of WireWriter.
+/// The first failure sticks; later reads are skipped and status() reports
+/// it.
+class WireReader {
+ public:
+  template <typename T>
+  using Ref = T&;
+
+  explicit WireReader(ArchiveReader* in) : in_(in) {}
+
+  template <typename... Ts>
+  void operator()(Ts&... fields) {
+    ((status_.ok() ? Read(fields) : void()), ...);
+  }
+
+  const Status& status() const { return status_; }
+
+ private:
+  void Read(uint64_t& v) { status_ = in_->ReadU64(&v); }
+  void Read(int32_t& v) { status_ = in_->ReadI32(&v); }
+  void Read(int64_t& v) { status_ = in_->ReadI64(&v); }
+  void Read(bool& v) { status_ = in_->ReadBool(&v); }
+  void Read(double& v) { status_ = in_->ReadDouble(&v); }
+  void Read(std::string& v) { status_ = in_->ReadString(&v); }
+  void Read(std::vector<int>& v) { status_ = in_->ReadIntVector(&v); }
+  void Read(std::vector<double>& v) { status_ = in_->ReadDoubleVector(&v); }
+  void Read(Status& status) {
+    uint32_t wire_code = 0;
+    std::string message;
+    status_ = in_->ReadU32(&wire_code);
+    if (status_.ok()) status_ = in_->ReadString(&message);
+    if (status_.ok()) {
+      status = Status(StatusCodeFromWire(wire_code), std::move(message));
+    }
+  }
+  void Read(RiskMaps& v) { Take(LoadRiskMaps(in_), &v); }
+  void Read(RiskTile& v) { Take(LoadRiskTile(in_), &v); }
+  void Read(EffortCurveTable& v) { Take(LoadEffortCurveTable(in_), &v); }
+  void Read(PatrolPlan& v) { Take(LoadPatrolPlan(in_), &v); }
+  template <typename T>
+  void Read(std::vector<T>& items) {
+    uint64_t count = 0;
+    Read(count);
+    // Every element takes at least one byte, which refuses absurd counts
+    // outright. The count is still unproven until its elements parse, and
+    // an element can be a hundred times larger in memory than on the wire,
+    // so nothing is reserved from it.
+    if (status_.ok() && count > in_->remaining()) {
+      status_ = BrokenStream("element count " + std::to_string(count) +
+                             " overruns the payload");
+    }
+    items.clear();
+    for (uint64_t i = 0; i < count && status_.ok(); ++i) Append(&items);
+  }
+  template <typename T>
+  void Read(T& message) { Fields(*this, message); }
+
+  template <typename T>
+  void Append(std::vector<T>* items) {
+    T item;
+    (*this)(item);
+    items->push_back(std::move(item));
+  }
+  template <typename T>
+  void Append(std::vector<StatusOr<T>>* items) {
+    bool ok = false;
+    (*this)(ok);
+    if (ok) {
+      T value;
+      (*this)(value);
+      items->push_back(std::move(value));
+      return;
+    }
+    Status error;
+    (*this)(error);
+    // An OK status would make a StatusOr that claims a value it lacks.
+    if (status_.ok() && error.ok()) {
+      status_ = BrokenStream("error item carries status OK");
+    }
+    items->push_back(std::move(error));
+  }
+  template <typename T>
+  void Take(StatusOr<T> loaded, T* out) {
+    if (loaded.ok()) {
+      *out = std::move(loaded).value();
+    } else {
+      status_ = loaded.status();
+    }
+  }
+
+  ArchiveReader* in_;
+  Status status_;
+};
+
+template <typename T>
+std::string Encode(const T& message) {
+  ArchiveWriter archive;
+  WireWriter writer(&archive);
+  if (kTag<T> != 0) archive.BeginSection(kTag<T>);
+  writer(message);
+  if (kTag<T> != 0) archive.EndSection();
+  return archive.Bytes();
 }
 
+/// Validates the whole payload — CRC, section tag, every field, no
+/// trailing bytes — and returns InvalidArgument on any malformation.
+template <typename T>
+Status DecodeInto(const std::string& payload, T* message) {
+  PAWS_ASSIGN_OR_RETURN(ArchiveReader archive,
+                        ArchiveReader::FromBytes(payload));
+  if (kTag<T> != 0) PAWS_RETURN_IF_ERROR(archive.EnterSection(kTag<T>));
+  WireReader reader(&archive);
+  reader(*message);
+  PAWS_RETURN_IF_ERROR(reader.status());
+  if (kTag<T> != 0) PAWS_RETURN_IF_ERROR(archive.LeaveSection());
+  return archive.ExpectEnd();
+}
+
+template <typename T>
+StatusOr<T> Decode(const std::string& payload) {
+  T message;
+  PAWS_RETURN_IF_ERROR(DecodeInto(payload, &message));
+  return StatusOr<T>(std::move(message));
+}
+
+}  // namespace
+
+std::string EncodeStatusPayload(const Status& status) { return Encode(status); }
+Status DecodeStatusPayload(const std::string& payload, Status* decoded) {
+  return DecodeInto(payload, decoded);
+}
+
+std::string EncodeRiskMapRequest(const RiskMapRequest& m) { return Encode(m); }
+StatusOr<RiskMapRequest> DecodeRiskMapRequest(const std::string& payload) {
+  return Decode<RiskMapRequest>(payload);
+}
+
+std::string EncodeRiskMapBatchRequest(const RiskMapBatchRequest& m) {
+  return Encode(m);
+}
 StatusOr<RiskMapBatchRequest> DecodeRiskMapBatchRequest(
     const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  RiskMapBatchRequest req;
-  PAWS_RETURN_IF_ERROR(reader.EnterSection(kRiskBatchReqTag));
-  uint64_t count = 0;
-  PAWS_RETURN_IF_ERROR(reader.ReadU64(&count));
-  // Each item needs at least a string count + a double; this bounds the
-  // reserve against the section's actual byte budget.
-  if (count > reader.remaining() / (8 + 8)) {
-    return BrokenStream("batch count overruns payload");
-  }
-  req.requests.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    RiskMapRequest item;
-    PAWS_RETURN_IF_ERROR(reader.ReadString(&item.park_id));
-    PAWS_RETURN_IF_ERROR(reader.ReadDouble(&item.assumed_effort));
-    req.requests.push_back(std::move(item));
-  }
-  PAWS_RETURN_IF_ERROR(reader.LeaveSection());
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return req;
+  return Decode<RiskMapBatchRequest>(payload);
 }
 
-std::string EncodeRiskTileRequest(const RiskTileRequest& req) {
-  ArchiveWriter writer;
-  writer.BeginSection(kRiskTileReqTag);
-  writer.WriteString(req.park_id);
-  writer.WriteI32(req.tile_id);
-  writer.WriteDouble(req.assumed_effort);
-  writer.EndSection();
-  return writer.Bytes();
+std::string EncodeRiskTileRequest(const RiskTileRequest& m) {
+  return Encode(m);
 }
-
 StatusOr<RiskTileRequest> DecodeRiskTileRequest(const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  RiskTileRequest req;
-  PAWS_RETURN_IF_ERROR(reader.EnterSection(kRiskTileReqTag));
-  PAWS_RETURN_IF_ERROR(reader.ReadString(&req.park_id));
-  PAWS_RETURN_IF_ERROR(reader.ReadI32(&req.tile_id));
-  PAWS_RETURN_IF_ERROR(reader.ReadDouble(&req.assumed_effort));
-  PAWS_RETURN_IF_ERROR(reader.LeaveSection());
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return req;
+  return Decode<RiskTileRequest>(payload);
 }
 
-std::string EncodeCellCurvesRequest(const CellCurvesRequest& req) {
-  ArchiveWriter writer;
-  writer.BeginSection(kCurvesReqTag);
-  writer.WriteString(req.park_id);
-  writer.WriteIntVector(req.cell_ids);
-  writer.WriteDoubleVector(req.effort_grid);
-  writer.EndSection();
-  return writer.Bytes();
+std::string EncodeCellCurvesRequest(const CellCurvesRequest& m) {
+  return Encode(m);
 }
-
 StatusOr<CellCurvesRequest> DecodeCellCurvesRequest(
     const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  CellCurvesRequest req;
-  PAWS_RETURN_IF_ERROR(reader.EnterSection(kCurvesReqTag));
-  PAWS_RETURN_IF_ERROR(reader.ReadString(&req.park_id));
-  PAWS_RETURN_IF_ERROR(reader.ReadIntVector(&req.cell_ids));
-  PAWS_RETURN_IF_ERROR(reader.ReadDoubleVector(&req.effort_grid));
-  PAWS_RETURN_IF_ERROR(reader.LeaveSection());
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return req;
+  return Decode<CellCurvesRequest>(payload);
 }
 
-std::string EncodePlanForPostRequest(const PlanForPostRequest& req) {
-  ArchiveWriter writer;
-  writer.BeginSection(kPlanReqTag);
-  writer.WriteString(req.park_id);
-  writer.WriteI32(req.post_index);
-  writer.WriteI32(req.config.horizon);
-  writer.WriteI32(req.config.num_patrols);
-  writer.WriteI32(req.config.pwl_segments);
-  writer.WriteDouble(req.config.max_cell_effort);
-  writer.WriteI32(req.config.milp.max_nodes);
-  writer.WriteDouble(req.config.milp.absolute_gap_tolerance);
-  writer.WriteDouble(req.config.milp.integrality_tolerance);
-  writer.WriteBool(req.config.milp.use_rounding_heuristic);
-  writer.WriteI64(req.config.milp.simplex.max_iterations);
-  writer.WriteDouble(req.config.milp.simplex.feasibility_tolerance);
-  writer.WriteDouble(req.config.milp.simplex.optimality_tolerance);
-  writer.WriteDouble(req.robust.beta);
-  writer.WriteDouble(req.robust.squash_scale);
-  writer.EndSection();
-  return writer.Bytes();
+std::string EncodePlanForPostRequest(const PlanForPostRequest& m) {
+  return Encode(m);
 }
-
 StatusOr<PlanForPostRequest> DecodePlanForPostRequest(
     const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  PlanForPostRequest req;
-  PAWS_RETURN_IF_ERROR(reader.EnterSection(kPlanReqTag));
-  PAWS_RETURN_IF_ERROR(reader.ReadString(&req.park_id));
-  PAWS_RETURN_IF_ERROR(reader.ReadI32(&req.post_index));
-  PAWS_RETURN_IF_ERROR(reader.ReadI32(&req.config.horizon));
-  PAWS_RETURN_IF_ERROR(reader.ReadI32(&req.config.num_patrols));
-  PAWS_RETURN_IF_ERROR(reader.ReadI32(&req.config.pwl_segments));
-  PAWS_RETURN_IF_ERROR(reader.ReadDouble(&req.config.max_cell_effort));
-  PAWS_RETURN_IF_ERROR(reader.ReadI32(&req.config.milp.max_nodes));
-  PAWS_RETURN_IF_ERROR(
-      reader.ReadDouble(&req.config.milp.absolute_gap_tolerance));
-  PAWS_RETURN_IF_ERROR(
-      reader.ReadDouble(&req.config.milp.integrality_tolerance));
-  PAWS_RETURN_IF_ERROR(
-      reader.ReadBool(&req.config.milp.use_rounding_heuristic));
-  int64_t simplex_iterations = 0;
-  PAWS_RETURN_IF_ERROR(reader.ReadI64(&simplex_iterations));
-  req.config.milp.simplex.max_iterations =
-      static_cast<long>(simplex_iterations);
-  PAWS_RETURN_IF_ERROR(
-      reader.ReadDouble(&req.config.milp.simplex.feasibility_tolerance));
-  PAWS_RETURN_IF_ERROR(
-      reader.ReadDouble(&req.config.milp.simplex.optimality_tolerance));
-  PAWS_RETURN_IF_ERROR(reader.ReadDouble(&req.robust.beta));
-  PAWS_RETURN_IF_ERROR(reader.ReadDouble(&req.robust.squash_scale));
-  PAWS_RETURN_IF_ERROR(reader.LeaveSection());
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return req;
+  return Decode<PlanForPostRequest>(payload);
 }
 
-std::string EncodeSwapSnapshotRequest(const SwapSnapshotRequest& req) {
-  ArchiveWriter writer;
-  writer.BeginSection(kSwapReqTag);
-  writer.WriteString(req.park_id);
-  writer.WriteString(req.snapshot_bytes);
-  writer.EndSection();
-  return writer.Bytes();
+std::string EncodeSwapSnapshotRequest(const SwapSnapshotRequest& m) {
+  return Encode(m);
 }
-
 StatusOr<SwapSnapshotRequest> DecodeSwapSnapshotRequest(
     const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  SwapSnapshotRequest req;
-  PAWS_RETURN_IF_ERROR(reader.EnterSection(kSwapReqTag));
-  PAWS_RETURN_IF_ERROR(reader.ReadString(&req.park_id));
-  PAWS_RETURN_IF_ERROR(reader.ReadString(&req.snapshot_bytes));
-  PAWS_RETURN_IF_ERROR(reader.LeaveSection());
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return req;
+  return Decode<SwapSnapshotRequest>(payload);
 }
 
-std::string EncodeStatsRequest(const StatsRequest& req) {
-  ArchiveWriter writer;
-  writer.BeginSection(kStatsReqTag);
-  writer.WriteString(req.park_id);
-  writer.EndSection();
-  return writer.Bytes();
-}
-
+std::string EncodeStatsRequest(const StatsRequest& m) { return Encode(m); }
 StatusOr<StatsRequest> DecodeStatsRequest(const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  StatsRequest req;
-  PAWS_RETURN_IF_ERROR(reader.EnterSection(kStatsReqTag));
-  PAWS_RETURN_IF_ERROR(reader.ReadString(&req.park_id));
-  PAWS_RETURN_IF_ERROR(reader.LeaveSection());
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return req;
+  return Decode<StatsRequest>(payload);
 }
 
-std::string EncodeMapVersionRequest(const MapVersionRequest& req) {
-  ArchiveWriter writer;
-  writer.BeginSection(kMapVersionReqTag);
-  writer.WriteU64(req.known_version);
-  writer.EndSection();
-  return writer.Bytes();
+std::string EncodeMapVersionRequest(const MapVersionRequest& m) {
+  return Encode(m);
 }
-
 StatusOr<MapVersionRequest> DecodeMapVersionRequest(
     const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  MapVersionRequest req;
-  PAWS_RETURN_IF_ERROR(reader.EnterSection(kMapVersionReqTag));
-  PAWS_RETURN_IF_ERROR(reader.ReadU64(&req.known_version));
-  PAWS_RETURN_IF_ERROR(reader.LeaveSection());
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return req;
+  return Decode<MapVersionRequest>(payload);
 }
 
-std::string EncodeMapVersionResponse(const MapVersionResponse& resp) {
-  ArchiveWriter writer;
-  writer.BeginSection(kMapVersionRespTag);
-  writer.WriteU64(resp.version);
-  writer.WriteBool(resp.has_map);
-  writer.WriteString(resp.map_bytes);
-  writer.EndSection();
-  return writer.Bytes();
+std::string EncodeMapVersionResponse(const MapVersionResponse& m) {
+  return Encode(m);
 }
-
 StatusOr<MapVersionResponse> DecodeMapVersionResponse(
     const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  MapVersionResponse resp;
-  PAWS_RETURN_IF_ERROR(reader.EnterSection(kMapVersionRespTag));
-  PAWS_RETURN_IF_ERROR(reader.ReadU64(&resp.version));
-  PAWS_RETURN_IF_ERROR(reader.ReadBool(&resp.has_map));
-  PAWS_RETURN_IF_ERROR(reader.ReadString(&resp.map_bytes));
-  PAWS_RETURN_IF_ERROR(reader.LeaveSection());
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return resp;
+  return Decode<MapVersionResponse>(payload);
 }
 
-std::string EncodeSwapFleetMapRequest(const SwapFleetMapRequest& req) {
-  ArchiveWriter writer;
-  writer.BeginSection(kSwapMapReqTag);
-  writer.WriteString(req.map_bytes);
-  writer.EndSection();
-  return writer.Bytes();
+std::string EncodeSwapFleetMapRequest(const SwapFleetMapRequest& m) {
+  return Encode(m);
 }
-
 StatusOr<SwapFleetMapRequest> DecodeSwapFleetMapRequest(
     const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  SwapFleetMapRequest req;
-  PAWS_RETURN_IF_ERROR(reader.EnterSection(kSwapMapReqTag));
-  PAWS_RETURN_IF_ERROR(reader.ReadString(&req.map_bytes));
-  PAWS_RETURN_IF_ERROR(reader.LeaveSection());
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return req;
+  return Decode<SwapFleetMapRequest>(payload);
 }
 
-std::string EncodeGetSnapshotRequest(const GetSnapshotRequest& req) {
-  ArchiveWriter writer;
-  writer.BeginSection(kGetSnapReqTag);
-  writer.WriteString(req.park_id);
-  writer.EndSection();
-  return writer.Bytes();
+std::string EncodeGetSnapshotRequest(const GetSnapshotRequest& m) {
+  return Encode(m);
 }
-
 StatusOr<GetSnapshotRequest> DecodeGetSnapshotRequest(
     const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  GetSnapshotRequest req;
-  PAWS_RETURN_IF_ERROR(reader.EnterSection(kGetSnapReqTag));
-  PAWS_RETURN_IF_ERROR(reader.ReadString(&req.park_id));
-  PAWS_RETURN_IF_ERROR(reader.LeaveSection());
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return req;
+  return Decode<GetSnapshotRequest>(payload);
 }
 
-std::string EncodeGetSnapshotResponse(const GetSnapshotResponse& resp) {
-  ArchiveWriter writer;
-  writer.BeginSection(kGetSnapRespTag);
-  writer.WriteString(resp.snapshot_bytes);
-  writer.EndSection();
-  return writer.Bytes();
+std::string EncodeGetSnapshotResponse(const GetSnapshotResponse& m) {
+  return Encode(m);
 }
-
 StatusOr<GetSnapshotResponse> DecodeGetSnapshotResponse(
     const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  GetSnapshotResponse resp;
-  PAWS_RETURN_IF_ERROR(reader.EnterSection(kGetSnapRespTag));
-  PAWS_RETURN_IF_ERROR(reader.ReadString(&resp.snapshot_bytes));
-  PAWS_RETURN_IF_ERROR(reader.LeaveSection());
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return resp;
+  return Decode<GetSnapshotResponse>(payload);
 }
 
-std::string EncodeRepairRequest(const RepairRequest& req) {
-  ArchiveWriter writer;
-  writer.BeginSection(kRepairReqTag);
-  writer.WriteString(req.park_id);
-  writer.WriteU64(req.sources.size());
-  for (const std::string& source : req.sources) {
-    writer.WriteString(source);
-  }
-  writer.EndSection();
-  return writer.Bytes();
-}
-
+std::string EncodeRepairRequest(const RepairRequest& m) { return Encode(m); }
 StatusOr<RepairRequest> DecodeRepairRequest(const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  RepairRequest req;
-  PAWS_RETURN_IF_ERROR(reader.EnterSection(kRepairReqTag));
-  PAWS_RETURN_IF_ERROR(reader.ReadString(&req.park_id));
-  uint64_t count = 0;
-  PAWS_RETURN_IF_ERROR(reader.ReadU64(&count));
-  // Each source costs at least its length prefix; bound the reserve.
-  if (count > reader.remaining() / 8) {
-    return BrokenStream("repair source count overruns payload");
-  }
-  req.sources.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string source;
-    PAWS_RETURN_IF_ERROR(reader.ReadString(&source));
-    req.sources.push_back(std::move(source));
-  }
-  PAWS_RETURN_IF_ERROR(reader.LeaveSection());
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return req;
+  return Decode<RepairRequest>(payload);
 }
 
-std::string EncodeRepairResponse(const RepairResponse& resp) {
-  ArchiveWriter writer;
-  writer.BeginSection(kRepairRespTag);
-  writer.WriteString(resp.action);
-  writer.EndSection();
-  return writer.Bytes();
-}
-
+std::string EncodeRepairResponse(const RepairResponse& m) { return Encode(m); }
 StatusOr<RepairResponse> DecodeRepairResponse(const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  RepairResponse resp;
-  PAWS_RETURN_IF_ERROR(reader.EnterSection(kRepairRespTag));
-  PAWS_RETURN_IF_ERROR(reader.ReadString(&resp.action));
-  PAWS_RETURN_IF_ERROR(reader.LeaveSection());
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return resp;
+  return Decode<RepairResponse>(payload);
 }
 
-std::string EncodeRiskMapsPayload(const RiskMaps& maps) {
-  ArchiveWriter writer;
-  SaveRiskMaps(maps, &writer);
-  return writer.Bytes();
-}
-
+std::string EncodeRiskMapsPayload(const RiskMaps& maps) { return Encode(maps); }
 StatusOr<RiskMaps> DecodeRiskMapsPayload(const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  PAWS_ASSIGN_OR_RETURN(RiskMaps maps, LoadRiskMaps(&reader));
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return maps;
+  return Decode<RiskMaps>(payload);
 }
 
 std::string EncodeRiskMapBatchPayload(
     const std::vector<StatusOr<RiskMaps>>& results) {
-  ArchiveWriter writer;
-  writer.BeginSection(kRiskBatchRespTag);
-  writer.WriteU64(results.size());
-  for (const StatusOr<RiskMaps>& result : results) {
-    writer.WriteBool(result.ok());
-    if (result.ok()) {
-      SaveRiskMaps(*result, &writer);
-    } else {
-      writer.WriteU32(WireCodeFromStatus(result.status().code()));
-      writer.WriteString(result.status().message());
-    }
-  }
-  writer.EndSection();
-  return writer.Bytes();
+  return Encode(results);
 }
-
 StatusOr<std::vector<StatusOr<RiskMaps>>> DecodeRiskMapBatchPayload(
     const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  PAWS_RETURN_IF_ERROR(reader.EnterSection(kRiskBatchRespTag));
-  uint64_t count = 0;
-  PAWS_RETURN_IF_ERROR(reader.ReadU64(&count));
-  if (count > reader.remaining()) {  // >= 1 byte per item (the ok flag)
-    return BrokenStream("batch count overruns payload");
-  }
-  std::vector<StatusOr<RiskMaps>> results;
-  results.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    bool item_ok = false;
-    PAWS_RETURN_IF_ERROR(reader.ReadBool(&item_ok));
-    if (item_ok) {
-      PAWS_ASSIGN_OR_RETURN(RiskMaps maps, LoadRiskMaps(&reader));
-      results.push_back(std::move(maps));
-    } else {
-      uint32_t wire_code = 0;
-      std::string message;
-      PAWS_RETURN_IF_ERROR(reader.ReadU32(&wire_code));
-      PAWS_RETURN_IF_ERROR(reader.ReadString(&message));
-      results.push_back(
-          Status(StatusCodeFromWire(wire_code), std::move(message)));
-    }
-  }
-  PAWS_RETURN_IF_ERROR(reader.LeaveSection());
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return results;
+  return Decode<std::vector<StatusOr<RiskMaps>>>(payload);
 }
 
-std::string EncodeRiskTilePayload(const RiskTile& tile) {
-  ArchiveWriter writer;
-  SaveRiskTile(tile, &writer);
-  return writer.Bytes();
-}
-
+std::string EncodeRiskTilePayload(const RiskTile& tile) { return Encode(tile); }
 StatusOr<RiskTile> DecodeRiskTilePayload(const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  PAWS_ASSIGN_OR_RETURN(RiskTile tile, LoadRiskTile(&reader));
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return tile;
+  return Decode<RiskTile>(payload);
 }
 
 std::string EncodeEffortCurveTablePayload(const EffortCurveTable& table) {
-  ArchiveWriter writer;
-  SaveEffortCurveTable(table, &writer);
-  return writer.Bytes();
+  return Encode(table);
 }
-
 StatusOr<EffortCurveTable> DecodeEffortCurveTablePayload(
     const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  PAWS_ASSIGN_OR_RETURN(EffortCurveTable table,
-                        LoadEffortCurveTable(&reader));
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return table;
+  return Decode<EffortCurveTable>(payload);
 }
 
 std::string EncodePatrolPlanPayload(const PatrolPlan& plan) {
-  ArchiveWriter writer;
-  SavePatrolPlan(plan, &writer);
-  return writer.Bytes();
+  return Encode(plan);
 }
-
 StatusOr<PatrolPlan> DecodePatrolPlanPayload(const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  PAWS_ASSIGN_OR_RETURN(PatrolPlan plan, LoadPatrolPlan(&reader));
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return plan;
+  return Decode<PatrolPlan>(payload);
 }
 
 std::string EncodeStatsReportPayload(const ServerStatsReport& report) {
-  ArchiveWriter writer;
-  writer.BeginSection(kStatsRespTag);
-  writer.WriteU64(report.accepted_connections);
-  writer.WriteU64(report.rejected_connections);
-  writer.WriteU64(report.active_connections);
-  writer.WriteU64(report.frames_in);
-  writer.WriteU64(report.frames_out);
-  writer.WriteU64(report.protocol_errors);
-  writer.WriteU64(report.deadline_expired);
-  writer.WriteU64(report.parks.size());
-  for (const ServerStatsReport::ParkStats& park : report.parks) {
-    writer.WriteString(park.park_id);
-    writer.WriteU64(park.risk_hits);
-    writer.WriteU64(park.risk_misses);
-    writer.WriteU64(park.curve_hits);
-    writer.WriteU64(park.curve_misses);
-    writer.WriteU64(park.tile_hits);
-    writer.WriteU64(park.tile_misses);
-    writer.WriteU64(park.tile_pool_resident_tiles);
-    writer.WriteU64(park.tile_pool_resident_bytes);
-    writer.WriteU64(park.tile_pool_hits);
-    writer.WriteU64(park.tile_pool_misses);
-    writer.WriteU64(park.tile_pool_evictions);
-    writer.WriteString(park.scoring_backend);
-  }
-  writer.EndSection();
-  return writer.Bytes();
+  return Encode(report);
 }
-
 StatusOr<ServerStatsReport> DecodeStatsReportPayload(
     const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader,
-                        ArchiveReader::FromBytes(payload));
-  ServerStatsReport report;
-  PAWS_RETURN_IF_ERROR(reader.EnterSection(kStatsRespTag));
-  PAWS_RETURN_IF_ERROR(reader.ReadU64(&report.accepted_connections));
-  PAWS_RETURN_IF_ERROR(reader.ReadU64(&report.rejected_connections));
-  PAWS_RETURN_IF_ERROR(reader.ReadU64(&report.active_connections));
-  PAWS_RETURN_IF_ERROR(reader.ReadU64(&report.frames_in));
-  PAWS_RETURN_IF_ERROR(reader.ReadU64(&report.frames_out));
-  PAWS_RETURN_IF_ERROR(reader.ReadU64(&report.protocol_errors));
-  PAWS_RETURN_IF_ERROR(reader.ReadU64(&report.deadline_expired));
-  uint64_t count = 0;
-  PAWS_RETURN_IF_ERROR(reader.ReadU64(&count));
-  if (count > reader.remaining() / (8 + 11 * 8)) {
-    return BrokenStream("park count overruns payload");
-  }
-  report.parks.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    ServerStatsReport::ParkStats park;
-    PAWS_RETURN_IF_ERROR(reader.ReadString(&park.park_id));
-    PAWS_RETURN_IF_ERROR(reader.ReadU64(&park.risk_hits));
-    PAWS_RETURN_IF_ERROR(reader.ReadU64(&park.risk_misses));
-    PAWS_RETURN_IF_ERROR(reader.ReadU64(&park.curve_hits));
-    PAWS_RETURN_IF_ERROR(reader.ReadU64(&park.curve_misses));
-    PAWS_RETURN_IF_ERROR(reader.ReadU64(&park.tile_hits));
-    PAWS_RETURN_IF_ERROR(reader.ReadU64(&park.tile_misses));
-    PAWS_RETURN_IF_ERROR(reader.ReadU64(&park.tile_pool_resident_tiles));
-    PAWS_RETURN_IF_ERROR(reader.ReadU64(&park.tile_pool_resident_bytes));
-    PAWS_RETURN_IF_ERROR(reader.ReadU64(&park.tile_pool_hits));
-    PAWS_RETURN_IF_ERROR(reader.ReadU64(&park.tile_pool_misses));
-    PAWS_RETURN_IF_ERROR(reader.ReadU64(&park.tile_pool_evictions));
-    PAWS_RETURN_IF_ERROR(reader.ReadString(&park.scoring_backend));
-    report.parks.push_back(std::move(park));
-  }
-  PAWS_RETURN_IF_ERROR(reader.LeaveSection());
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return report;
+  return Decode<ServerStatsReport>(payload);
 }
 
 }  // namespace paws

@@ -141,9 +141,11 @@ Status DecodeStatusPayload(const std::string& payload, Status* decoded);
 
 // ---------------------------------------------------------------------------
 // Typed request/response payload codecs, shared by client and server so the
-// two sides can never drift. Every Encode* returns one complete archive;
-// every Decode* validates it fully (CRC, section framing, trailing-garbage
-// rejection) and returns InvalidArgument on any malformation.
+// two sides can never drift. wire.cc describes each message once (section
+// tag plus field list) and derives both directions from it. Every Encode*
+// returns one complete archive; every Decode* validates it fully (CRC,
+// section framing, trailing-garbage rejection) and returns InvalidArgument
+// on any malformation.
 
 struct RiskMapRequest {
   std::string park_id;

@@ -16,86 +16,67 @@ Status ParkServer::Start(FrameServerOptions options) {
 }
 
 Frame ParkServer::Handle(const Frame& request) {
-  Status error = Status::OK();
-  std::string payload;
-  switch (request.opcode) {
-    case static_cast<uint32_t>(Opcode::kRiskMap):
-      payload = HandleRiskMap(request.payload, &error);
-      break;
-    case static_cast<uint32_t>(Opcode::kRiskMapBatch):
-      payload = HandleRiskMapBatch(request.payload, &error);
-      break;
-    case static_cast<uint32_t>(Opcode::kCellCurves):
-      payload = HandleCellCurves(request.payload, &error);
-      break;
-    case static_cast<uint32_t>(Opcode::kPlanForPost):
-      payload = HandlePlanForPost(request.payload, &error);
-      break;
-    case static_cast<uint32_t>(Opcode::kSwapSnapshot):
-      payload = HandleSwapSnapshot(request.payload, &error);
-      break;
-    case static_cast<uint32_t>(Opcode::kStats):
-      payload = HandleStats(request.payload, &error);
-      break;
-    case static_cast<uint32_t>(Opcode::kMapVersion):
-      payload = HandleMapVersion(request.payload, &error);
-      break;
-    case static_cast<uint32_t>(Opcode::kSwapFleetMap):
-      payload = HandleSwapFleetMap(request.payload, &error);
-      break;
-    case static_cast<uint32_t>(Opcode::kGetSnapshot):
-      payload = HandleGetSnapshot(request.payload, &error);
-      break;
-    case static_cast<uint32_t>(Opcode::kRepair):
-      payload = HandleRepair(request.payload, &error);
-      break;
-    case static_cast<uint32_t>(Opcode::kRiskTile):
-      payload = HandleRiskTile(request.payload, &error);
-      break;
-    default:
-      error = Status::InvalidArgument("unknown request opcode " +
-                                   OpcodeName(request.opcode));
-      break;
-  }
-
+  StatusOr<std::string> payload = Dispatch(request);
   Frame response;
   response.request_id = request.request_id;
-  if (error.ok()) {
+  if (payload.ok()) {
     response.opcode = static_cast<uint32_t>(Opcode::kOkResponse);
-    response.payload = std::move(payload);
+    response.payload = std::move(payload).value();
   } else {
     response.opcode = static_cast<uint32_t>(Opcode::kStatusResponse);
-    response.payload = EncodeStatusPayload(error);
+    response.payload = EncodeStatusPayload(payload.status());
   }
   return response;
 }
 
-std::string ParkServer::HandleRiskMap(const std::string& payload,
-                                      Status* error) {
-  StatusOr<RiskMapRequest> request = DecodeRiskMapRequest(payload);
-  if (!request.ok()) {
-    *error = request.status();
-    return "";
+StatusOr<std::string> ParkServer::Dispatch(const Frame& request) {
+  const std::string& payload = request.payload;
+  switch (static_cast<Opcode>(request.opcode)) {
+    case Opcode::kRiskMap:
+      return HandleRiskMap(payload);
+    case Opcode::kRiskMapBatch:
+      return HandleRiskMapBatch(payload);
+    case Opcode::kCellCurves:
+      return HandleCellCurves(payload);
+    case Opcode::kPlanForPost:
+      return HandlePlanForPost(payload);
+    case Opcode::kSwapSnapshot:
+      return HandleSwapSnapshot(payload);
+    case Opcode::kStats:
+      return HandleStats(payload);
+    case Opcode::kMapVersion:
+      return HandleMapVersion(payload);
+    case Opcode::kSwapFleetMap:
+      return HandleSwapFleetMap(payload);
+    case Opcode::kGetSnapshot:
+      return HandleGetSnapshot(payload);
+    case Opcode::kRepair:
+      return HandleRepair(payload);
+    case Opcode::kRiskTile:
+      return HandleRiskTile(payload);
+    case Opcode::kOkResponse:
+    case Opcode::kStatusResponse:
+      break;
   }
-  StatusOr<std::shared_ptr<const RiskMaps>> maps =
-      service_->RiskMap(request->park_id, request->assumed_effort);
-  if (!maps.ok()) {
-    *error = maps.status();
-    return "";
-  }
-  return EncodeRiskMapsPayload(**maps);
+  return Status::InvalidArgument("unknown request opcode " +
+                                 OpcodeName(request.opcode));
 }
 
-std::string ParkServer::HandleRiskMapBatch(const std::string& payload,
-                                           Status* error) {
-  StatusOr<RiskMapBatchRequest> request = DecodeRiskMapBatchRequest(payload);
-  if (!request.ok()) {
-    *error = request.status();
-    return "";
-  }
+StatusOr<std::string> ParkServer::HandleRiskMap(const std::string& payload) {
+  PAWS_ASSIGN_OR_RETURN(RiskMapRequest request, DecodeRiskMapRequest(payload));
+  PAWS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const RiskMaps> maps,
+      service_->RiskMap(request.park_id, request.assumed_effort));
+  return EncodeRiskMapsPayload(*maps);
+}
+
+StatusOr<std::string> ParkServer::HandleRiskMapBatch(
+    const std::string& payload) {
+  PAWS_ASSIGN_OR_RETURN(RiskMapBatchRequest request,
+                        DecodeRiskMapBatchRequest(payload));
   std::vector<ParkService::RiskRequest> service_requests;
-  service_requests.reserve(request->requests.size());
-  for (const RiskMapRequest& item : request->requests) {
+  service_requests.reserve(request.requests.size());
+  for (const RiskMapRequest& item : request.requests) {
     service_requests.push_back({item.park_id, item.assumed_effort});
   }
   std::vector<StatusOr<std::shared_ptr<const RiskMaps>>> served =
@@ -103,246 +84,153 @@ std::string ParkServer::HandleRiskMapBatch(const std::string& payload,
   // The wire carries maps by value; per-item statuses travel unchanged.
   std::vector<StatusOr<RiskMaps>> results;
   results.reserve(served.size());
-  for (StatusOr<std::shared_ptr<const RiskMaps>>& item : served) {
+  for (const StatusOr<std::shared_ptr<const RiskMaps>>& item : served) {
     if (item.ok()) {
       results.push_back(**item);
     } else {
-      results.push_back(StatusOr<RiskMaps>(item.status()));
+      results.push_back(item.status());
     }
   }
   return EncodeRiskMapBatchPayload(results);
 }
 
-std::string ParkServer::HandleRiskTile(const std::string& payload,
-                                       Status* error) {
-  StatusOr<RiskTileRequest> request = DecodeRiskTileRequest(payload);
-  if (!request.ok()) {
-    *error = request.status();
-    return "";
-  }
-  StatusOr<std::shared_ptr<const RiskTile>> tile = service_->RiskTile(
-      request->park_id, request->tile_id, request->assumed_effort);
-  if (!tile.ok()) {
-    *error = tile.status();
-    return "";
-  }
-  return EncodeRiskTilePayload(**tile);
+StatusOr<std::string> ParkServer::HandleRiskTile(const std::string& payload) {
+  PAWS_ASSIGN_OR_RETURN(RiskTileRequest request,
+                        DecodeRiskTileRequest(payload));
+  PAWS_ASSIGN_OR_RETURN(std::shared_ptr<const RiskTile> tile,
+                        service_->RiskTile(request.park_id, request.tile_id,
+                                           request.assumed_effort));
+  return EncodeRiskTilePayload(*tile);
 }
 
-std::string ParkServer::HandleCellCurves(const std::string& payload,
-                                         Status* error) {
-  StatusOr<CellCurvesRequest> request = DecodeCellCurvesRequest(payload);
-  if (!request.ok()) {
-    *error = request.status();
-    return "";
-  }
-  StatusOr<std::shared_ptr<const EffortCurveTable>> table =
-      service_->CellCurves(request->park_id, request->cell_ids,
-                           std::move(request->effort_grid));
-  if (!table.ok()) {
-    *error = table.status();
-    return "";
-  }
-  return EncodeEffortCurveTablePayload(**table);
+StatusOr<std::string> ParkServer::HandleCellCurves(
+    const std::string& payload) {
+  PAWS_ASSIGN_OR_RETURN(CellCurvesRequest request,
+                        DecodeCellCurvesRequest(payload));
+  PAWS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const EffortCurveTable> table,
+      service_->CellCurves(request.park_id, request.cell_ids,
+                           std::move(request.effort_grid)));
+  return EncodeEffortCurveTablePayload(*table);
 }
 
-std::string ParkServer::HandlePlanForPost(const std::string& payload,
-                                          Status* error) {
-  StatusOr<PlanForPostRequest> request = DecodePlanForPostRequest(payload);
-  if (!request.ok()) {
-    *error = request.status();
-    return "";
-  }
-  StatusOr<PatrolPlan> plan = service_->PlanForPost(
-      request->park_id, request->post_index, request->config, request->robust);
-  if (!plan.ok()) {
-    *error = plan.status();
-    return "";
-  }
-  return EncodePatrolPlanPayload(*plan);
+StatusOr<std::string> ParkServer::HandlePlanForPost(
+    const std::string& payload) {
+  PAWS_ASSIGN_OR_RETURN(PlanForPostRequest request,
+                        DecodePlanForPostRequest(payload));
+  PAWS_ASSIGN_OR_RETURN(
+      PatrolPlan plan,
+      service_->PlanForPost(request.park_id, request.post_index,
+                            request.config, request.robust));
+  return EncodePatrolPlanPayload(plan);
 }
 
-std::string ParkServer::HandleSwapSnapshot(const std::string& payload,
-                                           Status* error) {
-  StatusOr<SwapSnapshotRequest> request = DecodeSwapSnapshotRequest(payload);
-  if (!request.ok()) {
-    *error = request.status();
-    return "";
-  }
-  StatusOr<ModelSnapshot> snapshot =
-      ModelSnapshot::FromBytes(request->snapshot_bytes);
-  if (!snapshot.ok()) {
-    *error = snapshot.status();
-    return "";
-  }
-  Status swapped =
-      service_->SwapSnapshot(request->park_id, std::move(*snapshot));
-  if (swapped.code() == StatusCode::kNotFound) {
-    // Upsert: the park is new to this daemon — register it. The swap
-    // consumed nothing on NotFound (registry lookup precedes any move), so
-    // decode again rather than guess at moved-from state.
-    StatusOr<ModelSnapshot> fresh =
-        ModelSnapshot::FromBytes(request->snapshot_bytes);
-    if (!fresh.ok()) {
-      *error = fresh.status();
-      return "";
-    }
-    swapped = service_->Register(request->park_id, std::move(*fresh));
-  }
-  if (!swapped.ok()) {
-    *error = swapped;
-    return "";
-  }
-  return "";
+StatusOr<std::string> ParkServer::HandleSwapSnapshot(
+    const std::string& payload) {
+  PAWS_ASSIGN_OR_RETURN(SwapSnapshotRequest request,
+                        DecodeSwapSnapshotRequest(payload));
+  PAWS_RETURN_IF_ERROR(Install(request.park_id, request.snapshot_bytes));
+  return std::string();
 }
 
-std::string ParkServer::HandleStats(const std::string& payload,
-                                    Status* error) {
-  StatusOr<StatsRequest> request = DecodeStatsRequest(payload);
-  if (!request.ok()) {
-    *error = request.status();
-    return "";
-  }
+Status ParkServer::Install(const std::string& park_id,
+                           const std::string& snapshot_bytes) {
+  PAWS_ASSIGN_OR_RETURN(ModelSnapshot snapshot,
+                        ModelSnapshot::FromBytes(snapshot_bytes));
+  Status swapped = service_->SwapSnapshot(park_id, std::move(snapshot));
+  if (swapped.code() != StatusCode::kNotFound) return swapped;
+  // Upsert: the park is new to this daemon — register it. The swap
+  // consumed nothing on NotFound (registry lookup precedes any move), so
+  // decode again rather than guess at moved-from state.
+  PAWS_ASSIGN_OR_RETURN(ModelSnapshot fresh,
+                        ModelSnapshot::FromBytes(snapshot_bytes));
+  return service_->Register(park_id, std::move(fresh));
+}
 
-  ServerStatsReport report;
+StatusOr<std::string> ParkServer::HandleStats(const std::string& payload) {
+  PAWS_ASSIGN_OR_RETURN(StatsRequest request, DecodeStatsRequest(payload));
   const FrameServer::Stats net = server_.stats();
-  report.accepted_connections = net.accepted_connections;
-  report.rejected_connections = net.rejected_connections;
-  report.active_connections = net.active_connections;
-  report.frames_in = net.frames_in;
-  report.frames_out = net.frames_out;
-  report.protocol_errors = net.protocol_errors;
-  report.deadline_expired = net.deadline_expired;
-
+  ServerStatsReport report{net.accepted_connections, net.rejected_connections,
+                           net.active_connections,   net.frames_in,
+                           net.frames_out,           net.protocol_errors,
+                           net.deadline_expired,     {}};
   std::vector<std::string> park_ids;
-  if (request->park_id.empty()) {
+  if (request.park_id.empty()) {
     park_ids = service_->park_ids();
   } else {
-    park_ids.push_back(request->park_id);
+    park_ids.push_back(request.park_id);
   }
   for (const std::string& park_id : park_ids) {
-    StatusOr<ParkService::CacheStats> risk =
-        service_->RiskCacheStats(park_id);
-    StatusOr<ParkService::CacheStats> curve =
-        service_->CurveCacheStats(park_id);
-    if (!risk.ok()) {
-      *error = risk.status();
-      return "";
-    }
-    if (!curve.ok()) {
-      *error = curve.status();
-      return "";
-    }
-    StatusOr<ParkService::TileStats> tile = service_->RiskTileStats(park_id);
-    if (!tile.ok()) {
-      *error = tile.status();
-      return "";
-    }
-    StatusOr<std::string> backend = service_->ScoringBackendName(park_id);
-    if (!backend.ok()) {
-      *error = backend.status();
-      return "";
-    }
-    ServerStatsReport::ParkStats park;
-    park.park_id = park_id;
-    park.risk_hits = risk->hits;
-    park.risk_misses = risk->misses;
-    park.curve_hits = curve->hits;
-    park.curve_misses = curve->misses;
-    park.tile_hits = tile->hits;
-    park.tile_misses = tile->misses;
-    park.tile_pool_resident_tiles = tile->pool.resident_tiles;
-    park.tile_pool_resident_bytes = tile->pool.resident_bytes;
-    park.tile_pool_hits = tile->pool.hits;
-    park.tile_pool_misses = tile->pool.misses;
-    park.tile_pool_evictions = tile->pool.evictions;
-    park.scoring_backend = std::move(backend).value();
-    report.parks.push_back(std::move(park));
+    PAWS_ASSIGN_OR_RETURN(ParkService::CacheStats risk,
+                          service_->RiskCacheStats(park_id));
+    PAWS_ASSIGN_OR_RETURN(ParkService::CacheStats curve,
+                          service_->CurveCacheStats(park_id));
+    PAWS_ASSIGN_OR_RETURN(ParkService::TileStats tile,
+                          service_->RiskTileStats(park_id));
+    PAWS_ASSIGN_OR_RETURN(std::string backend,
+                          service_->ScoringBackendName(park_id));
+    report.parks.push_back({park_id, risk.hits, risk.misses, curve.hits,
+                            curve.misses, tile.hits, tile.misses,
+                            tile.pool.resident_tiles,
+                            tile.pool.resident_bytes, tile.pool.hits,
+                            tile.pool.misses, tile.pool.evictions,
+                            std::move(backend)});
   }
   return EncodeStatsReportPayload(report);
 }
 
-std::string ParkServer::HandleMapVersion(const std::string& payload,
-                                         Status* error) {
-  StatusOr<MapVersionRequest> request = DecodeMapVersionRequest(payload);
-  if (!request.ok()) {
-    *error = request.status();
-    return "";
-  }
+StatusOr<std::string> ParkServer::HandleMapVersion(
+    const std::string& payload) {
+  PAWS_ASSIGN_OR_RETURN(MapVersionRequest request,
+                        DecodeMapVersionRequest(payload));
   MapVersionResponse response;
   std::lock_guard<std::mutex> lock(fleet_mu_);
   response.version = fleet_map_version_;
   // The map travels only when the caller is behind: the handshake is a
   // cheap per-connection heartbeat, and routers that are current must not
   // pay the artifact's bytes on every probe.
-  if (fleet_map_version_ > request->known_version) {
+  if (fleet_map_version_ > request.known_version) {
     response.has_map = true;
     response.map_bytes = fleet_map_bytes_;
   }
   return EncodeMapVersionResponse(response);
 }
 
-std::string ParkServer::HandleSwapFleetMap(const std::string& payload,
-                                           Status* error) {
-  StatusOr<SwapFleetMapRequest> request = DecodeSwapFleetMapRequest(payload);
-  if (!request.ok()) {
-    *error = request.status();
-    return "";
-  }
-  StatusOr<FleetMap> map = FleetMap::FromBytes(request->map_bytes);
-  if (!map.ok()) {
-    *error = map.status();
-    return "";
-  }
+StatusOr<std::string> ParkServer::HandleSwapFleetMap(
+    const std::string& payload) {
+  PAWS_ASSIGN_OR_RETURN(SwapFleetMapRequest request,
+                        DecodeSwapFleetMapRequest(payload));
+  PAWS_ASSIGN_OR_RETURN(FleetMap map, FleetMap::FromBytes(request.map_bytes));
   std::lock_guard<std::mutex> lock(fleet_mu_);
-  if (map->version() <= fleet_map_version_ && fleet_map_version_ != 0) {
-    *error = Status::FailedPrecondition(
-        "fleet map version " + std::to_string(map->version()) +
+  if (map.version() <= fleet_map_version_ && fleet_map_version_ != 0) {
+    return Status::FailedPrecondition(
+        "fleet map version " + std::to_string(map.version()) +
         " does not advance stored version " +
         std::to_string(fleet_map_version_));
-    return "";
   }
-  fleet_map_version_ = map->version();
-  fleet_map_bytes_ = request->map_bytes;
-  return "";
+  fleet_map_version_ = map.version();
+  fleet_map_bytes_ = std::move(request.map_bytes);
+  return std::string();
 }
 
-std::string ParkServer::HandleGetSnapshot(const std::string& payload,
-                                          Status* error) {
-  StatusOr<GetSnapshotRequest> request = DecodeGetSnapshotRequest(payload);
-  if (!request.ok()) {
-    *error = request.status();
-    return "";
-  }
-  StatusOr<std::string> bytes = service_->SnapshotBytes(request->park_id);
-  if (!bytes.ok()) {
-    *error = bytes.status();
-    return "";
-  }
-  GetSnapshotResponse response;
-  response.snapshot_bytes = std::move(bytes).value();
-  return EncodeGetSnapshotResponse(response);
+StatusOr<std::string> ParkServer::HandleGetSnapshot(
+    const std::string& payload) {
+  PAWS_ASSIGN_OR_RETURN(GetSnapshotRequest request,
+                        DecodeGetSnapshotRequest(payload));
+  PAWS_ASSIGN_OR_RETURN(std::string bytes,
+                        service_->SnapshotBytes(request.park_id));
+  return EncodeGetSnapshotResponse({std::move(bytes)});
 }
 
-std::string ParkServer::HandleRepair(const std::string& payload,
-                                     Status* error) {
-  StatusOr<RepairRequest> request = DecodeRepairRequest(payload);
-  if (!request.ok()) {
-    *error = request.status();
-    return "";
-  }
+StatusOr<std::string> ParkServer::HandleRepair(const std::string& payload) {
+  PAWS_ASSIGN_OR_RETURN(RepairRequest request, DecodeRepairRequest(payload));
 
   // Verify before pulling: if the locally served artifact round-trips
   // through the archive layer, the daemon is healthy and the nudge is a
   // no-op ("verified").
-  StatusOr<std::string> local = service_->SnapshotBytes(request->park_id);
-  if (local.ok()) {
-    StatusOr<ModelSnapshot> decoded = ModelSnapshot::FromBytes(*local);
-    if (decoded.ok()) {
-      RepairResponse response;
-      response.action = "verified";
-      return EncodeRepairResponse(response);
-    }
+  StatusOr<std::string> local = service_->SnapshotBytes(request.park_id);
+  if (local.ok() && ModelSnapshot::FromBytes(*local).ok()) {
+    return EncodeRepairResponse({"verified"});
   }
 
   // The park is missing or its artifact is damaged: re-pull from the
@@ -352,9 +240,9 @@ std::string ParkServer::HandleRepair(const std::string& payload,
     std::lock_guard<std::mutex> lock(fleet_mu_);
     pull_options = repair_client_options_;
   }
-  Status last = Status::Internal("repair of '" + request->park_id +
+  Status last = Status::Internal("repair of '" + request.park_id +
                                  "': no sources listed");
-  for (const std::string& source : request->sources) {
+  for (const std::string& source : request.sources) {
     const size_t colon = source.rfind(':');
     if (colon == std::string::npos) {
       last = Status::InvalidArgument("bad repair source '" + source + "'");
@@ -367,41 +255,13 @@ std::string ParkServer::HandleRepair(const std::string& payload,
       continue;  // never pull from ourselves — that is the damaged copy
     }
     ParkClient peer(pull_options);
-    Status connected = peer.Connect(host, port);
-    if (!connected.ok()) {
-      last = connected;
-      continue;
-    }
-    StatusOr<std::string> pulled = peer.GetSnapshot(request->park_id);
-    if (!pulled.ok()) {
-      last = pulled.status();
-      continue;
-    }
-    StatusOr<ModelSnapshot> snapshot = ModelSnapshot::FromBytes(*pulled);
-    if (!snapshot.ok()) {
-      last = snapshot.status();
-      continue;
-    }
-    Status swapped =
-        service_->SwapSnapshot(request->park_id, std::move(*snapshot));
-    if (swapped.code() == StatusCode::kNotFound) {
-      StatusOr<ModelSnapshot> fresh = ModelSnapshot::FromBytes(*pulled);
-      if (!fresh.ok()) {
-        last = fresh.status();
-        continue;
-      }
-      swapped = service_->Register(request->park_id, std::move(*fresh));
-    }
-    if (!swapped.ok()) {
-      last = swapped;
-      continue;
-    }
-    RepairResponse response;
-    response.action = "repaired";
-    return EncodeRepairResponse(response);
+    last = peer.Connect(host, port);
+    if (!last.ok()) continue;
+    StatusOr<std::string> pulled = peer.GetSnapshot(request.park_id);
+    last = pulled.ok() ? Install(request.park_id, *pulled) : pulled.status();
+    if (last.ok()) return EncodeRepairResponse({"repaired"});
   }
-  *error = last;
-  return "";
+  return last;
 }
 
 }  // namespace paws

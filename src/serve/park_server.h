@@ -61,17 +61,24 @@ class ParkServer {
   Frame Handle(const Frame& request);
 
  private:
-  std::string HandleRiskMap(const std::string& payload, Status* error);
-  std::string HandleRiskMapBatch(const std::string& payload, Status* error);
-  std::string HandleRiskTile(const std::string& payload, Status* error);
-  std::string HandleCellCurves(const std::string& payload, Status* error);
-  std::string HandlePlanForPost(const std::string& payload, Status* error);
-  std::string HandleSwapSnapshot(const std::string& payload, Status* error);
-  std::string HandleStats(const std::string& payload, Status* error);
-  std::string HandleMapVersion(const std::string& payload, Status* error);
-  std::string HandleSwapFleetMap(const std::string& payload, Status* error);
-  std::string HandleGetSnapshot(const std::string& payload, Status* error);
-  std::string HandleRepair(const std::string& payload, Status* error);
+  /// Decodes, serves and encodes one request; an error becomes the
+  /// response's status frame.
+  StatusOr<std::string> Dispatch(const Frame& request);
+  StatusOr<std::string> HandleRiskMap(const std::string& payload);
+  StatusOr<std::string> HandleRiskMapBatch(const std::string& payload);
+  StatusOr<std::string> HandleRiskTile(const std::string& payload);
+  StatusOr<std::string> HandleCellCurves(const std::string& payload);
+  StatusOr<std::string> HandlePlanForPost(const std::string& payload);
+  StatusOr<std::string> HandleSwapSnapshot(const std::string& payload);
+  StatusOr<std::string> HandleStats(const std::string& payload);
+  StatusOr<std::string> HandleMapVersion(const std::string& payload);
+  StatusOr<std::string> HandleSwapFleetMap(const std::string& payload);
+  StatusOr<std::string> HandleGetSnapshot(const std::string& payload);
+  StatusOr<std::string> HandleRepair(const std::string& payload);
+  /// Serves `snapshot_bytes` for `park_id`: swaps the park's model, or
+  /// registers the park when it is new here (SwapSnapshot is an upsert).
+  Status Install(const std::string& park_id,
+                 const std::string& snapshot_bytes);
 
   ParkService* service_;
   FrameServer server_;

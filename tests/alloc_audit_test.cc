@@ -2,7 +2,8 @@
 // ParkService::RiskTile hit — the request the tile LRU exists to make
 // cheap — performs ZERO heap allocations on the calling thread, and that
 // a steady-state miss (scratch buffers already warmed) allocates the same
-// bounded count every time instead of drifting.
+// bounded count every time instead of drifting. The wire decoders are
+// audited too: a hostile element count may not size an allocation.
 //
 // The audit instruments the global allocator: this TU replaces the
 // replaceable global operator new/delete family with malloc-backed
@@ -21,22 +22,31 @@
 #include "gtest/gtest.h"
 #include "core/pipeline.h"
 #include "core/snapshot.h"
+#include "net/wire.h"
 #include "serve/park_service.h"
+#include "util/archive.h"
 
 namespace {
 
 thread_local bool t_counting = false;
 thread_local std::uint64_t t_allocs = 0;
+thread_local std::size_t t_largest = 0;
+
+void Record(std::size_t size) {
+  if (!t_counting) return;
+  ++t_allocs;
+  if (size > t_largest) t_largest = size;
+}
 
 void* CountedAlloc(std::size_t size) {
-  if (t_counting) ++t_allocs;
+  Record(size);
   void* ptr = std::malloc(size ? size : 1);
   if (ptr == nullptr) throw std::bad_alloc();
   return ptr;
 }
 
 void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
-  if (t_counting) ++t_allocs;
+  Record(size);
   void* ptr = nullptr;
   if (align < sizeof(void*)) align = sizeof(void*);
   if (posix_memalign(&ptr, align, size ? size : align) != 0) {
@@ -50,11 +60,11 @@ void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
 void* operator new(std::size_t size) { return CountedAlloc(size); }
 void* operator new[](std::size_t size) { return CountedAlloc(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  if (t_counting) ++t_allocs;
+  Record(size);
   return std::malloc(size ? size : 1);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  if (t_counting) ++t_allocs;
+  Record(size);
   return std::malloc(size ? size : 1);
 }
 void* operator new(std::size_t size, std::align_val_t align) {
@@ -95,6 +105,16 @@ std::uint64_t CountAllocations(Fn&& fn) {
   fn();
   t_counting = false;
   return t_allocs;
+}
+
+// The largest single allocation `fn` makes on this thread.
+template <typename Fn>
+std::size_t LargestAllocation(Fn&& fn) {
+  t_largest = 0;
+  t_counting = true;
+  fn();
+  t_counting = false;
+  return t_largest;
 }
 
 class AllocAuditTest : public ::testing::Test {
@@ -186,6 +206,67 @@ TEST_F(AllocAuditTest, SteadyStateMissAllocationCountIsFlat) {
   }
   // A miss does real work; the audit itself is live if this is non-zero.
   EXPECT_GT(counts[0], 0u);
+}
+
+// A CRC-valid `tag` section: the fields `prefix` writes, then an element
+// count, then `body` bytes of 0xff, on which the first element fails to
+// parse (a string length or an ok flag no payload can satisfy).
+std::string HostileArchive(uint32_t tag, void (*prefix)(ArchiveWriter*),
+                           uint64_t count, size_t body) {
+  ArchiveWriter writer;
+  writer.BeginSection(tag);
+  prefix(&writer);
+  writer.WriteU64(count);
+  for (size_t i = 0; i < body; ++i) writer.WriteU8(0xff);
+  writer.EndSection();
+  return writer.Bytes();
+}
+
+// The decoders refuse a count the bytes cannot hold, but a count they can
+// hold is still unproven until its elements parse: reserving from it let
+// one 64 MiB response ask a client for gigabytes. Each archive claims the
+// most elements its count bound admits (16, 1, 8 and 96 bytes per element,
+// in the order below) and breaks on the first.
+TEST(WireDecodeAllocAuditTest, HostileCountsAllocateAtMostTwiceThePayload) {
+  constexpr size_t kBody = 64 << 10;
+  const auto none = [](ArchiveWriter*) {};
+  struct Case {
+    const char* tag;
+    std::string payload;
+    Status (*decode)(const std::string&);
+  };
+  const Case cases[] = {
+      {"RQRB", HostileArchive(FourCc("RQRB"), none, kBody / 16, kBody),
+       [](const std::string& p) {
+         return DecodeRiskMapBatchRequest(p).status();
+       }},
+      {"RSRB", HostileArchive(FourCc("RSRB"), none, kBody, kBody),
+       [](const std::string& p) {
+         return DecodeRiskMapBatchPayload(p).status();
+       }},
+      {"RQRP",
+       HostileArchive(
+           FourCc("RQRP"), [](ArchiveWriter* w) { w->WriteString("pk"); },
+           kBody / 8, kBody),
+       [](const std::string& p) { return DecodeRepairRequest(p).status(); }},
+      {"RSST",
+       HostileArchive(
+           FourCc("RSST"),
+           [](ArchiveWriter* w) {
+             for (int i = 0; i < 7; ++i) w->WriteU64(i);
+           },
+           kBody / 96, kBody),
+       [](const std::string& p) {
+         return DecodeStatsReportPayload(p).status();
+       }},
+  };
+  for (const Case& c : cases) {
+    Status decoded;
+    const std::size_t largest =
+        LargestAllocation([&] { decoded = c.decode(c.payload); });
+    EXPECT_EQ(decoded.code(), StatusCode::kInvalidArgument) << c.tag;
+    EXPECT_LE(largest, 2 * c.payload.size()) << c.tag;
+  }
 }
 
 }  // namespace

@@ -330,6 +330,44 @@ TEST_F(ParkServerTest, OversizedLengthPrefixClosesTheConnection) {
   EXPECT_EQ(server_->net_stats().protocol_errors, 1u);
 }
 
+TEST_F(ParkServerTest, OversizedResponseIsAnsweredNotFramed) {
+  ParkService service;
+  ASSERT_TRUE(service.Register("p", MakeSnapshot()).ok());
+  const auto direct = service.RiskMap("p", 1.0);
+  ASSERT_TRUE(direct.ok());
+  const size_t map_bytes = EncodeRiskMapsPayload(**direct).size();
+  // Both sides capped below the map response, far above every other
+  // frame this test exchanges.
+  const size_t cap = map_bytes / 2;
+  FrameServerOptions options;
+  options.max_frame_bytes = cap;
+  StartServer(&service, options);
+  ClientOptions client_options = FastClient();
+  client_options.max_frame_bytes = cap;
+  ParkClient client(client_options);
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+
+  // The server answers with a status frame naming both sizes instead of
+  // sending a frame the client must treat as a broken stream.
+  const auto map = client.RiskMap("p", 1.0);
+  ASSERT_FALSE(map.ok());
+  EXPECT_EQ(map.status().code(), StatusCode::kResourceExhausted)
+      << map.status();
+  EXPECT_FALSE(client.last_error_was_transport());
+  EXPECT_NE(map.status().message().find(std::to_string(map_bytes)),
+            std::string::npos)
+      << map.status();
+  EXPECT_NE(map.status().message().find(std::to_string(cap)),
+            std::string::npos)
+      << map.status();
+
+  // The same connection then answers the next request.
+  const auto stats = client.Stats("p");
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(server_->net_stats().accepted_connections, 1u);
+  EXPECT_EQ(server_->net_stats().protocol_errors, 0u);
+}
+
 TEST_F(ParkServerTest, UnknownOpcodeAndBadPayloadGetStatusFramesNotCloses) {
   ParkService service;
   ASSERT_TRUE(service.Register("p", MakeSnapshot()).ok());

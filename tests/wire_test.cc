@@ -536,5 +536,206 @@ TEST(WireCodecTest, FleetDecodersRejectHostileCountsAndTruncation) {
   }
 }
 
+// An error item must carry an error: one carrying OK would decode to a
+// StatusOr that claims a value it does not hold.
+TEST(WireCodecTest, BatchPayloadRejectsAnErrorItemCarryingOk) {
+  ArchiveWriter hostile;
+  hostile.BeginSection(FourCc("RSRB"));
+  hostile.WriteU64(1);
+  hostile.WriteBool(false);
+  hostile.WriteU32(WireCodeFromStatus(StatusCode::kOk));
+  hostile.WriteString("");
+  hostile.EndSection();
+  const auto got = DecodeRiskMapBatchPayload(hostile.Bytes());
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Golden bytes. Round-trip tests cannot see a format change when encode and
+// decode derive from one description, so every payload shape is pinned to
+// the exact bytes it encoded to when the table was recorded.
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xf]);
+  }
+  return out;
+}
+
+// FNV-1a, 64-bit: a compact fingerprint for payloads too long to pin as hex.
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+RiskMaps GoldenMaps() {
+  RiskMaps maps;
+  maps.risk = {0.25, 0.5};
+  maps.variance = {0.0625, 0.125};
+  maps.assumed_effort = 2.0;
+  return maps;
+}
+
+struct GoldenPayload {
+  const char* shape;
+  std::string bytes;
+  size_t size;
+  uint64_t fnv1a64;
+};
+
+TEST(WireGoldenTest, EveryPayloadShapeEncodesToItsRecordedBytes) {
+  PlanForPostRequest plan_request;
+  plan_request.park_id = "sws";
+  plan_request.post_index = 3;
+  plan_request.config.horizon = 7;
+  plan_request.config.num_patrols = 2;
+  plan_request.config.pwl_segments = 5;
+  plan_request.config.max_cell_effort = 1.25;
+  plan_request.config.milp.max_nodes = 777;
+  plan_request.config.milp.absolute_gap_tolerance = 1e-7;
+  plan_request.config.milp.integrality_tolerance = 1e-8;
+  plan_request.config.milp.use_rounding_heuristic = false;
+  plan_request.config.milp.simplex.max_iterations = 12345;
+  plan_request.config.milp.simplex.feasibility_tolerance = 2e-9;
+  plan_request.config.milp.simplex.optimality_tolerance = 3e-9;
+  plan_request.robust.beta = 0.75;
+  plan_request.robust.squash_scale = 0.4;
+
+  RiskTile tile;
+  tile.tile_id = 7;
+  tile.cell_ids = {12, 13, 40, 41};
+  tile.risk = {0.25, 1.0 / 3.0, 0.0, 1.0};
+  tile.variance = {0.0, 1e-9, 0.125, 2.0 / 7.0};
+  tile.assumed_effort = 1.5;
+
+  EffortCurveTable curves;
+  curves.effort_grid = {0.0, 1.0, 2.0};
+  curves.qualified_count = {1, 2, 2};
+  curves.num_cells = 2;
+  curves.prob = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
+  curves.variance = {0.01, 0.02, 0.03, 0.04, 0.05, 0.06};
+
+  PatrolPlan plan;
+  plan.coverage = {0.0, 1.5, 0.25};
+  plan.objective = 3.14159;
+  plan.proven_optimal = true;
+  plan.mip_gap = 1e-6;
+  plan.simplex_iterations = 4242;
+  plan.nodes_explored = 17;
+
+  ServerStatsReport report{10, 2, 3, 100, 99, 1, 4, {}};
+  report.parks = {{"a", 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+                   "compiled-dtb-avx2"},
+                  {"b", 0, 1, 0, 2, 3, 4, 5, 6, 7, 8, 9, "reference"}};
+
+  const std::vector<StatusOr<RiskMaps>> batch = {
+      GoldenMaps(), Status::NotFound("unknown park id 'ghost'")};
+
+  const std::vector<GoldenPayload> golden = {
+      {"STAT", EncodeStatusPayload(Status::NotFound("park 'mfnp'")), 47,
+       0x12bd4726aad6a9f3ull},
+      {"RQRM", EncodeRiskMapRequest({"mfnp", 0.1 + 0.2}), 44,
+       0xd97cdc578ec99326ull},
+      {"RQRB", EncodeRiskMapBatchRequest({{{"a", 1.0}, {"b", 2.5}}}), 66,
+       0x9537c11034e7a591ull},
+      {"RQRT", EncodeRiskTileRequest({"mega", 3481, 1.5}), 48,
+       0xcb900969fee5f35bull},
+      {"RQCC",
+       EncodeCellCurvesRequest({"qenp", {0, 7, 42}, {0.0, 0.5, 1.0, 2.0}}),
+       96, 0x900fe2639a4eb30bull},
+      {"RQPP", EncodePlanForPostRequest(plan_request), 120,
+       0xf681793bbaaa3ec4ull},
+      {"RQSS",
+       EncodeSwapSnapshotRequest({"p", std::string("\x00\x01 snap\xff", 8)}),
+       49, 0x6af748a2c8c6b835ull},
+      {"RQST", EncodeStatsRequest({"sws"}), 35, 0xb668000048ab517aull},
+      {"RQMV", EncodeMapVersionRequest({77}), 32, 0xbdf3c911209bb2d0ull},
+      {"RSMV", EncodeMapVersionResponse({9, true, "map"}), 44,
+       0x92ac0d783b68244bull},
+      {"RQFM", EncodeSwapFleetMapRequest({"map artifact"}), 44,
+       0xe42fccaec3783a38ull},
+      {"RQGS", EncodeGetSnapshotRequest({"pk-3"}), 36, 0xc3e4664df6e6749eull},
+      {"RSGS", EncodeGetSnapshotResponse({std::string("\x00\x7f\x80", 3)}),
+       35, 0x37df416f60cb68b9ull},
+      {"RQRP",
+       EncodeRepairRequest({"pk-5", {"10.0.0.1:9000", "10.0.0.2:9000"}}), 86,
+       0x24d55702bb5f018eull},
+      {"RSRP", EncodeRepairResponse({"repaired"}), 40, 0xc9d64fe8cfe4686full},
+      {"RISK", EncodeRiskMapsPayload(GoldenMaps()), 84, 0x9acfdc0b51858aaeull},
+      {"RSRB", EncodeRiskMapBatchPayload(batch), 141, 0xc309bc262dc3d730ull},
+      {"RTIL", EncodeRiskTilePayload(tile), 144, 0x8418bfff814558aeull},
+      {"curves", EncodeEffortCurveTablePayload(curves), 196,
+       0xc0f2b28886a66b43ull},
+      {"plan", EncodePatrolPlanPayload(plan), 89, 0xe444299ed65a962aull},
+      {"RSST", EncodeStatsReportPayload(report), 324, 0x328691de02a45450ull},
+  };
+  ASSERT_EQ(golden.size(), 21u);
+  for (const GoldenPayload& want : golden) {
+    EXPECT_EQ(want.bytes.size(), want.size) << want.shape;
+    EXPECT_EQ(Fnv1a64(want.bytes), want.fnv1a64)
+        << want.shape << ": 0x" << std::hex << Fnv1a64(want.bytes);
+  }
+}
+
+// The wire error codes of docs/WIRE_PROTOCOL.md's table, by wire value.
+TEST(WireGoldenTest, WireCodesMatchTheProtocolDocument) {
+  const StatusCode documented[] = {
+      StatusCode::kOk,         StatusCode::kInvalidArgument,
+      StatusCode::kFailedPrecondition, StatusCode::kNotFound,
+      StatusCode::kOutOfRange, StatusCode::kInternal,
+      StatusCode::kUnimplemented, StatusCode::kResourceExhausted,
+      StatusCode::kInfeasible, StatusCode::kUnbounded};
+  for (uint32_t wire = 0; wire < 10; ++wire) {
+    EXPECT_EQ(WireCodeFromStatus(documented[wire]), wire);
+    EXPECT_EQ(StatusCodeFromWire(wire), documented[wire]);
+  }
+}
+
+// The three frames printed in docs/WIRE_PROTOCOL.md's worked example,
+// byte for byte.
+TEST(WireGoldenTest, WorkedExampleFramesMatchTheProtocolDocument) {
+  const std::string request = EncodeFrame(
+      MakeFrame(7, Opcode::kRiskMap, EncodeRiskMapRequest({"mfnp", 2.0})));
+  EXPECT_EQ(Hex(request),
+            "504e4554010000000700000000000000"
+            "010000002c0000000000000050415753"
+            "010000005251524d1400000000000000"
+            "04000000000000006d666e7000000000"
+            "0000004069000149");
+  EXPECT_EQ(request.size(), 72u);
+
+  const std::string ok = EncodeFrame(
+      MakeFrame(7, Opcode::kOkResponse, EncodeRiskMapsPayload(GoldenMaps())));
+  EXPECT_EQ(Hex(ok),
+            "504e4554010000000700000000000000"
+            "64000000540000000000000050415753"
+            "010000005249534b3c00000000000000"
+            "01000000020000000000000000000000"
+            "0000d03f000000000000e03f02000000"
+            "00000000000000000000b03f00000000"
+            "0000c03f0000000000000040c430f3ca");
+  EXPECT_EQ(ok.size(), 112u);
+
+  const std::string status = EncodeFrame(MakeFrame(
+      8, Opcode::kStatusResponse,
+      EncodeStatusPayload(Status::NotFound("unknown park id 'ghost'"))));
+  EXPECT_EQ(Hex(status),
+            "504e4554010000000800000000000000"
+            "650000003b0000000000000050415753"
+            "01000000535441542300000000000000"
+            "030000001700000000000000756e6b6e"
+            "6f776e207061726b206964202767686f"
+            "737427bc0313d4");
+  EXPECT_EQ(status.size(), 87u);
+}
+
 }  // namespace
 }  // namespace paws
