@@ -11,8 +11,10 @@ Four checks, all stdlib-only:
    `enum class StatusCode` (src/util/status.h) must appear in it by
    exact name (e.g. `kRiskMap`, `kNotFound`), and so must every
    `FourCc("....")` section tag in src/net/wire.{h,cc} (e.g. `RQRM`).
-   Adding an opcode, a status code or a payload section without
-   documenting it fails CI.
+   Every other `FourCc("....")` tag under src/ (archive sections such as
+   `SNAP` or `FMAP`) must appear in README.md or a docs/*.md file.
+   Adding an opcode, a status code, a payload section or an archive
+   section without documenting it fails CI.
 3. Backend drift guard: docs/ARCHITECTURE.md documents the scoring
    backends and their SIMD dispatch tiers, so every name in
    `kScoringBackendNames` (src/ml/scoring_backend.h) must appear in it
@@ -106,14 +108,28 @@ def check_wire_doc():
                     f"({header}) is undocumented"
                 )
     for source in ("src/net/wire.h", "src/net/wire.cc"):
-        text = (REPO / source).read_text(encoding="utf-8")
-        for tag in sorted(set(re.findall(r'FourCc\("(.{4})"\)', text))):
+        for tag in fourcc_tags(source):
             if re.search(r"\b" + re.escape(tag) + r"\b", doc) is None:
                 problems.append(
                     f"docs/WIRE_PROTOCOL.md: section tag `{tag}` "
                     f"({source}) is undocumented"
                 )
+    docs = "\n".join(md.read_text(encoding="utf-8") for md in markdown_files())
+    for source in sorted((REPO / "src").rglob("*.[hc]*")):
+        rel = source.relative_to(REPO).as_posix()
+        for tag in fourcc_tags(rel):
+            if re.search(r"\b" + re.escape(tag) + r"\b", docs) is None:
+                problems.append(
+                    f"README.md, docs/*.md: section tag `{tag}` ({rel}) "
+                    f"is undocumented"
+                )
     return problems
+
+
+def fourcc_tags(source):
+    """Return the FourCc("....") tags one source file names."""
+    text = (REPO / source).read_text(encoding="utf-8")
+    return sorted(set(re.findall(r'FourCc\("(.{4})"\)', text)))
 
 
 def scoring_backend_names():
@@ -200,7 +216,7 @@ def main():
     n_files = len(markdown_files())
     print(f"docs OK: {n_files} markdown files, links resolve, "
           f"WIRE_PROTOCOL.md covers every opcode, status code and "
-          f"section tag, "
+          f"payload tag, the docs name every archive section tag, "
           f"ARCHITECTURE.md covers every scoring backend, "
           f"every backticked src/ and tests/ path exists.")
     return 0

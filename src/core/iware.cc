@@ -10,92 +10,11 @@
 
 namespace paws {
 
-namespace {
-
-constexpr uint32_t kIWareConfigSchemaVersion = 1;
-constexpr uint32_t kIWareSchemaVersion = 1;
-constexpr uint32_t kIWareSectionTag = FourCc("IWAR");
-
-}  // namespace
-
-void IWareConfig::Save(ArchiveWriter* ar) const {
-  ar->WriteU32(kIWareConfigSchemaVersion);
-  ar->WriteI32(num_thresholds);
-  ar->WriteBool(percentile_thresholds);
-  ar->WriteDouble(theta_min);
-  ar->WriteDouble(theta_max);
-  ar->WriteBool(optimize_weights);
-  ar->WriteI32(cv_folds);
-  ar->WriteI32(min_subset_rows);
-  ar->WriteU8(static_cast<uint8_t>(weak_learner));
-  SaveBaggingConfig(bagging, ar);
-  SaveDecisionTreeConfig(tree, ar);
-  SaveLinearSvmConfig(svm, ar);
-  SaveGaussianProcessConfig(gp, ar);
-}
-
-StatusOr<IWareConfig> IWareConfig::Load(ArchiveReader* ar) {
-  uint32_t version = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU32(&version));
-  if (version != kIWareConfigSchemaVersion) {
-    return Status::InvalidArgument("IWareConfig: unsupported schema version " +
-                                   std::to_string(version));
-  }
-  IWareConfig config;
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&config.num_thresholds));
-  PAWS_RETURN_IF_ERROR(ar->ReadBool(&config.percentile_thresholds));
-  PAWS_RETURN_IF_ERROR(ar->ReadDouble(&config.theta_min));
-  PAWS_RETURN_IF_ERROR(ar->ReadDouble(&config.theta_max));
-  PAWS_RETURN_IF_ERROR(ar->ReadBool(&config.optimize_weights));
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&config.cv_folds));
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&config.min_subset_rows));
-  uint8_t kind = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU8(&kind));
-  if (kind > static_cast<uint8_t>(WeakLearnerKind::kGaussianProcessBagging)) {
-    return Status::InvalidArgument("IWareConfig: unknown weak-learner kind " +
-                                   std::to_string(kind));
-  }
-  config.weak_learner = static_cast<WeakLearnerKind>(kind);
-  PAWS_ASSIGN_OR_RETURN(config.bagging, LoadBaggingConfig(ar));
-  PAWS_ASSIGN_OR_RETURN(config.tree, LoadDecisionTreeConfig(ar));
-  PAWS_ASSIGN_OR_RETURN(config.svm, LoadLinearSvmConfig(ar));
-  PAWS_ASSIGN_OR_RETURN(config.gp, LoadGaussianProcessConfig(ar));
-  return config;
-}
-
-void IWareEnsemble::Save(ArchiveWriter* ar) const {
-  ar->BeginSection(kIWareSectionTag);
-  ar->WriteU32(kIWareSchemaVersion);
-  config_.Save(ar);
-  ar->WriteBool(fitted_);
-  if (fitted_) {
-    ar->WriteDoubleVector(thresholds_);
-    ar->WriteDoubleVector(weights_);
-    ar->WriteU64(learners_.size());
-    for (const auto& learner : learners_) SaveClassifier(*learner, ar);
-  }
-  ar->EndSection();
-}
-
-StatusOr<IWareEnsemble> IWareEnsemble::Load(ArchiveReader* ar) {
-  PAWS_RETURN_IF_ERROR(ar->EnterSection(kIWareSectionTag));
-  uint32_t version = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU32(&version));
-  if (version != kIWareSchemaVersion) {
-    return Status::InvalidArgument(
-        "IWareEnsemble: unsupported schema version " +
-        std::to_string(version));
-  }
-  PAWS_ASSIGN_OR_RETURN(IWareConfig config, IWareConfig::Load(ar));
-  IWareEnsemble model(std::move(config));
-  PAWS_RETURN_IF_ERROR(ar->ReadBool(&model.fitted_));
+Status ArchiveLoaded(IWareEnsemble& model) {
   if (model.fitted_) {
-    PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&model.thresholds_));
-    PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&model.weights_));
-    uint64_t count = 0;
-    PAWS_RETURN_IF_ERROR(ar->ReadU64(&count));
+    const size_t count = model.learners_.size();
     if (count == 0 || count != model.thresholds_.size() ||
-        count != model.weights_.size() || count > ar->remaining()) {
+        count != model.weights_.size()) {
       return Status::InvalidArgument(
           "IWareEnsemble: learner/threshold/weight count mismatch");
     }
@@ -105,18 +24,18 @@ StatusOr<IWareEnsemble> IWareEnsemble::Load(ArchiveReader* ar) {
             "IWareEnsemble: thresholds not strictly increasing");
       }
     }
-    model.learners_.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      PAWS_ASSIGN_OR_RETURN(std::unique_ptr<Classifier> learner,
-                            LoadClassifier(ar));
-      model.learners_.push_back(std::move(learner));
-    }
   }
-  PAWS_RETURN_IF_ERROR(ar->LeaveSection());
   // The serving backend is derived state — re-selected here rather than
   // serialized, so the archive format predates and outlives it.
   model.RebuildScoringBackend();
-  return model;
+  return Status::OK();
+}
+
+Status IWareEnsemble::CheckRowWidth(int width) const {
+  for (const auto& learner : learners_) {
+    PAWS_RETURN_IF_ERROR(learner->CheckRowWidth(width));
+  }
+  return Status::OK();
 }
 
 void IWareEnsemble::RebuildScoringBackend() {

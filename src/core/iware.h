@@ -53,10 +53,10 @@ struct IWareConfig {
   LinearSvmConfig svm;
   GaussianProcessConfig gp;
 
-  /// Serializes every field above except `parallelism` (below), which
-  /// describes the serving host rather than the model.
-  void Save(ArchiveWriter* ar) const;
-  static StatusOr<IWareConfig> Load(ArchiveReader* ar);
+  /// Archived with a schema version of its own: every field above, but
+  /// not `parallelism` (below), which describes the serving host rather
+  /// than the model.
+  static constexpr ArchiveSection kArchiveSection{0, 1};
 
   /// Threads used by Fit (CV folds, per-threshold weak-learner training)
   /// and by the batch prediction paths (row chunks). All parallel regions
@@ -67,6 +67,15 @@ struct IWareConfig {
   /// pinned explicitly.
   ParallelismConfig parallelism;
 };
+
+template <typename Io>
+void ArchiveFields(Io& io, ArchiveRef<Io, IWareConfig> c) {
+  io(c.num_thresholds, c.percentile_thresholds, c.theta_min, c.theta_max,
+     c.optimize_weights, c.cv_folds, c.min_subset_rows,
+     ArchiveAs<uint8_t>(c.weak_learner, WeakLearnerKind::kSvmBagging,
+                        WeakLearnerKind::kGaussianProcessBagging),
+     c.bagging, c.tree, c.svm, c.gp);
+}
 
 /// Builds the bagging weak learner (SVB / DTB / GPB) described by `config`
 /// — also usable standalone as the paper's non-iWare baselines.
@@ -167,11 +176,24 @@ class IWareEnsemble {
   /// equivalence tests use this to time/compare the reference path.
   void set_compiled_serving(bool enabled);
 
-  /// Serializes config, thresholds, optimized weights and every weak
-  /// learner. A loaded ensemble predicts bit-identically to the saved one
-  /// (thread pinning resets to auto; see set_parallelism).
-  void Save(ArchiveWriter* ar) const;
-  static StatusOr<IWareEnsemble> Load(ArchiveReader* ar);
+  /// OK when every weak learner scores rows of `width` columns; otherwise
+  /// InvalidArgument naming both widths.
+  Status CheckRowWidth(int width) const;
+
+  /// Archived as an "IWAR" section: the config, then (once fitted) the
+  /// thresholds, optimized weights and every weak learner. A loaded
+  /// ensemble predicts bit-identically to the saved one (thread pinning
+  /// resets to auto; see set_parallelism).
+  static constexpr ArchiveSection kArchiveSection{FourCc("IWAR"), 1};
+  template <typename Io>
+  friend void ArchiveFields(Io& io, ArchiveRef<Io, IWareEnsemble> m) {
+    io(m.config_, m.fitted_);
+    if (!m.fitted_) return;
+    io(m.thresholds_, m.weights_);
+    // A second call, so the cap is the threshold count just read.
+    io(ArchiveGuarded(m.learners_, m.thresholds_.size()));
+  }
+  friend Status ArchiveLoaded(IWareEnsemble& model);
 
  private:
   std::vector<double> ComputeThresholds(const Dataset& data) const;

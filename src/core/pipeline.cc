@@ -112,7 +112,7 @@ Status PawsPipeline::SaveModel(const std::string& path) const {
   }
   ArchiveWriter writer;
   SaveModel(&writer);
-  return writer.WriteFile(path);
+  return WriteStringToFile(writer.Bytes(), path);
 }
 
 StatusOr<FieldTestResult> PawsPipeline::RunFieldTestTrial(

@@ -13,38 +13,13 @@ namespace {
 // only large parks are worth splitting.
 constexpr int kAssemblyGrain = 4096;
 
-constexpr uint32_t kRiskMapSchemaVersion = 1;
-constexpr uint32_t kRiskMapSectionTag = FourCc("RISK");
-constexpr uint32_t kRiskTileSectionTag = FourCc("RTIL");
-
 }  // namespace
 
-void SaveRiskMaps(const RiskMaps& maps, ArchiveWriter* ar) {
-  ar->BeginSection(kRiskMapSectionTag);
-  ar->WriteU32(kRiskMapSchemaVersion);
-  ar->WriteDoubleVector(maps.risk);
-  ar->WriteDoubleVector(maps.variance);
-  ar->WriteDouble(maps.assumed_effort);
-  ar->EndSection();
-}
-
-StatusOr<RiskMaps> LoadRiskMaps(ArchiveReader* ar) {
-  PAWS_RETURN_IF_ERROR(ar->EnterSection(kRiskMapSectionTag));
-  uint32_t version = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU32(&version));
-  if (version != kRiskMapSchemaVersion) {
-    return Status::InvalidArgument("RiskMaps: unsupported schema version " +
-                                   std::to_string(version));
-  }
-  RiskMaps maps;
-  PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&maps.risk));
-  PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&maps.variance));
-  PAWS_RETURN_IF_ERROR(ar->ReadDouble(&maps.assumed_effort));
-  PAWS_RETURN_IF_ERROR(ar->LeaveSection());
+Status ArchiveLoaded(RiskMaps& maps) {
   if (maps.risk.size() != maps.variance.size()) {
     return Status::InvalidArgument("RiskMaps: layer size mismatch");
   }
-  return maps;
+  return Status::OK();
 }
 
 RiskMaps PredictRiskMap(const IWareEnsemble& model, const Park& park,
@@ -72,37 +47,12 @@ RiskMaps PredictRiskMap(const IWareEnsemble& model, const Park& park,
   return maps;
 }
 
-void SaveRiskTile(const RiskTile& tile, ArchiveWriter* ar) {
-  ar->BeginSection(kRiskTileSectionTag);
-  ar->WriteU32(kRiskMapSchemaVersion);
-  ar->WriteI32(tile.tile_id);
-  ar->WriteIntVector(tile.cell_ids);
-  ar->WriteDoubleVector(tile.risk);
-  ar->WriteDoubleVector(tile.variance);
-  ar->WriteDouble(tile.assumed_effort);
-  ar->EndSection();
-}
-
-StatusOr<RiskTile> LoadRiskTile(ArchiveReader* ar) {
-  PAWS_RETURN_IF_ERROR(ar->EnterSection(kRiskTileSectionTag));
-  uint32_t version = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU32(&version));
-  if (version != kRiskMapSchemaVersion) {
-    return Status::InvalidArgument("RiskTile: unsupported schema version " +
-                                   std::to_string(version));
-  }
-  RiskTile tile;
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&tile.tile_id));
-  PAWS_RETURN_IF_ERROR(ar->ReadIntVector(&tile.cell_ids));
-  PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&tile.risk));
-  PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&tile.variance));
-  PAWS_RETURN_IF_ERROR(ar->ReadDouble(&tile.assumed_effort));
-  PAWS_RETURN_IF_ERROR(ar->LeaveSection());
+Status ArchiveLoaded(RiskTile& tile) {
   if (tile.risk.size() != tile.cell_ids.size() ||
       tile.variance.size() != tile.cell_ids.size()) {
     return Status::InvalidArgument("RiskTile: layer size mismatch");
   }
-  return tile;
+  return Status::OK();
 }
 
 RiskTile ScoreRiskTile(const IWareEnsemble& model,

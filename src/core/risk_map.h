@@ -22,12 +22,17 @@ struct RiskMaps {
   std::vector<double> risk;      // per dense cell id
   std::vector<double> variance;  // per dense cell id
   double assumed_effort = 0.0;
+
+  /// Archived bit-exact as a "RISK" section, so rendered maps can be
+  /// archived and re-served without the model that produced them.
+  static constexpr ArchiveSection kArchiveSection{FourCc("RISK"), 1};
 };
 
-/// Bit-exact risk-map serialization, so rendered maps can be archived and
-/// re-served without the model that produced them.
-void SaveRiskMaps(const RiskMaps& maps, ArchiveWriter* ar);
-StatusOr<RiskMaps> LoadRiskMaps(ArchiveReader* ar);
+template <typename Io>
+void ArchiveFields(Io& io, ArchiveRef<Io, RiskMaps> m) {
+  io(m.risk, m.variance, m.assumed_effort);
+}
+Status ArchiveLoaded(RiskMaps& maps);
 
 /// Predicts risk/uncertainty for every park cell at time step `t` in one
 /// batched ensemble call, assuming each cell receives `assumed_effort` km
@@ -47,11 +52,16 @@ struct RiskTile {
   std::vector<double> risk;      // per tile cell
   std::vector<double> variance;  // per tile cell
   double assumed_effort = 0.0;
+
+  /// Archived bit-exact as an "RTIL" section — the kRiskTile wire body.
+  static constexpr ArchiveSection kArchiveSection{FourCc("RTIL"), 1};
 };
 
-/// Bit-exact tile serialization ("RTIL" section) — the kRiskTile wire body.
-void SaveRiskTile(const RiskTile& tile, ArchiveWriter* ar);
-StatusOr<RiskTile> LoadRiskTile(ArchiveReader* ar);
+template <typename Io>
+void ArchiveFields(Io& io, ArchiveRef<Io, RiskTile> t) {
+  io(t.tile_id, t.cell_ids, t.risk, t.variance, t.assumed_effort);
+}
+Status ArchiveLoaded(RiskTile& tile);
 
 /// Scores one materialized tile through the model. Per-row scoring is
 /// batch-composition independent (the thread-count and SIMD bit-identity

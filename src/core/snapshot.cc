@@ -9,8 +9,24 @@ namespace paws {
 
 namespace {
 
-constexpr uint32_t kSnapshotSchemaVersion = 1;
-constexpr uint32_t kSnapshotSectionTag = FourCc("SNAP");
+// The snapshot's one field list, over unowned parts (Save) or the parts a
+// Load fills in: an "SNAP" section holding the ensemble, the park and the
+// lagged-effort layer.
+template <typename Model, typename ParkT, typename Lagged>
+struct SnapshotParts {
+  static constexpr ArchiveSection kArchiveSection{FourCc("SNAP"), 1};
+  Model& model;
+  ParkT& park;
+  Lagged& lagged_effort;
+};
+
+template <typename Io, typename... Parts>
+void ArchiveFields(Io& io, const SnapshotParts<Parts...>& s) {
+  io(s.model, s.park, s.lagged_effort);
+}
+
+using SavedParts =
+    SnapshotParts<const IWareEnsemble, const Park, const std::vector<double>>;
 
 // Validates the post/config, builds the post's planning graph and solves
 // the robust MILP from curves supplied by `tabulate(cell_ids, grid)` — the
@@ -97,56 +113,51 @@ void SaveModelSnapshotParts(const IWareEnsemble& model, const Park& park,
                             ArchiveWriter* ar) {
   CheckOrDie(static_cast<int>(lagged_effort.size()) == park.num_cells(),
              "SaveModelSnapshotParts: lagged-effort layer/park mismatch");
-  ar->BeginSection(kSnapshotSectionTag);
-  ar->WriteU32(kSnapshotSchemaVersion);
-  model.Save(ar);
-  SavePark(park, ar);
-  ar->WriteDoubleVector(lagged_effort);
-  ar->EndSection();
+  SaveRecord(SavedParts{model, park, lagged_effort}, ar);
 }
 
 void ModelSnapshot::Save(ArchiveWriter* ar) const {
-  SaveModelSnapshotParts(model_, park_, tiled_->lagged_effort(), ar);
+  SaveModelSnapshotParts(model_, park_, lagged_effort(), ar);
 }
 
 StatusOr<ModelSnapshot> ModelSnapshot::Load(ArchiveReader* ar) {
-  PAWS_RETURN_IF_ERROR(ar->EnterSection(kSnapshotSectionTag));
-  uint32_t version = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU32(&version));
-  if (version != kSnapshotSchemaVersion) {
-    return Status::InvalidArgument(
-        "ModelSnapshot: unsupported schema version " +
-        std::to_string(version));
-  }
-  PAWS_ASSIGN_OR_RETURN(IWareEnsemble model, IWareEnsemble::Load(ar));
+  IWareEnsemble model{IWareConfig{}};
+  Park park;
+  std::vector<double> lagged;
+  SnapshotParts<IWareEnsemble, Park, std::vector<double>> parts{model, park,
+                                                                lagged};
+  PAWS_RETURN_IF_ERROR(LoadRecord(ar, &parts));
   if (model.num_learners() == 0) {
     return Status::InvalidArgument(
         "ModelSnapshot: archive holds an untrained model");
   }
-  PAWS_ASSIGN_OR_RETURN(Park park, LoadPark(ar));
-  std::vector<double> lagged;
-  PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&lagged));
-  PAWS_RETURN_IF_ERROR(ar->LeaveSection());
   if (static_cast<int>(lagged.size()) != park.num_cells() ||
       !std::all_of(lagged.begin(), lagged.end(), IsValidCoverage)) {
     return Status::InvalidArgument(
         "ModelSnapshot: lagged-effort layer must hold one finite, "
         "non-negative value per park cell");
   }
+  // Serving scores rows of the park's features plus the lagged-effort
+  // column; a model fitted to other rows would abort the first read.
+  const int width = park.num_features() + 1;
+  const Status fits = model.CheckRowWidth(width);
+  if (!fits.ok()) {
+    return Status::InvalidArgument(
+        "ModelSnapshot: the model cannot score the park's rows of " +
+        std::to_string(width) + " columns (" +
+        std::to_string(park.num_features()) +
+        " features + lagged effort): " + fits.message());
+  }
   return ModelSnapshot(std::move(model), std::move(park), std::move(lagged));
 }
 
 Status ModelSnapshot::WriteFile(const std::string& path) const {
-  ArchiveWriter writer;
-  Save(&writer);
-  return writer.WriteFile(path);
+  return WriteArchiveFile(SavedParts{model_, park_, lagged_effort()}, path);
 }
 
 StatusOr<ModelSnapshot> ModelSnapshot::ReadFile(const std::string& path) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader, ArchiveReader::FromFile(path));
-  PAWS_ASSIGN_OR_RETURN(ModelSnapshot snapshot, Load(&reader));
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
-  return snapshot;
+  PAWS_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
+  return FromBytes(bytes);
 }
 
 StatusOr<ModelSnapshot> ModelSnapshot::FromBytes(const std::string& bytes) {

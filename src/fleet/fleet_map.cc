@@ -7,9 +7,6 @@
 namespace paws {
 namespace {
 
-constexpr uint32_t kFleetMapTag = FourCc("FMAP");
-constexpr uint32_t kFleetMapSchemaVersion = 1;
-constexpr int kMaxEndpoints = 4096;
 constexpr int kMaxVnodes = 1024;
 
 }  // namespace
@@ -58,13 +55,7 @@ StatusOr<FleetMap> FleetMap::Create(std::vector<FleetEndpoint> endpoints,
   }
   std::set<std::string> seen;
   for (const FleetEndpoint& endpoint : endpoints) {
-    if (endpoint.host.empty()) {
-      return Status::InvalidArgument("FleetMap: endpoint host is empty");
-    }
-    if (endpoint.port < 1 || endpoint.port > 65535) {
-      return Status::InvalidArgument("FleetMap: endpoint port out of range: " +
-                                     endpoint.ToString());
-    }
+    PAWS_RETURN_IF_ERROR(CheckEndpoint(endpoint));
     if (!seen.insert(endpoint.ToString()).second) {
       return Status::InvalidArgument("FleetMap: duplicate endpoint " +
                                      endpoint.ToString());
@@ -77,6 +68,17 @@ StatusOr<FleetMap> FleetMap::Create(std::vector<FleetEndpoint> endpoints,
   map.endpoints_ = std::move(endpoints);
   map.BuildRing();
   return map;
+}
+
+Status FleetMap::CheckEndpoint(const FleetEndpoint& endpoint) {
+  if (endpoint.host.empty()) {
+    return Status::InvalidArgument("FleetMap: endpoint host is empty");
+  }
+  if (endpoint.port < 1 || endpoint.port > 65535) {
+    return Status::InvalidArgument("FleetMap: endpoint port out of range: " +
+                                   endpoint.ToString());
+  }
+  return Status::OK();
 }
 
 void FleetMap::BuildRing() {
@@ -118,75 +120,25 @@ int FleetMap::PreferredFor(const std::string& park_id) const {
   return ReplicasFor(park_id)[0];
 }
 
-void FleetMap::Save(ArchiveWriter* ar) const {
-  ar->BeginSection(kFleetMapTag);
-  ar->WriteU32(kFleetMapSchemaVersion);
-  ar->WriteU64(version_);
-  ar->WriteI32(replication_);
-  ar->WriteI32(vnodes_);
-  ar->WriteU64(endpoints_.size());
-  for (const FleetEndpoint& endpoint : endpoints_) {
-    ar->WriteString(endpoint.host);
-    ar->WriteI32(endpoint.port);
-  }
-  ar->EndSection();
-}
-
-StatusOr<FleetMap> FleetMap::Load(ArchiveReader* ar) {
-  PAWS_RETURN_IF_ERROR(ar->EnterSection(kFleetMapTag));
-  uint32_t schema = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU32(&schema));
-  if (schema != kFleetMapSchemaVersion) {
-    return Status::InvalidArgument("FleetMap: unsupported schema version " +
-                                   std::to_string(schema));
-  }
-  uint64_t version = 0;
-  int replication = 0;
-  int vnodes = 0;
-  uint64_t count = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU64(&version));
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&replication));
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&vnodes));
-  PAWS_RETURN_IF_ERROR(ar->ReadU64(&count));
-  if (count < 1 || count > static_cast<uint64_t>(kMaxEndpoints)) {
-    return Status::InvalidArgument("FleetMap: endpoint count out of range");
-  }
-  std::vector<FleetEndpoint> endpoints;
-  endpoints.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    FleetEndpoint endpoint;
-    PAWS_RETURN_IF_ERROR(ar->ReadString(&endpoint.host));
-    PAWS_RETURN_IF_ERROR(ar->ReadI32(&endpoint.port));
-    endpoints.push_back(std::move(endpoint));
-  }
-  PAWS_RETURN_IF_ERROR(ar->LeaveSection());
+Status ArchiveLoaded(FleetMap& map) {
   // Create re-validates, so a hand-edited or corrupted config that decodes
   // cleanly still cannot produce an unusable map.
-  return Create(std::move(endpoints), replication, version, vnodes);
-}
-
-std::string FleetMap::ToBytes() const {
-  ArchiveWriter writer;
-  Save(&writer);
-  return writer.Bytes();
+  PAWS_ASSIGN_OR_RETURN(map, FleetMap::Create(std::move(map.endpoints_),
+                                              map.replication_, map.version_,
+                                              map.vnodes_));
+  return Status::OK();
 }
 
 StatusOr<FleetMap> FleetMap::FromBytes(const std::string& bytes) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader, ArchiveReader::FromBytes(bytes));
-  PAWS_ASSIGN_OR_RETURN(FleetMap map, Load(&reader));
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
+  FleetMap map;
+  PAWS_RETURN_IF_ERROR(FromArchiveBytes(bytes, &map));
   return map;
 }
 
-Status FleetMap::WriteFile(const std::string& path) const {
-  ArchiveWriter writer;
-  Save(&writer);
-  return writer.WriteFile(path);
-}
-
 StatusOr<FleetMap> FleetMap::ReadFile(const std::string& path) {
-  PAWS_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return FromBytes(bytes);
+  FleetMap map;
+  PAWS_RETURN_IF_ERROR(ReadArchiveFile(path, &map));
+  return map;
 }
 
 std::vector<std::string> ReplicaAddresses(const FleetMap& map,

@@ -23,6 +23,11 @@ struct FleetEndpoint {
   std::string ToString() const;
 };
 
+template <typename Io>
+void ArchiveFields(Io& io, ArchiveRef<Io, FleetEndpoint> e) {
+  io(e.host, e.port);
+}
+
 /// Stable 64-bit string hash (FNV-1a with a 64-bit avalanche finalizer).
 /// This is part of the fleet wire contract: every router and admin tool
 /// must place the same park id at the same ring position regardless of
@@ -70,19 +75,33 @@ class FleetMap {
   /// ReplicasFor(park_id)[0].
   int PreferredFor(const std::string& park_id) const;
 
-  /// Archive round trip ("FMAP" section). The ring is derived state —
-  /// only version, replication, vnode count and endpoints travel.
-  void Save(ArchiveWriter* ar) const;
-  static StatusOr<FleetMap> Load(ArchiveReader* ar);
+  /// Archived as an "FMAP" section. The ring is derived state — only
+  /// version, replication, vnode count and endpoints travel, and a read
+  /// re-validates them through Create.
+  /// Each endpoint is checked as it is read, and a count above the cap is
+  /// refused before any endpoint parses.
+  static constexpr ArchiveSection kArchiveSection{FourCc("FMAP"), 1};
+  template <typename Io>
+  friend void ArchiveFields(Io& io, ArchiveRef<Io, FleetMap> m) {
+    io(m.version_, m.replication_, m.vnodes_,
+       ArchiveGuarded(m.endpoints_, kMaxEndpoints, &FleetMap::CheckEndpoint));
+  }
+  friend Status ArchiveLoaded(FleetMap& map);
 
   /// Whole-artifact conveniences mirroring ModelSnapshot's.
-  std::string ToBytes() const;
+  std::string ToBytes() const { return ToArchiveBytes(*this); }
   static StatusOr<FleetMap> FromBytes(const std::string& bytes);
-  Status WriteFile(const std::string& path) const;
+  Status WriteFile(const std::string& path) const {
+    return WriteArchiveFile(*this, path);
+  }
   static StatusOr<FleetMap> ReadFile(const std::string& path);
 
  private:
+  static constexpr int kMaxEndpoints = 4096;
+
   FleetMap() = default;
+  /// A non-empty host and a port in [1, 65535].
+  static Status CheckEndpoint(const FleetEndpoint& endpoint);
   void BuildRing();
 
   uint64_t version_ = 1;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/archive.h"
 #include "util/status.h"
 
 namespace paws {
@@ -18,6 +19,9 @@ struct Cell {
     return a.x == b.x && a.y == b.y;
   }
 };
+
+template <typename Io>
+void ArchiveFields(Io& io, ArchiveRef<Io, Cell> c) { io(c.x, c.y); }
 
 /// Dense 2-D raster stored row-major (y-major). Used for every per-cell
 /// layer in the system: elevation, distances, patrol effort, risk maps.
@@ -70,6 +74,20 @@ class Grid2D {
 
   const std::vector<T>& data() const { return data_; }
   std::vector<T>& data() { return data_; }
+
+  /// Archived as width, height, then the flat payload; a read validates
+  /// the shape, so a corrupt archive cannot build an inconsistent grid.
+  template <typename Io>
+  friend void ArchiveFields(Io& io, ArchiveRef<Io, Grid2D> g) {
+    io(g.width_, g.height_, g.data_);
+  }
+  friend Status ArchiveLoaded(Grid2D& g) {
+    if (g.width_ < 0 || g.height_ < 0 ||
+        g.data_.size() != static_cast<size_t>(g.width_) * g.height_) {
+      return Status::InvalidArgument("grid: payload/shape mismatch");
+    }
+    return Status::OK();
+  }
 
  private:
   int width_;

@@ -4,6 +4,11 @@ namespace paws {
 
 Park::Park(std::string name, GridB mask)
     : name_(std::move(name)), mask_(std::move(mask)) {
+  IndexCells();
+}
+
+void Park::IndexCells() {
+  cell_indices_.clear();
   dense_id_.assign(mask_.size(), -1);
   for (int i = 0; i < mask_.size(); ++i) {
     if (mask_.AtIndex(i)) {
@@ -26,17 +31,21 @@ Cell Park::CellOf(int id) const {
 }
 
 int Park::AddFeature(std::string feature_name, GridD raster) {
-  CheckOrDie(raster.width() == mask_.width() &&
-                 raster.height() == mask_.height(),
+  CheckOrDie(CheckRaster(raster).ok(),
              "Park::AddFeature raster shape mismatch");
-  feature_names_.push_back(std::move(feature_name));
-  features_.push_back(std::move(raster));
+  features_.push_back({std::move(feature_name), std::move(raster)});
   return static_cast<int>(features_.size()) - 1;
 }
 
+std::vector<std::string> Park::feature_names() const {
+  std::vector<std::string> names;
+  for (const Feature& f : features_) names.push_back(f.name);
+  return names;
+}
+
 StatusOr<int> Park::FeatureIndex(const std::string& feature_name) const {
-  for (size_t i = 0; i < feature_names_.size(); ++i) {
-    if (feature_names_[i] == feature_name) return static_cast<int>(i);
+  for (size_t i = 0; i < features_.size(); ++i) {
+    if (features_[i].name == feature_name) return static_cast<int>(i);
   }
   return Status::NotFound("no feature named " + feature_name);
 }
@@ -44,122 +53,36 @@ StatusOr<int> Park::FeatureIndex(const std::string& feature_name) const {
 std::vector<double> Park::FeatureVector(int dense_id) const {
   const Cell c = CellOf(dense_id);
   std::vector<double> x(features_.size());
-  for (size_t f = 0; f < features_.size(); ++f) x[f] = features_[f].At(c);
+  for (size_t f = 0; f < features_.size(); ++f) {
+    x[f] = features_[f].raster.At(c);
+  }
   return x;
 }
 
 void Park::AddPatrolPost(const Cell& c) {
-  CheckOrDie(mask_.InBounds(c) && mask_.At(c),
-             "Park::AddPatrolPost outside the park");
+  CheckOrDie(CheckPost(c).ok(), "Park::AddPatrolPost outside the park");
   patrol_posts_.push_back(c);
 }
 
-namespace {
-
-constexpr uint32_t kParkSchemaVersion = 1;
-constexpr uint32_t kParkSectionTag = FourCc("PARK");
-
-// Rasters travel as width/height plus the flat payload; reads validate the
-// shape so a corrupt archive cannot build an inconsistent grid.
-template <typename Grid, typename WriteVec>
-void SaveGrid(const Grid& grid, ArchiveWriter* ar, WriteVec write_vec) {
-  ar->WriteI32(grid.width());
-  ar->WriteI32(grid.height());
-  (ar->*write_vec)(grid.data());
+Status Park::CheckMask() const {
+  for (uint8_t m : mask_.data()) {
+    if (m != 0) return Status::OK();
+  }
+  return Status::InvalidArgument("Park: mask has no in-park cells");
 }
 
-template <typename Grid, typename Vec,
-          Status (ArchiveReader::*read_vec)(Vec*)>
-StatusOr<Grid> LoadGrid(ArchiveReader* ar) {
-  int width = 0, height = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&width));
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&height));
-  if (width < 0 || height < 0) {
-    return Status::InvalidArgument("park grid: negative shape");
+Status Park::CheckRaster(const GridD& raster) const {
+  if (raster.width() != width() || raster.height() != height()) {
+    return Status::InvalidArgument("Park: feature raster shape mismatch");
   }
-  Vec data;
-  PAWS_RETURN_IF_ERROR((ar->*read_vec)(&data));
-  if (data.size() != static_cast<size_t>(width) * height) {
-    return Status::InvalidArgument("park grid: payload/shape mismatch");
-  }
-  Grid grid(width, height);
-  grid.data() = std::move(data);
-  return grid;
+  return Status::OK();
 }
 
-}  // namespace
-
-void SavePark(const Park& park, ArchiveWriter* ar) {
-  ar->BeginSection(kParkSectionTag);
-  ar->WriteU32(kParkSchemaVersion);
-  ar->WriteString(park.name());
-  SaveGrid(park.mask(), ar, &ArchiveWriter::WriteU8Vector);
-  ar->WriteU64(park.num_features());
-  for (int f = 0; f < park.num_features(); ++f) {
-    ar->WriteString(park.feature_names()[f]);
-    SaveGrid(park.feature(f), ar, &ArchiveWriter::WriteDoubleVector);
+Status Park::CheckPost(const Cell& c) const {
+  if (!mask_.InBounds(c) || !mask_.At(c)) {
+    return Status::InvalidArgument("Park: patrol post outside the park");
   }
-  ar->WriteU64(park.patrol_posts().size());
-  for (const Cell& post : park.patrol_posts()) {
-    ar->WriteI32(post.x);
-    ar->WriteI32(post.y);
-  }
-  ar->EndSection();
-}
-
-StatusOr<Park> LoadPark(ArchiveReader* ar) {
-  PAWS_RETURN_IF_ERROR(ar->EnterSection(kParkSectionTag));
-  uint32_t version = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU32(&version));
-  if (version != kParkSchemaVersion) {
-    return Status::InvalidArgument("Park: unsupported schema version " +
-                                   std::to_string(version));
-  }
-  std::string name;
-  PAWS_RETURN_IF_ERROR(ar->ReadString(&name));
-  PAWS_ASSIGN_OR_RETURN(
-      GridB mask,
-      (LoadGrid<GridB, std::vector<uint8_t>, &ArchiveReader::ReadU8Vector>(
-          ar)));
-  bool any_inside = false;
-  for (uint8_t m : mask.data()) any_inside = any_inside || m != 0;
-  if (!any_inside) {
-    return Status::InvalidArgument("Park: mask has no in-park cells");
-  }
-  Park park(std::move(name), std::move(mask));
-  uint64_t num_features = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU64(&num_features));
-  if (num_features > ar->remaining()) {
-    return Status::InvalidArgument("Park: feature count overruns archive");
-  }
-  for (uint64_t f = 0; f < num_features; ++f) {
-    std::string feature_name;
-    PAWS_RETURN_IF_ERROR(ar->ReadString(&feature_name));
-    PAWS_ASSIGN_OR_RETURN(
-        GridD raster,
-        (LoadGrid<GridD, std::vector<double>, &ArchiveReader::ReadDoubleVector>(
-            ar)));
-    if (raster.width() != park.width() || raster.height() != park.height()) {
-      return Status::InvalidArgument("Park: feature raster shape mismatch");
-    }
-    park.AddFeature(std::move(feature_name), std::move(raster));
-  }
-  uint64_t num_posts = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU64(&num_posts));
-  if (num_posts > ar->remaining() / 8) {
-    return Status::InvalidArgument("Park: post count overruns archive");
-  }
-  for (uint64_t p = 0; p < num_posts; ++p) {
-    Cell post;
-    PAWS_RETURN_IF_ERROR(ar->ReadI32(&post.x));
-    PAWS_RETURN_IF_ERROR(ar->ReadI32(&post.y));
-    if (!park.mask().InBounds(post) || !park.mask().At(post)) {
-      return Status::InvalidArgument("Park: patrol post outside the park");
-    }
-    park.AddPatrolPost(post);
-  }
-  PAWS_RETURN_IF_ERROR(ar->LeaveSection());
-  return park;
+  return Status::OK();
 }
 
 }  // namespace paws

@@ -18,6 +18,8 @@ namespace paws {
 class Park {
  public:
   Park(std::string name, GridB mask);
+  /// A park with no cells: only a target for LoadRecord to fill in.
+  Park() = default;
 
   const std::string& name() const { return name_; }
   int width() const { return mask_.width(); }
@@ -45,10 +47,8 @@ class Park {
   int AddFeature(std::string feature_name, GridD raster);
 
   int num_features() const { return static_cast<int>(features_.size()); }
-  const std::vector<std::string>& feature_names() const {
-    return feature_names_;
-  }
-  const GridD& feature(int f) const { return features_[f]; }
+  std::vector<std::string> feature_names() const;
+  const GridD& feature(int f) const { return features_[f].raster; }
   StatusOr<int> FeatureIndex(const std::string& feature_name) const;
 
   /// Static feature vector (length num_features()) of a dense cell id.
@@ -58,21 +58,53 @@ class Park {
   void AddPatrolPost(const Cell& c);
   const std::vector<Cell>& patrol_posts() const { return patrol_posts_; }
 
+  struct Feature {
+    std::string name;
+    GridD raster;
+
+    template <typename Io>
+    friend void ArchiveFields(Io& io, ArchiveRef<Io, Feature> f) {
+      io(f.name, f.raster);
+    }
+  };
+
+  /// Archived as a "PARK" section holding the full geometry — the name,
+  /// the mask, the named feature rasters (bit-exact) and the patrol posts —
+  /// which is what a model snapshot needs to serve risk maps and plans
+  /// without the training scenario. The mask is checked before the
+  /// rasters it shapes are read, and each raster and post as it is read.
+  /// Cell indexing is rebuilt on load.
+  static constexpr ArchiveSection kArchiveSection{FourCc("PARK"), 1};
+  template <typename Io>
+  friend void ArchiveFields(Io& io, ArchiveRef<Io, Park> p) {
+    io(p.name_, p.mask_);
+    io.Check(p.CheckMask());
+    io(ArchiveGuarded(
+           p.features_, kAnyCount,
+           [&p](const Feature& f) { return p.CheckRaster(f.raster); }),
+       ArchiveGuarded(p.patrol_posts_, kAnyCount,
+                      [&p](const Cell& c) { return p.CheckPost(c); }));
+  }
+  friend Status ArchiveLoaded(Park& park) {
+    park.IndexCells();
+    return Status::OK();
+  }
+
  private:
+  /// Derives the dense cell ids from the mask.
+  void IndexCells();
+  /// The read-time checks of ArchiveFields.
+  Status CheckMask() const;
+  Status CheckRaster(const GridD& raster) const;
+  Status CheckPost(const Cell& c) const;
+
   std::string name_;
   GridB mask_;
   std::vector<int> cell_indices_;
   std::vector<int> dense_id_;  // grid index -> dense id or -1
-  std::vector<std::string> feature_names_;
-  std::vector<GridD> features_;
+  std::vector<Feature> features_;
   std::vector<Cell> patrol_posts_;
 };
-
-/// Serializes the full park geometry (mask, named feature rasters, patrol
-/// posts) — the metadata a model snapshot needs to serve risk maps and
-/// plans without the training scenario. Bit-exact on feature values.
-void SavePark(const Park& park, ArchiveWriter* ar);
-StatusOr<Park> LoadPark(ArchiveReader* ar);
 
 }  // namespace paws
 

@@ -5,29 +5,11 @@
 
 namespace paws {
 
-namespace {
-
-constexpr uint32_t kBaggingSchemaVersion = 1;
-
-}  // namespace
-
-void SaveBaggingConfig(const BaggingConfig& config, ArchiveWriter* ar) {
-  ar->WriteI32(config.num_estimators);
-  ar->WriteBool(config.balanced);
-  ar->WriteDouble(config.subsample);
-  ar->WriteBool(config.track_bootstrap_counts);
-}
-
-StatusOr<BaggingConfig> LoadBaggingConfig(ArchiveReader* ar) {
-  BaggingConfig config;
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&config.num_estimators));
-  PAWS_RETURN_IF_ERROR(ar->ReadBool(&config.balanced));
-  PAWS_RETURN_IF_ERROR(ar->ReadDouble(&config.subsample));
-  PAWS_RETURN_IF_ERROR(ar->ReadBool(&config.track_bootstrap_counts));
+Status ArchiveLoaded(BaggingConfig& config) {
   if (config.num_estimators < 1) {
     return Status::InvalidArgument("BaggingConfig: num_estimators < 1");
   }
-  return config;
+  return Status::OK();
 }
 
 std::vector<int> BaggingClassifier::DrawBootstrap(const Dataset& data,
@@ -147,58 +129,27 @@ std::unique_ptr<Classifier> BaggingClassifier::CloneUntrained() const {
   return std::make_unique<BaggingClassifier>(base_->CloneUntrained(), config_);
 }
 
-void BaggingClassifier::Save(ArchiveWriter* ar) const {
-  ar->WriteU32(kBaggingSchemaVersion);
-  SaveBaggingConfig(config_, ar);
-  SaveClassifier(*base_, ar);
-  ar->WriteU64(members_.size());
-  for (const auto& member : members_) SaveClassifier(*member, ar);
-  ar->WriteI32(num_train_rows_);
-  ar->WriteU64(bootstrap_counts_.size());
-  for (const std::vector<int>& counts : bootstrap_counts_) {
-    ar->WriteIntVector(counts);
-  }
-}
-
-StatusOr<std::unique_ptr<Classifier>> BaggingClassifier::Load(
-    ArchiveReader* ar) {
-  uint32_t version = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU32(&version));
-  if (version != kBaggingSchemaVersion) {
-    return Status::InvalidArgument("Bagging: unsupported schema version " +
-                                   std::to_string(version));
-  }
-  PAWS_ASSIGN_OR_RETURN(BaggingConfig config, LoadBaggingConfig(ar));
-  PAWS_ASSIGN_OR_RETURN(std::unique_ptr<Classifier> base, LoadClassifier(ar));
-  auto bagger =
-      std::make_unique<BaggingClassifier>(std::move(base), std::move(config));
-  uint64_t num_members = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU64(&num_members));
-  if (num_members > ar->remaining()) {
-    return Status::InvalidArgument("Bagging: member count overruns archive");
-  }
-  bagger->members_.reserve(num_members);
-  for (uint64_t b = 0; b < num_members; ++b) {
-    PAWS_ASSIGN_OR_RETURN(std::unique_ptr<Classifier> member,
-                          LoadClassifier(ar));
-    bagger->members_.push_back(std::move(member));
-  }
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&bagger->num_train_rows_));
-  uint64_t num_counts = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU64(&num_counts));
-  if (bagger->num_train_rows_ < 0 || num_counts > ar->remaining() / 8 ||
-      (num_counts != 0 && num_counts != num_members)) {
+Status ArchiveLoaded(BaggingClassifier& bagger) {
+  const std::vector<std::vector<int>>& counts = bagger.bootstrap_counts_;
+  if (bagger.num_train_rows_ < 0 ||
+      (!counts.empty() && counts.size() != bagger.members_.size())) {
     return Status::InvalidArgument("Bagging: malformed bootstrap counts");
   }
-  bagger->bootstrap_counts_.resize(num_counts);
-  for (uint64_t b = 0; b < num_counts; ++b) {
-    PAWS_RETURN_IF_ERROR(ar->ReadIntVector(&bagger->bootstrap_counts_[b]));
-    if (bagger->bootstrap_counts_[b].size() !=
-        static_cast<size_t>(bagger->num_train_rows_)) {
-      return Status::InvalidArgument("Bagging: bootstrap count row mismatch");
-    }
+  return Status::OK();
+}
+
+Status BaggingClassifier::CheckCountRow(const std::vector<int>& row) const {
+  if (row.size() != static_cast<size_t>(num_train_rows_)) {
+    return Status::InvalidArgument("Bagging: bootstrap count row mismatch");
   }
-  return std::unique_ptr<Classifier>(std::move(bagger));
+  return Status::OK();
+}
+
+Status BaggingClassifier::CheckRowWidth(int width) const {
+  for (const auto& member : members_) {
+    PAWS_RETURN_IF_ERROR(member->CheckRowWidth(width));
+  }
+  return Status::OK();
 }
 
 StatusOr<double> BaggingClassifier::InfinitesimalJackknifeVariance(

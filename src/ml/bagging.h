@@ -28,10 +28,13 @@ struct BaggingConfig {
   ParallelismConfig parallelism;
 };
 
-/// Serializes everything except `parallelism`, which is a property of the
+/// Archives everything except `parallelism`, which is a property of the
 /// serving host, not the model; loaded configs default to auto threading.
-void SaveBaggingConfig(const BaggingConfig& config, ArchiveWriter* ar);
-StatusOr<BaggingConfig> LoadBaggingConfig(ArchiveReader* ar);
+template <typename Io>
+void ArchiveFields(Io& io, ArchiveRef<Io, BaggingConfig> c) {
+  io(c.num_estimators, c.balanced, c.subsample, c.track_bootstrap_counts);
+}
+Status ArchiveLoaded(BaggingConfig& config);
 
 /// Bootstrap-aggregated ensemble around any base classifier. A bagging
 /// ensemble of decision trees with per-split feature sampling is equivalent
@@ -61,13 +64,23 @@ class BaggingClassifier : public Classifier {
   bool ProvidesVariance() const override { return true; }
   std::unique_ptr<Classifier> CloneUntrained() const override;
 
-  /// Serializes the base-learner prototype, every fitted member (both
-  /// polymorphically, through the classifier registry) and the bootstrap
-  /// counts backing the infinitesimal-jackknife estimate.
-  static constexpr uint32_t kArchiveTag = FourCc("BAGG");
-  uint32_t ArchiveTag() const override { return kArchiveTag; }
-  void Save(ArchiveWriter* ar) const override;
-  static StatusOr<std::unique_ptr<Classifier>> Load(ArchiveReader* ar);
+  /// Archived as a "BAGG" section: the config, the base-learner prototype
+  /// and every fitted member (both polymorphically, as learner fields),
+  /// then the bootstrap counts backing the infinitesimal-jackknife
+  /// estimate.
+  static constexpr ArchiveSection kArchiveSection{FourCc("BAGG"), 1};
+  void Save(ArchiveWriter* ar) const override { SaveRecord(*this, ar); }
+  Status CheckRowWidth(int width) const override;
+  template <typename Io>
+  friend void ArchiveFields(Io& io, ArchiveRef<Io, BaggingClassifier> m) {
+    io(m.config_, m.base_, m.members_, m.num_train_rows_);
+    // A second call, so the cap is the member count just read: at most one
+    // row of counts per member, each checked as it is read.
+    io(ArchiveGuarded(
+        m.bootstrap_counts_, m.members_.size(),
+        [&m](const std::vector<int>& row) { return m.CheckCountRow(row); }));
+  }
+  friend Status ArchiveLoaded(BaggingClassifier& bagger);
 
   int num_fitted() const { return static_cast<int>(members_.size()); }
   const Classifier& member(int i) const { return *members_[i]; }
@@ -80,7 +93,14 @@ class BaggingClassifier : public Classifier {
       const std::vector<double>& x) const;
 
  private:
+  /// The empty ensemble the archived learner field reads into.
+  BaggingClassifier() = default;
+  friend void ArchiveFields(FieldReader& io,
+                            std::unique_ptr<Classifier>& model);
+
   std::vector<int> DrawBootstrap(const Dataset& data, Rng* rng) const;
+  /// One row of bootstrap counts holds a count per training row.
+  Status CheckCountRow(const std::vector<int>& row) const;
 
   std::unique_ptr<Classifier> base_;
   BaggingConfig config_;

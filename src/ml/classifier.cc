@@ -1,7 +1,5 @@
 #include "ml/classifier.h"
 
-#include <map>
-
 #include "ml/bagging.h"
 #include "ml/decision_tree.h"
 #include "ml/gaussian_process.h"
@@ -11,47 +9,39 @@ namespace paws {
 
 namespace {
 
-std::map<uint32_t, ClassifierLoader>& LoaderRegistry() {
-  // The built-ins are registered eagerly so the registry never depends on
-  // static-initialization order or linker section pruning.
-  static std::map<uint32_t, ClassifierLoader>* registry = [] {
-    auto* m = new std::map<uint32_t, ClassifierLoader>();
-    (*m)[DecisionTree::kArchiveTag] = &DecisionTree::Load;
-    (*m)[LinearSvm::kArchiveTag] = &LinearSvm::Load;
-    (*m)[GaussianProcessClassifier::kArchiveTag] =
-        &GaussianProcessClassifier::Load;
-    (*m)[BaggingClassifier::kArchiveTag] = &BaggingClassifier::Load;
-    return m;
-  }();
-  return *registry;
+template <typename T>
+std::unique_ptr<Classifier> ReadLearner(FieldReader& io, T* learner) {
+  std::unique_ptr<Classifier> owned(learner);
+  io(*learner);
+  return owned;
 }
 
 }  // namespace
 
-void RegisterClassifierLoader(uint32_t tag, ClassifierLoader loader) {
-  CheckOrDie(loader != nullptr, "RegisterClassifierLoader: null loader");
-  LoaderRegistry()[tag] = loader;
+void ArchiveFields(FieldWriter& io, const std::unique_ptr<Classifier>& model) {
+  model->Save(io.archive());
 }
 
-void SaveClassifier(const Classifier& model, ArchiveWriter* ar) {
-  ar->BeginSection(model.ArchiveTag());
-  model.Save(ar);
-  ar->EndSection();
-}
-
-StatusOr<std::unique_ptr<Classifier>> LoadClassifier(ArchiveReader* ar) {
+void ArchiveFields(FieldReader& io, std::unique_ptr<Classifier>& model) {
   uint32_t tag = 0;
-  PAWS_RETURN_IF_ERROR(ar->EnterAnySection(&tag));
-  const auto& registry = LoaderRegistry();
-  const auto it = registry.find(tag);
-  if (it == registry.end()) {
-    return Status::InvalidArgument("LoadClassifier: unknown classifier tag '" +
-                                   FourCcName(tag) + "'");
+  io.Check(io.archive()->PeekSectionTag(&tag));
+  if (!io.ok()) return;
+  switch (tag) {
+    case DecisionTree::kArchiveSection.tag:
+      model = ReadLearner(io, new DecisionTree());
+      return;
+    case LinearSvm::kArchiveSection.tag:
+      model = ReadLearner(io, new LinearSvm());
+      return;
+    case GaussianProcessClassifier::kArchiveSection.tag:
+      model = ReadLearner(io, new GaussianProcessClassifier());
+      return;
+    case BaggingClassifier::kArchiveSection.tag:
+      model = ReadLearner(io, new BaggingClassifier());
+      return;
   }
-  auto loaded = it->second(ar);
-  if (!loaded.ok()) return loaded.status();
-  PAWS_RETURN_IF_ERROR(ar->LeaveSection());
-  return std::move(loaded).value();
+  io.Check(Status::InvalidArgument("archive: unknown classifier tag '" +
+                                   FourCcName(tag) + "'"));
 }
 
 }  // namespace paws

@@ -107,34 +107,22 @@ class Classifier {
   /// A fresh, untrained copy configured identically (for ensembles).
   virtual std::unique_ptr<Classifier> CloneUntrained() const = 0;
 
-  /// Fourcc type tag identifying this learner in archives; the key into
-  /// the loader registry behind LoadClassifier.
-  virtual uint32_t ArchiveTag() const = 0;
-
-  /// Serializes config + fitted state (body only — SaveClassifier frames
-  /// it with the type tag). Untrained models serialize their config, so a
-  /// loaded ensemble prototype still supports CloneUntrained.
+  /// Writes the learner as its own tagged section: config + fitted state.
+  /// Untrained models serialize their config, so a loaded ensemble
+  /// prototype still supports CloneUntrained.
   virtual void Save(ArchiveWriter* ar) const = 0;
+
+  /// OK when the fitted model scores rows of `width` columns; otherwise
+  /// InvalidArgument naming both widths. Only the four built-in learners
+  /// load from archives, so only they need to override it.
+  virtual Status CheckRowWidth(int /*width*/) const { return Status::OK(); }
 };
 
-/// Writes `model` as a self-describing section: tag + Save body. The
-/// polymorphic counterpart of LoadClassifier.
-void SaveClassifier(const Classifier& model, ArchiveWriter* ar);
-
-/// Loads whichever classifier type the archive holds next, dispatching on
-/// the section tag through the loader registry. Unknown tags and malformed
-/// bodies fail with InvalidArgument.
-StatusOr<std::unique_ptr<Classifier>> LoadClassifier(ArchiveReader* ar);
-
-/// Loader signature: parse a Save() body (the section is already entered)
-/// and return the reconstructed model.
-using ClassifierLoader = StatusOr<std::unique_ptr<Classifier>> (*)(
-    ArchiveReader* ar);
-
-/// Registers a loader for `tag`. The four built-in learners are registered
-/// automatically; call this to make custom Classifier subclasses loadable
-/// through LoadClassifier. Re-registering a tag replaces the loader.
-void RegisterClassifierLoader(uint32_t tag, ClassifierLoader loader);
+/// A learner field is archived polymorphically: as the learner's own
+/// tagged section, read back through a fixed dispatch on the four built-in
+/// tags (TREE, LSVM, GPCL, BAGG). Unknown tags fail with InvalidArgument.
+void ArchiveFields(FieldWriter& io, const std::unique_ptr<Classifier>& model);
+void ArchiveFields(FieldReader& io, std::unique_ptr<Classifier>& model);
 
 /// Convenience: scores every row of `data` in one batch.
 std::vector<double> PredictAll(const Classifier& model, const Dataset& data);

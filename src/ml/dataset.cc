@@ -112,15 +112,7 @@ std::vector<double> Standardizer::Transform(
   return out;
 }
 
-void Standardizer::Save(ArchiveWriter* ar) const {
-  ar->WriteDoubleVector(mean_);
-  ar->WriteDoubleVector(stddev_);
-}
-
-StatusOr<Standardizer> Standardizer::Load(ArchiveReader* ar) {
-  Standardizer s;
-  PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&s.mean_));
-  PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&s.stddev_));
+Status ArchiveLoaded(Standardizer& s) {
   if (s.mean_.size() != s.stddev_.size()) {
     return Status::InvalidArgument("Standardizer: mean/stddev width mismatch");
   }
@@ -129,7 +121,7 @@ StatusOr<Standardizer> Standardizer::Load(ArchiveReader* ar) {
       return Status::InvalidArgument("Standardizer: non-positive stddev");
     }
   }
-  return s;
+  return Status::OK();
 }
 
 }  // namespace paws

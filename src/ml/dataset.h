@@ -66,6 +66,20 @@ class Dataset {
   /// The q-th percentile (q in [0,100]) of the effort channel.
   double EffortPercentile(double q) const;
 
+  /// Archived as a "DSET" section (see ml/dataset_io.h): the width, the row
+  /// count, then the label, effort, time-step, cell-id and feature columns.
+  static constexpr ArchiveSection kArchiveSection{FourCc("DSET"), 1};
+  template <typename Io>
+  friend void ArchiveFields(Io& io, ArchiveRef<Io, Dataset> d) {
+    uint64_t rows = d.y_.size();
+    io(d.num_features_, rows, d.y_, d.effort_, d.time_step_, d.cell_id_,
+       d.x_);
+    if (rows != d.y_.size()) {
+      io.Check(Status::InvalidArgument("dataset: column size mismatch"));
+    }
+  }
+  friend Status ArchiveLoaded(Dataset& d);
+
  private:
   int num_features_;
   std::vector<double> x_;  // flattened row-major
@@ -92,9 +106,12 @@ class Standardizer {
   const std::vector<double>& mean() const { return mean_; }
   const std::vector<double>& stddev() const { return stddev_; }
 
-  /// Bit-exact serialization of the fitted moments.
-  void Save(ArchiveWriter* ar) const;
-  static StatusOr<Standardizer> Load(ArchiveReader* ar);
+  /// Archived bit-exact: the fitted moments.
+  template <typename Io>
+  friend void ArchiveFields(Io& io, ArchiveRef<Io, Standardizer> s) {
+    io(s.mean_, s.stddev_);
+  }
+  friend Status ArchiveLoaded(Standardizer& s);
 
  private:
   std::vector<double> mean_;

@@ -11,9 +11,6 @@ namespace paws {
 
 namespace {
 
-constexpr uint32_t kDatasetSchemaVersion = 1;
-constexpr uint32_t kDatasetSectionTag = FourCc("DSET");
-
 std::vector<std::string> SplitCsvLine(const std::string& line) {
   std::vector<std::string> out;
   std::string field;
@@ -121,85 +118,33 @@ StatusOr<Dataset> ReadDatasetCsv(const std::string& path) {
   return DatasetFromCsv(text);
 }
 
-void SaveDataset(const Dataset& data, ArchiveWriter* ar) {
-  const int n = data.size();
-  const int k = data.num_features();
-  ar->BeginSection(kDatasetSectionTag);
-  ar->WriteU32(kDatasetSchemaVersion);
-  ar->WriteI32(k);
-  ar->WriteU64(n);
-  ar->WriteIntVector(data.labels());
-  ar->WriteDoubleVector(data.efforts());
-  std::vector<int> steps(n), cells(n);
-  for (int i = 0; i < n; ++i) {
-    steps[i] = data.time_step(i);
-    cells[i] = data.cell_id(i);
-  }
-  ar->WriteIntVector(steps);
-  ar->WriteIntVector(cells);
-  std::vector<double> features;
-  features.reserve(static_cast<size_t>(n) * k);
-  for (int i = 0; i < n; ++i) {
-    const double* row = data.Row(i);
-    features.insert(features.end(), row, row + k);
-  }
-  ar->WriteDoubleVector(features);
-  ar->EndSection();
-}
-
-StatusOr<Dataset> LoadDataset(ArchiveReader* ar) {
-  PAWS_RETURN_IF_ERROR(ar->EnterSection(kDatasetSectionTag));
-  uint32_t version = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU32(&version));
-  if (version != kDatasetSchemaVersion) {
-    return Status::InvalidArgument("dataset: unsupported schema version " +
-                                   std::to_string(version));
-  }
-  int k = 0;
-  uint64_t n = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&k));
-  PAWS_RETURN_IF_ERROR(ar->ReadU64(&n));
-  std::vector<int> labels, steps, cells;
-  std::vector<double> efforts, features;
-  PAWS_RETURN_IF_ERROR(ar->ReadIntVector(&labels));
-  PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&efforts));
-  PAWS_RETURN_IF_ERROR(ar->ReadIntVector(&steps));
-  PAWS_RETURN_IF_ERROR(ar->ReadIntVector(&cells));
-  PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&features));
-  PAWS_RETURN_IF_ERROR(ar->LeaveSection());
-  if (k <= 0 || labels.size() != n || efforts.size() != n ||
-      steps.size() != n || cells.size() != n ||
-      features.size() != n * static_cast<uint64_t>(k)) {
+Status ArchiveLoaded(Dataset& d) {
+  const size_t n = d.y_.size();
+  if (d.num_features_ <= 0 || d.effort_.size() != n ||
+      d.time_step_.size() != n || d.cell_id_.size() != n ||
+      d.x_.size() != n * static_cast<uint64_t>(d.num_features_)) {
     return Status::InvalidArgument("dataset: column size mismatch");
   }
-  Dataset data(k);
-  std::vector<double> x(k);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (labels[i] != 0 && labels[i] != 1) {
+  for (size_t i = 0; i < n; ++i) {
+    if (d.y_[i] != 0 && d.y_[i] != 1) {
       return Status::InvalidArgument("dataset: non-binary label at row " +
                                      std::to_string(i));
     }
-    if (!(efforts[i] >= 0.0)) {
+    if (!(d.effort_[i] >= 0.0)) {
       return Status::InvalidArgument("dataset: negative effort at row " +
                                      std::to_string(i));
     }
-    std::copy(features.begin() + i * k, features.begin() + (i + 1) * k,
-              x.begin());
-    data.AddRow(x, labels[i], efforts[i], steps[i], cells[i]);
   }
-  return data;
+  return Status::OK();
 }
 
 Status WriteDatasetBinary(const Dataset& data, const std::string& path) {
-  ArchiveWriter writer;
-  SaveDataset(data, &writer);
-  return writer.WriteFile(path);
+  return WriteArchiveFile(data, path);
 }
 
 StatusOr<Dataset> ReadDatasetBinary(const std::string& path) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader, ArchiveReader::FromFile(path));
-  PAWS_ASSIGN_OR_RETURN(Dataset data, LoadDataset(&reader));
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
+  Dataset data(1);
+  PAWS_RETURN_IF_ERROR(ReadArchiveFile(path, &data));
   return data;
 }
 

@@ -11,8 +11,9 @@ namespace paws {
 
 /// Dataset import/export in two formats sharing one encoding stack:
 ///
-/// - *Binary* (Save/LoadDataset, Write/ReadDatasetBinary): the archive
-///   layer models and snapshots use — endian-safe, CRC-checked,
+/// - *Binary* (Write/ReadDatasetBinary, or SaveRecord/LoadRecord of a
+///   Dataset into an open archive): the archive layer models and snapshots
+///   use — endian-safe, CRC-checked,
 ///   bit-exact on doubles, and the natural companion to a model snapshot
 ///   (same container, same corruption guarantees).
 /// - *CSV* (below): interchange with SMART-style exports.
@@ -43,13 +44,9 @@ StatusOr<Dataset> DatasetFromCsv(const std::string& text);
 /// Reads a dataset from a CSV file.
 StatusOr<Dataset> ReadDatasetCsv(const std::string& path);
 
-/// Serializes `data` into an open archive (a "DSET" section), bit-exact on
-/// features and efforts. Validation on load mirrors the CSV reader:
-/// binary labels, non-negative efforts, consistent widths.
-void SaveDataset(const Dataset& data, ArchiveWriter* ar);
-StatusOr<Dataset> LoadDataset(ArchiveReader* ar);
-
-/// Whole-file binary round trip (one dataset per archive).
+/// Whole-file binary round trip (one dataset per archive, a "DSET"
+/// section), bit-exact on features and efforts. Validation on load mirrors
+/// the CSV reader: binary labels, non-negative efforts, consistent widths.
 Status WriteDatasetBinary(const Dataset& data, const std::string& path);
 StatusOr<Dataset> ReadDatasetBinary(const std::string& path);
 

@@ -8,30 +8,11 @@ namespace paws {
 
 namespace {
 
-constexpr uint32_t kTreeSchemaVersion = 1;
-
 double LeafProb(int n_pos, int n) {
   return (n_pos + 1.0) / (n + 2.0);  // Laplace smoothing
 }
 
 }  // namespace
-
-void SaveDecisionTreeConfig(const DecisionTreeConfig& config,
-                            ArchiveWriter* ar) {
-  ar->WriteI32(config.max_depth);
-  ar->WriteI32(config.min_samples_split);
-  ar->WriteI32(config.min_samples_leaf);
-  ar->WriteI32(config.max_features);
-}
-
-StatusOr<DecisionTreeConfig> LoadDecisionTreeConfig(ArchiveReader* ar) {
-  DecisionTreeConfig config;
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&config.max_depth));
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&config.min_samples_split));
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&config.min_samples_leaf));
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&config.max_features));
-  return config;
-}
 
 Status DecisionTree::Fit(const Dataset& data, Rng* rng) {
   if (data.empty()) return Status::InvalidArgument("DecisionTree: empty data");
@@ -144,57 +125,35 @@ std::unique_ptr<Classifier> DecisionTree::CloneUntrained() const {
   return std::make_unique<DecisionTree>(config_);
 }
 
-void DecisionTree::Save(ArchiveWriter* ar) const {
-  ar->WriteU32(kTreeSchemaVersion);
-  SaveDecisionTreeConfig(config_, ar);
-  ar->WriteU64(nodes_.size());
-  for (const Node& node : nodes_) {
-    ar->WriteI32(node.feature);
-    ar->WriteDouble(node.threshold);
-    ar->WriteI32(node.left);
-    ar->WriteI32(node.right);
-    ar->WriteDouble(node.prob);
-  }
-}
-
-StatusOr<std::unique_ptr<Classifier>> DecisionTree::Load(ArchiveReader* ar) {
-  uint32_t version = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU32(&version));
-  if (version != kTreeSchemaVersion) {
-    return Status::InvalidArgument("DecisionTree: unsupported schema version " +
-                                   std::to_string(version));
-  }
-  PAWS_ASSIGN_OR_RETURN(const DecisionTreeConfig config,
-                        LoadDecisionTreeConfig(ar));
-  auto tree = std::make_unique<DecisionTree>(config);
-  uint64_t count = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU64(&count));
-  // Each serialized node is 28 bytes; reject counts the section cannot hold
-  // before allocating.
-  if (count > ar->remaining() / 28) {
-    return Status::InvalidArgument("DecisionTree: node count overruns archive");
-  }
-  tree->nodes_.resize(count);
-  const int n = static_cast<int>(count);
+// Structural validation, so PredictRow cannot walk out of bounds or loop:
+// leaves have both children unset, internal nodes split on a real feature
+// and point strictly forward (BuildNode appends children after their
+// parent). Each node was checked on its own as it was read; the tree then
+// checks every child against its parent's index and the pool size.
+Status ArchiveLoaded(DecisionTree& tree) {
+  const int n = static_cast<int>(tree.nodes_.size());
   for (int i = 0; i < n; ++i) {
-    Node& node = tree->nodes_[i];
-    PAWS_RETURN_IF_ERROR(ar->ReadI32(&node.feature));
-    PAWS_RETURN_IF_ERROR(ar->ReadDouble(&node.threshold));
-    PAWS_RETURN_IF_ERROR(ar->ReadI32(&node.left));
-    PAWS_RETURN_IF_ERROR(ar->ReadI32(&node.right));
-    PAWS_RETURN_IF_ERROR(ar->ReadDouble(&node.prob));
-    // Structural validation so PredictRow cannot walk out of bounds or
-    // loop: leaves have both children unset, internal nodes point strictly
-    // forward (BuildNode appends children after their parent).
-    const bool leaf = node.left == -1 && node.right == -1;
-    const bool internal = node.feature >= 0 && node.left > i && node.left < n &&
-                          node.right > i && node.right < n;
-    if (!leaf && !internal) {
+    const DecisionTree::Node& node = tree.nodes_[i];
+    if (node.left != -1 && !(node.left > i && node.left < n &&
+                             node.right > i && node.right < n)) {
       return Status::InvalidArgument("DecisionTree: malformed node " +
                                      std::to_string(i));
     }
   }
-  return std::unique_ptr<Classifier>(std::move(tree));
+  return Status::OK();
+}
+
+Status DecisionTree::CheckRowWidth(int width) const {
+  for (const Node& node : nodes_) {
+    if (node.feature >= width) {
+      return Status::InvalidArgument(
+          "a decision tree splits on feature " +
+          std::to_string(node.feature) + ", so it needs rows of at least " +
+          std::to_string(int64_t{node.feature} + 1) + " columns, not " +
+          std::to_string(width));
+    }
+  }
+  return Status::OK();
 }
 
 int DecisionTree::Depth() const {

@@ -1,6 +1,7 @@
 #ifndef PAWS_ML_DECISION_TREE_H_
 #define PAWS_ML_DECISION_TREE_H_
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -18,9 +19,10 @@ struct DecisionTreeConfig {
   int max_features = 0;
 };
 
-void SaveDecisionTreeConfig(const DecisionTreeConfig& config,
-                            ArchiveWriter* ar);
-StatusOr<DecisionTreeConfig> LoadDecisionTreeConfig(ArchiveReader* ar);
+template <typename Io>
+void ArchiveFields(Io& io, ArchiveRef<Io, DecisionTreeConfig> c) {
+  io(c.max_depth, c.min_samples_split, c.min_samples_leaf, c.max_features);
+}
 
 /// Binary CART decision tree with Gini impurity splits. Leaf probabilities
 /// are Laplace-smoothed positive fractions, (n_pos + 1) / (n + 2), so pure
@@ -34,10 +36,15 @@ class DecisionTree : public Classifier {
                     std::vector<double>* out_probs) const override;
   std::unique_ptr<Classifier> CloneUntrained() const override;
 
-  static constexpr uint32_t kArchiveTag = FourCc("TREE");
-  uint32_t ArchiveTag() const override { return kArchiveTag; }
-  void Save(ArchiveWriter* ar) const override;
-  static StatusOr<std::unique_ptr<Classifier>> Load(ArchiveReader* ar);
+  /// Archived as a "TREE" section: the config, then the node pool.
+  static constexpr ArchiveSection kArchiveSection{FourCc("TREE"), 1};
+  void Save(ArchiveWriter* ar) const override { SaveRecord(*this, ar); }
+  Status CheckRowWidth(int width) const override;
+  template <typename Io>
+  friend void ArchiveFields(Io& io, ArchiveRef<Io, DecisionTree> t) {
+    io(t.config_, t.nodes_);
+  }
+  friend Status ArchiveLoaded(DecisionTree& tree);
 
   /// Number of nodes in the fitted tree (0 before Fit).
   int NodeCount() const { return static_cast<int>(nodes_.size()); }
@@ -52,6 +59,24 @@ class DecisionTree : public Classifier {
     int left = -1;
     int right = -1;
     double prob = 0.5;
+
+    template <typename Io>
+    friend void ArchiveFields(Io& io, ArchiveRef<Io, Node> n) {
+      io(n.feature, n.threshold, n.left, n.right, n.prob);
+    }
+    /// A node on its own: a leaf, or a split on a real feature whose
+    /// children come after the root (see ArchiveLoaded(DecisionTree&)).
+    /// A real feature leaves room for the int width, feature + 1, of the
+    /// rows that hold it.
+    friend Status ArchiveLoaded(Node& n) {
+      const bool leaf = n.left == -1 && n.right == -1;
+      const bool real = n.feature >= 0 &&
+                        n.feature < std::numeric_limits<int>::max();
+      if (leaf || (real && n.left > 0 && n.right > 0)) {
+        return Status::OK();
+      }
+      return Status::InvalidArgument("DecisionTree: malformed node");
+    }
   };
 
   /// Read-only view of the fitted node pool (node 0 is the root; children

@@ -91,40 +91,7 @@ EffortCurveTable ResampleEffortCurves(const EffortCurveTable& in,
   return out;
 }
 
-namespace {
-
-constexpr uint32_t kEffortCurveSchemaVersion = 1;
-constexpr uint32_t kEffortCurveSectionTag = FourCc("ECRV");
-
-}  // namespace
-
-void SaveEffortCurveTable(const EffortCurveTable& table, ArchiveWriter* ar) {
-  ar->BeginSection(kEffortCurveSectionTag);
-  ar->WriteU32(kEffortCurveSchemaVersion);
-  ar->WriteDoubleVector(table.effort_grid);
-  ar->WriteIntVector(table.qualified_count);
-  ar->WriteI32(table.num_cells);
-  ar->WriteDoubleVector(table.prob);
-  ar->WriteDoubleVector(table.variance);
-  ar->EndSection();
-}
-
-StatusOr<EffortCurveTable> LoadEffortCurveTable(ArchiveReader* ar) {
-  PAWS_RETURN_IF_ERROR(ar->EnterSection(kEffortCurveSectionTag));
-  uint32_t version = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU32(&version));
-  if (version != kEffortCurveSchemaVersion) {
-    return Status::InvalidArgument(
-        "EffortCurveTable: unsupported schema version " +
-        std::to_string(version));
-  }
-  EffortCurveTable table;
-  PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&table.effort_grid));
-  PAWS_RETURN_IF_ERROR(ar->ReadIntVector(&table.qualified_count));
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&table.num_cells));
-  PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&table.prob));
-  PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&table.variance));
-  PAWS_RETURN_IF_ERROR(ar->LeaveSection());
+Status ArchiveLoaded(EffortCurveTable& table) {
   for (size_t k = 1; k < table.effort_grid.size(); ++k) {
     if (!(table.effort_grid[k] > table.effort_grid[k - 1])) {
       return Status::InvalidArgument(
@@ -139,7 +106,7 @@ StatusOr<EffortCurveTable> LoadEffortCurveTable(ArchiveReader* ar) {
        table.qualified_count.size() != table.effort_grid.size())) {
     return Status::InvalidArgument("EffortCurveTable: shape mismatch");
   }
-  return table;
+  return Status::OK();
 }
 
 }  // namespace paws

@@ -45,6 +45,10 @@ struct EffortCurveTable {
   void Eval(int cell, double effort, double* prob_out,
             double* variance_out) const;
 
+  /// Archived bit-exact as an "ECRV" section — lets a snapshot ship
+  /// pre-tabulated planner inputs, and is the kCellCurves wire body.
+  static constexpr ArchiveSection kArchiveSection{FourCc("ECRV"), 1};
+
  private:
   size_t Index(int cell, int k) const {
     CheckOrDie(cell >= 0 && cell < num_cells &&
@@ -66,10 +70,11 @@ std::vector<double> UniformEffortGrid(double lo, double hi, int segments);
 EffortCurveTable ResampleEffortCurves(const EffortCurveTable& in,
                                       std::vector<double> new_grid);
 
-/// Bit-exact table serialization — lets a snapshot ship pre-tabulated
-/// planner inputs alongside (or instead of) the model that produced them.
-void SaveEffortCurveTable(const EffortCurveTable& table, ArchiveWriter* ar);
-StatusOr<EffortCurveTable> LoadEffortCurveTable(ArchiveReader* ar);
+template <typename Io>
+void ArchiveFields(Io& io, ArchiveRef<Io, EffortCurveTable> t) {
+  io(t.effort_grid, t.qualified_count, t.num_cells, t.prob, t.variance);
+}
+Status ArchiveLoaded(EffortCurveTable& table);
 
 }  // namespace paws
 

@@ -7,33 +7,6 @@
 
 namespace paws {
 
-namespace {
-
-constexpr uint32_t kGpSchemaVersion = 1;
-
-}  // namespace
-
-void SaveGaussianProcessConfig(const GaussianProcessConfig& config,
-                               ArchiveWriter* ar) {
-  ar->WriteDouble(config.kernel.length_scale);
-  ar->WriteDouble(config.kernel.signal_variance);
-  ar->WriteBool(config.scale_length_with_dim);
-  ar->WriteI32(config.max_points);
-  ar->WriteI32(config.max_newton_iterations);
-  ar->WriteDouble(config.newton_tolerance);
-}
-
-StatusOr<GaussianProcessConfig> LoadGaussianProcessConfig(ArchiveReader* ar) {
-  GaussianProcessConfig config;
-  PAWS_RETURN_IF_ERROR(ar->ReadDouble(&config.kernel.length_scale));
-  PAWS_RETURN_IF_ERROR(ar->ReadDouble(&config.kernel.signal_variance));
-  PAWS_RETURN_IF_ERROR(ar->ReadBool(&config.scale_length_with_dim));
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&config.max_points));
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&config.max_newton_iterations));
-  PAWS_RETURN_IF_ERROR(ar->ReadDouble(&config.newton_tolerance));
-  return config;
-}
-
 Status GaussianProcessClassifier::Fit(const Dataset& data, Rng* rng) {
   if (data.empty()) {
     return Status::InvalidArgument("GaussianProcess: empty data");
@@ -233,66 +206,30 @@ std::unique_ptr<Classifier> GaussianProcessClassifier::CloneUntrained() const {
   return std::make_unique<GaussianProcessClassifier>(config_);
 }
 
-void GaussianProcessClassifier::Save(ArchiveWriter* ar) const {
-  ar->WriteU32(kGpSchemaVersion);
-  SaveGaussianProcessConfig(config_, ar);
-  ar->WriteBool(fitted_);
-  if (!fitted_) return;
-  // The *effective* kernel (length scale resolved at fit time), so a
-  // loaded model does not depend on re-deriving it from the config.
-  ar->WriteDouble(kernel_.length_scale);
-  ar->WriteDouble(kernel_.signal_variance);
-  standardizer_.Save(ar);
-  const int n = static_cast<int>(x_train_.size());
-  const int k = standardizer_.num_features();
-  ar->WriteI32(n);
-  ar->WriteI32(k);
-  for (const std::vector<double>& row : x_train_) {
-    for (double v : row) ar->WriteDouble(v);
-  }
-  ar->WriteDoubleVector(grad_log_lik_);
-  ar->WriteDoubleVector(sqrt_w_);
-  chol_b_.Save(ar);
-}
-
-StatusOr<std::unique_ptr<Classifier>> GaussianProcessClassifier::Load(
-    ArchiveReader* ar) {
-  uint32_t version = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU32(&version));
-  if (version != kGpSchemaVersion) {
-    return Status::InvalidArgument(
-        "GaussianProcess: unsupported schema version " +
-        std::to_string(version));
-  }
-  PAWS_ASSIGN_OR_RETURN(const GaussianProcessConfig config,
-                        LoadGaussianProcessConfig(ar));
-  auto gp = std::make_unique<GaussianProcessClassifier>(config);
-  PAWS_RETURN_IF_ERROR(ar->ReadBool(&gp->fitted_));
-  if (!gp->fitted_) return std::unique_ptr<Classifier>(std::move(gp));
-  PAWS_RETURN_IF_ERROR(ar->ReadDouble(&gp->kernel_.length_scale));
-  PAWS_RETURN_IF_ERROR(ar->ReadDouble(&gp->kernel_.signal_variance));
-  PAWS_ASSIGN_OR_RETURN(gp->standardizer_, Standardizer::Load(ar));
-  int n = 0, k = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&n));
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&k));
-  if (n < 0 || k != gp->standardizer_.num_features() ||
-      static_cast<uint64_t>(n) * k > ar->remaining() / 8) {
+Status ArchiveLoaded(GaussianProcessClassifier& gp) {
+  if (!gp.fitted_) return Status::OK();
+  const size_t n = gp.x_train_.size();
+  if (n > 0 && gp.x_train_[0].size() !=
+                   static_cast<size_t>(gp.standardizer_.num_features())) {
     return Status::InvalidArgument("GaussianProcess: bad inducing-set shape");
   }
-  gp->x_train_.assign(n, std::vector<double>(k));
-  for (std::vector<double>& row : gp->x_train_) {
-    for (double& v : row) PAWS_RETURN_IF_ERROR(ar->ReadDouble(&v));
-  }
-  PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&gp->grad_log_lik_));
-  PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&gp->sqrt_w_));
-  PAWS_ASSIGN_OR_RETURN(gp->chol_b_, Matrix::Load(ar));
-  if (gp->grad_log_lik_.size() != static_cast<size_t>(n) ||
-      gp->sqrt_w_.size() != static_cast<size_t>(n) ||
-      gp->chol_b_.rows() != n || gp->chol_b_.cols() != n) {
+  if (gp.grad_log_lik_.size() != n || gp.sqrt_w_.size() != n ||
+      gp.chol_b_.rows() != static_cast<int>(n) ||
+      gp.chol_b_.cols() != static_cast<int>(n)) {
     return Status::InvalidArgument(
         "GaussianProcess: posterior cache shape mismatch");
   }
-  return std::unique_ptr<Classifier>(std::move(gp));
+  return Status::OK();
+}
+
+Status GaussianProcessClassifier::CheckRowWidth(int width) const {
+  if (fitted_ && width != standardizer_.num_features()) {
+    return Status::InvalidArgument(
+        "a Gaussian process scores rows of " +
+        std::to_string(standardizer_.num_features()) + " columns, not " +
+        std::to_string(width));
+  }
+  return Status::OK();
 }
 
 }  // namespace paws

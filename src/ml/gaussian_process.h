@@ -31,9 +31,11 @@ struct GaussianProcessConfig {
   double newton_tolerance = 1e-6;
 };
 
-void SaveGaussianProcessConfig(const GaussianProcessConfig& config,
-                               ArchiveWriter* ar);
-StatusOr<GaussianProcessConfig> LoadGaussianProcessConfig(ArchiveReader* ar);
+template <typename Io>
+void ArchiveFields(Io& io, ArchiveRef<Io, GaussianProcessConfig> c) {
+  io(c.kernel.length_scale, c.kernel.signal_variance, c.scale_length_with_dim,
+     c.max_points, c.max_newton_iterations, c.newton_tolerance);
+}
 
 class GaussianProcessClassifier : public Classifier {
  public:
@@ -57,13 +59,24 @@ class GaussianProcessClassifier : public Classifier {
   bool ProvidesVariance() const override { return true; }
   std::unique_ptr<Classifier> CloneUntrained() const override;
 
-  /// Serializes the full posterior cache — inducing inputs, likelihood
-  /// gradient at the mode, W^1/2 and the Cholesky factor of B — so a
-  /// loaded GP predicts bit-identically without re-running Newton.
-  static constexpr uint32_t kArchiveTag = FourCc("GPCL");
-  uint32_t ArchiveTag() const override { return kArchiveTag; }
-  void Save(ArchiveWriter* ar) const override;
-  static StatusOr<std::unique_ptr<Classifier>> Load(ArchiveReader* ar);
+  /// Archived as a "GPCL" section: the config, then (once fitted) the full
+  /// posterior cache — the *effective* kernel (length scale resolved at fit
+  /// time), the standardizer, inducing inputs, likelihood gradient at the
+  /// mode, W^1/2 and the Cholesky factor of B — so a loaded GP predicts
+  /// bit-identically without re-running Newton.
+  static constexpr ArchiveSection kArchiveSection{FourCc("GPCL"), 1};
+  void Save(ArchiveWriter* ar) const override { SaveRecord(*this, ar); }
+  Status CheckRowWidth(int width) const override;
+  template <typename Io>
+  friend void ArchiveFields(Io& io,
+                            ArchiveRef<Io, GaussianProcessClassifier> m) {
+    io(m.config_, m.fitted_);
+    if (m.fitted_) {
+      io(m.kernel_.length_scale, m.kernel_.signal_variance, m.standardizer_,
+         AsFlatRows(m.x_train_), m.grad_log_lik_, m.sqrt_w_, m.chol_b_);
+    }
+  }
+  friend Status ArchiveLoaded(GaussianProcessClassifier& gp);
 
   int num_inducing_points() const { return static_cast<int>(x_train_.size()); }
 

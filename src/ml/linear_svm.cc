@@ -8,26 +8,6 @@
 
 namespace paws {
 
-namespace {
-
-constexpr uint32_t kSvmSchemaVersion = 1;
-
-}  // namespace
-
-void SaveLinearSvmConfig(const LinearSvmConfig& config, ArchiveWriter* ar) {
-  ar->WriteDouble(config.lambda);
-  ar->WriteI32(config.epochs);
-  ar->WriteI32(config.platt_iterations);
-}
-
-StatusOr<LinearSvmConfig> LoadLinearSvmConfig(ArchiveReader* ar) {
-  LinearSvmConfig config;
-  PAWS_RETURN_IF_ERROR(ar->ReadDouble(&config.lambda));
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&config.epochs));
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&config.platt_iterations));
-  return config;
-}
-
 Status LinearSvm::Fit(const Dataset& data, Rng* rng) {
   if (data.empty()) return Status::InvalidArgument("LinearSvm: empty data");
   CheckOrDie(rng != nullptr, "LinearSvm::Fit requires an Rng");
@@ -139,39 +119,21 @@ std::unique_ptr<Classifier> LinearSvm::CloneUntrained() const {
   return std::make_unique<LinearSvm>(config_);
 }
 
-void LinearSvm::Save(ArchiveWriter* ar) const {
-  ar->WriteU32(kSvmSchemaVersion);
-  SaveLinearSvmConfig(config_, ar);
-  ar->WriteBool(fitted_);
-  if (!fitted_) return;
-  standardizer_.Save(ar);
-  ar->WriteDoubleVector(weights_);
-  ar->WriteDouble(bias_);
-  ar->WriteDouble(platt_a_);
-  ar->WriteDouble(platt_b_);
-}
-
-StatusOr<std::unique_ptr<Classifier>> LinearSvm::Load(ArchiveReader* ar) {
-  uint32_t version = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU32(&version));
-  if (version != kSvmSchemaVersion) {
-    return Status::InvalidArgument("LinearSvm: unsupported schema version " +
-                                   std::to_string(version));
-  }
-  PAWS_ASSIGN_OR_RETURN(const LinearSvmConfig config, LoadLinearSvmConfig(ar));
-  auto svm = std::make_unique<LinearSvm>(config);
-  PAWS_RETURN_IF_ERROR(ar->ReadBool(&svm->fitted_));
-  if (!svm->fitted_) return std::unique_ptr<Classifier>(std::move(svm));
-  PAWS_ASSIGN_OR_RETURN(svm->standardizer_, Standardizer::Load(ar));
-  PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&svm->weights_));
-  PAWS_RETURN_IF_ERROR(ar->ReadDouble(&svm->bias_));
-  PAWS_RETURN_IF_ERROR(ar->ReadDouble(&svm->platt_a_));
-  PAWS_RETURN_IF_ERROR(ar->ReadDouble(&svm->platt_b_));
-  if (svm->weights_.size() !=
-      static_cast<size_t>(svm->standardizer_.num_features())) {
+Status ArchiveLoaded(LinearSvm& svm) {
+  const int width = svm.standardizer_.num_features();
+  if (svm.fitted_ && svm.weights_.size() != static_cast<size_t>(width)) {
     return Status::InvalidArgument("LinearSvm: weight width mismatch");
   }
-  return std::unique_ptr<Classifier>(std::move(svm));
+  return Status::OK();
+}
+
+Status LinearSvm::CheckRowWidth(int width) const {
+  if (fitted_ && static_cast<size_t>(width) != weights_.size()) {
+    return Status::InvalidArgument(
+        "a linear SVM scores rows of " + std::to_string(weights_.size()) +
+        " columns, not " + std::to_string(width));
+  }
+  return Status::OK();
 }
 
 }  // namespace paws

@@ -19,8 +19,10 @@ struct LinearSvmConfig {
   int platt_iterations = 50;
 };
 
-void SaveLinearSvmConfig(const LinearSvmConfig& config, ArchiveWriter* ar);
-StatusOr<LinearSvmConfig> LoadLinearSvmConfig(ArchiveReader* ar);
+template <typename Io>
+void ArchiveFields(Io& io, ArchiveRef<Io, LinearSvmConfig> c) {
+  io(c.lambda, c.epochs, c.platt_iterations);
+}
 
 class LinearSvm : public Classifier {
  public:
@@ -31,10 +33,19 @@ class LinearSvm : public Classifier {
                     std::vector<double>* out_probs) const override;
   std::unique_ptr<Classifier> CloneUntrained() const override;
 
-  static constexpr uint32_t kArchiveTag = FourCc("LSVM");
-  uint32_t ArchiveTag() const override { return kArchiveTag; }
-  void Save(ArchiveWriter* ar) const override;
-  static StatusOr<std::unique_ptr<Classifier>> Load(ArchiveReader* ar);
+  /// Archived as an "LSVM" section: the config, then (once fitted) the
+  /// standardizer, weights, bias and Platt parameters.
+  static constexpr ArchiveSection kArchiveSection{FourCc("LSVM"), 1};
+  void Save(ArchiveWriter* ar) const override { SaveRecord(*this, ar); }
+  Status CheckRowWidth(int width) const override;
+  template <typename Io>
+  friend void ArchiveFields(Io& io, ArchiveRef<Io, LinearSvm> m) {
+    io(m.config_, m.fitted_);
+    if (m.fitted_) {
+      io(m.standardizer_, m.weights_, m.bias_, m.platt_a_, m.platt_b_);
+    }
+  }
+  friend Status ArchiveLoaded(LinearSvm& svm);
 
   /// Raw decision value w.x + b on standardized features.
   double DecisionValue(const std::vector<double>& x) const;

@@ -12,10 +12,6 @@
 namespace paws {
 namespace {
 
-constexpr uint32_t kScheduleTag = FourCc("FSCH");
-constexpr uint32_t kScheduleSchemaVersion = 1;
-constexpr uint64_t kMaxRules = 4096;
-
 uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -56,14 +52,6 @@ void SleepMs(uint64_t ms) {
   if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-uint32_t LoadU32At(const char* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
 }  // namespace
 
 std::string FaultKindName(FaultKind kind) {
@@ -92,62 +80,9 @@ std::string FaultKindName(FaultKind kind) {
   return "unknown(" + std::to_string(static_cast<uint32_t>(kind)) + ")";
 }
 
-std::string FaultSchedule::ToBytes() const {
-  ArchiveWriter writer;
-  writer.BeginSection(kScheduleTag);
-  writer.WriteU32(kScheduleSchemaVersion);
-  writer.WriteU64(seed);
-  writer.WriteU64(rules.size());
-  for (const FaultRule& rule : rules) {
-    writer.WriteString(rule.endpoint);
-    writer.WriteU32(rule.opcode);
-    writer.WriteU32(static_cast<uint32_t>(rule.kind));
-    writer.WriteU64(rule.param);
-    writer.WriteU64(rule.skip);
-    writer.WriteU64(rule.limit);
-    writer.WriteDouble(rule.probability);
-  }
-  writer.EndSection();
-  return writer.Bytes();
-}
-
 StatusOr<FaultSchedule> FaultSchedule::FromBytes(const std::string& bytes) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader reader, ArchiveReader::FromBytes(bytes));
   FaultSchedule schedule;
-  PAWS_RETURN_IF_ERROR(reader.EnterSection(kScheduleTag));
-  uint32_t schema = 0;
-  PAWS_RETURN_IF_ERROR(reader.ReadU32(&schema));
-  if (schema != kScheduleSchemaVersion) {
-    return Status::InvalidArgument("FaultSchedule: unsupported schema " +
-                                   std::to_string(schema));
-  }
-  PAWS_RETURN_IF_ERROR(reader.ReadU64(&schedule.seed));
-  uint64_t count = 0;
-  PAWS_RETURN_IF_ERROR(reader.ReadU64(&count));
-  if (count > kMaxRules) {
-    return Status::InvalidArgument("FaultSchedule: rule count out of range");
-  }
-  schedule.rules.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    FaultRule rule;
-    uint32_t kind = 0;
-    PAWS_RETURN_IF_ERROR(reader.ReadString(&rule.endpoint));
-    PAWS_RETURN_IF_ERROR(reader.ReadU32(&rule.opcode));
-    PAWS_RETURN_IF_ERROR(reader.ReadU32(&kind));
-    PAWS_RETURN_IF_ERROR(reader.ReadU64(&rule.param));
-    PAWS_RETURN_IF_ERROR(reader.ReadU64(&rule.skip));
-    PAWS_RETURN_IF_ERROR(reader.ReadU64(&rule.limit));
-    PAWS_RETURN_IF_ERROR(reader.ReadDouble(&rule.probability));
-    if (kind < static_cast<uint32_t>(FaultKind::kConnectRefuse) ||
-        kind > static_cast<uint32_t>(FaultKind::kChunkSend)) {
-      return Status::InvalidArgument("FaultSchedule: unknown fault kind " +
-                                     std::to_string(kind));
-    }
-    rule.kind = static_cast<FaultKind>(kind);
-    schedule.rules.push_back(std::move(rule));
-  }
-  PAWS_RETURN_IF_ERROR(reader.LeaveSection());
-  PAWS_RETURN_IF_ERROR(reader.ExpectEnd());
+  PAWS_RETURN_IF_ERROR(FromArchiveBytes(bytes, &schedule));
   return schedule;
 }
 
@@ -266,8 +201,8 @@ class FaultInjectedTransport final : public Transport {
   Status Send(const char* data, size_t len, int deadline_ms) override {
     // Sniff the outgoing frame's opcode for per-opcode rules (and for
     // the Recv that awaits this request's response).
-    if (len >= kWireHeaderBytes && LoadU32At(data) == kWireMagic) {
-      last_opcode_ = LoadU32At(data + 16);
+    if (len >= kWireHeaderBytes && LoadU32(data) == kWireMagic) {
+      last_opcode_ = LoadU32(data + 16);
     }
     const FaultInjector::Decision decision =
         injector_->OnSend(endpoint_, last_opcode_);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "net/transport.h"
+#include "util/archive.h"
 #include "util/status.h"
 
 namespace paws {
@@ -80,15 +81,32 @@ struct FaultRule {
   double probability = 1.0;
 };
 
+template <typename Io>
+void ArchiveFields(Io& io, ArchiveRef<Io, FaultRule> r) {
+  io(r.endpoint, r.opcode,
+     ArchiveAs<uint32_t>(r.kind, FaultKind::kConnectRefuse,
+                         FaultKind::kChunkSend),
+     r.param, r.skip, r.limit, r.probability);
+}
+
 /// The serializable chaos artifact: `{seed, rules}` fully determines
-/// every injection decision for a given operation sequence.
+/// every injection decision for a given operation sequence. Archived as
+/// an "FSCH" section of at most 4,096 rules.
 struct FaultSchedule {
+  static constexpr uint64_t kMaxRules = 4096;
+
   uint64_t seed = 1;
   std::vector<FaultRule> rules;
 
-  std::string ToBytes() const;
+  static constexpr ArchiveSection kArchiveSection{FourCc("FSCH"), 1};
+  std::string ToBytes() const { return ToArchiveBytes(*this); }
   static StatusOr<FaultSchedule> FromBytes(const std::string& bytes);
 };
+
+template <typename Io>
+void ArchiveFields(Io& io, ArchiveRef<Io, FaultSchedule> s) {
+  io(s.seed, ArchiveGuarded(s.rules, FaultSchedule::kMaxRules));
+}
 
 /// Thread-safe decision engine shared by every FaultInjectedTransport of
 /// a client/router/fleet under test. All rule counters and the

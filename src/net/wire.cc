@@ -8,34 +8,6 @@ namespace paws {
 
 namespace {
 
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-uint32_t LoadU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-uint64_t LoadU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
 Status BrokenStream(const std::string& what) {
   return Status::InvalidArgument("wire: " + what);
 }
@@ -193,15 +165,9 @@ std::error_code MakeWireErrorCode(StatusCode code) {
 // ---------------------------------------------------------------------------
 // Payload codecs. Each message is described once, here: the section tag
 // that frames it as a payload (kTag) and its fields in wire order
-// (Fields). WireWriter and WireReader walk that one description in the two
-// directions, so encode and decode cannot drift apart.
-
-namespace {
-
-/// A field list takes its message as Ref<Io, T>: `const T&` when writing,
-/// `T&` when reading.
-template <typename Io, typename T>
-using Ref = typename Io::template Ref<T>;
+// (ArchiveFields). util/archive's FieldWriter and FieldReader walk that one
+// description in the two directions, so encode and decode cannot drift
+// apart.
 
 /// The section tag that frames a whole payload. The four result archives
 /// (RiskMaps, RiskTile, EffortCurveTable, PatrolPlan) write their own
@@ -219,33 +185,35 @@ constexpr uint32_t kTag<Status> = FourCc("STAT");
 template <>
 constexpr uint32_t kTag<RiskMapRequest> = FourCc("RQRM");
 template <typename Io>
-void Fields(Io& io, Ref<Io, RiskMapRequest> m) {
+void ArchiveFields(Io& io, ArchiveRef<Io, RiskMapRequest> m) {
   io(m.park_id, m.assumed_effort);
 }
 
 template <>
 constexpr uint32_t kTag<RiskMapBatchRequest> = FourCc("RQRB");
 template <typename Io>
-void Fields(Io& io, Ref<Io, RiskMapBatchRequest> m) { io(m.requests); }
+void ArchiveFields(Io& io, ArchiveRef<Io, RiskMapBatchRequest> m) {
+  io(m.requests);
+}
 
 template <>
 constexpr uint32_t kTag<RiskTileRequest> = FourCc("RQRT");
 template <typename Io>
-void Fields(Io& io, Ref<Io, RiskTileRequest> m) {
+void ArchiveFields(Io& io, ArchiveRef<Io, RiskTileRequest> m) {
   io(m.park_id, m.tile_id, m.assumed_effort);
 }
 
 template <>
 constexpr uint32_t kTag<CellCurvesRequest> = FourCc("RQCC");
 template <typename Io>
-void Fields(Io& io, Ref<Io, CellCurvesRequest> m) {
+void ArchiveFields(Io& io, ArchiveRef<Io, CellCurvesRequest> m) {
   io(m.park_id, m.cell_ids, m.effort_grid);
 }
 
 template <>
 constexpr uint32_t kTag<PlanForPostRequest> = FourCc("RQPP");
 template <typename Io>
-void Fields(Io& io, Ref<Io, PlanForPostRequest> m) {
+void ArchiveFields(Io& io, ArchiveRef<Io, PlanForPostRequest> m) {
   auto& milp = m.config.milp;
   io(m.park_id, m.post_index, m.config.horizon, m.config.num_patrols,
      m.config.pwl_segments, m.config.max_cell_effort, milp.max_nodes,
@@ -258,51 +226,61 @@ void Fields(Io& io, Ref<Io, PlanForPostRequest> m) {
 template <>
 constexpr uint32_t kTag<SwapSnapshotRequest> = FourCc("RQSS");
 template <typename Io>
-void Fields(Io& io, Ref<Io, SwapSnapshotRequest> m) {
+void ArchiveFields(Io& io, ArchiveRef<Io, SwapSnapshotRequest> m) {
   io(m.park_id, m.snapshot_bytes);
 }
 
 template <>
 constexpr uint32_t kTag<StatsRequest> = FourCc("RQST");
 template <typename Io>
-void Fields(Io& io, Ref<Io, StatsRequest> m) { io(m.park_id); }
+void ArchiveFields(Io& io, ArchiveRef<Io, StatsRequest> m) { io(m.park_id); }
 
 template <>
 constexpr uint32_t kTag<MapVersionRequest> = FourCc("RQMV");
 template <typename Io>
-void Fields(Io& io, Ref<Io, MapVersionRequest> m) { io(m.known_version); }
+void ArchiveFields(Io& io, ArchiveRef<Io, MapVersionRequest> m) {
+  io(m.known_version);
+}
 
 template <>
 constexpr uint32_t kTag<MapVersionResponse> = FourCc("RSMV");
 template <typename Io>
-void Fields(Io& io, Ref<Io, MapVersionResponse> m) {
+void ArchiveFields(Io& io, ArchiveRef<Io, MapVersionResponse> m) {
   io(m.version, m.has_map, m.map_bytes);
 }
 
 template <>
 constexpr uint32_t kTag<SwapFleetMapRequest> = FourCc("RQFM");
 template <typename Io>
-void Fields(Io& io, Ref<Io, SwapFleetMapRequest> m) { io(m.map_bytes); }
+void ArchiveFields(Io& io, ArchiveRef<Io, SwapFleetMapRequest> m) {
+  io(m.map_bytes);
+}
 
 template <>
 constexpr uint32_t kTag<GetSnapshotRequest> = FourCc("RQGS");
 template <typename Io>
-void Fields(Io& io, Ref<Io, GetSnapshotRequest> m) { io(m.park_id); }
+void ArchiveFields(Io& io, ArchiveRef<Io, GetSnapshotRequest> m) {
+  io(m.park_id);
+}
 
 template <>
 constexpr uint32_t kTag<GetSnapshotResponse> = FourCc("RSGS");
 template <typename Io>
-void Fields(Io& io, Ref<Io, GetSnapshotResponse> m) { io(m.snapshot_bytes); }
+void ArchiveFields(Io& io, ArchiveRef<Io, GetSnapshotResponse> m) {
+  io(m.snapshot_bytes);
+}
 
 template <>
 constexpr uint32_t kTag<RepairRequest> = FourCc("RQRP");
 template <typename Io>
-void Fields(Io& io, Ref<Io, RepairRequest> m) { io(m.park_id, m.sources); }
+void ArchiveFields(Io& io, ArchiveRef<Io, RepairRequest> m) {
+  io(m.park_id, m.sources);
+}
 
 template <>
 constexpr uint32_t kTag<RepairResponse> = FourCc("RSRP");
 template <typename Io>
-void Fields(Io& io, Ref<Io, RepairResponse> m) { io(m.action); }
+void ArchiveFields(Io& io, ArchiveRef<Io, RepairResponse> m) { io(m.action); }
 
 /// Batch response: one (ok, maps | status) item per request, in order.
 template <>
@@ -311,185 +289,75 @@ constexpr uint32_t kTag<std::vector<StatusOr<RiskMaps>>> = FourCc("RSRB");
 template <>
 constexpr uint32_t kTag<ServerStatsReport> = FourCc("RSST");
 template <typename Io>
-void Fields(Io& io, Ref<Io, ServerStatsReport> m) {
+void ArchiveFields(Io& io, ArchiveRef<Io, ServerStatsReport> m) {
   io(m.accepted_connections, m.rejected_connections, m.active_connections,
      m.frames_in, m.frames_out, m.protocol_errors, m.deadline_expired,
      m.parks);
 }
 
 template <typename Io>
-void Fields(Io& io, Ref<Io, ServerStatsReport::ParkStats> m) {
+void ArchiveFields(Io& io, ArchiveRef<Io, ServerStatsReport::ParkStats> m) {
   io(m.park_id, m.risk_hits, m.risk_misses, m.curve_hits, m.curve_misses,
      m.tile_hits, m.tile_misses, m.tile_pool_resident_tiles,
      m.tile_pool_resident_bytes, m.tile_pool_hits, m.tile_pool_misses,
      m.tile_pool_evictions, m.scoring_backend);
 }
 
-/// Writes fields, in order, into an archive. A type without an overload
-/// here is a message: its field list is written inline.
-class WireWriter {
- public:
-  template <typename T>
-  using Ref = const T&;
+// A Status travels as its wire code, then its message; a StatusOr as an ok
+// flag, then the value or the error. Both convert on the way, so they are
+// the two codecs written once per direction.
+void ArchiveFields(FieldWriter& io, const Status& status) {
+  io(WireCodeFromStatus(status.code()), status.message());
+}
 
-  explicit WireWriter(ArchiveWriter* out) : out_(out) {}
+void ArchiveFields(FieldReader& io, Status& status) {
+  uint32_t wire_code = 0;
+  std::string message;
+  io(wire_code, message);
+  status = Status(StatusCodeFromWire(wire_code), std::move(message));
+}
 
-  template <typename... Ts>
-  void operator()(const Ts&... fields) { (Write(fields), ...); }
-
- private:
-  void Write(uint64_t v) { out_->WriteU64(v); }
-  void Write(int32_t v) { out_->WriteI32(v); }
-  void Write(int64_t v) { out_->WriteI64(v); }
-  void Write(bool v) { out_->WriteBool(v); }
-  void Write(double v) { out_->WriteDouble(v); }
-  void Write(const std::string& v) { out_->WriteString(v); }
-  void Write(const std::vector<int>& v) { out_->WriteIntVector(v); }
-  void Write(const std::vector<double>& v) { out_->WriteDoubleVector(v); }
-  void Write(const Status& status) {
-    out_->WriteU32(WireCodeFromStatus(status.code()));
-    out_->WriteString(status.message());
+template <typename T>
+void ArchiveFields(FieldWriter& io, const StatusOr<T>& result) {
+  io(result.ok());
+  if (result.ok()) {
+    io(*result);
+  } else {
+    io(result.status());
   }
-  void Write(const RiskMaps& v) { SaveRiskMaps(v, out_); }
-  void Write(const RiskTile& v) { SaveRiskTile(v, out_); }
-  void Write(const EffortCurveTable& v) { SaveEffortCurveTable(v, out_); }
-  void Write(const PatrolPlan& v) { SavePatrolPlan(v, out_); }
-  template <typename T>
-  void Write(const StatusOr<T>& result) {
-    out_->WriteBool(result.ok());
-    if (result.ok()) {
-      Write(*result);
-    } else {
-      Write(result.status());
-    }
-  }
-  template <typename T>
-  void Write(const std::vector<T>& items) {
-    out_->WriteU64(items.size());
-    for (const T& item : items) Write(item);
-  }
-  template <typename T>
-  void Write(const T& message) { Fields(*this, message); }
+}
 
-  ArchiveWriter* out_;
-};
-
-/// Reads fields, in order, out of an archive: the mirror of WireWriter.
-/// The first failure sticks; later reads are skipped and status() reports
-/// it.
-class WireReader {
- public:
-  template <typename T>
-  using Ref = T&;
-
-  explicit WireReader(ArchiveReader* in) : in_(in) {}
-
-  template <typename... Ts>
-  void operator()(Ts&... fields) {
-    ((status_.ok() ? Read(fields) : void()), ...);
+template <typename T>
+void ArchiveFields(FieldReader& io, StatusOr<T>& result) {
+  bool ok = false;
+  io(ok);
+  if (ok) {
+    T value;
+    io(value);
+    result = std::move(value);
+    return;
   }
+  Status error;
+  io(error);
+  // An OK status would make a StatusOr that claims a value it lacks.
+  if (io.ok() && error.ok()) {
+    io.Check(BrokenStream("error item carries status OK"));
+  }
+  result = std::move(error);
+}
 
-  const Status& status() const { return status_; }
-
- private:
-  void Read(uint64_t& v) { status_ = in_->ReadU64(&v); }
-  void Read(int32_t& v) { status_ = in_->ReadI32(&v); }
-  void Read(int64_t& v) { status_ = in_->ReadI64(&v); }
-  void Read(bool& v) { status_ = in_->ReadBool(&v); }
-  void Read(double& v) { status_ = in_->ReadDouble(&v); }
-  void Read(std::string& v) { status_ = in_->ReadString(&v); }
-  void Read(std::vector<int>& v) { status_ = in_->ReadIntVector(&v); }
-  void Read(std::vector<double>& v) { status_ = in_->ReadDoubleVector(&v); }
-  void Read(Status& status) {
-    uint32_t wire_code = 0;
-    std::string message;
-    status_ = in_->ReadU32(&wire_code);
-    if (status_.ok()) status_ = in_->ReadString(&message);
-    if (status_.ok()) {
-      status = Status(StatusCodeFromWire(wire_code), std::move(message));
-    }
-  }
-  void Read(RiskMaps& v) { Take(LoadRiskMaps(in_), &v); }
-  void Read(RiskTile& v) { Take(LoadRiskTile(in_), &v); }
-  void Read(EffortCurveTable& v) { Take(LoadEffortCurveTable(in_), &v); }
-  void Read(PatrolPlan& v) { Take(LoadPatrolPlan(in_), &v); }
-  template <typename T>
-  void Read(std::vector<T>& items) {
-    uint64_t count = 0;
-    Read(count);
-    // Every element takes at least one byte, which refuses absurd counts
-    // outright. The count is still unproven until its elements parse, and
-    // an element can be a hundred times larger in memory than on the wire,
-    // so nothing is reserved from it.
-    if (status_.ok() && count > in_->remaining()) {
-      status_ = BrokenStream("element count " + std::to_string(count) +
-                             " overruns the payload");
-    }
-    items.clear();
-    for (uint64_t i = 0; i < count && status_.ok(); ++i) Append(&items);
-  }
-  template <typename T>
-  void Read(T& message) { Fields(*this, message); }
-
-  template <typename T>
-  void Append(std::vector<T>* items) {
-    T item;
-    (*this)(item);
-    items->push_back(std::move(item));
-  }
-  template <typename T>
-  void Append(std::vector<StatusOr<T>>* items) {
-    bool ok = false;
-    (*this)(ok);
-    if (ok) {
-      T value;
-      (*this)(value);
-      items->push_back(std::move(value));
-      return;
-    }
-    Status error;
-    (*this)(error);
-    // An OK status would make a StatusOr that claims a value it lacks.
-    if (status_.ok() && error.ok()) {
-      status_ = BrokenStream("error item carries status OK");
-    }
-    items->push_back(std::move(error));
-  }
-  template <typename T>
-  void Take(StatusOr<T> loaded, T* out) {
-    if (loaded.ok()) {
-      *out = std::move(loaded).value();
-    } else {
-      status_ = loaded.status();
-    }
-  }
-
-  ArchiveReader* in_;
-  Status status_;
-};
+namespace {
 
 template <typename T>
 std::string Encode(const T& message) {
-  ArchiveWriter archive;
-  WireWriter writer(&archive);
-  if (kTag<T> != 0) archive.BeginSection(kTag<T>);
-  writer(message);
-  if (kTag<T> != 0) archive.EndSection();
-  return archive.Bytes();
+  return ToArchiveBytes(message, kTag<T>);
 }
 
 /// Validates the whole payload — CRC, section tag, every field, no
 /// trailing bytes — and returns InvalidArgument on any malformation.
 template <typename T>
 Status DecodeInto(const std::string& payload, T* message) {
-  PAWS_ASSIGN_OR_RETURN(ArchiveReader archive,
-                        ArchiveReader::FromBytes(payload));
-  if (kTag<T> != 0) PAWS_RETURN_IF_ERROR(archive.EnterSection(kTag<T>));
-  WireReader reader(&archive);
-  reader(*message);
-  PAWS_RETURN_IF_ERROR(reader.status());
-  if (kTag<T> != 0) PAWS_RETURN_IF_ERROR(archive.LeaveSection());
-  return archive.ExpectEnd();
+  return FromArchiveBytes(payload, message, kTag<T>);
 }
 
 template <typename T>

@@ -158,7 +158,7 @@ struct RiskMapBatchRequest {
 
 /// One tile of `park_id`'s risk map at `assumed_effort` km. Tile ids are
 /// row-major over the park's tile grid (see TileGeometry); the response
-/// body is a RiskTile archive (SaveRiskTile).
+/// body is a RiskTile archive ("RTIL" section).
 struct RiskTileRequest {
   std::string park_id;
   int tile_id = 0;

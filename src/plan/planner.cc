@@ -173,44 +173,6 @@ double PlannerEffortCap(const PlannerConfig& config) {
   return cap;
 }
 
-namespace {
-constexpr uint32_t kPatrolPlanSectionTag = FourCc("PLAN");
-constexpr uint32_t kPatrolPlanSchemaVersion = 1;
-}  // namespace
-
-void SavePatrolPlan(const PatrolPlan& plan, ArchiveWriter* ar) {
-  ar->BeginSection(kPatrolPlanSectionTag);
-  ar->WriteU32(kPatrolPlanSchemaVersion);
-  ar->WriteDoubleVector(plan.coverage);
-  ar->WriteDouble(plan.objective);
-  ar->WriteBool(plan.proven_optimal);
-  ar->WriteDouble(plan.mip_gap);
-  ar->WriteI64(plan.simplex_iterations);
-  ar->WriteI32(plan.nodes_explored);
-  ar->EndSection();
-}
-
-StatusOr<PatrolPlan> LoadPatrolPlan(ArchiveReader* ar) {
-  PAWS_RETURN_IF_ERROR(ar->EnterSection(kPatrolPlanSectionTag));
-  uint32_t version = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadU32(&version));
-  if (version != kPatrolPlanSchemaVersion) {
-    return Status::InvalidArgument("PatrolPlan: unsupported schema version " +
-                                   std::to_string(version));
-  }
-  PatrolPlan plan;
-  PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&plan.coverage));
-  PAWS_RETURN_IF_ERROR(ar->ReadDouble(&plan.objective));
-  PAWS_RETURN_IF_ERROR(ar->ReadBool(&plan.proven_optimal));
-  int64_t simplex_iterations = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadDouble(&plan.mip_gap));
-  PAWS_RETURN_IF_ERROR(ar->ReadI64(&simplex_iterations));
-  plan.simplex_iterations = static_cast<long>(simplex_iterations);
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&plan.nodes_explored));
-  PAWS_RETURN_IF_ERROR(ar->LeaveSection());
-  return plan;
-}
-
 double EvaluateCoverage(
     const std::vector<double>& coverage,
     const std::vector<std::function<double(double)>>& utility) {

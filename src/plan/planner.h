@@ -39,13 +39,18 @@ struct PatrolPlan {
   double mip_gap = 0.0;
   long simplex_iterations = 0;
   int nodes_explored = 0;
+
+  /// Archived bit-exact as a "PLAN" section — how the serving front end
+  /// ships a solved plan over the wire, and how field devices can archive
+  /// the plans they executed.
+  static constexpr ArchiveSection kArchiveSection{FourCc("PLAN"), 1};
 };
 
-/// Bit-exact plan serialization (coverage doubles stored as IEEE-754 bit
-/// patterns) — how the serving front end ships a solved plan over the
-/// wire, and how field devices can archive the plans they executed.
-void SavePatrolPlan(const PatrolPlan& plan, ArchiveWriter* ar);
-StatusOr<PatrolPlan> LoadPatrolPlan(ArchiveReader* ar);
+template <typename Io>
+void ArchiveFields(Io& io, ArchiveRef<Io, PatrolPlan> p) {
+  io(p.coverage, p.objective, p.proven_optimal, p.mip_gap,
+     p.simplex_iterations, p.nodes_explored);
+}
 
 /// One weighted patrol route from a flow decomposition of the plan.
 struct PatrolRoute {

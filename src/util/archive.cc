@@ -12,35 +12,6 @@ constexpr char kMagic[4] = {'P', 'A', 'W', 'S'};
 constexpr size_t kHeaderSize = 8;  // magic + container version
 constexpr size_t kCrcSize = 4;
 
-void AppendU32(std::string* out, uint32_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-  out->push_back(static_cast<char>((v >> 16) & 0xff));
-  out->push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-uint32_t LoadU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-uint64_t LoadU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
 }  // namespace
 
 std::string FourCcName(uint32_t tag) {
@@ -80,21 +51,6 @@ uint32_t Crc32(const void* data, size_t n) {
 }
 
 // ------------------------------------------------------------- writer
-
-void ArchiveWriter::WriteU8(uint8_t v) {
-  payload_.push_back(static_cast<char>(v));
-}
-
-void ArchiveWriter::WriteU32(uint32_t v) { AppendU32(&payload_, v); }
-
-void ArchiveWriter::WriteU64(uint64_t v) { AppendU64(&payload_, v); }
-
-void ArchiveWriter::WriteDouble(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-  std::memcpy(&bits, &v, sizeof(bits));
-  WriteU64(bits);
-}
 
 void ArchiveWriter::WriteString(const std::string& s) {
   WriteU64(s.size());
@@ -144,10 +100,6 @@ std::string ArchiveWriter::Bytes() const {
   return out;
 }
 
-Status ArchiveWriter::WriteFile(const std::string& path) const {
-  return WriteStringToFile(Bytes(), path);
-}
-
 // ------------------------------------------------------------- reader
 
 StatusOr<ArchiveReader> ArchiveReader::FromBytes(std::string bytes) {
@@ -173,22 +125,21 @@ StatusOr<ArchiveReader> ArchiveReader::FromBytes(std::string bytes) {
   return ArchiveReader(std::move(bytes), kHeaderSize, end);
 }
 
-StatusOr<ArchiveReader> ArchiveReader::FromFile(const std::string& path) {
-  PAWS_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return FromBytes(std::move(bytes));
-}
-
-Status ArchiveReader::Need(size_t n) const {
-  if (pos_ + n > Limit()) {
+Status ArchiveReader::Take(size_t n, const char** data) {
+  if (n > remaining()) {
     return Status::InvalidArgument(
         "archive: truncated read (" + std::to_string(n) + " bytes needed, " +
-        std::to_string(Limit() - pos_) + " available)");
+        std::to_string(remaining()) + " available)");
   }
+  *data = bytes_.data() + pos_;
+  pos_ += n;
   return Status::OK();
 }
 
 Status ArchiveReader::ReadCount(size_t elem_size, uint64_t* out) {
-  PAWS_RETURN_IF_ERROR(ReadU64(out));
+  const char* p = nullptr;
+  PAWS_RETURN_IF_ERROR(Take(8, &p));
+  *out = LoadU64(p);
   if (*out > (Limit() - pos_) / elem_size) {
     return Status::InvalidArgument(
         "archive: container length " + std::to_string(*out) +
@@ -198,111 +149,26 @@ Status ArchiveReader::ReadCount(size_t elem_size, uint64_t* out) {
   return Status::OK();
 }
 
-Status ArchiveReader::ReadU8(uint8_t* out) {
-  PAWS_RETURN_IF_ERROR(Need(1));
-  *out = static_cast<unsigned char>(bytes_[pos_++]);
-  return Status::OK();
-}
-
-Status ArchiveReader::ReadBool(bool* out) {
-  uint8_t v = 0;
-  PAWS_RETURN_IF_ERROR(ReadU8(&v));
-  if (v > 1) {
-    return Status::InvalidArgument("archive: bool field holds " +
-                                   std::to_string(v));
-  }
-  *out = v != 0;
-  return Status::OK();
-}
-
-Status ArchiveReader::ReadU32(uint32_t* out) {
-  PAWS_RETURN_IF_ERROR(Need(4));
-  *out = LoadU32(bytes_.data() + pos_);
-  pos_ += 4;
-  return Status::OK();
-}
-
-Status ArchiveReader::ReadI32(int* out) {
-  uint32_t v = 0;
-  PAWS_RETURN_IF_ERROR(ReadU32(&v));
-  *out = static_cast<int32_t>(v);
-  return Status::OK();
-}
-
-Status ArchiveReader::ReadU64(uint64_t* out) {
-  PAWS_RETURN_IF_ERROR(Need(8));
-  *out = LoadU64(bytes_.data() + pos_);
-  pos_ += 8;
-  return Status::OK();
-}
-
-Status ArchiveReader::ReadI64(int64_t* out) {
-  uint64_t v = 0;
-  PAWS_RETURN_IF_ERROR(ReadU64(&v));
-  *out = static_cast<int64_t>(v);
-  return Status::OK();
-}
-
-Status ArchiveReader::ReadDouble(double* out) {
-  uint64_t bits = 0;
-  PAWS_RETURN_IF_ERROR(ReadU64(&bits));
-  std::memcpy(out, &bits, sizeof(*out));
-  return Status::OK();
-}
-
-Status ArchiveReader::ReadString(std::string* out) {
-  uint64_t n = 0;
-  PAWS_RETURN_IF_ERROR(ReadCount(1, &n));
-  out->assign(bytes_.data() + pos_, n);
-  pos_ += n;
-  return Status::OK();
-}
-
-Status ArchiveReader::ReadDoubleVector(std::vector<double>* out) {
-  uint64_t n = 0;
-  PAWS_RETURN_IF_ERROR(ReadCount(8, &n));
-  out->resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    PAWS_RETURN_IF_ERROR(ReadDouble(&(*out)[i]));
-  }
-  return Status::OK();
-}
-
-Status ArchiveReader::ReadIntVector(std::vector<int>* out) {
-  uint64_t n = 0;
-  PAWS_RETURN_IF_ERROR(ReadCount(4, &n));
-  out->resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    PAWS_RETURN_IF_ERROR(ReadI32(&(*out)[i]));
-  }
-  return Status::OK();
-}
-
-Status ArchiveReader::ReadU8Vector(std::vector<uint8_t>* out) {
-  uint64_t n = 0;
-  PAWS_RETURN_IF_ERROR(ReadCount(1, &n));
-  out->assign(bytes_.data() + pos_, bytes_.data() + pos_ + n);
-  pos_ += n;
-  return Status::OK();
-}
-
-Status ArchiveReader::EnterAnySection(uint32_t* tag) {
-  PAWS_RETURN_IF_ERROR(ReadU32(tag));
-  uint64_t length = 0;
-  PAWS_RETURN_IF_ERROR(ReadCount(1, &length));
-  section_ends_.push_back(pos_ + length);
+Status ArchiveReader::PeekSectionTag(uint32_t* tag) {
+  const char* p = nullptr;
+  PAWS_RETURN_IF_ERROR(Take(4, &p));
+  pos_ -= 4;  // a peek consumes nothing
+  *tag = LoadU32(p);
   return Status::OK();
 }
 
 Status ArchiveReader::EnterSection(uint32_t expected_tag) {
-  uint32_t tag = 0;
-  PAWS_RETURN_IF_ERROR(EnterAnySection(&tag));
+  const char* p = nullptr;
+  PAWS_RETURN_IF_ERROR(Take(4, &p));
+  const uint32_t tag = LoadU32(p);
   if (tag != expected_tag) {
-    section_ends_.pop_back();
     return Status::InvalidArgument("archive: expected section '" +
                                    FourCcName(expected_tag) + "', found '" +
                                    FourCcName(tag) + "'");
   }
+  uint64_t length = 0;
+  PAWS_RETURN_IF_ERROR(ReadCount(1, &length));
+  section_ends_.push_back(pos_ + length);
   return Status::OK();
 }
 
@@ -323,6 +189,60 @@ Status ArchiveReader::ExpectEnd() const {
     return Status::InvalidArgument("archive: trailing bytes after payload");
   }
   return Status::OK();
+}
+
+// ------------------------------------------------------------- records
+
+void FieldWriter::Write(
+    const FlatRows<const std::vector<std::vector<double>>>& table) {
+  const int cols =
+      table.rows.empty() ? 0 : static_cast<int>(table.rows[0].size());
+  (*this)(static_cast<int>(table.rows.size()), cols);
+  for (const std::vector<double>& row : table.rows) {
+    CheckOrDie(static_cast<int>(row.size()) == cols, "FlatRows: ragged table");
+    for (double v : row) Write(v);
+  }
+}
+
+void FieldReader::Read(FlatRows<std::vector<std::vector<double>>>& table) {
+  int rows = 0, cols = 0;
+  (*this)(rows, cols);
+  // Every row holds at least one value, so the shape is proven by the
+  // bytes before anything is allocated.
+  if (ok() && (rows < 0 || cols < 0 || (rows > 0 && cols == 0) ||
+               static_cast<uint64_t>(rows) * cols > in_->remaining() / 8)) {
+    Check(Status::InvalidArgument(
+        "archive: table of " + std::to_string(rows) + " x " +
+        std::to_string(cols) + " values overruns the remaining " +
+        std::to_string(in_->remaining()) + " bytes"));
+  }
+  if (!ok()) return;
+  table.rows.assign(rows, std::vector<double>(cols));
+  for (std::vector<double>& row : table.rows) {
+    for (double& v : row) Read(v);
+  }
+}
+
+void FieldReader::Read(bool& v) {
+  uint8_t raw = 0;
+  Read(raw);
+  if (ok() && raw > 1) {
+    Check(Status::InvalidArgument("archive: bool field holds " +
+                                  std::to_string(raw)));
+  }
+  if (ok()) v = raw != 0;
+}
+
+void FieldReader::CheckVersion(ArchiveSection section) {
+  uint32_t version = 0;
+  Read(version);
+  if (ok() && version != section.version) {
+    Check(Status::InvalidArgument(
+        "archive: unsupported schema version " + std::to_string(version) +
+        (section.tag != 0 ? " of section '" + FourCcName(section.tag) + "'"
+                          : std::string()) +
+        " (expected " + std::to_string(section.version) + ")"));
+  }
 }
 
 // ------------------------------------------------------------- file IO

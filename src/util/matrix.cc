@@ -106,27 +106,12 @@ double LogDetFromCholesky(const Matrix& l) {
   return s;
 }
 
-void Matrix::Save(ArchiveWriter* ar) const {
-  ar->WriteI32(rows_);
-  ar->WriteI32(cols_);
-  ar->WriteDoubleVector(data_);
-}
-
-StatusOr<Matrix> Matrix::Load(ArchiveReader* ar) {
-  int rows = 0, cols = 0;
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&rows));
-  PAWS_RETURN_IF_ERROR(ar->ReadI32(&cols));
-  if (rows < 0 || cols < 0) {
-    return Status::InvalidArgument("Matrix: negative shape in archive");
-  }
-  Matrix m;
-  m.rows_ = rows;
-  m.cols_ = cols;
-  PAWS_RETURN_IF_ERROR(ar->ReadDoubleVector(&m.data_));
-  if (m.data_.size() != static_cast<size_t>(rows) * cols) {
+Status ArchiveLoaded(Matrix& m) {
+  if (m.rows_ < 0 || m.cols_ < 0 ||
+      m.data_.size() != static_cast<size_t>(m.rows_) * m.cols_) {
     return Status::InvalidArgument("Matrix: payload size does not match shape");
   }
-  return m;
+  return Status::OK();
 }
 
 double Dot(const std::vector<double>& a, const std::vector<double>& b) {

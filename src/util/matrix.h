@@ -45,9 +45,12 @@ class Matrix {
   /// this * v. Requires cols() == v.size().
   std::vector<double> MultiplyVector(const std::vector<double>& v) const;
 
-  /// Bit-exact serialization (shape + row-major payload).
-  void Save(ArchiveWriter* ar) const;
-  static StatusOr<Matrix> Load(ArchiveReader* ar);
+  /// Archived bit-exact: shape, then the row-major payload.
+  template <typename Io>
+  friend void ArchiveFields(Io& io, ArchiveRef<Io, Matrix> m) {
+    io(m.rows_, m.cols_, m.data_);
+  }
+  friend Status ArchiveLoaded(Matrix& m);
 
  private:
   int rows_;

@@ -104,6 +104,8 @@ class StatusOr {
   /// sites terse: `return result;` / `return Status::InvalidArgument(...)`.
   StatusOr(T value) : value_(std::move(value)) {}          // NOLINT
   StatusOr(Status status) : status_(std::move(status)) {}  // NOLINT
+  /// An error until assigned: the target a decoder reads into.
+  StatusOr() : status_(StatusCode::kInternal, "StatusOr: no value") {}
 
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }

@@ -22,6 +22,8 @@
 #include "gtest/gtest.h"
 #include "core/pipeline.h"
 #include "core/snapshot.h"
+#include "fleet/fleet_map.h"
+#include "net/fault_injector.h"
 #include "net/wire.h"
 #include "serve/park_service.h"
 #include "util/archive.h"
@@ -266,6 +268,261 @@ TEST(WireDecodeAllocAuditTest, HostileCountsAllocateAtMostTwiceThePayload) {
         LargestAllocation([&] { decoded = c.decode(c.payload); });
     EXPECT_EQ(decoded.code(), StatusCode::kInvalidArgument) << c.tag;
     EXPECT_LE(largest, 2 * c.payload.size()) << c.tag;
+  }
+}
+
+// A CRC-valid `tag` section: the fields `prefix` writes, the largest
+// element count the remaining bytes admit (one byte per element), a
+// malformed first element written by `first`, then 0xff filler up to
+// `body` bytes (on which no element parses either).
+std::string HostileRecord(uint32_t tag, void (*prefix)(ArchiveWriter*),
+                          void (*first)(ArchiveWriter*), size_t body) {
+  ArchiveWriter element;
+  first(&element);
+  ArchiveWriter writer;
+  writer.BeginSection(tag);
+  prefix(&writer);
+  writer.WriteU64(body);
+  first(&writer);
+  for (size_t i = element.payload_size(); i < body; ++i) writer.WriteU8(0xff);
+  writer.EndSection();
+  return writer.Bytes();
+}
+
+template <typename T>
+Status LoadFromBytes(const std::string& bytes, T blank) {
+  return FromArchiveBytes(bytes, &blank);
+}
+
+// The archive loaders share one count guard: an element count is bounded
+// by the bytes left, and nothing is reserved from it, so a hostile count
+// costs no more memory than the elements that actually parse. Each
+// archive claims the most elements its bound admits and breaks on the
+// first.
+TEST(ArchiveLoadAllocAuditTest, HostileCountsAllocateAtMostTwiceTheArchive) {
+  constexpr size_t kBody = 64 << 10;
+  const auto bad_tag = [](ArchiveWriter* w) { w->WriteU32(FourCc("NOPE")); };
+  const auto bad_string = [](ArchiveWriter* w) { w->WriteU64(~0ull); };
+  using Learner = std::unique_ptr<Classifier>;
+  struct Case {
+    const char* what;
+    std::string bytes;
+    Status (*load)(const std::string&);
+  };
+  const Case cases[] = {
+      {"BAGG members",
+       HostileRecord(
+           FourCc("BAGG"),
+           [](ArchiveWriter* w) {
+             w->WriteU32(1);  // schema version
+             SaveRecord(BaggingConfig{}, w);
+             SaveRecord(DecisionTree(), w);  // base-learner prototype
+           },
+           bad_tag, kBody),
+       [](const std::string& b) { return LoadFromBytes(b, Learner()); }},
+      {"IWAR learners",
+       HostileRecord(
+           FourCc("IWAR"),
+           [](ArchiveWriter* w) {
+             w->WriteU32(1);  // schema version
+             SaveRecord(IWareConfig{}, w);
+             SaveRecord(true, w);  // fitted
+             SaveRecord(std::vector<double>{0.0}, w);  // thresholds
+             SaveRecord(std::vector<double>{1.0}, w);  // weights
+           },
+           bad_tag, kBody),
+       [](const std::string& b) {
+         return LoadFromBytes(b, IWareEnsemble(IWareConfig{}));
+       }},
+      {"TREE nodes",
+       HostileRecord(
+           FourCc("TREE"),
+           [](ArchiveWriter* w) {
+             w->WriteU32(1);  // schema version
+             SaveRecord(DecisionTreeConfig{}, w);
+           },
+           [](ArchiveWriter* w) {  // neither a leaf nor a forward split
+             SaveRecord(DecisionTree::Node{-5, 0.5, 0, 0, 0.5}, w);
+           },
+           kBody),
+       [](const std::string& b) { return LoadFromBytes(b, Learner()); }},
+      {"PARK features",
+       HostileRecord(
+           FourCc("PARK"),
+           [](ArchiveWriter* w) {
+             w->WriteU32(1);  // schema version
+             SaveRecord(std::string("p"), w);
+             SaveRecord(GridB(2, 1, 1), w);  // mask
+           },
+           bad_string, kBody),
+       [](const std::string& b) { return LoadFromBytes(b, Park()); }},
+      {"PARK posts",
+       HostileRecord(
+           FourCc("PARK"),
+           [](ArchiveWriter* w) {
+             w->WriteU32(1);  // schema version
+             SaveRecord(std::string("p"), w);
+             SaveRecord(GridB(2, 1, 1), w);  // mask
+             w->WriteU64(0);                 // no features
+           },
+           [](ArchiveWriter* w) { SaveRecord(Cell{-1, -1}, w); }, kBody),
+       [](const std::string& b) { return LoadFromBytes(b, Park()); }},
+      {"FMAP endpoints",
+       HostileRecord(
+           FourCc("FMAP"),
+           [](ArchiveWriter* w) {
+             w->WriteU32(1);  // schema version
+             w->WriteU64(7);  // map version
+             w->WriteI32(2);  // replication
+             w->WriteI32(64);  // vnodes
+           },
+           bad_string, kBody),
+       [](const std::string& b) { return FleetMap::FromBytes(b).status(); }},
+      {"FSCH rules",
+       HostileRecord(
+           FourCc("FSCH"),
+           [](ArchiveWriter* w) {
+             w->WriteU32(1);  // schema version
+             w->WriteU64(9);  // seed
+           },
+           bad_string, kBody),
+       [](const std::string& b) {
+         return FaultSchedule::FromBytes(b).status();
+       }},
+  };
+  for (const Case& c : cases) {
+    Status loaded;
+    const std::size_t largest =
+        LargestAllocation([&] { loaded = c.load(c.bytes); });
+    EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument)
+        << c.what << ": " << loaded;
+    EXPECT_LE(largest, 2 * c.bytes.size()) << c.what;
+  }
+}
+
+// A CRC-valid `tag` section: the fields `prefix` writes, then `count`
+// copies of the element `element` writes.
+std::string RepeatedRecord(uint32_t tag, void (*prefix)(ArchiveWriter*),
+                           void (*element)(ArchiveWriter*), uint64_t count) {
+  ArchiveWriter writer;
+  writer.BeginSection(tag);
+  prefix(&writer);
+  writer.WriteU64(count);
+  for (uint64_t i = 0; i < count; ++i) element(&writer);
+  writer.EndSection();
+  return writer.Bytes();
+}
+
+// Elements that parse but break a rule of their record are small in the
+// archive and larger in memory, so a rule checked only once the whole
+// vector is read lets them pile up first. Each rule that bounds a vector
+// runs before (a cap on its count) or as (a check per element) the vector
+// is read. Each archive repeats one such element thousands of times; the
+// read must stop within the first few (a few dozen allocations in all)
+// and allocate no more than twice the archive at once.
+TEST(ArchiveLoadAllocAuditTest, InvalidElementsAreRefusedBeforeTheyPileUp) {
+  using Learner = std::unique_ptr<Classifier>;
+  const auto fmap = [](ArchiveWriter* w) {
+    w->WriteU32(1);   // schema version
+    w->WriteU64(7);   // map version
+    w->WriteI32(2);   // replication
+    w->WriteI32(64);  // vnodes
+  };
+  const auto empty_host = [](ArchiveWriter* w) {
+    SaveRecord(FleetEndpoint{"", 1}, w);
+  };
+  const auto empty_raster = [](ArchiveWriter* w) {
+    SaveRecord(std::string(), w);  // feature name
+    SaveRecord(GridD(0, 0), w);
+  };
+  const auto untrained_tree = [](ArchiveWriter* w) {
+    SaveRecord(DecisionTree(), w);
+  };
+  struct Case {
+    const char* what;
+    std::string bytes;
+    Status (*load)(const std::string&);
+  };
+  const Case cases[] = {
+      {"FMAP endpoints over the cap",
+       RepeatedRecord(
+           FourCc("FMAP"), fmap,
+           [](ArchiveWriter* w) { SaveRecord(FleetEndpoint{"h", 1}, w); },
+           8192),
+       [](const std::string& b) { return FleetMap::FromBytes(b).status(); }},
+      {"FMAP empty-host endpoints",
+       RepeatedRecord(FourCc("FMAP"), fmap, empty_host, 4096),
+       [](const std::string& b) { return FleetMap::FromBytes(b).status(); }},
+      {"PARK 0x0 features",
+       RepeatedRecord(
+           FourCc("PARK"),
+           [](ArchiveWriter* w) {
+             w->WriteU32(1);  // schema version
+             SaveRecord(std::string("p"), w);
+             SaveRecord(GridB(2, 1, 1), w);  // mask
+           },
+           empty_raster, 4096),
+       [](const std::string& b) { return LoadFromBytes(b, Park()); }},
+      {"PARK features of a cell-less mask",
+       RepeatedRecord(
+           FourCc("PARK"),
+           [](ArchiveWriter* w) {
+             w->WriteU32(1);  // schema version
+             SaveRecord(std::string("p"), w);
+             SaveRecord(GridB(0, 0), w);  // mask
+           },
+           empty_raster, 4096),
+       [](const std::string& b) { return LoadFromBytes(b, Park()); }},
+      {"BAGG count rows beyond the members",
+       RepeatedRecord(
+           FourCc("BAGG"),
+           [](ArchiveWriter* w) {
+             w->WriteU32(1);  // schema version
+             SaveRecord(BaggingConfig{}, w);
+             SaveRecord(DecisionTree(), w);  // base-learner prototype
+             w->WriteU64(1);                 // one member
+             SaveRecord(DecisionTree(), w);
+             w->WriteI32(0);  // training rows: an empty count row is whole
+           },
+           [](ArchiveWriter* w) { SaveRecord(std::vector<int>(), w); }, 8192),
+       [](const std::string& b) { return LoadFromBytes(b, Learner()); }},
+      {"IWAR learners beyond the thresholds",
+       RepeatedRecord(
+           FourCc("IWAR"),
+           [](ArchiveWriter* w) {
+             w->WriteU32(1);  // schema version
+             SaveRecord(IWareConfig{}, w);
+             SaveRecord(true, w);                      // fitted
+             SaveRecord(std::vector<double>{0.0}, w);  // thresholds
+             SaveRecord(std::vector<double>{1.0}, w);  // weights
+           },
+           untrained_tree, 4096),
+       [](const std::string& b) {
+         return LoadFromBytes(b, IWareEnsemble(IWareConfig{}));
+       }},
+      {"FSCH rules over the cap",
+       RepeatedRecord(
+           FourCc("FSCH"),
+           [](ArchiveWriter* w) {
+             w->WriteU32(1);  // schema version
+             w->WriteU64(9);  // seed
+           },
+           [](ArchiveWriter* w) { SaveRecord(FaultRule{}, w); },
+           FaultSchedule::kMaxRules + 1),
+       [](const std::string& b) {
+         return FaultSchedule::FromBytes(b).status();
+       }},
+  };
+  for (const Case& c : cases) {
+    Status loaded;
+    std::size_t largest = 0;
+    const std::uint64_t allocs = CountAllocations([&] {
+      largest = LargestAllocation([&] { loaded = c.load(c.bytes); });
+    });
+    EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument)
+        << c.what << ": " << loaded;
+    EXPECT_LE(allocs, 64u) << c.what;
+    EXPECT_LE(largest, 2 * c.bytes.size()) << c.what;
   }
 }
 

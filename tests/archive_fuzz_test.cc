@@ -1,0 +1,220 @@
+// Seeded reseal fuzzer over every archive type. The trailing CRC catches
+// line noise, so a flipped byte alone never reaches the field decoders;
+// here each mutant of 1-3 payload bytes gets a freshly computed CRC, which
+// is what a buggy or hostile writer produces. Every decode must return a
+// Status or a value — never abort, never trip a sanitizer — and a mutated
+// snapshot that loads must also serve a whole-park risk map and a 4-cell
+// curve table without aborting. The inputs are the ArchiveGoldenTest
+// fixtures and the 21 WireGoldenTest payload instances. Everything is
+// seeded from kSeed, so a failure replays exactly.
+#include <cstdio>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "core/snapshot.h"
+#include "fleet/fleet_map.h"
+#include "gtest/gtest.h"
+#include "ml/dataset_io.h"
+#include "net/fault_injector.h"
+#include "net/wire.h"
+#include "util/archive.h"
+#include "util/rng.h"
+
+namespace paws {
+namespace {
+
+constexpr uint64_t kSeed = 20261016;
+constexpr int kMutantsPerInput = 300;
+
+std::string GoldenBytes(const std::string& name) {
+  std::string path = __FILE__;
+  path.erase(path.find_last_of('/') + 1);
+  StatusOr<std::string> bytes = ReadFileToString(path + "golden/" + name);
+  CheckOrDie(bytes.ok(), "archive fuzz: fixture missing");
+  return *bytes;
+}
+
+// Flips 1-3 payload bytes (never the header or the CRC) and reseals.
+std::string Mutant(const std::string& archive, Rng* rng) {
+  std::string bytes = archive;
+  const int header = 8, crc = 4;
+  const int payload = static_cast<int>(bytes.size()) - header - crc;
+  const int flips = 1 + rng->UniformInt(3);
+  for (int i = 0; i < flips; ++i) {
+    const int at = header + rng->UniformInt(payload);
+    bytes[at] = static_cast<char>(bytes[at] ^ (1 + rng->UniformInt(255)));
+  }
+  bytes.resize(bytes.size() - crc);
+  AppendU32(&bytes, Crc32(bytes.data(), bytes.size()));
+  return bytes;
+}
+
+struct Input {
+  std::string name;
+  std::string bytes;
+  // Decodes one mutant and reports whether it loaded; a returned error is
+  // fine, only aborts are not.
+  std::function<bool(const std::string&)> decode;
+};
+
+template <typename Decoded>
+std::function<bool(const std::string&)> Decoder(
+    Decoded (*decode)(const std::string&)) {
+  return [decode](const std::string& bytes) { return decode(bytes).ok(); };
+}
+
+bool ServeSnapshot(const std::string& bytes) {
+  const StatusOr<ModelSnapshot> snapshot = ModelSnapshot::FromBytes(bytes);
+  if (!snapshot.ok()) return false;
+  const RiskMaps maps = snapshot->PredictRisk(1.5);
+  EXPECT_EQ(static_cast<int>(maps.risk.size()), snapshot->park().num_cells());
+  const EffortCurveTable curves =
+      snapshot->PredictCellCurves({0, 1, 2, 3}, UniformEffortGrid(0, 4, 4));
+  EXPECT_EQ(curves.num_cells, 4);
+  return true;
+}
+
+std::vector<Input> ArchiveInputs() {
+  std::vector<Input> inputs;
+  for (const char* file :
+       {"snapshot_dtb.paws", "snapshot_svb.paws", "snapshot_gpb.paws"}) {
+    inputs.push_back({file, GoldenBytes(file), ServeSnapshot});
+  }
+  inputs.push_back({"dataset.paws", GoldenBytes("dataset.paws"),
+                    [](const std::string& bytes) {
+                      Dataset data(1);
+                      return FromArchiveBytes(bytes, &data).ok();
+                    }});
+  inputs.push_back({"fleet_map.paws", GoldenBytes("fleet_map.paws"),
+                    Decoder(&FleetMap::FromBytes)});
+  inputs.push_back({"fault_schedule.paws", GoldenBytes("fault_schedule.paws"),
+                    Decoder(&FaultSchedule::FromBytes)});
+  return inputs;
+}
+
+// The WireGoldenTest instance of each of the 21 payload shapes.
+std::vector<Input> WireInputs() {
+  PlanForPostRequest plan_request;
+  plan_request.park_id = "sws";
+  plan_request.post_index = 3;
+  plan_request.config.horizon = 7;
+  plan_request.config.num_patrols = 2;
+  plan_request.config.pwl_segments = 5;
+  plan_request.config.max_cell_effort = 1.25;
+  plan_request.config.milp.max_nodes = 777;
+  plan_request.config.milp.absolute_gap_tolerance = 1e-7;
+  plan_request.config.milp.integrality_tolerance = 1e-8;
+  plan_request.config.milp.use_rounding_heuristic = false;
+  plan_request.config.milp.simplex.max_iterations = 12345;
+  plan_request.config.milp.simplex.feasibility_tolerance = 2e-9;
+  plan_request.config.milp.simplex.optimality_tolerance = 3e-9;
+  plan_request.robust.beta = 0.75;
+  plan_request.robust.squash_scale = 0.4;
+
+  RiskMaps maps;
+  maps.risk = {0.25, 0.5};
+  maps.variance = {0.0625, 0.125};
+  maps.assumed_effort = 2.0;
+
+  RiskTile tile;
+  tile.tile_id = 7;
+  tile.cell_ids = {12, 13, 40, 41};
+  tile.risk = {0.25, 1.0 / 3.0, 0.0, 1.0};
+  tile.variance = {0.0, 1e-9, 0.125, 2.0 / 7.0};
+  tile.assumed_effort = 1.5;
+
+  EffortCurveTable curves;
+  curves.effort_grid = {0.0, 1.0, 2.0};
+  curves.qualified_count = {1, 2, 2};
+  curves.num_cells = 2;
+  curves.prob = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
+  curves.variance = {0.01, 0.02, 0.03, 0.04, 0.05, 0.06};
+
+  PatrolPlan plan;
+  plan.coverage = {0.0, 1.5, 0.25};
+  plan.objective = 3.14159;
+  plan.proven_optimal = true;
+  plan.mip_gap = 1e-6;
+  plan.simplex_iterations = 4242;
+  plan.nodes_explored = 17;
+
+  ServerStatsReport report{10, 2, 3, 100, 99, 1, 4, {}};
+  report.parks = {{"a", 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+                   "compiled-dtb-avx2"},
+                  {"b", 0, 1, 0, 2, 3, 4, 5, 6, 7, 8, 9, "reference"}};
+
+  const std::vector<StatusOr<RiskMaps>> batch = {
+      maps, Status::NotFound("unknown park id 'ghost'")};
+
+  return {
+      {"STAT", EncodeStatusPayload(Status::NotFound("park 'mfnp'")),
+       [](const std::string& bytes) {
+         Status carried;
+         return DecodeStatusPayload(bytes, &carried).ok();
+       }},
+      {"RQRM", EncodeRiskMapRequest({"mfnp", 0.1 + 0.2}),
+       Decoder(&DecodeRiskMapRequest)},
+      {"RQRB", EncodeRiskMapBatchRequest({{{"a", 1.0}, {"b", 2.5}}}),
+       Decoder(&DecodeRiskMapBatchRequest)},
+      {"RQRT", EncodeRiskTileRequest({"mega", 3481, 1.5}),
+       Decoder(&DecodeRiskTileRequest)},
+      {"RQCC",
+       EncodeCellCurvesRequest({"qenp", {0, 7, 42}, {0.0, 0.5, 1.0, 2.0}}),
+       Decoder(&DecodeCellCurvesRequest)},
+      {"RQPP", EncodePlanForPostRequest(plan_request),
+       Decoder(&DecodePlanForPostRequest)},
+      {"RQSS",
+       EncodeSwapSnapshotRequest({"p", std::string("\x00\x01 snap\xff", 8)}),
+       Decoder(&DecodeSwapSnapshotRequest)},
+      {"RQST", EncodeStatsRequest({"sws"}), Decoder(&DecodeStatsRequest)},
+      {"RQMV", EncodeMapVersionRequest({77}),
+       Decoder(&DecodeMapVersionRequest)},
+      {"RSMV", EncodeMapVersionResponse({9, true, "map"}),
+       Decoder(&DecodeMapVersionResponse)},
+      {"RQFM", EncodeSwapFleetMapRequest({"map artifact"}),
+       Decoder(&DecodeSwapFleetMapRequest)},
+      {"RQGS", EncodeGetSnapshotRequest({"pk-3"}),
+       Decoder(&DecodeGetSnapshotRequest)},
+      {"RSGS", EncodeGetSnapshotResponse({std::string("\x00\x7f\x80", 3)}),
+       Decoder(&DecodeGetSnapshotResponse)},
+      {"RQRP",
+       EncodeRepairRequest({"pk-5", {"10.0.0.1:9000", "10.0.0.2:9000"}}),
+       Decoder(&DecodeRepairRequest)},
+      {"RSRP", EncodeRepairResponse({"repaired"}),
+       Decoder(&DecodeRepairResponse)},
+      {"RISK", EncodeRiskMapsPayload(maps), Decoder(&DecodeRiskMapsPayload)},
+      {"RSRB", EncodeRiskMapBatchPayload(batch),
+       Decoder(&DecodeRiskMapBatchPayload)},
+      {"RTIL", EncodeRiskTilePayload(tile), Decoder(&DecodeRiskTilePayload)},
+      {"ECRV", EncodeEffortCurveTablePayload(curves),
+       Decoder(&DecodeEffortCurveTablePayload)},
+      {"PLAN", EncodePatrolPlanPayload(plan),
+       Decoder(&DecodePatrolPlanPayload)},
+      {"RSST", EncodeStatsReportPayload(report),
+       Decoder(&DecodeStatsReportPayload)},
+  };
+}
+
+TEST(ArchiveResealFuzzTest, ResealedMutantsDecodeToStatusOrValue) {
+  std::printf("archive reseal fuzzer: seed %llu, %d mutants per input\n",
+              static_cast<unsigned long long>(kSeed), kMutantsPerInput);
+  std::vector<Input> inputs = ArchiveInputs();
+  const std::vector<Input> wire = WireInputs();
+  ASSERT_EQ(wire.size(), 21u);
+  inputs.insert(inputs.end(), wire.begin(), wire.end());
+  for (const Input& input : inputs) {
+    Rng rng(kSeed);
+    int loaded = 0;
+    for (int m = 0; m < kMutantsPerInput; ++m) {
+      SCOPED_TRACE(input.name + " mutant " + std::to_string(m) + " (seed " +
+                   std::to_string(kSeed) + ")");
+      loaded += input.decode(Mutant(input.bytes, &rng)) ? 1 : 0;
+    }
+    std::printf("  %-20s %3d of %d mutants loaded\n", input.name.c_str(),
+                loaded, kMutantsPerInput);
+  }
+}
+
+}  // namespace
+}  // namespace paws

@@ -37,18 +37,18 @@ TEST(ArchiveTest, PrimitivesRoundTrip) {
   std::vector<double> dv;
   std::vector<int> iv;
   std::vector<uint8_t> u8v;
-  ASSERT_TRUE(r->ReadU8(&u8).ok());
-  ASSERT_TRUE(r->ReadBool(&b1).ok());
-  ASSERT_TRUE(r->ReadBool(&b2).ok());
-  ASSERT_TRUE(r->ReadU32(&u32).ok());
-  ASSERT_TRUE(r->ReadI32(&i32).ok());
-  ASSERT_TRUE(r->ReadU64(&u64).ok());
-  ASSERT_TRUE(r->ReadI64(&i64).ok());
-  ASSERT_TRUE(r->ReadDouble(&d).ok());
-  ASSERT_TRUE(r->ReadString(&s).ok());
-  ASSERT_TRUE(r->ReadDoubleVector(&dv).ok());
-  ASSERT_TRUE(r->ReadIntVector(&iv).ok());
-  ASSERT_TRUE(r->ReadU8Vector(&u8v).ok());
+  ASSERT_TRUE(LoadRecord(&*r, &u8).ok());
+  ASSERT_TRUE(LoadRecord(&*r, &b1).ok());
+  ASSERT_TRUE(LoadRecord(&*r, &b2).ok());
+  ASSERT_TRUE(LoadRecord(&*r, &u32).ok());
+  ASSERT_TRUE(LoadRecord(&*r, &i32).ok());
+  ASSERT_TRUE(LoadRecord(&*r, &u64).ok());
+  ASSERT_TRUE(LoadRecord(&*r, &i64).ok());
+  ASSERT_TRUE(LoadRecord(&*r, &d).ok());
+  ASSERT_TRUE(LoadRecord(&*r, &s).ok());
+  ASSERT_TRUE(LoadRecord(&*r, &dv).ok());
+  ASSERT_TRUE(LoadRecord(&*r, &iv).ok());
+  ASSERT_TRUE(LoadRecord(&*r, &u8v).ok());
   EXPECT_EQ(u8, 0xab);
   EXPECT_TRUE(b1);
   EXPECT_FALSE(b2);
@@ -79,12 +79,12 @@ TEST(ArchiveTest, DoublesAreBitExact) {
   ASSERT_TRUE(r.ok());
   for (double v : values) {
     double got;
-    ASSERT_TRUE(r->ReadDouble(&got).ok());
+    ASSERT_TRUE(LoadRecord(&*r, &got).ok());
     EXPECT_EQ(std::signbit(got), std::signbit(v));
     EXPECT_EQ(got, v);
   }
   double nan_back;
-  ASSERT_TRUE(r->ReadDouble(&nan_back).ok());
+  ASSERT_TRUE(LoadRecord(&*r, &nan_back).ok());
   EXPECT_TRUE(std::isnan(nan_back));
 }
 
@@ -101,10 +101,10 @@ TEST(ArchiveTest, SectionsNestAndValidate) {
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->EnterSection(FourCc("OUTR")).ok());
   uint32_t v;
-  ASSERT_TRUE(r->ReadU32(&v).ok());
+  ASSERT_TRUE(LoadRecord(&*r, &v).ok());
   ASSERT_TRUE(r->EnterSection(FourCc("INNR")).ok());
   double d;
-  ASSERT_TRUE(r->ReadDouble(&d).ok());
+  ASSERT_TRUE(LoadRecord(&*r, &d).ok());
   ASSERT_TRUE(r->LeaveSection().ok());
   ASSERT_TRUE(r->LeaveSection().ok());
   EXPECT_TRUE(r->ExpectEnd().ok());
@@ -142,7 +142,7 @@ TEST(ArchiveTest, ReadsCannotCrossSectionEnd) {
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->EnterSection(FourCc("SECT")).ok());
   uint64_t v;
-  EXPECT_FALSE(r->ReadU64(&v).ok());  // would cross into the outer scope
+  EXPECT_FALSE(LoadRecord(&*r, &v).ok());  // would cross into the outer scope
 }
 
 TEST(ArchiveTest, RejectsBadMagic) {
@@ -193,7 +193,7 @@ TEST(ArchiveTest, HugeContainerLengthIsRejectedBeforeAllocation) {
   auto r = ArchiveReader::FromBytes(w.Bytes());
   ASSERT_TRUE(r.ok());
   std::vector<double> v;
-  const Status st = r->ReadDoubleVector(&v);
+  const Status st = LoadRecord(&*r, &v);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
 
@@ -204,7 +204,7 @@ TEST(ArchiveTest, TrailingGarbageDetected) {
   auto r = ArchiveReader::FromBytes(w.Bytes());
   ASSERT_TRUE(r.ok());
   uint32_t v;
-  ASSERT_TRUE(r->ReadU32(&v).ok());
+  ASSERT_TRUE(LoadRecord(&*r, &v).ok());
   EXPECT_FALSE(r->ExpectEnd().ok());
 }
 
@@ -212,14 +212,16 @@ TEST(ArchiveTest, FileRoundTrip) {
   const std::string path = "archive_test_roundtrip.paws";
   ArchiveWriter w;
   w.WriteString("on disk");
-  ASSERT_TRUE(w.WriteFile(path).ok());
-  auto r = ArchiveReader::FromFile(path);
+  ASSERT_TRUE(WriteStringToFile(w.Bytes(), path).ok());
+  auto bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  auto r = ArchiveReader::FromBytes(*bytes);
   ASSERT_TRUE(r.ok()) << r.status();
   std::string s;
-  ASSERT_TRUE(r->ReadString(&s).ok());
+  ASSERT_TRUE(LoadRecord(&*r, &s).ok());
   EXPECT_EQ(s, "on disk");
   std::remove(path.c_str());
-  EXPECT_FALSE(ArchiveReader::FromFile(path).ok());  // NotFound after removal
+  EXPECT_FALSE(ReadFileToString(path).ok());  // NotFound after removal
 }
 
 TEST(ArchiveTest, Crc32MatchesKnownVector) {

@@ -184,11 +184,12 @@ TEST_F(CompiledForestTest, ParallelCompiledServingBitIdenticalToSerial) {
 
 TEST_F(CompiledForestTest, SnapshotLoadRebuildsCompiledForest) {
   ArchiveWriter writer;
-  model_->Save(&writer);
+  SaveRecord(*model_, &writer);
   auto reader = ArchiveReader::FromBytes(writer.Bytes());
   ASSERT_TRUE(reader.ok());
-  auto loaded = IWareEnsemble::Load(&reader.value());
-  ASSERT_TRUE(loaded.ok());
+  IWareEnsemble loaded_model{IWareConfig{}};
+  ASSERT_TRUE(LoadRecord(&reader.value(), &loaded_model).ok());
+  const IWareEnsemble* loaded = &loaded_model;
   // The compiled layer is derived state: never archived, always rebuilt.
   EXPECT_TRUE(loaded->has_compiled_forest());
   std::vector<Prediction> want, got;

@@ -172,11 +172,12 @@ TEST_F(CompiledGpTest, ParallelCompiledServingBitIdenticalToSerial) {
 
 TEST_F(CompiledGpTest, SnapshotLoadRebuildsCompiledGp) {
   ArchiveWriter writer;
-  model_->Save(&writer);
+  SaveRecord(*model_, &writer);
   auto reader = ArchiveReader::FromBytes(writer.Bytes());
   ASSERT_TRUE(reader.ok());
-  auto loaded = IWareEnsemble::Load(&reader.value());
-  ASSERT_TRUE(loaded.ok());
+  IWareEnsemble loaded_model{IWareConfig{}};
+  ASSERT_TRUE(LoadRecord(&reader.value(), &loaded_model).ok());
+  const IWareEnsemble* loaded = &loaded_model;
   // The compiled layer is derived state: never archived, always rebuilt.
   EXPECT_STREQ(loaded->scoring_backend_name(), "compiled-gp");
   std::vector<Prediction> want, got;

@@ -92,13 +92,20 @@ TEST(DatasetIoTest, BlankLinesIgnored) {
   EXPECT_EQ(parsed->size(), 1);
 }
 
+// LoadRecord with the dataset returned.
+StatusOr<Dataset> LoadDatasetRecord(ArchiveReader* reader) {
+  Dataset data(1);
+  PAWS_RETURN_IF_ERROR(LoadRecord(reader, &data));
+  return data;
+}
+
 TEST(DatasetIoTest, BinaryRoundTripIsBitExact) {
   const Dataset original = Toy();
   ArchiveWriter writer;
-  SaveDataset(original, &writer);
+  SaveRecord(original, &writer);
   auto reader = ArchiveReader::FromBytes(writer.Bytes());
   ASSERT_TRUE(reader.ok()) << reader.status();
-  auto parsed = LoadDataset(&*reader);
+  auto parsed = LoadDatasetRecord(&*reader);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   ASSERT_EQ(parsed->size(), original.size());
   ASSERT_EQ(parsed->num_features(), original.num_features());
@@ -125,7 +132,7 @@ TEST(DatasetIoTest, BinaryFileRoundTrip) {
 
 TEST(DatasetIoTest, BinaryRejectsCorruptAndTruncatedArchives) {
   ArchiveWriter writer;
-  SaveDataset(Toy(), &writer);
+  SaveRecord(Toy(), &writer);
   const std::string good = writer.Bytes();
   // Truncations die in the container layer.
   for (size_t n = 0; n < good.size(); n += 7) {
@@ -136,7 +143,7 @@ TEST(DatasetIoTest, BinaryRejectsCorruptAndTruncatedArchives) {
   ArchiveWriter bad;
   Dataset d(1);
   d.AddRow({0.5}, 1, 1.0);
-  SaveDataset(d, &bad);
+  SaveRecord(d, &bad);
   // Flip the label int (value 1 -> 7) by rebuilding with a raw writer.
   ArchiveWriter forged;
   forged.BeginSection(FourCc("DSET"));
@@ -151,7 +158,7 @@ TEST(DatasetIoTest, BinaryRejectsCorruptAndTruncatedArchives) {
   forged.EndSection();
   auto reader = ArchiveReader::FromBytes(forged.Bytes());
   ASSERT_TRUE(reader.ok());
-  const auto parsed = LoadDataset(&*reader);
+  const auto parsed = LoadDatasetRecord(&*reader);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
 }
@@ -164,10 +171,10 @@ TEST(DatasetIoTest, BinaryAndCsvAgreeOnSimulatedPark) {
   const ScenarioData data = SimulateScenario(s, 4);
   const Dataset built = BuildDataset(data.park, data.history);
   ArchiveWriter writer;
-  SaveDataset(built, &writer);
+  SaveRecord(built, &writer);
   auto reader = ArchiveReader::FromBytes(writer.Bytes());
   ASSERT_TRUE(reader.ok());
-  auto binary = LoadDataset(&*reader);
+  auto binary = LoadDatasetRecord(&*reader);
   ASSERT_TRUE(binary.ok()) << binary.status();
   auto csv = DatasetFromCsv(DatasetToCsv(built));
   ASSERT_TRUE(csv.ok());

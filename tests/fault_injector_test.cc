@@ -65,6 +65,18 @@ TEST(FaultScheduleTest, FromBytesRejectsCorruptionAndTrailingGarbage) {
   EXPECT_FALSE(FaultSchedule::FromBytes(bytes + "tail").ok());
 }
 
+TEST(FaultScheduleTest, FromBytesRejectsAnUnknownFaultKind) {
+  // Writing does not check the kind; the read refuses any value outside
+  // kConnectRefuse..kChunkSend.
+  for (uint32_t kind : {0u, 11u}) {
+    FaultSchedule schedule;
+    schedule.rules.push_back(FaultRule{});
+    schedule.rules.back().kind = static_cast<FaultKind>(kind);
+    const auto decoded = FaultSchedule::FromBytes(schedule.ToBytes());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << kind;
+  }
+}
+
 TEST(FaultInjectorTest, FirstMatchingRuleWinsInScheduleOrder) {
   FaultSchedule schedule;
   FaultRule first;

@@ -23,6 +23,7 @@
 #include "gtest/gtest.h"
 #include "core/pipeline.h"
 #include "net/client.h"
+#include "wide_snapshot.h"
 
 namespace paws {
 namespace {
@@ -286,6 +287,28 @@ TEST_F(ParkServerTest, WireSwapSnapshotReplacesAndUpserts) {
   EXPECT_EQ(client.SwapSnapshot("p", "not an archive").code(),
             StatusCode::kInvalidArgument);
   EXPECT_TRUE(client.RiskMap("p", 1.0).ok());
+}
+
+// A kSwapSnapshot of a model wider than its park's rows is answered with a
+// typed refusal, not installed: installing it would abort the daemon, and
+// every park it serves, on the next read.
+TEST_F(ParkServerTest, WireSwapOfAModelWiderThanItsParkIsRefused) {
+  ParkService service;
+  ASSERT_TRUE(service.Register("p", MakeSnapshot()).ok());
+  StartServer(&service);
+  ParkClient client(FastClient());
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  const ModelSnapshot reference = MakeSnapshot();
+  const Status swapped = client.SwapSnapshot(
+      "p", WideModelSnapshot(reference.park(), 8,
+                             WeakLearnerKind::kDecisionTreeBagging));
+  EXPECT_EQ(swapped.code(), StatusCode::kInvalidArgument) << swapped;
+  EXPECT_FALSE(client.last_error_was_transport());
+  // The same connection goes on serving the park the swap targeted.
+  const auto maps = client.RiskMap("p", 1.0);
+  ASSERT_TRUE(maps.ok()) << maps.status();
+  EXPECT_EQ(maps->risk, reference.PredictRisk(1.0).risk);
+  EXPECT_EQ(server_->net_stats().accepted_connections, 1u);
 }
 
 TEST_F(ParkServerTest, GarbageBytesCloseTheConnectionAndCountAsProtocolError) {

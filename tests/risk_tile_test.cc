@@ -68,7 +68,7 @@ class RiskTileTest : public ::testing::Test {
     const Dataset train = BuildDataset(data_->park, data_->history);
     CheckOrDie(model.Fit(train, &rng).ok(), "fixture fit failed");
     ArchiveWriter writer;
-    model.Save(&writer);
+    SaveRecord(model, &writer);
     model_bytes_ = new std::string(writer.Bytes());
   }
   static void TearDownTestSuite() {
@@ -81,9 +81,9 @@ class RiskTileTest : public ::testing::Test {
   static IWareEnsemble LoadModel() {
     auto reader = ArchiveReader::FromBytes(*model_bytes_);
     CheckOrDie(reader.ok(), "fixture model archive invalid");
-    auto model = IWareEnsemble::Load(&*reader);
-    CheckOrDie(model.ok(), "fixture model load failed");
-    return std::move(model).value();
+    IWareEnsemble model{IWareConfig{}};
+    CheckOrDie(LoadRecord(&*reader, &model).ok(), "fixture model load failed");
+    return model;
   }
   std::vector<double> Lagged() const {
     return data_->history.steps[data_->num_steps() - 2].effort;
@@ -346,23 +346,24 @@ TEST_F(RiskTileTest, RiskTileArchiveRoundTripsExactly) {
   const ModelSnapshot snapshot = MakeSnapshot();
   const RiskTile tile = snapshot.PredictRiskTile(1, 2.5);
   ArchiveWriter writer;
-  SaveRiskTile(tile, &writer);
+  SaveRecord(tile, &writer);
   const std::string bytes = writer.Bytes();
   auto reader = ArchiveReader::FromBytes(bytes);
   ASSERT_TRUE(reader.ok());
-  auto loaded = LoadRiskTile(&*reader);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->tile_id, tile.tile_id);
-  EXPECT_EQ(loaded->assumed_effort, tile.assumed_effort);
-  EXPECT_EQ(loaded->cell_ids, tile.cell_ids);
-  EXPECT_EQ(loaded->risk, tile.risk);
-  EXPECT_EQ(loaded->variance, tile.variance);
+  RiskTile loaded;
+  ASSERT_TRUE(LoadRecord(&*reader, &loaded).ok());
+  EXPECT_EQ(loaded.tile_id, tile.tile_id);
+  EXPECT_EQ(loaded.assumed_effort, tile.assumed_effort);
+  EXPECT_EQ(loaded.cell_ids, tile.cell_ids);
+  EXPECT_EQ(loaded.risk, tile.risk);
+  EXPECT_EQ(loaded.variance, tile.variance);
   // Every truncation must fail cleanly — at the archive envelope or at
   // the tile decoder — never crash or misparse.
   for (size_t cut = 0; cut < bytes.size(); cut += 7) {
     auto trunc = ArchiveReader::FromBytes(bytes.substr(0, cut));
     if (!trunc.ok()) continue;
-    EXPECT_FALSE(LoadRiskTile(&*trunc).ok()) << "cut=" << cut;
+    RiskTile partial;
+    EXPECT_FALSE(LoadRecord(&*trunc, &partial).ok()) << "cut=" << cut;
   }
 }
 

@@ -171,11 +171,12 @@ TEST_F(CompiledSvbTest, ParallelCompiledServingBitIdenticalToSerial) {
 
 TEST_F(CompiledSvbTest, SnapshotLoadRebuildsCompiledSvbBackend) {
   ArchiveWriter writer;
-  model_->Save(&writer);
+  SaveRecord(*model_, &writer);
   auto reader = ArchiveReader::FromBytes(writer.Bytes());
   ASSERT_TRUE(reader.ok());
-  auto loaded = IWareEnsemble::Load(&reader.value());
-  ASSERT_TRUE(loaded.ok());
+  IWareEnsemble loaded_model{IWareConfig{}};
+  ASSERT_TRUE(LoadRecord(&reader.value(), &loaded_model).ok());
+  const IWareEnsemble* loaded = &loaded_model;
   // The backend is derived state: never archived, always re-selected.
   EXPECT_STREQ(loaded->scoring_backend_name(), "compiled-svb");
   std::vector<Prediction> want, got;
@@ -246,7 +247,6 @@ class ReenteringClassifier : public Classifier {
   std::unique_ptr<Classifier> CloneUntrained() const override {
     return std::make_unique<ReenteringClassifier>();
   }
-  uint32_t ArchiveTag() const override { return FourCc("REEN"); }
   void Save(ArchiveWriter*) const override {}
 };
 

@@ -314,7 +314,7 @@ TEST_F(SimdTraversalTest, EmptyAndOneRowBatchesServeOnEveryTier) {
 
 TEST_F(SimdTraversalTest, SnapshotRoundTripRebuildsForcedTier) {
   ArchiveWriter writer;
-  model_->Save(&writer);
+  SaveRecord(*model_, &writer);
   for (const SimdTier tier : AvailableTiers()) {
     SCOPED_TRACE(SimdTierName(tier));
     // Load under a pinned tier: the compiled layer is derived state, so
@@ -323,8 +323,9 @@ TEST_F(SimdTraversalTest, SnapshotRoundTripRebuildsForcedTier) {
     ScopedForceBackend force(SimdTierName(tier));
     auto reader = ArchiveReader::FromBytes(writer.Bytes());
     ASSERT_TRUE(reader.ok());
-    auto loaded = IWareEnsemble::Load(&reader.value());
-    ASSERT_TRUE(loaded.ok());
+    IWareEnsemble loaded_model{IWareConfig{}};
+    ASSERT_TRUE(LoadRecord(&reader.value(), &loaded_model).ok());
+    const IWareEnsemble* loaded = &loaded_model;
     EXPECT_STREQ(loaded->scoring_backend_name(), ExpectedName(tier));
     SelectTier(model_, tier);
     std::vector<Prediction> want, got;

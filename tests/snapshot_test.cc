@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <typeinfo>
 
 #include "core/pipeline.h"
 #include "gtest/gtest.h"
@@ -17,6 +18,7 @@
 #include "ml/gaussian_process.h"
 #include "ml/linear_svm.h"
 #include "util/rng.h"
+#include "wide_snapshot.h"
 
 namespace paws {
 namespace {
@@ -51,6 +53,15 @@ std::unique_ptr<Classifier> MakeLearner(const std::string& kind) {
       std::make_unique<GaussianProcessClassifier>(gp), bagging);
 }
 
+// LoadRecord with the value returned; `value` is the blank it reads into.
+template <typename T>
+StatusOr<T> Load(ArchiveReader* reader, T value = T()) {
+  PAWS_RETURN_IF_ERROR(LoadRecord(reader, &value));
+  return StatusOr<T>(std::move(value));
+}
+
+using Learner = std::unique_ptr<Classifier>;
+
 class ClassifierRoundTripTest : public ::testing::TestWithParam<std::string> {
 };
 
@@ -62,13 +73,13 @@ TEST_P(ClassifierRoundTripTest, SaveLoadPredictBatchBitIdentical) {
   ASSERT_TRUE(model->Fit(train, &rng).ok());
 
   ArchiveWriter writer;
-  SaveClassifier(*model, &writer);
+  SaveRecord(model, &writer);
   auto reader = ArchiveReader::FromBytes(writer.Bytes());
   ASSERT_TRUE(reader.ok()) << reader.status();
-  auto loaded = LoadClassifier(&*reader);
+  auto loaded = Load<Learner>(&*reader);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ASSERT_TRUE(reader->ExpectEnd().ok());
-  EXPECT_EQ((*loaded)->ArchiveTag(), model->ArchiveTag());
+  EXPECT_EQ(typeid(**loaded), typeid(*model));
 
   std::vector<Prediction> want, got;
   model->PredictBatchWithVariance(test.FeaturesView(), &want);
@@ -85,10 +96,10 @@ TEST_P(ClassifierRoundTripTest, SaveLoadPredictBatchBitIdentical) {
 TEST_P(ClassifierRoundTripTest, UntrainedPrototypeRoundTripsAndRefits) {
   auto proto = MakeLearner(GetParam());
   ArchiveWriter writer;
-  SaveClassifier(*proto, &writer);
+  SaveRecord(proto, &writer);
   auto reader = ArchiveReader::FromBytes(writer.Bytes());
   ASSERT_TRUE(reader.ok());
-  auto loaded = LoadClassifier(&*reader);
+  auto loaded = Load<Learner>(&*reader);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
 
   // The loaded prototype keeps its config: fitting it and the original on
@@ -115,19 +126,19 @@ TEST(ClassifierRoundTripTest, UnknownTagFails) {
   writer.EndSection();
   auto reader = ArchiveReader::FromBytes(writer.Bytes());
   ASSERT_TRUE(reader.ok());
-  const auto loaded = LoadClassifier(&*reader);
+  const auto loaded = Load<Learner>(&*reader);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("NOPE"), std::string::npos);
 }
 
 TEST(ClassifierRoundTripTest, WrongSchemaVersionFails) {
   ArchiveWriter writer;
-  writer.BeginSection(DecisionTree::kArchiveTag);
+  writer.BeginSection(DecisionTree::kArchiveSection.tag);
   writer.WriteU32(999);  // future schema version
   writer.EndSection();
   auto reader = ArchiveReader::FromBytes(writer.Bytes());
   ASSERT_TRUE(reader.ok());
-  const auto loaded = LoadClassifier(&*reader);
+  const auto loaded = Load<Learner>(&*reader);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
 }
@@ -135,7 +146,7 @@ TEST(ClassifierRoundTripTest, WrongSchemaVersionFails) {
 TEST(ClassifierRoundTripTest, MalformedTreeNodesFail) {
   // A node whose child points backwards (cycle) must be rejected.
   ArchiveWriter writer;
-  writer.BeginSection(DecisionTree::kArchiveTag);
+  writer.BeginSection(DecisionTree::kArchiveSection.tag);
   writer.WriteU32(1);                     // schema version
   for (int i = 0; i < 4; ++i) writer.WriteI32(0);  // config
   writer.WriteU64(1);                     // one node
@@ -147,7 +158,38 @@ TEST(ClassifierRoundTripTest, MalformedTreeNodesFail) {
   writer.EndSection();
   auto reader = ArchiveReader::FromBytes(writer.Bytes());
   ASSERT_TRUE(reader.ok());
-  EXPECT_FALSE(LoadClassifier(&*reader).ok());
+  EXPECT_FALSE(Load<Learner>(&*reader).ok());
+}
+
+TEST(ClassifierRoundTripTest, SplitOnAFeatureNoRowCanHoldFails) {
+  // Rows holding feature INT_MAX would need INT_MAX + 1 columns, which no
+  // int width represents; the node is refused as it is read, before an
+  // ensemble compiles its serving backend from the tree.
+  const int feature = std::numeric_limits<int>::max();
+  ArchiveWriter writer;
+  writer.BeginSection(DecisionTree::kArchiveSection.tag);
+  writer.WriteU32(1);  // schema version
+  SaveRecord(DecisionTreeConfig{}, &writer);
+  SaveRecord(std::vector<DecisionTree::Node>{{feature, 0.5, 1, 2, 0.5},
+                                             {-1, 0.0, -1, -1, 0.25},
+                                             {-1, 0.0, -1, -1, 0.75}},
+             &writer);
+  writer.EndSection();
+  auto reader = ArchiveReader::FromBytes(writer.Bytes());
+  ASSERT_TRUE(reader.ok());
+  const auto loaded = Load<Learner>(&*reader);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(IWareRoundTripTest, UnknownWeakLearnerKindFails) {
+  IWareConfig config;
+  config.weak_learner = static_cast<WeakLearnerKind>(3);
+  ArchiveWriter writer;
+  SaveRecord(config, &writer);
+  auto reader = ArchiveReader::FromBytes(writer.Bytes());
+  ASSERT_TRUE(reader.ok());
+  const auto loaded = Load<IWareConfig>(&*reader);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(IWareRoundTripTest, EnsembleRoundTripsBitIdentical) {
@@ -164,10 +206,10 @@ TEST(IWareRoundTripTest, EnsembleRoundTripsBitIdentical) {
   ASSERT_TRUE(model.Fit(train, &rng).ok());
 
   ArchiveWriter writer;
-  model.Save(&writer);
+  SaveRecord(model, &writer);
   auto reader = ArchiveReader::FromBytes(writer.Bytes());
   ASSERT_TRUE(reader.ok());
-  auto loaded = IWareEnsemble::Load(&*reader);
+  auto loaded = Load(&*reader, IWareEnsemble(IWareConfig{}));
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ASSERT_TRUE(reader->ExpectEnd().ok());
 
@@ -209,10 +251,10 @@ TEST(EffortCurveRoundTripTest, TableRoundTripsExactly) {
   table.prob = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
   table.variance = {0.01, 0.02, 0.03, 0.04, 0.05, 0.06};
   ArchiveWriter writer;
-  SaveEffortCurveTable(table, &writer);
+  SaveRecord(table, &writer);
   auto reader = ArchiveReader::FromBytes(writer.Bytes());
   ASSERT_TRUE(reader.ok());
-  auto loaded = LoadEffortCurveTable(&*reader);
+  auto loaded = Load<EffortCurveTable>(&*reader);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->effort_grid, table.effort_grid);
   EXPECT_EQ(loaded->qualified_count, table.qualified_count);
@@ -228,10 +270,10 @@ TEST(EffortCurveRoundTripTest, ShapeMismatchFails) {
   table.prob = {0.1, 0.2};
   table.variance = {0.0, 0.0};
   ArchiveWriter writer;
-  SaveEffortCurveTable(table, &writer);
+  SaveRecord(table, &writer);
   auto reader = ArchiveReader::FromBytes(writer.Bytes());
   ASSERT_TRUE(reader.ok());
-  EXPECT_FALSE(LoadEffortCurveTable(&*reader).ok());
+  EXPECT_FALSE(Load<EffortCurveTable>(&*reader).ok());
 }
 
 // One trained pipeline shared by the snapshot tests (training dominates
@@ -362,13 +404,37 @@ TEST_F(PipelineSnapshotTest, NonFiniteOrNegativeCoverageLayerIsRejected) {
   }
 }
 
+// A model fitted to rows 8 columns wider than its park serves used to
+// load, then abort the first risk map. Load must refuse it, naming both
+// widths, whichever learner and serving backend the model uses.
+TEST_F(PipelineSnapshotTest, ModelWiderThanTheParkRowsIsRefusedAtLoad) {
+  const Park& park = pipeline_->data().park;
+  const int park_width = park.num_features() + 1;
+  const std::string model_width = std::to_string(park_width + 8);
+  for (const WeakLearnerKind kind :
+       {WeakLearnerKind::kDecisionTreeBagging, WeakLearnerKind::kSvmBagging,
+        WeakLearnerKind::kGaussianProcessBagging}) {
+    const auto loaded =
+        ModelSnapshot::FromBytes(WideModelSnapshot(park, 8, kind));
+    ASSERT_FALSE(loaded.ok()) << WeakLearnerName(kind);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    const std::string& message = loaded.status().message();
+    EXPECT_NE(message.find(std::to_string(park_width) + " columns"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find(model_width), std::string::npos) << message;
+  }
+  // A model that fits its park still loads.
+  EXPECT_TRUE(ModelSnapshot::FromBytes(*bytes_).ok());
+}
+
 TEST_F(PipelineSnapshotTest, RiskMapsRoundTrip) {
   const RiskMaps maps = pipeline_->PredictRisk(1.5);
   ArchiveWriter writer;
-  SaveRiskMaps(maps, &writer);
+  SaveRecord(maps, &writer);
   auto reader = ArchiveReader::FromBytes(writer.Bytes());
   ASSERT_TRUE(reader.ok());
-  auto loaded = LoadRiskMaps(&*reader);
+  auto loaded = Load<RiskMaps>(&*reader);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->risk, maps.risk);
   EXPECT_EQ(loaded->variance, maps.variance);
@@ -378,10 +444,10 @@ TEST_F(PipelineSnapshotTest, RiskMapsRoundTrip) {
 TEST_F(PipelineSnapshotTest, ParkGeometryRoundTripsExactly) {
   const Park& park = pipeline_->data().park;
   ArchiveWriter writer;
-  SavePark(park, &writer);
+  SaveRecord(park, &writer);
   auto reader = ArchiveReader::FromBytes(writer.Bytes());
   ASSERT_TRUE(reader.ok());
-  auto loaded = LoadPark(&*reader);
+  auto loaded = Load<Park>(&*reader);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->name(), park.name());
   EXPECT_EQ(loaded->num_cells(), park.num_cells());
