@@ -30,22 +30,53 @@ std::string FourCcName(uint32_t tag) {
   return out;
 }
 
-uint32_t Crc32(const void* data, size_t n) {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
+namespace {
+
+// Slicing-by-16 (Kounavis & Berry, ISCC 2005): kCrcTables[k][b] is the CRC
+// of byte b followed by k zero bytes, so sixteen lookups fold sixteen input
+// bytes at once into the checksum the byte-at-a-time loop computes.
+struct CrcTables {
+  uint32_t t[16][256];
+};
+
+constexpr CrcTables kCrcTables = [] {
+  CrcTables tables{};
+  for (uint32_t b = 0; b < 256; ++b) {
+    uint32_t c = b;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
     }
-    return t;
-  }();
+    tables.t[0][b] = c;
+  }
+  for (int k = 1; k < 16; ++k) {
+    for (uint32_t b = 0; b < 256; ++b) {
+      const uint32_t c = tables.t[k - 1][b];
+      tables.t[k][b] = tables.t[0][c & 0xff] ^ (c >> 8);
+    }
+  }
+  return tables;
+}();
+
+// The CRC of the little-endian word `w` followed by `k` zero bytes: its
+// four bytes looked up in tables k+3 down to k.
+inline uint32_t FoldWord(uint32_t w, int k) {
+  const auto& t = kCrcTables.t;
+  return t[k + 3][w & 0xff] ^ t[k + 2][(w >> 8) & 0xff] ^
+         t[k + 1][(w >> 16) & 0xff] ^ t[k][w >> 24];
+}
+
+}  // namespace
+
+uint32_t Crc32(const void* data, size_t n) {
   uint32_t crc = 0xffffffffu;
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
+  const char* p = static_cast<const char*>(data);
+  for (; n >= 16; p += 16, n -= 16) {
+    crc = FoldWord(LoadU32(p) ^ crc, 12) ^ FoldWord(LoadU32(p + 4), 8) ^
+          FoldWord(LoadU32(p + 8), 4) ^ FoldWord(LoadU32(p + 12), 0);
+  }
+  for (; n > 0; ++p, --n) {
+    const uint32_t byte = static_cast<unsigned char>(*p);
+    crc = kCrcTables.t[0][(crc ^ byte) & 0xff] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
 }
@@ -59,12 +90,13 @@ void ArchiveWriter::WriteString(const std::string& s) {
 
 void ArchiveWriter::WriteDoubleVector(const std::vector<double>& v) {
   WriteU64(v.size());
-  for (double x : v) WriteDouble(x);
+  WriteRun(v.data(), v.size());
 }
 
 void ArchiveWriter::WriteIntVector(const std::vector<int>& v) {
+  static_assert(sizeof(int) == 4, "ints are stored as 32 bits");
   WriteU64(v.size());
-  for (int x : v) WriteI32(x);
+  WriteRun(v.data(), v.size());
 }
 
 void ArchiveWriter::WriteU8Vector(const std::vector<uint8_t>& v) {
@@ -200,7 +232,7 @@ void FieldWriter::Write(
   (*this)(static_cast<int>(table.rows.size()), cols);
   for (const std::vector<double>& row : table.rows) {
     CheckOrDie(static_cast<int>(row.size()) == cols, "FlatRows: ragged table");
-    for (double v : row) Write(v);
+    out_->WriteRun(row.data(), row.size());
   }
 }
 
@@ -218,9 +250,7 @@ void FieldReader::Read(FlatRows<std::vector<std::vector<double>>>& table) {
   }
   if (!ok()) return;
   table.rows.assign(rows, std::vector<double>(cols));
-  for (std::vector<double>& row : table.rows) {
-    for (double& v : row) Read(v);
-  }
+  for (std::vector<double>& row : table.rows) ReadRun(row.data(), row.size());
 }
 
 void FieldReader::Read(bool& v) {

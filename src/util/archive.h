@@ -1,6 +1,7 @@
 #ifndef PAWS_UTIL_ARCHIVE_H_
 #define PAWS_UTIL_ARCHIVE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -37,7 +38,9 @@ namespace paws {
 ///
 /// Sections are `tag (u32 fourcc) + payload length (u64) + payload`; they
 /// nest, and the reader verifies both the tag and that the section was
-/// consumed exactly. Strings and vectors are `count (u64) + elements`.
+/// consumed exactly. Strings and vectors are `count (u64) + elements`; the
+/// elements of a double or int vector form one contiguous little-endian
+/// run, copied in bulk.
 
 /// Container format version written into every archive header. Bump when
 /// the *container* layout changes (magic/CRC/section framing); per-object
@@ -88,6 +91,19 @@ inline uint64_t LoadU64(const char* p) {
   return v;
 }
 
+namespace internal {
+/// Swaps a run of `count` values of `width` bytes between host and archive
+/// byte order, in place. Archives are little-endian, so on little-endian
+/// hosts (a platform property) a run is one memcpy and this is a no-op.
+inline void SwapRunIfBigEndian(char* run, size_t count, size_t width) {
+  if constexpr (__BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__) {
+    for (size_t i = 0; i < count; ++i) {
+      std::reverse(run + i * width, run + (i + 1) * width);
+    }
+  }
+}
+}  // namespace internal
+
 /// CRC-32 (IEEE 802.3 polynomial) of `n` bytes — the archive's trailer
 /// checksum, exposed for callers that checksum auxiliary payloads.
 uint32_t Crc32(const void* data, size_t n);
@@ -116,6 +132,15 @@ class ArchiveWriter {
   void WriteDoubleVector(const std::vector<double>& v);
   void WriteIntVector(const std::vector<int>& v);
   void WriteU8Vector(const std::vector<uint8_t>& v);
+  /// `count` fixed-width values as one little-endian run, with no count
+  /// before them.
+  template <typename T>
+  void WriteRun(const T* items, size_t count) {
+    static_assert(std::is_arithmetic_v<T>, "a run holds numbers");
+    const size_t at = payload_.size();
+    payload_.append(reinterpret_cast<const char*>(items), count * sizeof(T));
+    internal::SwapRunIfBigEndian(&payload_[at], count, sizeof(T));
+  }
 
   /// Opens a `tag`-labelled section; its byte length is patched in by the
   /// matching EndSection. Sections nest.
@@ -417,7 +442,17 @@ class FieldReader {
     Check(in_->ReadCount(sizeof(T), &count));
     if (!ok()) return;
     items.resize(count);
-    for (T& item : items) Read(item);
+    ReadRun(items.data(), items.size());
+  }
+  /// Fills `items[0, count)` from one little-endian run. A run sits at any
+  /// byte offset, so it is copied out, never read through a typed pointer.
+  template <typename T>
+  void ReadRun(T* items, size_t count) {
+    const char* run = Take(count * sizeof(T));
+    if (run == nullptr || count == 0) return;
+    char* bytes = reinterpret_cast<char*>(items);
+    std::memcpy(bytes, run, count * sizeof(T));
+    internal::SwapRunIfBigEndian(bytes, count, sizeof(T));
   }
   void Read(FlatRows<std::vector<std::vector<double>>>& table);
   template <typename Wire, typename E>

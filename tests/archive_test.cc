@@ -1,8 +1,11 @@
 #include "util/archive.h"
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
+#include <random>
 
 #include "gtest/gtest.h"
 
@@ -64,28 +67,66 @@ TEST(ArchiveTest, PrimitivesRoundTrip) {
   EXPECT_TRUE(r->ExpectEnd().ok());
 }
 
+uint64_t BitsOf(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
 TEST(ArchiveTest, DoublesAreBitExact) {
-  const double values[] = {0.0,
-                           -0.0,
-                           std::numeric_limits<double>::infinity(),
-                           -std::numeric_limits<double>::infinity(),
-                           std::numeric_limits<double>::denorm_min(),
-                           std::numeric_limits<double>::max(),
-                           std::nextafter(1.0, 2.0)};
-  ArchiveWriter w;
-  for (double v : values) w.WriteDouble(v);
-  w.WriteDouble(std::numeric_limits<double>::quiet_NaN());
-  auto r = ArchiveReader::FromBytes(w.Bytes());
-  ASSERT_TRUE(r.ok());
-  for (double v : values) {
-    double got;
-    ASSERT_TRUE(LoadRecord(&*r, &got).ok());
-    EXPECT_EQ(std::signbit(got), std::signbit(v));
-    EXPECT_EQ(got, v);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double huge = std::numeric_limits<double>::max();
+  const double next = std::nextafter(1.0, 2.0);
+  // A quiet NaN with its sign set and a payload no arithmetic produces.
+  const uint64_t nan_bits = 0xfff8'0000'dead'beefull;
+  double nan;
+  std::memcpy(&nan, &nan_bits, sizeof(nan));
+  std::vector<double> doubles = {0.0, -0.0, inf, -inf, tiny, huge, next, nan};
+  const std::vector<int> ints = {INT_MIN, -1, 0, INT_MAX};
+
+  // The leading u8 starts both runs at an odd offset, where a typed load
+  // would be misaligned. Each run must hold exactly the bytes that writing
+  // its count and values one at a time produces.
+  ArchiveWriter runs, one_by_one;
+  runs.WriteU8(1);
+  runs.WriteDoubleVector(doubles);
+  runs.WriteIntVector(ints);
+  one_by_one.WriteU8(1);
+  one_by_one.WriteU64(doubles.size());
+  for (double v : doubles) one_by_one.WriteDouble(v);
+  one_by_one.WriteU64(ints.size());
+  for (int v : ints) one_by_one.WriteI32(v);
+  const std::string bytes = runs.Bytes();
+  ASSERT_EQ(bytes, one_by_one.Bytes());
+
+  auto r = ArchiveReader::FromBytes(bytes);
+  ASSERT_TRUE(r.ok()) << r.status();
+  uint8_t lead = 0;
+  std::vector<double> doubles_back;
+  std::vector<int> ints_back;
+  ASSERT_TRUE(LoadRecord(&*r, &lead).ok());
+  ASSERT_TRUE(LoadRecord(&*r, &doubles_back).ok());
+  ASSERT_TRUE(LoadRecord(&*r, &ints_back).ok());
+  EXPECT_TRUE(r->ExpectEnd().ok());
+  ASSERT_EQ(doubles_back.size(), doubles.size());
+  for (size_t i = 0; i < doubles.size(); ++i) {
+    EXPECT_EQ(BitsOf(doubles_back[i]), BitsOf(doubles[i])) << "double " << i;
   }
-  double nan_back;
-  ASSERT_TRUE(LoadRecord(&*r, &nan_back).ok());
-  EXPECT_TRUE(std::isnan(nan_back));
+  EXPECT_EQ(ints_back, ints);
+
+  // The same bytes read one double at a time give the same bits.
+  auto scalar = ArchiveReader::FromBytes(bytes);
+  ASSERT_TRUE(scalar.ok()) << scalar.status();
+  uint64_t count = 0;
+  ASSERT_TRUE(LoadRecord(&*scalar, &lead).ok());
+  ASSERT_TRUE(LoadRecord(&*scalar, &count).ok());
+  ASSERT_EQ(count, doubles.size());
+  for (double v : doubles) {
+    double got;
+    ASSERT_TRUE(LoadRecord(&*scalar, &got).ok());
+    EXPECT_EQ(BitsOf(got), BitsOf(v));
+  }
 }
 
 TEST(ArchiveTest, SectionsNestAndValidate) {
@@ -228,6 +269,44 @@ TEST(ArchiveTest, Crc32MatchesKnownVector) {
   // The standard CRC-32 check value ("123456789" -> 0xcbf43926).
   EXPECT_EQ(Crc32("123456789", 9), 0xcbf43926u);
   EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+// The byte-at-a-time table loop, the checksum every faster Crc32 must
+// reproduce.
+uint32_t BytewiseCrc32(const unsigned char* p, size_t n) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t crc = 0xffffffffu;
+  for (size_t i = 0; i < n; ++i) {
+    crc = table[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(ArchiveTest, Crc32MatchesBytewiseReference) {
+  // Lengths 0-80 at every start offset 0-15 reach the 16-byte fold, its
+  // byte tail and every misalignment of both; 1 MiB runs the fold long.
+  std::mt19937 rng(20200420);
+  std::vector<unsigned char> buffer((size_t{1} << 20) + 16);
+  for (unsigned char& b : buffer) b = static_cast<unsigned char>(rng());
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t n = 0; n <= 80; ++n) {
+      EXPECT_EQ(Crc32(buffer.data() + offset, n),
+                BytewiseCrc32(buffer.data() + offset, n))
+          << "offset " << offset << ", length " << n;
+    }
+  }
+  const size_t mib = size_t{1} << 20;
+  EXPECT_EQ(Crc32(buffer.data(), mib), BytewiseCrc32(buffer.data(), mib));
 }
 
 TEST(ArchiveTest, FourCcNamesArePrintable) {
