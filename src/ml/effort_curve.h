@@ -11,12 +11,10 @@ namespace paws {
 /// Tabulated prediction curves over hypothetical patrol effort: for each of
 /// `num_cells` feature rows, the ensemble's detection probability g_v(c)
 /// and predictive variance nu_v(c) sampled at every point of a shared,
-/// strictly increasing `effort_grid`. This replaces the per-cell
-/// std::function closure pair that used to feed the planner: one batched
-/// tabulation evaluates every qualified weak learner once per cell and the
-/// whole effort grid reuses those evaluations, so the planner's PWL
-/// construction and the risk-map renderers consume plain arrays instead of
-/// heap-allocated closures.
+/// strictly increasing `effort_grid`. One batched tabulation evaluates
+/// every qualified weak learner once per cell and the whole effort grid
+/// reuses those evaluations; the planner's PWL utilities and the risk-map
+/// renderers consume these arrays directly.
 struct EffortCurveTable {
   std::vector<double> effort_grid;  // m points, strictly increasing
   /// Number of qualified weak learners at each grid point (non-decreasing
@@ -40,8 +38,8 @@ struct EffortCurveTable {
   /// nu_v(effort) by linear interpolation along the grid, clamped outside.
   double EvalVariance(int cell, double effort) const;
   /// Both curves at once with a single grid search — bit-identical to
-  /// EvalProb + EvalVariance; the tabulated RobustObjective hot loop uses
-  /// this so it doesn't pay two binary searches per cell.
+  /// EvalProb + EvalVariance; the RobustObjective hot loop uses this so
+  /// it doesn't pay two binary searches per cell.
   void Eval(int cell, double effort, double* prob_out,
             double* variance_out) const;
 
@@ -58,9 +56,8 @@ struct EffortCurveTable {
   }
 };
 
-/// `segments` + 1 equally spaced grid points on [lo, hi] — the same
-/// breakpoint layout PiecewiseLinear::FromFunction uses, so tables built on
-/// this grid reproduce the closure-sampled PWLs bit for bit.
+/// `segments` + 1 equally spaced grid points on [lo, hi] — bit for bit the
+/// breakpoints PiecewiseLinear::FromFunction samples on the same range.
 std::vector<double> UniformEffortGrid(double lo, double hi, int segments);
 
 /// Resamples a table onto a new effort grid by linear interpolation — one

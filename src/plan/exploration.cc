@@ -5,28 +5,6 @@
 
 namespace paws {
 
-std::function<double(double)> MakeExplorationUtility(
-    std::function<double(double)> g, std::function<double(double)> nu,
-    const ExplorationParams& params) {
-  CheckOrDie(params.bonus >= 0.0, "ExplorationParams: bonus must be >= 0");
-  return [g = std::move(g), nu = std::move(nu), params](double c) {
-    return g(c) + params.bonus * SquashUncertainty(nu(c), params.squash_scale);
-  };
-}
-
-std::vector<std::function<double(double)>> MakeExplorationUtilities(
-    const std::vector<std::function<double(double)>>& g,
-    const std::vector<std::function<double(double)>>& nu,
-    const ExplorationParams& params) {
-  CheckOrDie(g.size() == nu.size(), "MakeExplorationUtilities: size mismatch");
-  std::vector<std::function<double(double)>> out;
-  out.reserve(g.size());
-  for (size_t v = 0; v < g.size(); ++v) {
-    out.push_back(MakeExplorationUtility(g[v], nu[v], params));
-  }
-  return out;
-}
-
 std::vector<PiecewiseLinear> MakeExplorationUtilityTables(
     const EffortCurveTable& curves, const ExplorationParams& params) {
   CheckOrDie(params.bonus >= 0.0, "ExplorationParams: bonus must be >= 0");
@@ -38,19 +16,6 @@ std::vector<PiecewiseLinear> MakeExplorationUtilityTables(
                                                   params.squash_scale);
   }
   return PwlFromGrid(curves.effort_grid, utility, curves.num_cells);
-}
-
-double MeanPatrolledUncertainty(
-    const std::vector<double>& coverage,
-    const std::vector<std::function<double(double)>>& nu) {
-  CheckOrDie(coverage.size() == nu.size(),
-             "MeanPatrolledUncertainty: size mismatch");
-  double weighted = 0.0, total = 0.0;
-  for (size_t v = 0; v < coverage.size(); ++v) {
-    weighted += coverage[v] * nu[v](coverage[v]);
-    total += coverage[v];
-  }
-  return total > 0.0 ? weighted / total : 0.0;
 }
 
 double MeanPatrolledUncertainty(const std::vector<double>& coverage,

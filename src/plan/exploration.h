@@ -1,7 +1,6 @@
 #ifndef PAWS_PLAN_EXPLORATION_H_
 #define PAWS_PLAN_EXPLORATION_H_
 
-#include <functional>
 #include <vector>
 
 #include "ml/effort_curve.h"
@@ -25,31 +24,16 @@ struct ExplorationParams {
   double squash_scale = 0.5;
 };
 
-/// Builds U(c) = g(c) + bonus * squash(nu(c)).
-std::function<double(double)> MakeExplorationUtility(
-    std::function<double(double)> g, std::function<double(double)> nu,
-    const ExplorationParams& params);
-
-/// Vector version: one exploration utility per cell.
-std::vector<std::function<double(double)>> MakeExplorationUtilities(
-    const std::vector<std::function<double(double)>>& g,
-    const std::vector<std::function<double(double)>>& nu,
-    const ExplorationParams& params);
-
-/// Tabulated (batch-first) form: applies the exploration objective to every
-/// grid point of an EffortCurveTable, yielding one PWL utility per cell.
+/// Applies U(c) = g(c) + bonus * squash(nu(c)) to every grid point of an
+/// EffortCurveTable, yielding one PWL utility per cell for the planner.
+/// Dies if bonus is negative.
 std::vector<PiecewiseLinear> MakeExplorationUtilityTables(
     const EffortCurveTable& curves, const ExplorationParams& params);
 
-/// Coverage-weighted mean raw uncertainty of a plan — the quantity
+/// Coverage-weighted mean raw uncertainty of a plan, with one uncertainty
+/// score per cell (e.g. tabulated at a reference effort) — the quantity
 /// exploration maximizes and robustness minimizes; used to verify the two
 /// modes pull in opposite directions.
-double MeanPatrolledUncertainty(
-    const std::vector<double>& coverage,
-    const std::vector<std::function<double(double)>>& nu);
-
-/// As above with one fixed uncertainty score per cell (e.g. tabulated at a
-/// reference effort).
 double MeanPatrolledUncertainty(const std::vector<double>& coverage,
                                 const std::vector<double>& nu);
 

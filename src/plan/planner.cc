@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 namespace paws {
 
@@ -27,32 +26,10 @@ bool Active(const std::vector<int>& dist, int v, int t, int horizon) {
   return dist[v] >= 0 && dist[v] <= t && dist[v] <= horizon - 1 - t;
 }
 
-// Hands BuildModel the PWL utility of an active cell. Tabulated utilities
-// are used as-is; closure-based ones are sampled lazily so only cells that
-// actually receive a coverage variable pay the sampling cost.
-struct UtilitySource {
-  const std::vector<PiecewiseLinear>* tables = nullptr;
-  const std::vector<std::function<double(double)>>* fns = nullptr;
-  int segments = 1;
-  double cap = 0.0;
-
-  int size() const {
-    return static_cast<int>(tables != nullptr ? tables->size() : fns->size());
-  }
-  /// Tabulated utilities are handed back by reference (no copy on the hot
-  /// path); closure-based ones are sampled into `*scratch`.
-  const PiecewiseLinear& Get(int v,
-                             std::optional<PiecewiseLinear>* scratch) const {
-    if (tables != nullptr) return (*tables)[v];
-    *scratch = PiecewiseLinear::FromFunction((*fns)[v], 0.0, cap, segments);
-    return **scratch;
-  }
-};
-
-StatusOr<UnrolledModel> BuildModel(const PlanningGraph& graph,
-                                   const UtilitySource& utility,
-                                   const PlannerConfig& config) {
-  if (utility.size() != graph.num_cells()) {
+StatusOr<UnrolledModel> BuildModel(
+    const PlanningGraph& graph, const std::vector<PiecewiseLinear>& utility,
+    const PlannerConfig& config) {
+  if (static_cast<int>(utility.size()) != graph.num_cells()) {
     return Status::InvalidArgument(
         "PlanPatrols: one utility function required per planning cell");
   }
@@ -140,17 +117,10 @@ StatusOr<UnrolledModel> BuildModel(const PlanningGraph& graph,
     model.lp.AddConstraint(terms, Relation::kEqual, rhs);
 
     // PWL objective term U_v^PWL(c_v).
-    std::optional<PiecewiseLinear> scratch;
-    AddPwlObjectiveTerm(&model.lp, c_var, utility.Get(v, &scratch), 1.0);
+    AddPwlObjectiveTerm(&model.lp, c_var, utility[v], 1.0);
   }
   return model;
 }
-
-// Shared solve + extraction behind both public entry points.
-StatusOr<PatrolPlan> PlanPatrolsImpl(const PlanningGraph& graph,
-                                     const UtilitySource& utility,
-                                     const PlannerConfig& config,
-                                     std::vector<PatrolRoute>* routes);
 
 }  // namespace
 
@@ -183,27 +153,9 @@ double EvaluateCoverage(
   return total;
 }
 
-double EvaluateCoverage(const std::vector<double>& coverage,
-                        const std::vector<PiecewiseLinear>& utility) {
-  CheckOrDie(coverage.size() == utility.size(),
-             "EvaluateCoverage: size mismatch");
-  double total = 0.0;
-  for (size_t v = 0; v < coverage.size(); ++v) {
-    total += utility[v].Eval(coverage[v]);
-  }
-  return total;
-}
-
 StatusOr<PatrolPlan> PlanPatrols(const PlanningGraph& graph,
                                  const std::vector<PiecewiseLinear>& utility,
                                  const PlannerConfig& config) {
-  return PlanPatrolsWithRoutes(graph, utility, config, nullptr);
-}
-
-StatusOr<PatrolPlan> PlanPatrols(
-    const PlanningGraph& graph,
-    const std::vector<std::function<double(double)>>& utility,
-    const PlannerConfig& config) {
   return PlanPatrolsWithRoutes(graph, utility, config, nullptr);
 }
 
@@ -217,29 +169,6 @@ StatusOr<PatrolPlan> PlanPatrolsWithRoutes(
           "PlanPatrols: utility table must span [0, PlannerEffortCap]");
     }
   }
-  UtilitySource source;
-  source.tables = &utility;
-  return PlanPatrolsImpl(graph, source, config, routes);
-}
-
-StatusOr<PatrolPlan> PlanPatrolsWithRoutes(
-    const PlanningGraph& graph,
-    const std::vector<std::function<double(double)>>& utility,
-    const PlannerConfig& config, std::vector<PatrolRoute>* routes) {
-  PAWS_RETURN_IF_ERROR(ValidatePlannerConfig(config));
-  UtilitySource source;
-  source.fns = &utility;
-  source.segments = config.pwl_segments;
-  source.cap = PlannerEffortCap(config);
-  return PlanPatrolsImpl(graph, source, config, routes);
-}
-
-namespace {
-
-StatusOr<PatrolPlan> PlanPatrolsImpl(const PlanningGraph& graph,
-                                     const UtilitySource& utility,
-                                     const PlannerConfig& config,
-                                     std::vector<PatrolRoute>* routes) {
   PAWS_ASSIGN_OR_RETURN(UnrolledModel model,
                         BuildModel(graph, utility, config));
   PAWS_ASSIGN_OR_RETURN(LpSolution sol, SolveMilp(model.lp, config.milp));
@@ -311,7 +240,5 @@ StatusOr<PatrolPlan> PlanPatrolsImpl(const PlanningGraph& graph,
   }
   return plan;
 }
-
-}  // namespace
 
 }  // namespace paws

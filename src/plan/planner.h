@@ -19,7 +19,10 @@ namespace paws {
 struct PlannerConfig {
   int horizon = 8;       // T: time steps per patrol (km walked)
   int num_patrols = 4;   // K
-  int pwl_segments = 10; // m: segments in each PWL approximation
+  /// m: segments of the effort grid callers tabulate utilities on
+  /// (UniformEffortGrid, PiecewiseLinear::FromFunction). PlanPatrols takes
+  /// its resolution from the tables it is given, not from this field.
+  int pwl_segments = 10;
   /// Domain cap for per-cell effort; 0 means horizon * num_patrols (no
   /// artificial cap). Smaller caps concentrate PWL resolution where the
   /// model is most accurate.
@@ -67,44 +70,28 @@ Status ValidatePlannerConfig(const PlannerConfig& config);
 /// and PWL tables: horizon * num_patrols, tightened by max_cell_effort.
 double PlannerEffortCap(const PlannerConfig& config);
 
-/// Batch-first entry point: plans patrols that maximize sum_v U_v(c_v)
-/// where `utility[v]` is a pre-tabulated PWL per planning cell — typically
-/// built from one EffortCurveTable via MakeRobustUtilityTables, so the
-/// whole hot path is table lookups with no per-cell closures. Each table
-/// must start at effort 0; its breakpoints (not config.pwl_segments) set
-/// the PWL resolution. Fails with InvalidArgument on shape mismatches;
-/// propagates solver failures.
+/// Plans patrols that maximize sum_v U_v(c_v), where `utility[v]` is the
+/// PWL utility of planning cell v — built from one EffortCurveTable via
+/// MakeRobustUtilityTables, or from an analytic function with
+/// PiecewiseLinear::FromFunction(fn, 0.0, PlannerEffortCap(config),
+/// config.pwl_segments). Each table must span [0, PlannerEffortCap]; its
+/// breakpoints set the PWL resolution. Fails with InvalidArgument on shape
+/// mismatches; propagates solver failures.
 StatusOr<PatrolPlan> PlanPatrols(const PlanningGraph& graph,
                                  const std::vector<PiecewiseLinear>& utility,
                                  const PlannerConfig& config);
-
-/// Closure-based convenience wrapper: samples each utility function into a
-/// PWL with `config.pwl_segments` segments on [0, PlannerEffortCap], then
-/// plans on the tables.
-StatusOr<PatrolPlan> PlanPatrols(
-    const PlanningGraph& graph,
-    const std::vector<std::function<double(double)>>& utility,
-    const PlannerConfig& config);
 
 /// As PlanPatrols but also returns the flow decomposition of the defender
 /// mixed strategy into explicit routes (at most |E'| routes).
 StatusOr<PatrolPlan> PlanPatrolsWithRoutes(
     const PlanningGraph& graph, const std::vector<PiecewiseLinear>& utility,
     const PlannerConfig& config, std::vector<PatrolRoute>* routes);
-StatusOr<PatrolPlan> PlanPatrolsWithRoutes(
-    const PlanningGraph& graph,
-    const std::vector<std::function<double(double)>>& utility,
-    const PlannerConfig& config, std::vector<PatrolRoute>* routes);
 
 /// Evaluates a coverage vector under arbitrary per-cell utilities — used to
-/// score a plan on "ground truth" utilities it was not optimized for
-/// (Fig. 8's evaluation protocol).
+/// score a plan on the true utilities its PWL tables approximate, and by
+/// GreedyPlan, which walks those utilities directly (ablation A4).
 double EvaluateCoverage(const std::vector<double>& coverage,
                         const std::vector<std::function<double(double)>>& utility);
-
-/// Tabulated form of EvaluateCoverage (PWL interpolation per cell).
-double EvaluateCoverage(const std::vector<double>& coverage,
-                        const std::vector<PiecewiseLinear>& utility);
 
 }  // namespace paws
 

@@ -10,47 +10,6 @@ double SquashUncertainty(double raw_variance, double scale) {
   return 2.0 * Sigmoid(raw_variance / scale) - 1.0;
 }
 
-std::function<double(double)> MakeRobustUtility(
-    std::function<double(double)> g, std::function<double(double)> nu,
-    const RobustParams& params) {
-  CheckOrDie(params.beta >= 0.0 && params.beta <= 1.0,
-             "RobustParams: beta must lie in [0, 1]");
-  return [g = std::move(g), nu = std::move(nu), params](double c) {
-    const double gv = g(c);
-    const double squashed = SquashUncertainty(nu(c), params.squash_scale);
-    return gv - params.beta * gv * squashed;
-  };
-}
-
-std::vector<std::function<double(double)>> MakeRobustUtilities(
-    const std::vector<std::function<double(double)>>& g,
-    const std::vector<std::function<double(double)>>& nu,
-    const RobustParams& params) {
-  CheckOrDie(g.size() == nu.size(), "MakeRobustUtilities: size mismatch");
-  std::vector<std::function<double(double)>> out;
-  out.reserve(g.size());
-  for (size_t v = 0; v < g.size(); ++v) {
-    out.push_back(MakeRobustUtility(g[v], nu[v], params));
-  }
-  return out;
-}
-
-double RobustObjective(const std::vector<double>& coverage,
-                       const std::vector<std::function<double(double)>>& g,
-                       const std::vector<std::function<double(double)>>& nu,
-                       const RobustParams& params) {
-  CheckOrDie(coverage.size() == g.size() && g.size() == nu.size(),
-             "RobustObjective: size mismatch");
-  double total = 0.0;
-  for (size_t v = 0; v < coverage.size(); ++v) {
-    const double gv = g[v](coverage[v]);
-    total += gv - params.beta * gv *
-                      SquashUncertainty(nu[v](coverage[v]),
-                                        params.squash_scale);
-  }
-  return total;
-}
-
 std::vector<PiecewiseLinear> MakeRobustUtilityTables(
     const EffortCurveTable& curves, const RobustParams& params) {
   CheckOrDie(params.beta >= 0.0 && params.beta <= 1.0,

@@ -1,7 +1,6 @@
 #ifndef PAWS_PLAN_ROBUST_H_
 #define PAWS_PLAN_ROBUST_H_
 
-#include <functional>
 #include <vector>
 
 #include "ml/effort_curve.h"
@@ -26,35 +25,16 @@ struct RobustParams {
 /// squashing function the paper describes.
 double SquashUncertainty(double raw_variance, double scale);
 
-/// Builds U_v(c) = g(c) * (1 - beta * squash(nu(c))) from black-box g and
-/// raw-variance nu. The result is non-negative whenever g is.
-std::function<double(double)> MakeRobustUtility(
-    std::function<double(double)> g, std::function<double(double)> nu,
-    const RobustParams& params);
-
-/// Vector version: one robust utility per cell.
-std::vector<std::function<double(double)>> MakeRobustUtilities(
-    const std::vector<std::function<double(double)>>& g,
-    const std::vector<std::function<double(double)>>& nu,
-    const RobustParams& params);
-
-/// The evaluation functional of Fig. 8: U_beta(C) = sum_v g_v(c_v) *
-/// (1 - beta * squash(nu_v(c_v))) for a coverage vector C.
-double RobustObjective(const std::vector<double>& coverage,
-                       const std::vector<std::function<double(double)>>& g,
-                       const std::vector<std::function<double(double)>>& nu,
-                       const RobustParams& params);
-
-/// Tabulated (batch-first) form: applies the robust objective to every grid
-/// point of an EffortCurveTable, yielding one PWL utility per cell for the
-/// planner. No per-cell closures — the table's arrays are consumed
-/// directly, and the grid points carry the exact ensemble outputs, so the
-/// resulting PWLs match the closure-sampled ones bit for bit.
+/// Applies Eq. 4 to every grid point of an EffortCurveTable, yielding one
+/// PWL utility per cell for the planner: U_v(c) = g_v(c) * (1 - beta *
+/// squash(nu_v(c))), non-negative wherever g is. Dies unless beta lies in
+/// [0, 1].
 std::vector<PiecewiseLinear> MakeRobustUtilityTables(
     const EffortCurveTable& curves, const RobustParams& params);
 
-/// RobustObjective on tabulated curves (linear interpolation between grid
-/// points, clamped outside the grid).
+/// The evaluation functional of Fig. 8: U_beta(C) = sum_v g_v(c_v) *
+/// (1 - beta * squash(nu_v(c_v))) for a coverage vector C, with g and nu
+/// interpolated linearly between grid points and clamped outside the grid.
 double RobustObjective(const std::vector<double>& coverage,
                        const EffortCurveTable& curves,
                        const RobustParams& params);

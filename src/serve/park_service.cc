@@ -80,13 +80,6 @@ Status ParkService::Register(const std::string& park_id,
   return Status::OK();
 }
 
-Status ParkService::RegisterFromFile(const std::string& park_id,
-                                     const std::string& path) {
-  PAWS_ASSIGN_OR_RETURN(ModelSnapshot snapshot,
-                        ModelSnapshot::ReadFile(path));
-  return Register(park_id, std::move(snapshot));
-}
-
 bool ParkService::Evict(const std::string& park_id) {
   std::unique_lock<std::shared_mutex> lock(registry_mu_);
   return parks_.erase(park_id) > 0;

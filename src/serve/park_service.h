@@ -66,10 +66,6 @@ class ParkService {
   /// id is empty or already registered (use SwapSnapshot to replace).
   Status Register(const std::string& park_id, ModelSnapshot snapshot);
 
-  /// Loads a snapshot archive from `path` and registers it.
-  Status RegisterFromFile(const std::string& park_id,
-                          const std::string& path);
-
   /// Removes a park. In-flight requests against it complete normally.
   /// Returns false if the id was not registered.
   bool Evict(const std::string& park_id);

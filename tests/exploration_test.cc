@@ -6,17 +6,22 @@
 #include "geo/synth.h"
 #include "plan/planner.h"
 #include "plan/robust.h"
+#include "utility_tables.h"
 
 namespace paws {
 namespace {
+
+const std::vector<double> kGrid = {0.0, 1.0, 3.0};
 
 TEST(ExplorationTest, ZeroBonusRecoversG) {
   const auto g = [](double c) { return 0.2 * c; };
   const auto nu = [](double) { return 5.0; };
   ExplorationParams params;
   params.bonus = 0.0;
-  const auto u = MakeExplorationUtility(g, nu, params);
-  for (double c : {0.0, 1.0, 3.0}) EXPECT_DOUBLE_EQ(u(c), g(c));
+  const auto u =
+      MakeExplorationUtilityTables(Curves(kGrid, {g}, {nu}), params);
+  ASSERT_EQ(u.size(), 1u);
+  for (double c : kGrid) EXPECT_DOUBLE_EQ(u[0].Eval(c), g(c));
 }
 
 TEST(ExplorationTest, BonusRewardsUncertainty) {
@@ -25,13 +30,13 @@ TEST(ExplorationTest, BonusRewardsUncertainty) {
   const auto high_nu = [](double) { return 2.0; };
   ExplorationParams params;
   params.bonus = 1.0;
-  EXPECT_GT(MakeExplorationUtility(g, high_nu, params)(1.0),
-            MakeExplorationUtility(g, low_nu, params)(1.0));
+  const auto u = MakeExplorationUtilityTables(
+      Curves(kGrid, {g, g}, {high_nu, low_nu}), params);
+  EXPECT_GT(u[0].Eval(1.0), u[1].Eval(1.0));
 }
 
 TEST(ExplorationTest, MeanPatrolledUncertaintyWeightsByCoverage) {
-  const std::vector<std::function<double(double)>> nu = {
-      [](double) { return 1.0; }, [](double) { return 3.0; }};
+  const std::vector<double> nu = {1.0, 3.0};
   EXPECT_DOUBLE_EQ(MeanPatrolledUncertainty({1.0, 1.0}, nu), 2.0);
   EXPECT_DOUBLE_EQ(MeanPatrolledUncertainty({0.0, 2.0}, nu), 3.0);
   EXPECT_DOUBLE_EQ(MeanPatrolledUncertainty({0.0, 0.0}, nu), 0.0);
@@ -52,15 +57,14 @@ TEST(ExplorationTest, ExplorationSeeksWhatRobustnessAvoids) {
 
   // Synthetic model: g uniform; uncertainty grows with distance from the
   // post (like a GP trained on post-anchored data).
-  std::vector<std::function<double(double)>> g(graph.num_cells()),
-      nu(graph.num_cells());
+  std::vector<Curve> g(graph.num_cells());
+  std::vector<double> nu(graph.num_cells());
   for (int v = 0; v < graph.num_cells(); ++v) {
     // Risk concentrated near the post, uncertainty far from it: the
     // regime where the two objectives genuinely disagree.
     const double gain = 0.8 * std::exp(-1.0 * dist[v]);
     g[v] = [gain](double c) { return gain * (1.0 - std::exp(-0.5 * c)); };
-    const double variance = 0.05 + 1.0 * dist[v];
-    nu[v] = [variance](double) { return variance; };
+    nu[v] = 0.05 + 1.0 * dist[v];
   }
 
   PlannerConfig planner;
@@ -69,16 +73,25 @@ TEST(ExplorationTest, ExplorationSeeksWhatRobustnessAvoids) {
   planner.pwl_segments = 6;
   planner.milp.max_nodes = 100;
 
+  std::vector<Curve> nu_curves;
+  for (double variance : nu) {
+    nu_curves.push_back([variance](double) { return variance; });
+  }
+  const EffortCurveTable curves =
+      Curves(UniformEffortGrid(0.0, PlannerEffortCap(planner),
+                               planner.pwl_segments),
+             g, nu_curves);
+
   RobustParams robust;
   robust.beta = 1.0;
-  auto robust_plan = PlanPatrols(graph, MakeRobustUtilities(g, nu, robust),
-                                 planner);
+  auto robust_plan =
+      PlanPatrols(graph, MakeRobustUtilityTables(curves, robust), planner);
   ASSERT_TRUE(robust_plan.ok()) << robust_plan.status();
 
   ExplorationParams explore;
   explore.bonus = 3.0;
   auto explore_plan = PlanPatrols(
-      graph, MakeExplorationUtilities(g, nu, explore), planner);
+      graph, MakeExplorationUtilityTables(curves, explore), planner);
   ASSERT_TRUE(explore_plan.ok()) << explore_plan.status();
 
   const double robust_nu =
@@ -91,9 +104,9 @@ TEST(ExplorationTest, ExplorationSeeksWhatRobustnessAvoids) {
 TEST(ExplorationDeathTest, RejectsNegativeBonus) {
   ExplorationParams params;
   params.bonus = -1.0;
-  EXPECT_DEATH(MakeExplorationUtility([](double) { return 0.0; },
-                                      [](double) { return 0.0; }, params),
-               "bonus");
+  const EffortCurveTable curves = Curves(
+      kGrid, {[](double) { return 0.0; }}, {[](double) { return 0.0; }});
+  EXPECT_DEATH(MakeExplorationUtilityTables(curves, params), "bonus");
 }
 
 }  // namespace

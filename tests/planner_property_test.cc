@@ -9,6 +9,7 @@
 #include "plan/greedy.h"
 #include "plan/planner.h"
 #include "util/rng.h"
+#include "utility_tables.h"
 
 namespace paws {
 namespace {
@@ -42,7 +43,7 @@ TEST_P(PlannerPropertyTest, BudgetSupportAndDominanceInvariants) {
   const PlanningGraph graph =
       BuildPlanningGraph(park, park.patrol_posts()[0], 4);
   Rng rng(param.seed * 13 + 5);
-  std::vector<std::function<double(double)>> utils;
+  std::vector<Curve> utils;
   for (int v = 0; v < graph.num_cells(); ++v) {
     const double w = std::exp(rng.Normal(-0.5, 0.8));
     const double r = rng.Uniform(0.3, 1.5);
@@ -54,7 +55,8 @@ TEST_P(PlannerPropertyTest, BudgetSupportAndDominanceInvariants) {
   cfg.pwl_segments = param.segments;
   cfg.milp.max_nodes = 100;
 
-  auto plan = PlanPatrols(graph, utils, cfg);
+  const std::vector<PiecewiseLinear> tables = Tabulate(utils, cfg);
+  auto plan = PlanPatrols(graph, tables, cfg);
   ASSERT_TRUE(plan.ok()) << plan.status();
 
   // Invariant 1: coverage is non-negative and sums to T * K.
@@ -78,12 +80,10 @@ TEST_P(PlannerPropertyTest, BudgetSupportAndDominanceInvariants) {
   // the greedy heuristic on the PWL surrogate it optimized.
   auto greedy = GreedyPlan(graph, utils, cfg);
   ASSERT_TRUE(greedy.ok());
-  const double cap = static_cast<double>(param.horizon) * param.num_patrols;
   auto pwl_value = [&](const std::vector<double>& coverage) {
     double v = 0.0;
-    for (size_t i = 0; i < utils.size(); ++i) {
-      v += PiecewiseLinear::FromFunction(utils[i], 0.0, cap, param.segments)
-               .Eval(coverage[i]);
+    for (size_t i = 0; i < tables.size(); ++i) {
+      v += tables[i].Eval(coverage[i]);
     }
     return v;
   };
@@ -91,7 +91,7 @@ TEST_P(PlannerPropertyTest, BudgetSupportAndDominanceInvariants) {
 
   // Invariant 4: the route decomposition reproduces the coverage budget.
   std::vector<PatrolRoute> routes;
-  auto plan2 = PlanPatrolsWithRoutes(graph, utils, cfg, &routes);
+  auto plan2 = PlanPatrolsWithRoutes(graph, tables, cfg, &routes);
   ASSERT_TRUE(plan2.ok());
   double weight = 0.0;
   for (const PatrolRoute& r : routes) weight += r.weight;

@@ -1,9 +1,11 @@
 #include "plan/planner.h"
 
 #include <cmath>
+#include <utility>
 
 #include "gtest/gtest.h"
 #include "geo/synth.h"
+#include "utility_tables.h"
 
 namespace paws {
 namespace {
@@ -17,7 +19,7 @@ Park TestPark() {
 }
 
 // Concave saturating utility with per-cell weight.
-std::function<double(double)> Saturating(double weight) {
+Curve Saturating(double weight) {
   return [weight](double c) { return weight * (1.0 - std::exp(-0.8 * c)); };
 }
 
@@ -32,9 +34,8 @@ PlannerConfig SmallConfig() {
 TEST(PlannerTest, CoverageSumsToHorizonTimesPatrols) {
   const Park park = TestPark();
   const PlanningGraph g = BuildPlanningGraph(park, park.patrol_posts()[0], 3);
-  std::vector<std::function<double(double)>> utils(g.num_cells(),
-                                                   Saturating(1.0));
-  auto plan = PlanPatrols(g, utils, SmallConfig());
+  std::vector<Curve> utils(g.num_cells(), Saturating(1.0));
+  auto plan = PlanPatrols(g, Tabulate(utils, SmallConfig()), SmallConfig());
   ASSERT_TRUE(plan.ok()) << plan.status();
   double total = 0.0;
   for (double c : plan->coverage) {
@@ -48,10 +49,9 @@ TEST(PlannerTest, CoverageSumsToHorizonTimesPatrols) {
 TEST(PlannerTest, ObjectiveMatchesPwlOfCoverage) {
   const Park park = TestPark();
   const PlanningGraph g = BuildPlanningGraph(park, park.patrol_posts()[0], 3);
-  std::vector<std::function<double(double)>> utils(g.num_cells(),
-                                                   Saturating(1.0));
+  std::vector<Curve> utils(g.num_cells(), Saturating(1.0));
   const PlannerConfig cfg = SmallConfig();
-  auto plan = PlanPatrols(g, utils, cfg);
+  auto plan = PlanPatrols(g, Tabulate(utils, cfg), cfg);
   ASSERT_TRUE(plan.ok()) << plan.status();
   // The reported objective equals the sum of PWL values at the coverage.
   const double cap = cfg.horizon * cfg.num_patrols;
@@ -77,10 +77,9 @@ TEST(PlannerTest, PrefersHighValueCells) {
     }
   }
   ASSERT_GE(target, 0);
-  std::vector<std::function<double(double)>> utils(g.num_cells(),
-                                                   Saturating(0.01));
+  std::vector<Curve> utils(g.num_cells(), Saturating(0.01));
   utils[target] = Saturating(10.0);
-  auto plan = PlanPatrols(g, utils, SmallConfig());
+  auto plan = PlanPatrols(g, Tabulate(utils, SmallConfig()), SmallConfig());
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_GT(plan->coverage[target], 1.0);
 }
@@ -88,11 +87,10 @@ TEST(PlannerTest, PrefersHighValueCells) {
 TEST(PlannerTest, UnreachableCellsGetZeroCoverage) {
   const Park park = TestPark();
   const PlanningGraph g = BuildPlanningGraph(park, park.patrol_posts()[0], 8);
-  std::vector<std::function<double(double)>> utils(g.num_cells(),
-                                                   Saturating(1.0));
+  std::vector<Curve> utils(g.num_cells(), Saturating(1.0));
   PlannerConfig cfg = SmallConfig();
   cfg.horizon = 4;  // round trip reaches distance <= 1 ... (4-1)/2 = 1
-  auto plan = PlanPatrols(g, utils, cfg);
+  auto plan = PlanPatrols(g, Tabulate(utils, cfg), cfg);
   ASSERT_TRUE(plan.ok()) << plan.status();
   const std::vector<int> dist = DistancesFromSource(g);
   for (int v = 0; v < g.num_cells(); ++v) {
@@ -106,14 +104,13 @@ TEST(PlannerTest, MoreSegmentsNeverHurtsMuch) {
   // Fig. 9b: utility converges as PWL segments grow.
   const Park park = TestPark();
   const PlanningGraph g = BuildPlanningGraph(park, park.patrol_posts()[0], 3);
-  std::vector<std::function<double(double)>> utils(g.num_cells(),
-                                                   Saturating(1.0));
+  std::vector<Curve> utils(g.num_cells(), Saturating(1.0));
   PlannerConfig coarse = SmallConfig();
   coarse.pwl_segments = 2;
   PlannerConfig fine = SmallConfig();
   fine.pwl_segments = 20;
-  auto plan_coarse = PlanPatrols(g, utils, coarse);
-  auto plan_fine = PlanPatrols(g, utils, fine);
+  auto plan_coarse = PlanPatrols(g, Tabulate(utils, coarse), coarse);
+  auto plan_fine = PlanPatrols(g, Tabulate(utils, fine), fine);
   ASSERT_TRUE(plan_coarse.ok() && plan_fine.ok());
   // Evaluate both coverages on the *true* utility.
   const double true_coarse = EvaluateCoverage(plan_coarse->coverage, utils);
@@ -124,11 +121,10 @@ TEST(PlannerTest, MoreSegmentsNeverHurtsMuch) {
 TEST(PlannerTest, RouteDecompositionIsConsistent) {
   const Park park = TestPark();
   const PlanningGraph g = BuildPlanningGraph(park, park.patrol_posts()[0], 3);
-  std::vector<std::function<double(double)>> utils(g.num_cells(),
-                                                   Saturating(1.0));
+  std::vector<Curve> utils(g.num_cells(), Saturating(1.0));
   std::vector<PatrolRoute> routes;
   const PlannerConfig cfg = SmallConfig();
-  auto plan = PlanPatrolsWithRoutes(g, utils, cfg, &routes);
+  auto plan = PlanPatrolsWithRoutes(g, Tabulate(utils, cfg), cfg, &routes);
   ASSERT_TRUE(plan.ok()) << plan.status();
   ASSERT_FALSE(routes.empty());
   double total_weight = 0.0;
@@ -151,10 +147,13 @@ TEST(PlannerTest, RouteDecompositionIsConsistent) {
 TEST(PlannerTest, RejectsBadInputs) {
   const Park park = TestPark();
   const PlanningGraph g = BuildPlanningGraph(park, park.patrol_posts()[0], 3);
-  std::vector<std::function<double(double)>> too_few(2, Saturating(1.0));
-  EXPECT_FALSE(PlanPatrols(g, too_few, SmallConfig()).ok());
-  std::vector<std::function<double(double)>> utils(g.num_cells(),
-                                                   Saturating(1.0));
+  const std::vector<Curve> too_few(2, Saturating(1.0));
+  EXPECT_FALSE(PlanPatrols(g, Tabulate(too_few, SmallConfig()), SmallConfig())
+                   .ok());
+  // Tabulated at a good config: FromFunction has no range to sample at
+  // num_patrols = 0.
+  const std::vector<PiecewiseLinear> utils = Tabulate(
+      std::vector<Curve>(g.num_cells(), Saturating(1.0)), SmallConfig());
   PlannerConfig bad = SmallConfig();
   bad.horizon = 1;
   EXPECT_FALSE(PlanPatrols(g, utils, bad).ok());
@@ -163,12 +162,31 @@ TEST(PlannerTest, RejectsBadInputs) {
   EXPECT_FALSE(PlanPatrols(g, utils, bad).ok());
 }
 
+TEST(PlannerTest, RejectsTablesThatDoNotSpanTheEffortCap) {
+  const Park park = TestPark();
+  const PlanningGraph g = BuildPlanningGraph(park, park.patrol_posts()[0], 3);
+  const PlannerConfig cfg = SmallConfig();
+  const double cap = PlannerEffortCap(cfg);
+  const std::vector<PiecewiseLinear> good =
+      Tabulate(std::vector<Curve>(g.num_cells(), Saturating(1.0)), cfg);
+  ASSERT_TRUE(PlanPatrols(g, good, cfg).ok());
+  // One short table among good ones is enough to refuse the plan.
+  for (const auto& [lo, hi] : {std::pair{0.5, cap}, std::pair{0.0, cap - 1}}) {
+    std::vector<PiecewiseLinear> tables = good;
+    tables.back() = PiecewiseLinear::FromFunction(Saturating(1.0), lo, hi,
+                                                  cfg.pwl_segments);
+    EXPECT_EQ(PlanPatrols(g, tables, cfg).status().code(),
+              StatusCode::kInvalidArgument)
+        << "table on [" << lo << ", " << hi << "]";
+  }
+}
+
 TEST(PlannerTest, NonConcaveUtilityStillSolved) {
   // Step-like utilities (qualification jumps in iWare-E) make the PWL
   // non-concave; the MILP must still return a valid plan.
   const Park park = TestPark();
   const PlanningGraph g = BuildPlanningGraph(park, park.patrol_posts()[0], 2);
-  std::vector<std::function<double(double)>> utils(g.num_cells());
+  std::vector<Curve> utils(g.num_cells());
   for (int v = 0; v < g.num_cells(); ++v) {
     utils[v] = [v](double c) {
       // Sigmoid step at a per-cell location: non-concave near 0.
@@ -180,7 +198,7 @@ TEST(PlannerTest, NonConcaveUtilityStillSolved) {
   cfg.horizon = 5;
   cfg.pwl_segments = 6;
   cfg.milp.max_nodes = 500;
-  auto plan = PlanPatrols(g, utils, cfg);
+  auto plan = PlanPatrols(g, Tabulate(utils, cfg), cfg);
   ASSERT_TRUE(plan.ok()) << plan.status();
   double total = 0.0;
   for (double c : plan->coverage) total += c;
