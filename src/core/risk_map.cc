@@ -91,10 +91,11 @@ RiskMaps PredictRiskMapTiled(const IWareEnsemble& model, const Park& park,
   // cells, so assembly order — and the fan-out width — never changes the
   // result (the same argument that makes ParallelFor bit-identical).
   // Dedicated threads, not the shared pool: GetTile locks the plane's
-  // pool mutex, and shared-pool tasks must stay lock-free (the tile's own
-  // PredictBatch below may run pool chunks while this thread holds
-  // nothing — but a pool chunk blocking on pool_mu_ while its holder
-  // waits for the pool would close the reader->pool->writer cycle).
+  // tile-pool ServedCache, and shared-pool tasks must stay lock-free (the
+  // tile's own PredictBatch below may run pool chunks while this thread
+  // holds nothing — but a pool chunk blocking on the tile pool's mutex
+  // while its holder waits for the pool would close the
+  // reader->pool->writer cycle).
   ForEachOnDedicatedThreads(fanout, plane.num_tiles(), [&](int t) {
     const std::shared_ptr<const TiledFeaturePlane::Tile> tile =
         plane.GetTile(park, t);

@@ -32,12 +32,14 @@ Status FleetAdmin::VerifyEndpoint(const FleetEndpoint& endpoint,
   // locally. Decoding also re-validates the bytes end to end.
   PAWS_ASSIGN_OR_RETURN(ModelSnapshot snapshot,
                         ModelSnapshot::FromBytes(snapshot_bytes));
-  const RiskMaps want = snapshot.PredictRisk(options_.verify_effort);
+  // Any effort the snapshot can serve works: the comparison is bit-exact.
+  constexpr double kVerifyEffort = 1.0;
+  const RiskMaps want = snapshot.PredictRisk(kVerifyEffort);
 
   ParkClient client(options_.client);
   PAWS_RETURN_IF_ERROR(client.Connect(endpoint.host, endpoint.port));
   PAWS_ASSIGN_OR_RETURN(RiskMaps got,
-                        client.RiskMap(park_id, options_.verify_effort));
+                        client.RiskMap(park_id, kVerifyEffort));
   if (got.risk != want.risk || got.variance != want.variance) {
     return Status::Internal("fleet rollout verify: " + endpoint.ToString() +
                             " serves '" + park_id +

@@ -14,9 +14,6 @@ struct FleetAdminOptions {
   /// Per-push client options; snapshot archives are the largest frames
   /// the fleet moves, so the request timeout is generous.
   ClientOptions client;
-  /// Effort at which the verify step compares risk maps (any value the
-  /// snapshot can serve; the comparison is bit-exact either way).
-  double verify_effort = 1.0;
   /// Skip the read-back comparison (push-only rollout). The default is
   /// the safe path: verify before advancing to the next replica.
   bool verify = true;
@@ -124,7 +121,7 @@ class FleetAdmin {
 
   /// The verify primitive, exposed for operator tooling: does
   /// `endpoint_index` serve `park_id` bit-identically to what
-  /// `snapshot_bytes` produces locally at options.verify_effort?
+  /// `snapshot_bytes` produces locally (risk maps at effort 1.0)?
   Status VerifyReplica(int endpoint_index, const std::string& park_id,
                        const std::string& snapshot_bytes);
 

@@ -3,22 +3,24 @@
 #include <algorithm>
 #include <utility>
 
+#include "util/rng.h"
+
 namespace paws {
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-double UnitUniform(uint64_t* state) {
-  return static_cast<double>(SplitMix64(state) >> 11) *
-         (1.0 / 9007199254740992.0);
-}
+// An unhealthy endpoint's first re-probe comes this long after it is
+// marked; the backoff doubles per consecutive failed probe up to the cap.
+constexpr int kProbeInitialBackoffMs = 100;
+constexpr int kProbeMaxBackoffMs = 5000;
+// ±20% jitter on every probe interval (same rationale as the client's
+// reconnect jitter: recovered shards must not be hit by all routers'
+// probes at once).
+constexpr double kProbeJitterPct = 0.2;
+// Read-repair queue bound per endpoint (parks recorded at failover,
+// re-verified on recovery).
+constexpr size_t kMaxRepairParks = 64;
 
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -42,12 +44,9 @@ FleetRouter::FleetRouter(FleetMap map, FleetRouterOptions options)
       static_cast<int64_t>(options_.retry_budget_initial * 1000.0),
       std::memory_order_relaxed);
 
-  probe_jitter_state_ = options_.probe_jitter_seed;
-  if (probe_jitter_state_ == 0) {
-    probe_jitter_state_ =
-        static_cast<uint64_t>(Clock::now().time_since_epoch().count()) ^
-        (static_cast<uint64_t>(reinterpret_cast<uintptr_t>(this)) << 1);
-  }
+  probe_jitter_state_ =
+      static_cast<uint64_t>(Clock::now().time_since_epoch().count()) ^
+      (static_cast<uint64_t>(reinterpret_cast<uintptr_t>(this)) << 1);
   next_map_check_ =
       Clock::now() + std::chrono::milliseconds(options_.map_refresh_ms);
   if (options_.enable_probe_thread) {
@@ -74,10 +73,11 @@ uint64_t FleetRouter::map_version() const { return State()->map.version(); }
 FleetMap FleetRouter::map_snapshot() const { return State()->map; }
 
 void FleetRouter::ProbeLoop() {
+  // Scheduler granularity; also the shutdown-latency bound.
+  constexpr int kProbeTickMs = 20;
   std::unique_lock<std::mutex> lock(probe_mu_);
   while (!stop_) {
-    probe_cv_.wait_for(lock,
-                       std::chrono::milliseconds(options_.probe_tick_ms));
+    probe_cv_.wait_for(lock, std::chrono::milliseconds(kProbeTickMs));
     if (stop_) break;
     bool check_map = false;
     if (options_.map_refresh_ms > 0 && Clock::now() >= next_map_check_) {
@@ -151,7 +151,7 @@ void FleetRouter::MarkUnhealthy(const std::shared_ptr<Endpoint>& endpoint,
   // so when it comes back its artifact for the park is re-verified.
   if (!park_id.empty()) {
     std::lock_guard<std::mutex> lock(endpoint->repair_mu);
-    if (endpoint->repair_parks.size() < options_.max_repair_parks &&
+    if (endpoint->repair_parks.size() < kMaxRepairParks &&
         std::find(endpoint->repair_parks.begin(),
                   endpoint->repair_parks.end(),
                   park_id) == endpoint->repair_parks.end()) {
@@ -160,12 +160,12 @@ void FleetRouter::MarkUnhealthy(const std::shared_ptr<Endpoint>& endpoint,
   }
 
   std::lock_guard<std::mutex> lock(probe_mu_);
-  endpoint->probe_backoff_ms = options_.probe_initial_backoff_ms;
+  endpoint->probe_backoff_ms = kProbeInitialBackoffMs;
   endpoint->next_probe =
       Clock::now() +
       std::chrono::milliseconds(JitteredBackoffMs(
-          endpoint->probe_backoff_ms, options_.probe_jitter_pct,
-          UnitUniform(&probe_jitter_state_)));
+          endpoint->probe_backoff_ms, kProbeJitterPct,
+          SplitMix64Uniform(&probe_jitter_state_)));
 }
 
 void FleetRouter::SendRepairNudges(
@@ -190,7 +190,7 @@ void FleetRouter::SendRepairNudges(
     repair_nudges_.fetch_add(1, std::memory_order_relaxed);
     if (!repaired.ok()) {
       std::lock_guard<std::mutex> repair_lock(endpoint->repair_mu);
-      if (endpoint->repair_parks.size() < options_.max_repair_parks) {
+      if (endpoint->repair_parks.size() < kMaxRepairParks) {
         endpoint->repair_parks.push_back(park_id);
       }
     }
@@ -240,15 +240,15 @@ int FleetRouter::ProbeOnce(bool force) {
     }
     std::lock_guard<std::mutex> lock(probe_mu_);
     endpoint->probe_backoff_ms = std::min(endpoint->probe_backoff_ms * 2,
-                                          options_.probe_max_backoff_ms);
-    if (endpoint->probe_backoff_ms < options_.probe_initial_backoff_ms) {
-      endpoint->probe_backoff_ms = options_.probe_initial_backoff_ms;
+                                          kProbeMaxBackoffMs);
+    if (endpoint->probe_backoff_ms < kProbeInitialBackoffMs) {
+      endpoint->probe_backoff_ms = kProbeInitialBackoffMs;
     }
     endpoint->next_probe =
         Clock::now() +
         std::chrono::milliseconds(JitteredBackoffMs(
-            endpoint->probe_backoff_ms, options_.probe_jitter_pct,
-            UnitUniform(&probe_jitter_state_)));
+            endpoint->probe_backoff_ms, kProbeJitterPct,
+            SplitMix64Uniform(&probe_jitter_state_)));
   }
   return recovered;
 }

@@ -24,18 +24,6 @@ struct FleetRouterOptions {
   /// stacking the client's reconnect loop under it would multiply
   /// worst-case latency on a dead replica.
   ClientOptions client;
-  /// First re-probe of an endpoint after it is marked unhealthy.
-  int probe_initial_backoff_ms = 100;
-  /// Probe backoff doubles per consecutive failure up to this cap.
-  int probe_max_backoff_ms = 5000;
-  /// ±jitter applied to every probe interval (same rationale as the
-  /// client's reconnect jitter: recovered shards must not be hit by all
-  /// routers' probes at once).
-  double probe_jitter_pct = 0.2;
-  /// Probe scheduler granularity; also the shutdown-latency bound.
-  int probe_tick_ms = 20;
-  /// Jitter stream seed for probe scheduling; 0 = per-router entropy.
-  uint64_t probe_jitter_seed = 0;
   /// Disable the background probe thread (tests drive ProbeOnce()).
   bool enable_probe_thread = true;
 
@@ -68,10 +56,6 @@ struct FleetRouterOptions {
   /// hot-reloading the routing table when the fleet has a newer FleetMap.
   /// 0 leaves map refresh to explicit CheckMapOnce()/ReloadMap() calls.
   int map_refresh_ms = 0;
-
-  /// Read-repair queue bound per endpoint (parks recorded at failover,
-  /// re-verified on recovery).
-  size_t max_repair_parks = 64;
 
   FleetRouterOptions() {
     client.connect_timeout_ms = 1000;

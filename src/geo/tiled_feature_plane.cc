@@ -39,7 +39,9 @@ TiledFeaturePlane::TiledFeaturePlane(const Park& park,
       grid_height_(park.height()),
       geometry_(TileGeometry::For(park.width(), park.height(),
                                   options.tile_size)),
-      options_(options) {
+      options_(options),
+      pool_(options.pool_budget_bytes == 0 ? SIZE_MAX
+                                           : options.pool_budget_bytes) {
   if (lagged_effort.empty()) {
     lagged_effort.assign(num_cells_, 0.0);
   }
@@ -80,7 +82,7 @@ void TiledFeaturePlane::TileCellIds(const Park& park, int tile_id,
   }
 }
 
-std::shared_ptr<TiledFeaturePlane::Tile> TiledFeaturePlane::Materialize(
+std::shared_ptr<const TiledFeaturePlane::Tile> TiledFeaturePlane::Materialize(
     const Park& park, int tile_id) const {
   auto tile = std::make_shared<Tile>();
   tile->tile_id = tile_id;
@@ -94,57 +96,8 @@ std::shared_ptr<const TiledFeaturePlane::Tile> TiledFeaturePlane::GetTile(
     const Park& park, int tile_id) const {
   CheckOrDie(tile_id >= 0 && tile_id < geometry_.num_tiles(),
              "TiledFeaturePlane: tile id out of range");
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    const auto it = pool_index_.find(tile_id);
-    if (it != pool_index_.end()) {
-      pool_lru_.splice(pool_lru_.begin(), pool_lru_, it->second);
-      ++pool_hits_;
-      return *it->second;
-    }
-    ++pool_misses_;
-  }
-  // Materialize outside the lock: a racing miss on the same tile builds
-  // bit-identical rows, and the loser's insert below just refreshes the
-  // entry — cheaper than serializing every materialization.
-  std::shared_ptr<const Tile> tile = Materialize(park, tile_id);
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    const auto it = pool_index_.find(tile_id);
-    if (it != pool_index_.end()) {
-      // The racing winner's tile is already indexed; serve that one so
-      // the pool accounts each tile id once.
-      pool_lru_.splice(pool_lru_.begin(), pool_lru_, it->second);
-      return *it->second;
-    }
-    pool_lru_.push_front(tile);
-    pool_index_.emplace(tile_id, pool_lru_.begin());
-    pool_bytes_ += tile->bytes();
-    ShrinkToBudgetLocked();
-  }
-  return tile;
-}
-
-void TiledFeaturePlane::EvictLocked(int tile_id) const {
-  const auto it = pool_index_.find(tile_id);
-  if (it == pool_index_.end()) return;
-  pool_bytes_ -= (*it->second)->bytes();
-  pool_lru_.erase(it->second);
-  pool_index_.erase(it);
-  ++pool_evictions_;
-}
-
-void TiledFeaturePlane::ShrinkToBudgetLocked() const {
-  if (options_.pool_budget_bytes == 0) return;
-  // Always keep the most recent tile: a budget smaller than one tile must
-  // still serve (the pool degrades to materialize-per-request).
-  while (pool_bytes_ > options_.pool_budget_bytes && pool_lru_.size() > 1) {
-    const std::shared_ptr<const Tile>& victim = pool_lru_.back();
-    pool_bytes_ -= victim->bytes();
-    pool_index_.erase(victim->tile_id);
-    pool_lru_.pop_back();
-    ++pool_evictions_;
-  }
+  return pool_.GetOrCompute(tile_id,
+                            [&] { return Materialize(park, tile_id); });
 }
 
 Status TiledFeaturePlane::UpdateLaggedEffort(
@@ -178,14 +131,13 @@ Status TiledFeaturePlane::UpdateLaggedEffort(
   }
   ++coverage_version_;
   lagged_effort_ = std::move(lagged_effort);
-  std::lock_guard<std::mutex> lock(pool_mu_);
   for (int t = 0; t < geometry_.num_tiles(); ++t) {
     if (!dirty[t]) continue;
     tile_versions_[t] = coverage_version_;
     // Evict instead of patching in place: in-flight readers may still
     // hold the old tile (shared_ptr), and they must keep seeing the
     // coverage layer they started under.
-    EvictLocked(t);
+    pool_.Erase(t);
   }
   return Status::OK();
 }
@@ -222,13 +174,13 @@ FeatureMatrixView TiledFeaturePlane::GatherCells(
 }
 
 TilePoolStats TiledFeaturePlane::pool_stats() const {
-  std::lock_guard<std::mutex> lock(pool_mu_);
+  const ServedCacheStats served = pool_.stats();
   TilePoolStats stats;
-  stats.resident_tiles = pool_lru_.size();
-  stats.resident_bytes = pool_bytes_;
-  stats.hits = pool_hits_;
-  stats.misses = pool_misses_;
-  stats.evictions = pool_evictions_;
+  stats.resident_tiles = served.resident;
+  stats.resident_bytes = served.resident_cost;
+  stats.hits = served.hits;
+  stats.misses = served.misses;
+  stats.evictions = served.evictions;
   return stats;
 }
 

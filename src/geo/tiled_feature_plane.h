@@ -3,15 +3,13 @@
 
 #include <cstdint>
 #include <limits>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "geo/park.h"
 #include "util/aligned.h"
 #include "util/feature_matrix.h"
+#include "util/lru_cache.h"
 #include "util/status.h"
 
 namespace paws {
@@ -108,9 +106,9 @@ struct TilePoolStats {
 /// reader always sees one internally consistent coverage layer.
 ///
 /// Thread safety: any number of threads may call the const accessors and
-/// GetTile concurrently (the pool is internally locked; materialization
-/// runs outside the lock, so two racing misses both build bit-identical
-/// rows and the second insert just refreshes the entry).
+/// GetTile concurrently (the pool is a ServedCache: internally locked,
+/// with materialization outside the lock, so two racing misses both build
+/// bit-identical rows and the second insert just refreshes the entry).
 /// UpdateLaggedEffort requires external exclusion against readers — the
 /// same writer contract ParkService enforces with its per-park
 /// shared_mutex.
@@ -203,11 +201,15 @@ class TiledFeaturePlane {
   /// Dies unless `park` is the park this plane was built for.
   void CheckPark(const Park& park) const;
   /// Builds the tile's rows from the park rasters (no locks held).
-  std::shared_ptr<Tile> Materialize(const Park& park, int tile_id) const;
-  /// Drops `tile_id` from the pool if resident (pool_mu_ must be held).
-  void EvictLocked(int tile_id) const;
-  /// Evicts LRU tiles until the pool fits the budget (pool_mu_ held).
-  void ShrinkToBudgetLocked() const;
+  std::shared_ptr<const Tile> Materialize(const Park& park,
+                                          int tile_id) const;
+
+  /// A tile's pool cost: its heap footprint.
+  struct TileBytes {
+    size_t operator()(const std::shared_ptr<const Tile>& tile) const {
+      return tile->bytes();
+    }
+  };
 
   int num_cells_ = 0;
   int row_width_ = 0;
@@ -219,17 +221,11 @@ class TiledFeaturePlane {
   uint64_t coverage_version_ = 0;
   std::vector<uint64_t> tile_versions_;
 
-  /// LRU pool of materialized tiles, byte-budgeted. list front = most
-  /// recently used; the map indexes list nodes by tile id.
-  mutable std::mutex pool_mu_;
-  mutable std::list<std::shared_ptr<const Tile>> pool_lru_;
-  mutable std::unordered_map<
-      int, std::list<std::shared_ptr<const Tile>>::iterator>
-      pool_index_;
-  mutable size_t pool_bytes_ = 0;
-  mutable uint64_t pool_hits_ = 0;
-  mutable uint64_t pool_misses_ = 0;
-  mutable uint64_t pool_evictions_ = 0;
+  /// LRU pool of materialized tiles keyed by tile id, its capacity the
+  /// byte budget.
+  mutable ServedCache<int, std::shared_ptr<const Tile>, std::hash<int>,
+                      TileBytes>
+      pool_;
 };
 
 }  // namespace paws

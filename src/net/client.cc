@@ -9,6 +9,7 @@
 #include "net/fault_injector.h"
 #include "plan/planner.h"
 #include "util/archive.h"
+#include "util/rng.h"
 
 namespace paws {
 namespace {
@@ -22,13 +23,6 @@ int MsLeft(Clock::time_point deadline) {
   if (left < 0) return 0;
   if (left > 1000000000) return 1000000000;
   return static_cast<int>(left);
-}
-
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
 }
 
 // kSwapSnapshot and kSwapFleetMap answer success with an empty payload.
@@ -45,21 +39,12 @@ int JitteredBackoffMs(int base_ms, double jitter_pct, double unit_uniform) {
 
 WireClient::WireClient(ClientOptions options)
     : options_(std::move(options)), parser_(options_.max_frame_bytes) {
-  jitter_state_ = options_.backoff_jitter_seed;
-  if (jitter_state_ == 0) {
-    // Distinct per client even when many are constructed the same
-    // nanosecond — the whole point is that a fleet of routers must not
-    // share one retry schedule.
-    jitter_state_ =
-        static_cast<uint64_t>(
-            Clock::now().time_since_epoch().count()) ^
-        (static_cast<uint64_t>(reinterpret_cast<uintptr_t>(this)) << 1);
-  }
-}
-
-double WireClient::NextJitterUniform() {
-  return static_cast<double>(SplitMix64(&jitter_state_) >> 11) *
-         (1.0 / 9007199254740992.0);  // 53-bit mantissa / 2^53
+  // Distinct per client even when many are constructed the same
+  // nanosecond — the whole point is that a fleet of routers must not
+  // share one retry schedule.
+  jitter_state_ =
+      static_cast<uint64_t>(Clock::now().time_since_epoch().count()) ^
+      (static_cast<uint64_t>(reinterpret_cast<uintptr_t>(this)) << 1);
 }
 
 WireClient::~WireClient() { Close(); }
@@ -107,8 +92,12 @@ Status WireClient::EnsureConnected() {
                      : options_.max_connect_attempts;
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
-      int sleep_ms = JitteredBackoffMs(backoff_ms, options_.backoff_jitter_pct,
-                                       NextJitterUniform());
+      // ±20% per sleep: without jitter every client of a restarted shard
+      // computes the identical retry schedule and reconnects in lockstep —
+      // a synchronized reconnect storm.
+      constexpr double kBackoffJitterPct = 0.2;
+      int sleep_ms = JitteredBackoffMs(backoff_ms, kBackoffJitterPct,
+                                       SplitMix64Uniform(&jitter_state_));
       if (has_call_deadline_) {
         const int left = MsLeft(call_deadline_);
         if (sleep_ms > left) sleep_ms = left;

@@ -25,18 +25,11 @@ struct ClientOptions {
   int request_timeout_ms = 30000;
   /// Connect attempts before giving up (first try + retries).
   int max_connect_attempts = 3;
-  /// Backoff before the second attempt; doubles per retry.
+  /// Backoff before the second attempt; doubles per retry. Each sleep is
+  /// scaled by a uniform factor in [0.8, 1.2] (see JitteredBackoffMs),
+  /// drawn from a per-client stream seeded by the clock and the client's
+  /// address, so concurrently constructed clients jitter independently.
   int backoff_initial_ms = 50;
-  /// Each backoff sleep is scaled by a uniform factor in
-  /// [1 - jitter, 1 + jitter]. Without jitter every client of a restarted
-  /// shard computes the identical retry schedule and reconnects in
-  /// lockstep — a synchronized reconnect storm; ±20% spreads one FleetRouter
-  /// fleet's retries across a 40% window (see JitteredBackoffMs).
-  double backoff_jitter_pct = 0.2;
-  /// Jitter stream seed; 0 (default) derives a per-client seed from the
-  /// clock and the client's address, so concurrently constructed clients
-  /// jitter independently. Tests pin it for reproducible schedules.
-  uint64_t backoff_jitter_seed = 0;
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Chaos seam: when set, every connection's transport is wrapped in a
   /// FaultInjectedTransport consulting this injector. One injector is
@@ -99,15 +92,12 @@ class WireClient {
   /// Remaining ms until the per-call deadline, clamped into [0, cap];
   /// `cap` when no deadline is set.
   int DeadlineBudgetMs(int cap) const;
-  /// Uniform in [0, 1) from the jitter stream (splitmix64).
-  double NextJitterUniform();
-
   ClientOptions options_;
   std::string host_;
   int port_ = -1;
   std::unique_ptr<Transport> transport_;
   uint64_t next_request_id_ = 1;
-  uint64_t jitter_state_ = 0;
+  uint64_t jitter_state_ = 0;  // splitmix64 backoff-jitter stream
   FrameParser parser_;
   std::chrono::steady_clock::time_point call_deadline_{};
   bool has_call_deadline_ = false;

@@ -8,16 +8,10 @@
 
 #include "net/wire.h"
 #include "util/archive.h"
+#include "util/rng.h"
 
 namespace paws {
 namespace {
-
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 /// FNV-1a 64 over the event log; the same pinned-hash rationale as
 /// FleetHash64 (the fingerprint is compared across processes in CI).
@@ -92,11 +86,6 @@ FaultInjector::FaultInjector(FaultSchedule schedule)
       match_counts_(schedule_.rules.size(), 0),
       fired_counts_(schedule_.rules.size(), 0) {}
 
-double FaultInjector::NextUniform() {
-  return static_cast<double>(SplitMix64(&rng_state_) >> 11) *
-         (1.0 / 9007199254740992.0);  // 53-bit mantissa / 2^53
-}
-
 FaultInjector::Decision FaultInjector::Decide(const char* op,
                                               const std::string& endpoint,
                                               uint32_t opcode) {
@@ -109,7 +98,10 @@ FaultInjector::Decision FaultInjector::Decide(const char* op,
     const uint64_t seq = match_counts_[i]++;
     if (seq < rule.skip) continue;
     if (fired_counts_[i] >= rule.limit) continue;
-    if (rule.probability < 1.0 && NextUniform() >= rule.probability) continue;
+    if (rule.probability < 1.0 &&
+        SplitMix64Uniform(&rng_state_) >= rule.probability) {
+      continue;
+    }
     ++fired_counts_[i];
     ++total_fired_;
     events_.push_back(std::string(op) + " " + endpoint + " opcode=" +

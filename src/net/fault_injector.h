@@ -140,7 +140,6 @@ class FaultInjector {
  private:
   Decision Decide(const char* op, const std::string& endpoint,
                   uint32_t opcode);
-  double NextUniform();
 
   FaultSchedule schedule_;
   mutable std::mutex mu_;

@@ -50,45 +50,17 @@ Status FrameServer::Start(FrameServerOptions options, Handler handler) {
   options_ = std::move(options);
   handler_ = std::move(handler);
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return SocketError("socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("FrameServer: bad bind address '" +
-                                   options_.bind_address + "'");
+  const Status opened = OpenSockets();
+  if (!opened.ok()) {
+    // Close whatever was opened: a failed Start must not leave a socket
+    // listening (and accepting into its backlog) until the process exits.
+    for (int* fd : {&listen_fd_, &wake_pipe_[0], &wake_pipe_[1]}) {
+      if (*fd >= 0) ::close(*fd);
+      *fd = -1;
+    }
+    port_ = -1;
+    return opened;
   }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const Status status = SocketError("bind");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  if (::listen(listen_fd_, 128) < 0) {
-    const Status status = SocketError("listen");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  PAWS_RETURN_IF_ERROR(SetNonBlocking(listen_fd_));
-  socklen_t addr_len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                    &addr_len) < 0) {
-    return SocketError("getsockname");
-  }
-  port_ = ntohs(addr.sin_port);
-
-  if (::pipe(wake_pipe_) < 0) return SocketError("pipe");
-  PAWS_RETURN_IF_ERROR(SetNonBlocking(wake_pipe_[0]));
-  PAWS_RETURN_IF_ERROR(SetNonBlocking(wake_pipe_[1]));
 
   draining_ = false;
   workers_stop_ = false;
@@ -99,6 +71,38 @@ Status FrameServer::Start(FrameServerOptions options, Handler handler) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
   return Status::OK();
+}
+
+Status FrameServer::OpenSockets() {
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (listen_fd_ < 0) return SocketError("socket");
+  const int one = 1;
+  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
+  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
+      1) {
+    return Status::InvalidArgument("FrameServer: bad bind address '" +
+                                   options_.bind_address + "'");
+  }
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
+      0) {
+    return SocketError("bind");
+  }
+  if (::listen(listen_fd_, 128) < 0) return SocketError("listen");
+  PAWS_RETURN_IF_ERROR(SetNonBlocking(listen_fd_));
+  socklen_t addr_len = sizeof(addr);
+  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                    &addr_len) < 0) {
+    return SocketError("getsockname");
+  }
+  port_ = ntohs(addr.sin_port);
+
+  if (::pipe(wake_pipe_) < 0) return SocketError("pipe");
+  PAWS_RETURN_IF_ERROR(SetNonBlocking(wake_pipe_[0]));
+  return SetNonBlocking(wake_pipe_[1]);
 }
 
 void FrameServer::Shutdown() {
@@ -359,14 +363,17 @@ void FrameServer::EventLoop() {
     }
     for (uint64_t conn_id : to_close) CloseConn(conn_id);
 
-    if (options_.idle_timeout_ms > 0 && !draining) {
+    if (!draining) {
+      // Connections with no read activity, no queued work and nothing
+      // left to write for this long are closed.
+      constexpr int kIdleTimeoutMs = 60000;
       const Clock::time_point now = Clock::now();
       std::vector<uint64_t> idle;
       for (const auto& kv : conns_) {
         const Conn& conn = kv.second;
         if (conn.in_flight == 0 && conn.out_pos >= conn.outbuf.size() &&
             conn.parser.buffered_bytes() == 0 &&
-            MsBetween(conn.last_activity, now) > options_.idle_timeout_ms) {
+            MsBetween(conn.last_activity, now) > kIdleTimeoutMs) {
           idle.push_back(kv.first);
         }
       }

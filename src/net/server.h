@@ -35,9 +35,6 @@ struct FrameServerOptions {
   /// connection before any payload buffering, and a response over it is
   /// replaced by a ResourceExhausted status frame.
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Close connections with no read activity, no queued work and nothing
-  /// left to write after this long. 0 = never.
-  int idle_timeout_ms = 60000;
   /// Requests still queued this long after arrival are answered with a
   /// ResourceExhausted status frame instead of being dispatched (shed
   /// load when the workers fall behind). 0 = never expire.
@@ -128,6 +125,9 @@ class FrameServer {
     std::string bytes;
   };
 
+  /// Opens the listening socket and the wake pipe, recording the bound
+  /// port. On failure Start closes whatever this opened.
+  Status OpenSockets();
   void EventLoop();
   void WorkerLoop();
   void WakeEventLoop();

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "util/archive.h"
+#include "util/thread_pool.h"
 
 namespace paws {
 
@@ -20,48 +21,10 @@ uint64_t EffortBits(double effort) {
   return bits;
 }
 
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-
-// One FNV-1a step over the 8 little-endian bytes of `v` — the mix every
-// served-cache key hash folds its fields through, starting at kFnvOffset.
-uint64_t FnvMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 }  // namespace
-
-size_t ParkService::RiskKeyHash::operator()(const RiskKey& key) const {
-  uint64_t h = FnvMix(kFnvOffset, key.snapshot_version);
-  h = FnvMix(h, key.coverage_version);
-  return static_cast<size_t>(FnvMix(h, key.effort_bits));
-}
-
-size_t ParkService::TileKeyHash::operator()(const TileKey& key) const {
-  uint64_t h = FnvMix(kFnvOffset, key.snapshot_version);
-  h = FnvMix(h, key.tile_coverage_version);
-  h = FnvMix(h, static_cast<uint64_t>(key.tile_id));
-  return static_cast<size_t>(FnvMix(h, key.effort_bits));
-}
-
-size_t ParkService::CurveKeyHash::operator()(const CurveKey& key) const {
-  uint64_t h = FnvMix(kFnvOffset, key.snapshot_version);
-  h = FnvMix(h, key.coverage_version);
-  h = FnvMix(h, key.cell_ids.size());
-  for (int id : key.cell_ids) h = FnvMix(h, static_cast<uint64_t>(id));
-  for (uint64_t bits : key.grid_bits) h = FnvMix(h, bits);
-  return static_cast<size_t>(h);
-}
 
 ParkService::ParkService(ParkServiceOptions options)
     : options_(std::move(options)) {
-  CheckOrDie(options_.risk_cache_capacity > 0,
-             "ParkService: risk_cache_capacity must be positive");
-  CheckOrDie(options_.curve_cache_capacity > 0,
-             "ParkService: curve_cache_capacity must be positive");
   CheckOrDie(options_.tile_cache_capacity > 0,
              "ParkService: tile_cache_capacity must be positive");
 }
@@ -71,7 +34,8 @@ Status ParkService::Register(const std::string& park_id,
   if (park_id.empty()) {
     return Status::InvalidArgument("ParkService: empty park id");
   }
-  auto entry = std::make_shared<Entry>(std::move(snapshot), options_);
+  auto entry = std::make_shared<Entry>(std::move(snapshot),
+                                       options_.tile_cache_capacity);
   std::unique_lock<std::shared_mutex> lock(registry_mu_);
   if (!parks_.emplace(park_id, std::move(entry)).second) {
     return Status::InvalidArgument("ParkService: park '" + park_id +
@@ -126,7 +90,7 @@ StatusOr<std::shared_ptr<const RiskMaps>> ParkService::RiskMap(
   // (never the shared pool; the tile fetch takes the plane's pool mutex).
   return entry->risk_cache.GetOrCompute(key, [&] {
     return std::make_shared<const RiskMaps>(
-        entry->snapshot.PredictRisk(assumed_effort, options_.parallelism));
+        entry->snapshot.PredictRisk(assumed_effort));
   });
 }
 
@@ -147,7 +111,8 @@ StatusOr<std::shared_ptr<const paws::RiskTile>> ParkService::RiskTile(
   // Keyed on the TILE's coverage version: an UpdateCoverage that changed
   // other tiles leaves this key — and its cached result — valid.
   const TileKey key{entry->snapshot_version,
-                    entry->snapshot.tile_coverage_version(tile_id), tile_id,
+                    entry->snapshot.tile_coverage_version(tile_id),
+                    static_cast<uint64_t>(tile_id),
                     EffortBits(assumed_effort)};
   return entry->tile_cache.GetOrCompute(key, [&] {
     return std::make_shared<const paws::RiskTile>(
@@ -183,11 +148,12 @@ StatusOr<std::shared_ptr<const EffortCurveTable>> ParkService::CellCurves(
   // (-0.0 head vs 0.0), so the key uses the bits — same contract as the
   // risk-map cache.
   CurveKey key;
-  key.snapshot_version = entry->snapshot_version;
-  key.coverage_version = entry->snapshot.coverage_version();
-  key.cell_ids = cell_ids;
-  key.grid_bits.reserve(effort_grid.size());
-  for (double e : effort_grid) key.grid_bits.push_back(EffortBits(e));
+  key.reserve(3 + cell_ids.size() + effort_grid.size());
+  key.push_back(entry->snapshot_version);
+  key.push_back(entry->snapshot.coverage_version());
+  key.push_back(cell_ids.size());
+  for (int id : cell_ids) key.push_back(static_cast<uint64_t>(id));
+  for (double e : effort_grid) key.push_back(EffortBits(e));
   return entry->curve_cache.GetOrCompute(key, [&] {
     return std::make_shared<const EffortCurveTable>(
         entry->snapshot.PredictCellCurves(cell_ids, std::move(effort_grid)));
@@ -263,7 +229,7 @@ ParkService::RiskMapBatch(const std::vector<RiskRequest>& requests) const {
   // while a lock holder waits for the pool — with a writer pending on a
   // writer-preferring rwlock — would deadlock; keeping pool tasks
   // lock-free breaks the cycle.
-  ForEachOnDedicatedThreads(options_.parallelism, n, [&](int i) {
+  ForEachOnDedicatedThreads(ParallelismConfig(), n, [&](int i) {
     results[i] = RiskMap(requests[i].park_id, requests[i].assumed_effort);
   });
   return results;

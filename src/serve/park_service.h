@@ -1,6 +1,8 @@
 #ifndef PAWS_SERVE_PARK_SERVICE_H_
 #define PAWS_SERVE_PARK_SERVICE_H_
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -9,28 +11,16 @@
 
 #include "core/snapshot.h"
 #include "util/lru_cache.h"
-#include "util/thread_pool.h"
 
 namespace paws {
 
 struct ParkServiceOptions {
-  /// Per-park LRU capacity for served risk maps (entries keyed by
-  /// snapshot version + coverage version + effort).
-  int risk_cache_capacity = 16;
-  /// Per-park LRU capacity for served effort-curve tables (entries keyed
-  /// by snapshot version + coverage version + requested cells + grid).
-  int curve_cache_capacity = 16;
   /// Per-park LRU capacity for served risk-map tiles (entries keyed by
   /// snapshot version + the TILE's coverage version + tile id + effort).
   /// Tiles are the sub-park serving unit, so the capacity is wider than
   /// the whole-map cache: a mega park serves a working set of tiles, not
   /// a handful of whole maps.
   int tile_cache_capacity = 64;
-  /// Fan-out width for the batched request API. Requests run on dedicated
-  /// threads (not the shared pool — pool tasks must stay lock-free; see
-  /// RiskMapBatch) and each request's own model scoring still uses the
-  /// pool.
-  ParallelismConfig parallelism;
 };
 
 /// Multi-tenant serving front end: one process answering risk-map,
@@ -120,10 +110,11 @@ class ParkService {
   StatusOr<std::string> SnapshotBytes(const std::string& park_id) const;
 
   /// One batched entry point: requests for different parks (or efforts)
-  /// fan out across dedicated threads — NEVER the shared ThreadPool,
-  /// whose tasks must stay lock-free (see the RiskMapBatch definition for
-  /// the deadlock this avoids). Results line up with the request order;
-  /// each is bit-identical to the corresponding single RiskMap call.
+  /// fan out across dedicated threads ($PAWS_NUM_THREADS wide, else one
+  /// per hardware thread) — NEVER the shared ThreadPool, whose tasks must
+  /// stay lock-free (see the RiskMapBatch definition for the deadlock this
+  /// avoids). Results line up with the request order; each is
+  /// bit-identical to the corresponding single RiskMap call.
   struct RiskRequest {
     std::string park_id;
     double assumed_effort = 0.0;
@@ -159,70 +150,47 @@ class ParkService {
   StatusOr<std::string> ScoringBackendName(const std::string& park_id) const;
 
  private:
-  struct RiskKey {
-    uint64_t snapshot_version = 0;
-    uint64_t coverage_version = 0;
-    /// IEEE-754 bit pattern of the requested effort: equality and hash
-    /// agree by construction (numeric == would make 0.0 and -0.0 equal
-    /// keys with different hashes, corrupting the LRU's index).
-    uint64_t effort_bits = 0;
-
-    bool operator==(const RiskKey& other) const {
-      return snapshot_version == other.snapshot_version &&
-             coverage_version == other.coverage_version &&
-             effort_bits == other.effort_bits;
+  /// Served-cache keys are flat words under one hash. Efforts and grid
+  /// points enter as IEEE-754 bit patterns, so equality and hash agree by
+  /// construction (numeric == would make 0.0 and -0.0 equal keys with
+  /// different hashes, corrupting the LRU's index). Keys compare in full:
+  /// a hash collision can never serve the wrong result.
+  ///
+  /// (snapshot version, coverage version, effort bits).
+  using RiskKey = std::array<uint64_t, 3>;
+  /// (snapshot version, the tile's coverage version, tile id, effort
+  /// bits). The tile's coverage version is the one as of the last update
+  /// that touched it, so cached tiles survive coverage updates that
+  /// changed only other tiles.
+  using TileKey = std::array<uint64_t, 4>;
+  /// (snapshot version, coverage version, cell count, cell ids..., grid
+  /// bits...); the count keeps the layout prefix-free.
+  using CurveKey = std::vector<uint64_t>;
+  /// FNV-1a over each key word's 8 little-endian bytes.
+  struct KeyHash {
+    template <typename Words>
+    size_t operator()(const Words& words) const {
+      uint64_t h = 0xcbf29ce484222325ull;
+      for (const uint64_t word : words) {
+        for (int i = 0; i < 8; ++i) {
+          h ^= (word >> (8 * i)) & 0xff;
+          h *= 0x100000001b3ull;
+        }
+      }
+      return static_cast<size_t>(h);
     }
   };
-  struct RiskKeyHash {
-    size_t operator()(const RiskKey& key) const;
-  };
 
-  /// Served-tile cache key. tile_coverage_version is the coverage version
-  /// as of the last update that touched this tile — cached tiles survive
-  /// coverage updates that changed only other tiles. Full-key equality:
-  /// a hash collision can never serve the wrong tile.
-  struct TileKey {
-    uint64_t snapshot_version = 0;
-    uint64_t tile_coverage_version = 0;
-    int tile_id = 0;
-    uint64_t effort_bits = 0;
-
-    bool operator==(const TileKey& other) const {
-      return snapshot_version == other.snapshot_version &&
-             tile_coverage_version == other.tile_coverage_version &&
-             tile_id == other.tile_id && effort_bits == other.effort_bits;
-    }
-  };
-  struct TileKeyHash {
-    size_t operator()(const TileKey& key) const;
-  };
-
-  /// Curve-table cache key: versions + the full request shape. Effort
-  /// grid points are keyed by IEEE-754 bit pattern for the same reason
-  /// RiskKey is; cell ids and grid are compared in full, so a hash
-  /// collision can never serve the wrong table.
-  struct CurveKey {
-    uint64_t snapshot_version = 0;
-    uint64_t coverage_version = 0;
-    std::vector<int> cell_ids;
-    std::vector<uint64_t> grid_bits;
-
-    bool operator==(const CurveKey& other) const {
-      return snapshot_version == other.snapshot_version &&
-             coverage_version == other.coverage_version &&
-             cell_ids == other.cell_ids && grid_bits == other.grid_bits;
-    }
-  };
-  struct CurveKeyHash {
-    size_t operator()(const CurveKey& key) const;
-  };
+  /// Entry capacities of the risk-map and curve-table caches.
+  static constexpr size_t kRiskCacheCapacity = 16;
+  static constexpr size_t kCurveCacheCapacity = 16;
 
   struct Entry {
-    Entry(ModelSnapshot snap, const ParkServiceOptions& options)
+    Entry(ModelSnapshot snap, int tile_cache_capacity)
         : snapshot(std::move(snap)),
-          risk_cache(options.risk_cache_capacity),
-          curve_cache(options.curve_cache_capacity),
-          tile_cache(options.tile_cache_capacity) {}
+          risk_cache(kRiskCacheCapacity),
+          curve_cache(kCurveCacheCapacity),
+          tile_cache(tile_cache_capacity) {}
 
     /// Guards `snapshot` and `snapshot_version`: serving reads hold it
     /// shared, SwapSnapshot/UpdateCoverage hold it exclusive.
@@ -232,13 +200,13 @@ class ParkService {
 
     /// Each cache locks internally, so hits from concurrent readers (who
     /// only hold `mu` shared) stay safe.
-    mutable ServedCache<RiskKey, std::shared_ptr<const RiskMaps>, RiskKeyHash>
+    mutable ServedCache<RiskKey, std::shared_ptr<const RiskMaps>, KeyHash>
         risk_cache;
     mutable ServedCache<CurveKey, std::shared_ptr<const EffortCurveTable>,
-                        CurveKeyHash>
+                        KeyHash>
         curve_cache;
     mutable ServedCache<TileKey, std::shared_ptr<const paws::RiskTile>,
-                        TileKeyHash>
+                        KeyHash>
         tile_cache;
   };
 

@@ -2,6 +2,7 @@
 #define PAWS_UTIL_LRU_CACHE_H_
 
 #include <cstdint>
+#include <iterator>
 #include <list>
 #include <mutex>
 #include <unordered_map>
@@ -11,9 +12,19 @@
 
 namespace paws {
 
-/// Small bounded map with least-recently-used eviction. Not thread-safe:
-/// ServedCache below wraps it with a mutex and counters.
-template <typename K, typename V, typename Hash = std::hash<K>>
+/// The default entry cost: one per entry, so capacity counts entries.
+template <typename V>
+struct UnitCost {
+  size_t operator()(const V&) const { return 1; }
+};
+
+/// Small bounded map with least-recently-used eviction by total entry
+/// cost. `Cost` must be a pure function of the stored value, which the
+/// cache never mutates, so an entry's cost at eviction is its cost at
+/// insertion. Not thread-safe: ServedCache below wraps it with a mutex and
+/// counters.
+template <typename K, typename V, typename Hash = std::hash<K>,
+          typename Cost = UnitCost<V>>
 class LruCache {
  public:
   explicit LruCache(size_t capacity) : capacity_(capacity) {
@@ -22,6 +33,8 @@ class LruCache {
 
   size_t size() const { return index_.size(); }
   size_t capacity() const { return capacity_; }
+  /// Sum of the resident entries' costs.
+  size_t total_cost() const { return total_cost_; }
 
   /// Returns the cached value and marks it most-recently-used, or nullptr.
   /// The pointer is valid until the next non-const call.
@@ -32,47 +45,78 @@ class LruCache {
     return &it->second->second;
   }
 
-  /// Inserts (or refreshes) `key`, evicting the least-recently-used entry
-  /// beyond capacity.
-  void Put(const K& key, V value) {
+  /// Inserts (or refreshes) `key`, then evicts least-recently-used entries
+  /// while the total cost exceeds capacity — never the entry just put, so
+  /// a value costlier than the whole capacity is still held. Returns the
+  /// number of entries evicted.
+  size_t Put(const K& key, V value) {
     const auto it = index_.find(key);
     if (it != index_.end()) {
+      total_cost_ -= Cost()(it->second->second);
       it->second->second = std::move(value);
       items_.splice(items_.begin(), items_, it->second);
-      return;
+    } else {
+      items_.emplace_front(key, std::move(value));
+      index_.emplace(key, items_.begin());
     }
-    items_.emplace_front(key, std::move(value));
-    index_.emplace(key, items_.begin());
-    if (index_.size() > capacity_) {
-      index_.erase(items_.back().first);
-      items_.pop_back();
+    total_cost_ += Cost()(items_.front().second);
+    size_t evicted = 0;
+    while (total_cost_ > capacity_ && items_.size() > 1) {
+      Remove(std::prev(items_.end()));
+      ++evicted;
     }
+    return evicted;
+  }
+
+  /// Drops `key` if resident; returns whether it was.
+  bool Erase(const K& key) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) return false;
+    Remove(it->second);
+    return true;
   }
 
   void Clear() {
     items_.clear();
     index_.clear();
+    total_cost_ = 0;
   }
 
  private:
+  using Items = std::list<std::pair<K, V>>;
+
+  void Remove(typename Items::iterator item) {
+    total_cost_ -= Cost()(item->second);
+    index_.erase(item->first);
+    items_.erase(item);
+  }
+
   size_t capacity_;
-  std::list<std::pair<K, V>> items_;  // front = most recently used
-  std::unordered_map<K, typename std::list<std::pair<K, V>>::iterator, Hash>
-      index_;
+  size_t total_cost_ = 0;
+  Items items_;  // front = most recently used
+  std::unordered_map<K, typename Items::iterator, Hash> index_;
 };
 
-/// Cumulative lookup counters of one ServedCache.
+/// Lookup counters of one ServedCache (cumulative since the last Clear)
+/// plus its current contents.
 struct ServedCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
+  /// Entries dropped by the capacity bound or by Erase.
+  uint64_t evictions = 0;
+  /// Resident entries and the sum of their costs.
+  uint64_t resident = 0;
+  uint64_t resident_cost = 0;
 };
 
-/// A thread-safe LruCache of served results plus its hit/miss counters —
-/// the one shape of ParkService's per-park caches. Values should be cheap
-/// to copy (shared_ptrs), so a hit is a lookup, a splice and a refcount
-/// bump with no heap traffic, and an evicted entry stays alive for readers
-/// already holding it.
-template <typename K, typename V, typename Hash = std::hash<K>>
+/// A thread-safe LruCache of served results plus its counters — the one
+/// cache shape of the serving stack: ParkService's per-park risk-map,
+/// curve-table and tile caches, and TiledFeaturePlane's feature-tile pool.
+/// Values should be cheap to copy (shared_ptrs), so a hit is a lookup, a
+/// splice and a refcount bump with no heap traffic, and an evicted entry
+/// stays alive for readers already holding it.
+template <typename K, typename V, typename Hash = std::hash<K>,
+          typename Cost = UnitCost<V>>
 class ServedCache {
  public:
   explicit ServedCache(size_t capacity) : lru_(capacity) {}
@@ -93,8 +137,14 @@ class ServedCache {
     }
     V value = compute();
     std::lock_guard<std::mutex> lock(mu_);
-    lru_.Put(key, value);
+    stats_.evictions += lru_.Put(key, value);
     return value;
+  }
+
+  /// Drops `key` if resident, counting it as an eviction.
+  void Erase(const K& key) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (lru_.Erase(key)) ++stats_.evictions;
   }
 
   /// Drops every entry and zeroes the counters.
@@ -106,12 +156,15 @@ class ServedCache {
 
   ServedCacheStats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
+    ServedCacheStats stats = stats_;
+    stats.resident = lru_.size();
+    stats.resident_cost = lru_.total_cost();
+    return stats;
   }
 
  private:
   mutable std::mutex mu_;
-  LruCache<K, V, Hash> lru_;
+  LruCache<K, V, Hash, Cost> lru_;
   ServedCacheStats stats_;
 };
 

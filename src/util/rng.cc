@@ -6,14 +6,18 @@
 
 namespace paws {
 
-namespace {
-
 uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
+
+double SplitMix64Uniform(uint64_t* state) {
+  return static_cast<double>(SplitMix64(state) >> 11) * 0x1.0p-53;
+}
+
+namespace {
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 

@@ -6,6 +6,15 @@
 
 namespace paws {
 
+/// One splitmix64 step: advances `*state` and returns the next output.
+/// Seeds Rng; on its own it drives the one-word streams behind reconnect
+/// and probe jitter and fault-injection draws.
+uint64_t SplitMix64(uint64_t* state);
+
+/// The next splitmix64 output as a uniform double in [0, 1): its 53 high
+/// bits scaled by 2^-53.
+double SplitMix64Uniform(uint64_t* state);
+
 /// Deterministic, fast pseudo-random number generator (xoshiro256**),
 /// seeded via splitmix64. All stochastic components of the library
 /// (synthetic parks, patrol simulation, bootstrap sampling, ...) take an

@@ -121,5 +121,62 @@ TEST(ServedCacheTest, ClearDropsEntriesAndZeroesCounters) {
   EXPECT_EQ(cache.stats().misses, 1u);
 }
 
+// Charges each entry its string length, as the feature-tile pool charges
+// each tile its bytes.
+struct LengthCost {
+  size_t operator()(const std::shared_ptr<const std::string>& s) const {
+    return s->size();
+  }
+};
+
+TEST(ServedCacheTest, CostWeightedEvictionErasureAndRefresh) {
+  ServedCache<int, std::shared_ptr<const std::string>, std::hash<int>,
+              LengthCost>
+      cache(6);
+  int calls = 0;
+  cache.GetOrCompute(1, CountingCompute{&calls, "aa"});
+  cache.GetOrCompute(2, CountingCompute{&calls, "bb"});
+  cache.GetOrCompute(1, CountingCompute{&calls, "aa"});  // 1 most recent
+  // Cost 2 + 2 + 3 exceeds 6: the least recently used entry (2) goes.
+  cache.GetOrCompute(3, CountingCompute{&calls, "ccc"});
+  ServedCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.resident, 2u);
+  EXPECT_EQ(stats.resident_cost, 5u);
+  cache.GetOrCompute(1, CountingCompute{&calls, "aa"});
+  EXPECT_EQ(calls, 3);  // 1 survived
+
+  // An entry costlier than the whole capacity evicts everything else but
+  // is itself kept: the newest entry is never evicted.
+  cache.GetOrCompute(4, CountingCompute{&calls, "dddddddd"});
+  cache.GetOrCompute(4, CountingCompute{&calls, "dddddddd"});
+  EXPECT_EQ(calls, 4);
+  stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 3u);
+  EXPECT_EQ(stats.resident, 1u);
+  EXPECT_EQ(stats.resident_cost, 8u);
+
+  // Erase counts as an eviction; erasing an absent key counts nothing.
+  cache.Erase(4);
+  cache.Erase(4);
+  stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 4u);
+  EXPECT_EQ(stats.resident, 0u);
+  EXPECT_EQ(stats.resident_cost, 0u);
+
+  // A racing miss: another reader inserts key 5 while this one computes.
+  // The second insert refreshes the entry and replaces its cost.
+  const auto served = cache.GetOrCompute(5, [&] {
+    cache.GetOrCompute(5, CountingCompute{&calls, "e"});
+    return std::make_shared<const std::string>("eee");
+  });
+  EXPECT_EQ(*served, "eee");
+  stats = cache.stats();
+  EXPECT_EQ(stats.resident, 1u);
+  EXPECT_EQ(stats.resident_cost, 3u);
+  EXPECT_EQ(stats.evictions, 4u);
+  EXPECT_EQ(*cache.GetOrCompute(5, CountingCompute{&calls, "e"}), "eee");
+}
+
 }  // namespace
 }  // namespace paws

@@ -8,13 +8,17 @@
 // TSan via the Parallel filter).
 #include "serve/park_server.h"
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <string.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -566,6 +570,35 @@ TEST_F(ParkServerTest, ConnectionLimitRejectsTheExcessConnection) {
   EXPECT_EQ(server_->net_stats().rejected_connections, 1u);
   // The admitted connection is unaffected.
   EXPECT_TRUE(first.RiskMap("p", 1.0).ok());
+}
+
+// Number of open descriptors in this process.
+long OpenFdCount() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                       std::filesystem::directory_iterator());
+}
+
+TEST(FrameServerTest, FailedStartClosesEverythingItOpened) {
+  // Cap the descriptor table one past the lowest free fd: the listening
+  // socket takes that fd, and the wake pipe then fails with EMFILE.
+  const int next_fd = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(next_fd, 0);
+  ::close(next_fd);
+  const long fds_before = OpenFdCount();
+  rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit capped = saved;
+  capped.rlim_cur = static_cast<rlim_t>(next_fd) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &capped), 0);
+  FrameServer server;
+  const Status started =
+      server.Start(FrameServerOptions(), [](const Frame& frame) {
+        return frame;
+      });
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_EQ(started.code(), StatusCode::kInternal) << started.ToString();
+  EXPECT_EQ(OpenFdCount(), fds_before);
+  EXPECT_EQ(server.port(), -1);
 }
 
 // Concurrency suite: the name contains "Parallel" so CI's TSan job

@@ -5,9 +5,11 @@
 // backend runs, the tile fan-out thread count, the feature-tile pool
 // budget, or a snapshot save/load round trip. Plus the RiskTile archive
 // codec round trip and its truncation rejection.
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -340,6 +342,75 @@ TEST_F(RiskTileTest, ServiceRejectsBadTileRequestsWithTypedStatuses) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(service.RiskTile("p", 0, -1.0).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// Concurrency suite: the name contains "Parallel", so CI's TSan job runs
+// it under race detection.
+using RiskTileParallelTest = RiskTileTest;
+
+// Readers fetch tiles through a one-tile feature pool while a writer flips
+// the coverage layer and swaps the snapshot: every served tile must be one
+// of the two layers' serial answers, bit for bit — never a torn mix.
+TEST_F(RiskTileParallelTest, TileReadersRaceCoverageWritesAndSwaps) {
+  const std::vector<double> layer_a = Lagged();
+  std::vector<double> layer_b = layer_a;
+  for (double& km : layer_b) km += 1.5;
+  ModelSnapshot serial = MakeSnapshot();
+  const int num_tiles = serial.num_tiles();
+  std::vector<RiskTile> want_a, want_b;
+  for (int t = 0; t < num_tiles; ++t) {
+    want_a.push_back(serial.PredictRiskTile(t, 2.0));
+  }
+  ASSERT_TRUE(serial.UpdateLaggedEffort(layer_b).ok());
+  for (int t = 0; t < num_tiles; ++t) {
+    want_b.push_back(serial.PredictRiskTile(t, 2.0));
+  }
+
+  ParkService service;
+  ASSERT_TRUE(
+      service.Register("p", MakeSnapshot(/*pool_budget_bytes=*/1)).ok());
+  std::atomic<bool> done{false};
+  std::atomic<int> reads{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      for (int t = r; !done.load(); t = (t + 1) % num_tiles) {
+        const auto tile = service.RiskTile("p", t, 2.0);
+        const bool matches =
+            tile.ok() && (((*tile)->risk == want_a[t].risk &&
+                           (*tile)->variance == want_a[t].variance) ||
+                          ((*tile)->risk == want_b[t].risk &&
+                           (*tile)->variance == want_b[t].variance));
+        if (!matches) mismatches.fetch_add(1);
+        reads.fetch_add(1);
+      }
+    });
+  }
+  // Let the readers serve a few tiles between writes, so every write
+  // lands among reads.
+  const auto await_reads = [&] {
+    const int start = reads.load();
+    while (reads.load() < start + 3) std::this_thread::yield();
+  };
+  for (int flip = 0; flip < 12; ++flip) {
+    await_reads();
+    EXPECT_TRUE(
+        service.UpdateCoverage("p", flip % 2 == 0 ? layer_b : layer_a).ok());
+    if (flip % 4 == 3) {
+      await_reads();
+      EXPECT_TRUE(
+          service.SwapSnapshot("p", MakeSnapshot(/*pool_budget_bytes=*/1))
+              .ok());
+    }
+  }
+  await_reads();
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const auto stats = service.RiskTileStats("p");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_LE(stats->pool.resident_tiles, 1u);
 }
 
 TEST_F(RiskTileTest, RiskTileArchiveRoundTripsExactly) {
