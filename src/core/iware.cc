@@ -347,7 +347,7 @@ Prediction IWareEnsemble::Predict(const std::vector<double>& x,
 int IWareEnsemble::NumQualified(double effort) const {
   CheckOrDie(fitted_, "IWareEnsemble::NumQualified before Fit");
   int count = 0;
-  for (double theta : thresholds_) count += theta <= effort ? 1 : 0;
+  for (double theta : thresholds_) count += !(theta > effort) ? 1 : 0;
   return count;
 }
 
@@ -363,7 +363,22 @@ void IWareEnsemble::PredictBatch(const FeatureMatrixView& x,
   CheckOrDie(fitted_, "IWareEnsemble::PredictBatch before Fit");
   CheckOrDie(static_cast<int>(efforts.size()) == x.rows(),
              "IWareEnsemble::PredictBatch: one effort per row required");
-  backend_->PredictBatch(View(), x, efforts, config_.parallelism, out);
+  out->resize(x.rows());
+  // Rows with the same qualified count mix the same learners, so each group
+  // is one shared-effort batch, scored at a member row's own effort. A row's
+  // output never depends on which other rows share its batch.
+  std::vector<std::vector<int>> groups(learners_.size() + 1);
+  for (int r = 0; r < x.rows(); ++r) {
+    groups[NumQualified(efforts[r])].push_back(r);
+  }
+  std::vector<double> gathered;
+  std::vector<Prediction> buf;
+  for (const std::vector<int>& rows : groups) {
+    if (rows.empty()) continue;
+    backend_->PredictBatch(View(), GatherRows(x, rows, &gathered),
+                           efforts[rows[0]], config_.parallelism, &buf);
+    for (size_t j = 0; j < rows.size(); ++j) (*out)[rows[j]] = buf[j];
+  }
 }
 
 EffortCurveTable IWareEnsemble::PredictEffortCurves(
@@ -374,17 +389,11 @@ EffortCurveTable IWareEnsemble::PredictEffortCurves(
     CheckOrDie(effort_grid[k] > effort_grid[k - 1],
                "PredictEffortCurves: grid must be strictly increasing");
   }
-  const int m = static_cast<int>(effort_grid.size());
-  const int num_learners = static_cast<int>(learners_.size());
   EffortCurveTable table;
   // The qualified count per grid point depends only on the thresholds.
-  table.qualified_count.resize(m);
-  for (int k = 0; k < m; ++k) {
-    int qualified = 0;
-    for (int i = 0; i < num_learners; ++i) {
-      if (thresholds_[i] <= effort_grid[k]) ++qualified;
-    }
-    table.qualified_count[k] = qualified;
+  table.qualified_count.reserve(effort_grid.size());
+  for (double effort : effort_grid) {
+    table.qualified_count.push_back(NumQualified(effort));
   }
   // The backend fills num_cells/prob/variance: compiled backends score
   // each learner once per cell and assemble the grid by a weight prefix

@@ -111,8 +111,10 @@ class IWareEnsemble {
                     std::vector<Prediction>* out) const;
 
   /// Batch prediction with per-row efforts (dataset scoring). Rows are
-  /// gathered per weak learner by qualification, so each learner still only
-  /// scores the rows it votes on.
+  /// grouped by NumQualified(effort) — rows in one group mix the same
+  /// learners — and each group is gathered and scored as one shared-effort
+  /// batch at a member row's own effort, so every row matches the
+  /// pointwise Predict at its effort bit for bit.
   void PredictBatch(const FeatureMatrixView& x,
                     const std::vector<double>& efforts,
                     std::vector<Prediction>* out) const;
@@ -128,8 +130,9 @@ class IWareEnsemble {
   /// Scores every row of `data` using each row's own effort channel.
   std::vector<double> PredictDataset(const Dataset& data) const;
 
-  /// Number of weak learners qualified to vote at `effort`
-  /// (non-decreasing in effort).
+  /// Number of weak learners qualified to vote at `effort`: those whose
+  /// threshold does not exceed it (non-decreasing in effort; a NaN effort
+  /// qualifies every learner, as in every ScoringBackend).
   int NumQualified(double effort) const;
 
   int num_learners() const { return static_cast<int>(learners_.size()); }

@@ -25,13 +25,10 @@ static_assert(kCompiledCurveRowBlock <= kCompiledRowBlock,
 // worker's stack and the serving paths allocate nothing per call beyond
 // their output buffers.
 struct ChunkScratch {
-  int idx[kCompiledRowBlock];
-  int q[kCompiledRowBlock];
   double sum[kCompiledRowBlock];
   double sum2[kCompiledRowBlock];
   double lmean[kCompiledRowBlock];
   double lvar[kCompiledRowBlock];
-  double wsum[kCompiledRowBlock];
   double mean[kCompiledRowBlock];
   double second[kCompiledRowBlock];
 };
@@ -57,24 +54,23 @@ void ForEachBlock(const ParallelismConfig& parallelism, int n, int block,
 /// a flattened copy of its learner parameters and supplies
 ///
 ///   void ScoreLearner(int learner, const double* rows, int stride,
-///                     const int* idx, int count, double* sum, double* sum2,
-///                     double* mean, double* variance) const;
+///                     int count, double* sum, double* sum2, double* mean,
+///                     double* variance) const;
 ///   void CheckRowWidth(int cols) const;
 ///
-/// ScoreLearner scores one threshold learner over the `count` rows selected
-/// by `idx` (indices into the row-major block at `rows` with stride
-/// `stride`): per selected row the member-order accumulation into
-/// `sum`/`sum2` (no pre-zeroing required — the first member assigns), then
-/// the bagging mean and clamped ensemble-spread variance into
-/// `mean`/`variance` — exactly BaggingClassifier::PredictBatchWithVariance.
+/// ScoreLearner scores one threshold learner over the contiguous block of
+/// `count` rows at `rows` (row-major, stride `stride`): per row j the
+/// member-order accumulation into `sum[j]`/`sum2[j]` (no pre-zeroing
+/// required — the first member assigns), then the bagging mean and clamped
+/// ensemble-spread variance into `mean[j]`/`variance[j]` — exactly
+/// BaggingClassifier::PredictBatchWithVariance.
 ///
-/// The base implements the three ScoringBackend calls on top of it: the
+/// The base implements both ScoringBackend calls on top of it: the
 /// qualified set at any effort is a prefix of the (strictly ascending)
 /// threshold-sorted learner list, so shared-effort batches mix a fixed
-/// prefix, per-row-effort batches compact each learner's qualifying rows,
-/// and effort-curve tables score each learner once and extend a running
-/// weight prefix scan along the grid — all bit-identical to the reference
-/// accumulation order.
+/// prefix, and effort-curve tables score each learner once and extend a
+/// running weight prefix scan along the grid — both bit-identical to the
+/// reference accumulation order.
 template <typename Derived>
 class CompiledBackendBase : public ScoringBackend {
  public:
@@ -95,13 +91,12 @@ class CompiledBackendBase : public ScoringBackend {
     auto run_block = [&](int lo, int cn) {
       const double* rows = x.Row(lo);
       ChunkScratch s;
-      for (int r = 0; r < cn; ++r) s.idx[r] = r;
       std::fill(s.mean, s.mean + cn, 0.0);
       std::fill(s.second, s.second + cn, 0.0);
       double wsum = 0.0;
       for (int i = 0; i < q; ++i) {
-        derived().ScoreLearner(i, rows, x.cols(), s.idx, cn, s.sum, s.sum2,
-                               s.lmean, s.lvar);
+        derived().ScoreLearner(i, rows, x.cols(), cn, s.sum, s.sum2, s.lmean,
+                               s.lvar);
         const double w = weights_[i];
         wsum += w;
         for (int r = 0; r < cn; ++r) {
@@ -112,8 +107,8 @@ class CompiledBackendBase : public ScoringBackend {
       if (wsum <= 0.0) {
         // Effort below every threshold (or zero qualified weight): the
         // loosest learner's raw prediction, as the reference path does.
-        derived().ScoreLearner(0, rows, x.cols(), s.idx, cn, s.sum, s.sum2,
-                               s.lmean, s.lvar);
+        derived().ScoreLearner(0, rows, x.cols(), cn, s.sum, s.sum2, s.lmean,
+                               s.lvar);
         for (int r = 0; r < cn; ++r) {
           (*out)[lo + r] = Prediction{s.lmean[r], s.lvar[r]};
         }
@@ -122,71 +117,6 @@ class CompiledBackendBase : public ScoringBackend {
       for (int r = 0; r < cn; ++r) {
         const double m = s.mean[r] / wsum;
         const double sec = s.second[r] / wsum;
-        (*out)[lo + r] = Prediction{m, std::max(0.0, sec - m * m)};
-      }
-    };
-    ForEachBlock(parallelism, n, kCompiledRowBlock, run_block);
-  }
-
-  void PredictBatch(const WeakLearnerSetView& /*ensemble*/,
-                    const FeatureMatrixView& x,
-                    const std::vector<double>& efforts,
-                    const ParallelismConfig& parallelism,
-                    std::vector<Prediction>* out) const override {
-    const int n = x.rows();
-    CheckOrDie(static_cast<int>(efforts.size()) == n,
-               "CompiledBackend: one effort per row required");
-    out->resize(n);
-    if (n == 0) return;
-    derived().CheckRowWidth(x.cols());
-    auto run_block = [&](int lo, int cn) {
-      const double* rows = x.Row(lo);
-      // Per-row qualified prefix length; learner i scores exactly the
-      // rows with q[r] > i, compacted into `idx`, so accumulation per
-      // row still runs in learner order — the reference's
-      // gather-per-learner pass without copying any feature rows.
-      ChunkScratch s;
-      int max_q = 0;
-      for (int r = 0; r < cn; ++r) {
-        s.q[r] = NumQualified(efforts[lo + r]);
-        max_q = std::max(max_q, s.q[r]);
-      }
-      std::fill(s.wsum, s.wsum + cn, 0.0);
-      std::fill(s.mean, s.mean + cn, 0.0);
-      std::fill(s.second, s.second + cn, 0.0);
-      for (int i = 0; i < max_q; ++i) {
-        int count = 0;
-        for (int r = 0; r < cn; ++r) {
-          if (s.q[r] > i) s.idx[count++] = r;
-        }
-        if (count == 0) continue;
-        derived().ScoreLearner(i, rows, x.cols(), s.idx, count, s.sum, s.sum2,
-                               s.lmean, s.lvar);
-        const double w = weights_[i];
-        for (int j = 0; j < count; ++j) {
-          const int r = s.idx[j];
-          s.wsum[r] += w;
-          s.mean[r] += w * s.lmean[j];
-          s.second[r] += w * (s.lvar[j] + s.lmean[j] * s.lmean[j]);
-        }
-      }
-      // Rows whose effort sits below every threshold (or whose
-      // qualified weights sum to zero) fall back to the loosest learner.
-      int fallback = 0;
-      for (int r = 0; r < cn; ++r) {
-        if (s.wsum[r] <= 0.0) s.idx[fallback++] = r;
-      }
-      if (fallback > 0) {
-        derived().ScoreLearner(0, rows, x.cols(), s.idx, fallback, s.sum,
-                               s.sum2, s.lmean, s.lvar);
-        for (int j = 0; j < fallback; ++j) {
-          (*out)[lo + s.idx[j]] = Prediction{s.lmean[j], s.lvar[j]};
-        }
-      }
-      for (int r = 0; r < cn; ++r) {
-        if (s.wsum[r] <= 0.0) continue;
-        const double m = s.mean[r] / s.wsum[r];
-        const double sec = s.second[r] / s.wsum[r];
         (*out)[lo + r] = Prediction{m, std::max(0.0, sec - m * m)};
       }
     };
@@ -213,14 +143,13 @@ class CompiledBackendBase : public ScoringBackend {
     auto run_block = [&](int lo, int cn) {
       const double* rows = x.Row(lo);
       ChunkScratch s;
-      for (int r = 0; r < cn; ++r) s.idx[r] = r;
       // Learner scores, [learner * cn + row]. The one heap buffer on
       // this path: its height is the learner count, which ChunkScratch
       // cannot bound.
       std::vector<double> lmean(static_cast<size_t>(num_scored) * cn);
       std::vector<double> lvar(static_cast<size_t>(num_scored) * cn);
       for (int i = 0; i < num_scored; ++i) {
-        derived().ScoreLearner(i, rows, x.cols(), s.idx, cn, s.sum, s.sum2,
+        derived().ScoreLearner(i, rows, x.cols(), cn, s.sum, s.sum2,
                                lmean.data() + static_cast<size_t>(i) * cn,
                                lvar.data() + static_cast<size_t>(i) * cn);
       }
@@ -267,7 +196,8 @@ class CompiledBackendBase : public ScoringBackend {
  protected:
   int NumQualified(double effort) const {
     // thresholds_ is ascending, so the qualified set is the prefix below
-    // the first threshold exceeding `effort`.
+    // the first threshold exceeding `effort` — every learner for a NaN
+    // effort, which no threshold exceeds.
     return static_cast<int>(std::upper_bound(thresholds_.begin(),
                                              thresholds_.end(), effort) -
                             thresholds_.begin());

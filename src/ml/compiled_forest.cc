@@ -42,23 +42,23 @@ namespace {
     (c) = node.feature >= 0 ? next : (c);                                   \
   }
 
-// Walks one flattened tree over the selected rows, accumulating each leaf
+// Walks one flattened tree over the block's rows, accumulating each leaf
 // value and its square into sum/sum2. The first tree of a learner assigns
 // instead (kAssign), so callers never pre-zero the accumulators. Starting
 // the sums at the first member's value instead of 0.0 is bit-identical:
 // 0.0 + v == v for every leaf probability (v >= 0).
 template <bool kAssign>
 void WalkTree(const CompiledForest::Node* nodes, int root, int depth,
-              const double* rows, int stride, const int* idx, int count,
-              double* sum, double* sum2) {
+              const double* rows, int stride, int count, double* sum,
+              double* sum2) {
   int i = 0;
   // Interleaved traversal, four lanes per group: every cursor advances one
   // level per iteration, for at most `depth` iterations.
   for (; i + 4 <= count; i += 4) {
-    const double* p0 = rows + static_cast<size_t>(idx[i]) * stride;
-    const double* p1 = rows + static_cast<size_t>(idx[i + 1]) * stride;
-    const double* p2 = rows + static_cast<size_t>(idx[i + 2]) * stride;
-    const double* p3 = rows + static_cast<size_t>(idx[i + 3]) * stride;
+    const double* p0 = rows + static_cast<size_t>(i) * stride;
+    const double* p1 = rows + static_cast<size_t>(i + 1) * stride;
+    const double* p2 = rows + static_cast<size_t>(i + 2) * stride;
+    const double* p3 = rows + static_cast<size_t>(i + 3) * stride;
     int c0 = root, c1 = root, c2 = root, c3 = root;
     for (int d = 0; d < depth; ++d) {
       int live = 0;
@@ -95,7 +95,7 @@ void WalkTree(const CompiledForest::Node* nodes, int root, int depth,
     }
   }
   for (; i < count; ++i) {  // remainder rows: plain serial walk
-    const double* row = rows + static_cast<size_t>(idx[i]) * stride;
+    const double* row = rows + static_cast<size_t>(i) * stride;
     int c = root;
     for (int f = nodes[c].feature; f >= 0; f = nodes[c].feature) {
       c = nodes[c].left + static_cast<int>(!(row[f] <= nodes[c].value));
@@ -198,9 +198,8 @@ std::unique_ptr<CompiledForest> CompiledForest::CompileWithTier(
 }
 
 void CompiledForest::ScoreLearner(int learner, const double* rows, int stride,
-                                  const int* idx, int count, double* sum,
-                                  double* sum2, double* mean,
-                                  double* variance) const {
+                                  int count, double* sum, double* sum2,
+                                  double* mean, double* variance) const {
   const Node* nodes = nodes_.data();
   const int tree_begin = learner_tree_begin_[learner];
   const int tree_end = learner_tree_begin_[learner + 1];
@@ -210,14 +209,14 @@ void CompiledForest::ScoreLearner(int learner, const double* rows, int stride,
     // routing, same leaf parking, same add order per row), so every tier
     // is bit-identical — only rows-in-flight differ.
     if (simd_walk_ != nullptr) {
-      simd_walk_(nodes, tree_root_[t], tree_depth_[t], rows, stride, idx,
-                 count, sum, sum2, /*assign=*/t == tree_begin);
+      simd_walk_(nodes, tree_root_[t], tree_depth_[t], rows, stride, count, sum,
+                 sum2, /*assign=*/t == tree_begin);
     } else if (t == tree_begin) {
-      WalkTree<true>(nodes, tree_root_[t], tree_depth_[t], rows, stride, idx,
-                     count, sum, sum2);
+      WalkTree<true>(nodes, tree_root_[t], tree_depth_[t], rows, stride, count,
+                     sum, sum2);
     } else {
-      WalkTree<false>(nodes, tree_root_[t], tree_depth_[t], rows, stride, idx,
-                      count, sum, sum2);
+      WalkTree<false>(nodes, tree_root_[t], tree_depth_[t], rows, stride, count,
+                      sum, sum2);
     }
   }
   const int b = learner_members_[learner];

@@ -30,11 +30,11 @@ namespace paws {
 /// IWareEnsemble::PredictBatch / PredictEffortCurves) bit for bit — member
 /// probabilities are accumulated in member order, learner mixtures in
 /// learner order, and every divide / clamp is performed exactly where the
-/// reference performs it. The shared-mixing harness (qualified prefixes,
-/// per-row compaction, score-once effort-curve prefix scan) lives in
-/// internal::CompiledBackendBase and is shared with the compiled-SVB
-/// backend; this class contributes the flattened trees and their
-/// interleaved traversal.
+/// reference performs it. The shared-mixing harness (qualified prefixes and
+/// the score-once effort-curve prefix scan) lives in
+/// internal::CompiledBackendBase and is shared with the compiled-SVB and
+/// compiled-GP backends; this class contributes the flattened trees and
+/// their interleaved traversal.
 ///
 /// Instances are derived state: IWareEnsemble selects its backend at the
 /// end of Fit and after Load (never serialized). Ensembles whose learners
@@ -94,16 +94,16 @@ class CompiledForest : public internal::CompiledBackendBase<CompiledForest> {
 
   bool FlattenTree(const std::vector<DecisionTree::Node>& nodes);
 
-  /// Scores one learner over the `count` rows selected by `idx` (see
-  /// CompiledBackendBase for the exact contract): per selected row, the
+  /// Scores one learner over the block's `count` rows (see
+  /// CompiledBackendBase for the exact contract): per row, the
   /// member-order sum of tree outputs and squares in `sum`/`sum2`, then
   /// the bagging mean and clamped ensemble-spread variance in
   /// `mean`/`variance`. Rows are traversed in interleaved groups with
   /// independent cursors so the per-level node loads of several rows
   /// overlap instead of serializing on one pointer-chase chain.
-  void ScoreLearner(int learner, const double* rows, int stride,
-                    const int* idx, int count, double* sum, double* sum2,
-                    double* mean, double* variance) const;
+  void ScoreLearner(int learner, const double* rows, int stride, int count,
+                    double* sum, double* sum2, double* mean,
+                    double* variance) const;
 
   /// Trees may never split on trailing features, so wider rows are fine.
   void CheckRowWidth(int cols) const {
@@ -131,9 +131,8 @@ class CompiledForest : public internal::CompiledBackendBase<CompiledForest> {
   SimdTier tier_ = SimdTier::kScalar;
   const char* name_ = "compiled-dtb";
   void (*simd_walk_)(const Node* nodes, int root, int depth,
-                     const double* rows, int stride, const int* idx,
-                     int count, double* sum, double* sum2,
-                     bool assign) = nullptr;
+                     const double* rows, int stride, int count, double* sum,
+                     double* sum2, bool assign) = nullptr;
 };
 
 }  // namespace paws

@@ -83,8 +83,8 @@ std::unique_ptr<CompiledGpEnsemble> CompiledGpEnsemble::Compile(
 }
 
 void CompiledGpEnsemble::ScoreLearner(int learner, const double* rows,
-                                      int stride, const int* idx, int count,
-                                      double* sum, double* sum2, double* mean,
+                                      int stride, int count, double* sum,
+                                      double* sum2, double* mean,
                                       double* variance) const {
   // Reusable per-thread scratch: ScoreLearner must be concurrent-safe
   // (const, called from ParallelFor workers) and allocation-free on the
@@ -108,11 +108,11 @@ void CompiledGpEnsemble::ScoreLearner(int learner, const double* rows,
     const int n = gp.n;
     const double* mu = std_pool_.data() + gp.std_offset;
     const double* sd = mu + k;
-    // Standardize the selected rows, stored transposed (zt[f * m + j]) so
+    // Standardize the block's rows, stored transposed (zt[f * m + j]) so
     // the distance sweep below reads one contiguous lane row per feature.
     // Same `(x - mu) / sd` divide as the reference, element-independent;
     // widened tiers gather the strided row reads.
-    lanes_->StandardizeT(rows, stride, idx, m, k, mu, sd, zt.data());
+    lanes_->StandardizeT(rows, stride, m, k, mu, sd, zt.data());
     // Cross-covariance block. Per column the squared distance accumulates
     // in feature order — RbfKernel::Eval's reduction, which the compiler
     // may never reorder (and so never vectorizes in the reference's

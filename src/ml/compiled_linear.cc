@@ -45,8 +45,7 @@ std::unique_ptr<CompiledLinearEnsemble> CompiledLinearEnsemble::Compile(
 }
 
 void CompiledLinearEnsemble::ScoreLearner(int learner, const double* rows,
-                                          int stride, const int* idx,
-                                          int count, double* sum,
+                                          int stride, int count, double* sum,
                                           double* sum2, double* mean,
                                           double* variance) const {
   const int k = num_features_;
@@ -54,7 +53,7 @@ void CompiledLinearEnsemble::ScoreLearner(int learner, const double* rows,
   const int member_end = learner_member_begin_[learner + 1];
   for (int member = member_begin; member < member_end; ++member) {
     // GEMV sweep: this member's parameter rows stay hot while it scores
-    // the whole selected block. Standardization is fused into the dot
+    // the whole block. Standardization is fused into the dot
     // product exactly as LinearSvm::DecisionValueRow performs it —
     // accumulate w * ((x - mean) / stddev) in feature order, bias last —
     // so the decision value matches the reference bit for bit.
@@ -71,7 +70,7 @@ void CompiledLinearEnsemble::ScoreLearner(int learner, const double* rows,
     // reference's `p.variance + p.prob * p.prob` term is `p * p`.
     if (member == member_begin) {
       for (int i = 0; i < count; ++i) {
-        const double* row = rows + static_cast<size_t>(idx[i]) * stride;
+        const double* row = rows + static_cast<size_t>(i) * stride;
         double acc = 0.0;
         for (int f = 0; f < k; ++f) acc += w[f] * ((row[f] - mu[f]) / sd[f]);
         const double p = Sigmoid(-(a * (acc + bias) + b));
@@ -80,7 +79,7 @@ void CompiledLinearEnsemble::ScoreLearner(int learner, const double* rows,
       }
     } else {
       for (int i = 0; i < count; ++i) {
-        const double* row = rows + static_cast<size_t>(idx[i]) * stride;
+        const double* row = rows + static_cast<size_t>(i) * stride;
         double acc = 0.0;
         for (int f = 0; f < k; ++f) acc += w[f] * ((row[f] - mu[f]) / sd[f]);
         const double p = Sigmoid(-(a * (acc + bias) + b));

@@ -50,14 +50,14 @@ class CompiledLinearEnsemble
 
   CompiledLinearEnsemble() = default;
 
-  /// Scores one learner over the `count` rows selected by `idx` (see
-  /// CompiledBackendBase for the exact contract): per selected row, the
+  /// Scores one learner over the block's `count` rows (see
+  /// CompiledBackendBase for the exact contract): per row, the
   /// member-order sum of Platt-calibrated probabilities and squares in
   /// `sum`/`sum2`, then the bagging mean and clamped ensemble-spread
   /// variance in `mean`/`variance`.
-  void ScoreLearner(int learner, const double* rows, int stride,
-                    const int* idx, int count, double* sum, double* sum2,
-                    double* mean, double* variance) const;
+  void ScoreLearner(int learner, const double* rows, int stride, int count,
+                    double* sum, double* sum2, double* mean,
+                    double* variance) const;
 
   /// LinearSvm::PredictBatch requires the exact trained width, so the
   /// compiled path does too (wider rows would silently drop features).

@@ -1,7 +1,9 @@
 #include "ml/dataset_io.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -33,6 +35,18 @@ StatusOr<double> ParseDouble(const std::string& s) {
     return Status::InvalidArgument("dataset csv: bad number '" + s + "'");
   }
   return v;
+}
+
+// A time step or cell id: an integral number within int range (NaN fails
+// the range check), so the cast below is always defined.
+StatusOr<int> ParseInt(const std::string& s) {
+  PAWS_ASSIGN_OR_RETURN(const double v, ParseDouble(s));
+  if (!(v >= std::numeric_limits<int>::min() &&
+        v <= std::numeric_limits<int>::max()) ||
+      v != std::trunc(v)) {
+    return Status::InvalidArgument("dataset csv: bad integer '" + s + "'");
+  }
+  return static_cast<int>(v);
 }
 
 }  // namespace
@@ -98,17 +112,17 @@ StatusOr<Dataset> DatasetFromCsv(const std::string& text) {
                                      std::to_string(line_no));
     }
     PAWS_ASSIGN_OR_RETURN(const double effort, ParseDouble(fields[1]));
-    if (effort < 0.0) {
-      return Status::InvalidArgument("dataset csv: negative effort at row " +
-                                     std::to_string(line_no));
+    if (!(effort >= 0.0)) {
+      return Status::InvalidArgument(
+          "dataset csv: negative or NaN effort at row " +
+          std::to_string(line_no));
     }
-    PAWS_ASSIGN_OR_RETURN(const double t, ParseDouble(fields[2]));
-    PAWS_ASSIGN_OR_RETURN(const double cell, ParseDouble(fields[3]));
+    PAWS_ASSIGN_OR_RETURN(const int t, ParseInt(fields[2]));
+    PAWS_ASSIGN_OR_RETURN(const int cell, ParseInt(fields[3]));
     for (int f = 0; f < k; ++f) {
       PAWS_ASSIGN_OR_RETURN(x[f], ParseDouble(fields[4 + f]));
     }
-    data.AddRow(x, static_cast<int>(label), effort, static_cast<int>(t),
-                static_cast<int>(cell));
+    data.AddRow(x, static_cast<int>(label), effort, t, cell);
   }
   return data;
 }

@@ -81,21 +81,20 @@ PAWS_NOINLINE void AccumSquareScalar(const double* v, double* acc, int m) {
 }
 
 PAWS_NOINLINE void StandardizeTColScalar(const double* rows, int stride,
-                                         const int* idx, int j0, int count,
-                                         int m, int k, const double* mu,
-                                         const double* sd, double* zt) {
+                                         int j0, int count, int m, int k,
+                                         const double* mu, const double* sd,
+                                         double* zt) {
   for (int j = j0; j < j0 + count; ++j) {
-    const double* row = rows + static_cast<size_t>(idx[j]) * stride;
+    const double* row = rows + static_cast<size_t>(j) * stride;
     for (int f = 0; f < k; ++f) {
       zt[static_cast<size_t>(f) * m + j] = (row[f] - mu[f]) / sd[f];
     }
   }
 }
 
-void StandardizeTScalar(const double* rows, int stride, const int* idx, int m,
-                        int k, const double* mu, const double* sd,
-                        double* zt) {
-  StandardizeTColScalar(rows, stride, idx, 0, m, m, k, mu, sd, zt);
+void StandardizeTScalar(const double* rows, int stride, int m, int k,
+                        const double* mu, const double* sd, double* zt) {
+  StandardizeTColScalar(rows, stride, 0, m, m, k, mu, sd, zt);
 }
 
 void CrossKernelSqScalar(const double* xt, int n, int k, const double* zt,
@@ -148,13 +147,13 @@ alignas(32) constexpr int64_t kAvx2MaskTable[8] = {-1, -1, -1, -1,
 // explicit mul-then-add/sub intrinsics anyway.
 
 __attribute__((target("avx2"))) void StandardizeTAvx2(
-    const double* rows, int stride, const int* idx, int m, int k,
-    const double* mu, const double* sd, double* zt) {
+    const double* rows, int stride, int m, int k, const double* mu,
+    const double* sd, double* zt) {
   int j0 = 0;
   for (; j0 + 4 <= m; j0 += 4) {
     alignas(32) int64_t offs[4];
     for (int l = 0; l < 4; ++l) {
-      offs[l] = static_cast<int64_t>(idx[j0 + l]) * stride;
+      offs[l] = static_cast<int64_t>(j0 + l) * stride;
     }
     const __m256i base =
         _mm256_load_si256(reinterpret_cast<const __m256i*>(offs));
@@ -166,7 +165,7 @@ __attribute__((target("avx2"))) void StandardizeTAvx2(
     }
   }
   if (j0 < m) {
-    StandardizeTColScalar(rows, stride, idx, j0, m - j0, m, k, mu, sd, zt);
+    StandardizeTColScalar(rows, stride, j0, m - j0, m, k, mu, sd, zt);
   }
 }
 
@@ -347,14 +346,14 @@ constexpr GpLaneOps kAvx2Ops = {
 // registers — the distance kernel tiles 16 inducing rows deep.
 
 __attribute__((target("avx512f"))) void StandardizeTAvx512(
-    const double* rows, int stride, const int* idx, int m, int k,
-    const double* mu, const double* sd, double* zt) {
+    const double* rows, int stride, int m, int k, const double* mu,
+    const double* sd, double* zt) {
   for (int j0 = 0; j0 < m; j0 += 8) {
     const int rem = m - j0 < 8 ? m - j0 : 8;
     const __mmask8 mask = static_cast<__mmask8>((1u << rem) - 1u);
     alignas(64) int64_t offs[8] = {0, 0, 0, 0, 0, 0, 0, 0};
     for (int l = 0; l < rem; ++l) {
-      offs[l] = static_cast<int64_t>(idx[j0 + l]) * stride;
+      offs[l] = static_cast<int64_t>(j0 + l) * stride;
     }
     const __m512i base = _mm512_load_si512(offs);
     for (int f = 0; f < k; ++f) {

@@ -24,12 +24,12 @@ namespace internal {
 /// reorders work ACROSS independent output columns and rows, never within
 /// one element's chain, so every tier produces identical bits.
 struct GpLaneOps {
-  /// zt[f * m + j] = (rows[idx[j] * stride + f] - mu[f]) / sd[f] — the
-  /// standardize divide, transposed so the kernels below read one
-  /// contiguous lane row per feature. Widened tiers gather the strided
-  /// reads; sub/div are element-wise IEEE ops either way.
-  void (*StandardizeT)(const double* rows, int stride, const int* idx, int m,
-                       int k, const double* mu, const double* sd, double* zt);
+  /// zt[f * m + j] = (rows[j * stride + f] - mu[f]) / sd[f] — the
+  /// standardize divide over the block's first m rows, transposed so the
+  /// kernels below read one contiguous lane row per feature. Widened tiers
+  /// gather the strided reads; sub/div are element-wise IEEE ops either way.
+  void (*StandardizeT)(const double* rows, int stride, int m, int k,
+                       const double* mu, const double* sd, double* zt);
   /// out[i * m + j] = sum_f (xt[i * k + f] - zt[f * m + j])^2 for the
   /// whole n x m cross block, each element's sum in ascending f order —
   /// the distance half of RbfKernel::Eval, columns as lanes.

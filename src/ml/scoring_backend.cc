@@ -72,74 +72,6 @@ class ReferenceScoringBackend : public ScoringBackend {
         });
   }
 
-  void PredictBatch(const WeakLearnerSetView& ens, const FeatureMatrixView& x,
-                    const std::vector<double>& efforts,
-                    const ParallelismConfig& parallelism,
-                    std::vector<Prediction>* out) const override {
-    const int n = x.rows();
-    const int k = x.cols();
-    out->resize(n);
-    if (n == 0) return;
-    // Chunked over rows: every chunk gathers and scores its own qualifying
-    // rows per learner. Each row's mixture sees the same learner
-    // evaluations and accumulation order as the serial pass, so the result
-    // is bit-identical for every thread count.
-    ParallelFor(
-        parallelism, 0, n, kPredictRowGrain,
-        [&](std::int64_t lo64, std::int64_t hi64) {
-          const int lo = static_cast<int>(lo64);
-          const int hi = static_cast<int>(hi64);
-          const int cn = hi - lo;
-          const FeatureMatrixView chunk(x.Row(lo), cn, k);
-          std::vector<double> wsum(cn, 0.0), mean(cn, 0.0), second(cn, 0.0);
-          std::vector<double> gathered;  // reused per learner
-          std::vector<int> rows_idx;     // chunk-relative
-          std::vector<Prediction> buf;
-          auto gather_rows = [&](const std::vector<int>& idx) {
-            return GatherRows(chunk, idx, &gathered);
-          };
-          // Gather each learner's qualifying rows and score them in one
-          // batch — the same learner evaluations as the pointwise loop,
-          // amortized.
-          for (size_t i = 0; i < ens.learners.size(); ++i) {
-            rows_idx.clear();
-            for (int r = 0; r < cn; ++r) {
-              if (ens.thresholds[i] <= efforts[lo + r]) rows_idx.push_back(r);
-            }
-            if (rows_idx.empty()) continue;
-            ens.learners[i]->PredictBatchWithVariance(gather_rows(rows_idx),
-                                                      &buf);
-            for (size_t j = 0; j < rows_idx.size(); ++j) {
-              const int r = rows_idx[j];
-              const Prediction& p = buf[j];
-              wsum[r] += ens.weights[i];
-              mean[r] += ens.weights[i] * p.prob;
-              second[r] += ens.weights[i] * (p.variance + p.prob * p.prob);
-            }
-          }
-          // Rows whose effort sits below every threshold fall back to the
-          // loosest learner's raw prediction, exactly as the pointwise
-          // path does.
-          rows_idx.clear();
-          for (int r = 0; r < cn; ++r) {
-            if (wsum[r] <= 0.0) rows_idx.push_back(r);
-          }
-          if (!rows_idx.empty()) {
-            ens.learners[0]->PredictBatchWithVariance(gather_rows(rows_idx),
-                                                      &buf);
-            for (size_t j = 0; j < rows_idx.size(); ++j) {
-              (*out)[lo + rows_idx[j]] = buf[j];
-            }
-          }
-          for (int r = 0; r < cn; ++r) {
-            if (wsum[r] <= 0.0) continue;
-            const double m = mean[r] / wsum[r];
-            const double s = second[r] / wsum[r];
-            (*out)[lo + r] = Prediction{m, std::max(0.0, s - m * m)};
-          }
-        });
-  }
-
   void FillEffortCurves(const WeakLearnerSetView& ens,
                         const FeatureMatrixView& x,
                         const std::vector<double>& effort_grid,

@@ -20,18 +20,20 @@ namespace paws {
 struct WeakLearnerSetView {
   const std::vector<std::unique_ptr<Classifier>>& learners;
   /// Ascending effort thresholds, parallel to `learners`: learner i votes
-  /// when thresholds[i] <= the hypothetical effort.
+  /// unless thresholds[i] exceeds the hypothetical effort.
   const std::vector<double>& thresholds;
   /// Mixing weights, parallel to `learners`.
   const std::vector<double>& weights;
 };
 
-/// The serving seam of an iWare-E ensemble: one implementation of the three
-/// batched scoring calls (shared-effort batches, per-row-effort batches,
-/// effort-curve tables). IWareEnsemble selects a backend per ensemble when
-/// the learner set changes (Fit / Load / set_compiled_serving) and
-/// delegates every serving call to it, so the hot paths carry no per-call
-/// branching on learner kind.
+/// The serving seam of an iWare-E ensemble: one implementation of the two
+/// batched scoring calls (shared-effort batches and effort-curve tables).
+/// IWareEnsemble selects a backend per ensemble when the learner set
+/// changes (Fit / Load / set_compiled_serving) and delegates every serving
+/// call to it, so the hot paths carry no per-call branching on learner
+/// kind. Per-row efforts never reach a backend: IWareEnsemble groups the
+/// rows by qualified-learner count and scores each group as one
+/// shared-effort batch.
 ///
 /// Contract: every backend is bit-identical to the reference path — member
 /// probabilities accumulate in member order, learner mixtures in learner
@@ -48,16 +50,10 @@ class ScoringBackend {
   virtual const char* name() const = 0;
 
   /// Batch prediction under one shared hypothetical effort (the risk-map
-  /// hot path).
+  /// hot path). Learner i votes unless thresholds[i] > `effort`, so a NaN
+  /// effort qualifies every learner.
   virtual void PredictBatch(const WeakLearnerSetView& ensemble,
                             const FeatureMatrixView& x, double effort,
-                            const ParallelismConfig& parallelism,
-                            std::vector<Prediction>* out) const = 0;
-
-  /// Batch prediction with per-row efforts (dataset scoring).
-  virtual void PredictBatch(const WeakLearnerSetView& ensemble,
-                            const FeatureMatrixView& x,
-                            const std::vector<double>& efforts,
                             const ParallelismConfig& parallelism,
                             std::vector<Prediction>* out) const = 0;
 

@@ -30,10 +30,10 @@ namespace {
 // Remainder rows (fewer than one lane group): the same serial walk the
 // scalar backend uses for its own remainder — trivially bit-identical.
 void WalkRowsSerial(const CompiledForest::Node* nodes, int root,
-                    const double* rows, int stride, const int* idx, int begin,
-                    int count, double* sum, double* sum2, bool assign) {
+                    const double* rows, int stride, int begin, int count,
+                    double* sum, double* sum2, bool assign) {
   for (int i = begin; i < count; ++i) {
-    const double* row = rows + static_cast<size_t>(idx[i]) * stride;
+    const double* row = rows + static_cast<size_t>(i) * stride;
     int c = root;
     for (int f = nodes[c].feature; f >= 0; f = nodes[c].feature) {
       c = nodes[c].left + static_cast<int>(!(row[f] <= nodes[c].value));
@@ -63,8 +63,7 @@ void WalkRowsSerial(const CompiledForest::Node* nodes, int root,
 template <int G>
 __attribute__((target("avx2"))) int WalkGroupsAvx2(
     const CompiledForest::Node* nodes, int root, int depth, const double* rows,
-    int stride, const int* idx, int begin, int count, double* sum,
-    double* sum2, bool assign) {
+    int stride, int begin, int count, double* sum, double* sum2, bool assign) {
   const long long* nll = reinterpret_cast<const long long*>(nodes);
   const double* nd = reinterpret_cast<const double*>(nodes);
   const __m256i low32 = _mm256_set1_epi64x(0xffffffffll);
@@ -73,11 +72,10 @@ __attribute__((target("avx2"))) int WalkGroupsAvx2(
   for (; i + 4 * G <= count; i += 4 * G) {
     __m256i base[G], c[G];
     for (int g = 0; g < G; ++g) {
-      base[g] = _mm256_set_epi64x(
-          static_cast<int64_t>(idx[i + 4 * g + 3]) * stride,
-          static_cast<int64_t>(idx[i + 4 * g + 2]) * stride,
-          static_cast<int64_t>(idx[i + 4 * g + 1]) * stride,
-          static_cast<int64_t>(idx[i + 4 * g]) * stride);
+      base[g] = _mm256_set_epi64x(static_cast<int64_t>(i + 4 * g + 3) * stride,
+                                  static_cast<int64_t>(i + 4 * g + 2) * stride,
+                                  static_cast<int64_t>(i + 4 * g + 1) * stride,
+                                  static_cast<int64_t>(i + 4 * g) * stride);
       c[g] = _mm256_set1_epi64x(root);
     }
     for (int d = 0; d < depth; ++d) {
@@ -137,15 +135,14 @@ __attribute__((target("avx2"))) int WalkGroupsAvx2(
 
 __attribute__((target("avx2"))) void WalkTreeAvx2(
     const CompiledForest::Node* nodes, int root, int depth, const double* rows,
-    int stride, const int* idx, int count, double* sum, double* sum2,
-    bool assign) {
-  int i = WalkGroupsAvx2<4>(nodes, root, depth, rows, stride, idx, 0, count,
-                            sum, sum2, assign);
-  i = WalkGroupsAvx2<2>(nodes, root, depth, rows, stride, idx, i, count, sum,
-                        sum2, assign);
-  i = WalkGroupsAvx2<1>(nodes, root, depth, rows, stride, idx, i, count, sum,
-                        sum2, assign);
-  WalkRowsSerial(nodes, root, rows, stride, idx, i, count, sum, sum2, assign);
+    int stride, int count, double* sum, double* sum2, bool assign) {
+  int i = WalkGroupsAvx2<4>(nodes, root, depth, rows, stride, 0, count, sum,
+                            sum2, assign);
+  i = WalkGroupsAvx2<2>(nodes, root, depth, rows, stride, i, count, sum, sum2,
+                        assign);
+  i = WalkGroupsAvx2<1>(nodes, root, depth, rows, stride, i, count, sum, sum2,
+                        assign);
+  WalkRowsSerial(nodes, root, rows, stride, i, count, sum, sum2, assign);
 }
 
 // ---------------------------------------------------------------------------
@@ -155,8 +152,7 @@ __attribute__((target("avx2"))) void WalkTreeAvx2(
 template <int G>
 __attribute__((target("avx512f"))) int WalkGroupsAvx512(
     const CompiledForest::Node* nodes, int root, int depth, const double* rows,
-    int stride, const int* idx, int begin, int count, double* sum,
-    double* sum2, bool assign) {
+    int stride, int begin, int count, double* sum, double* sum2, bool assign) {
   const long long* nll = reinterpret_cast<const long long*>(nodes);
   const double* nd = reinterpret_cast<const double*>(nodes);
   const __m512i low32 = _mm512_set1_epi64(0xffffffffll);
@@ -165,7 +161,7 @@ __attribute__((target("avx512f"))) int WalkGroupsAvx512(
   for (; i + 8 * G <= count; i += 8 * G) {
     alignas(64) int64_t offs[8 * G];
     for (int j = 0; j < 8 * G; ++j) {
-      offs[j] = static_cast<int64_t>(idx[i + j]) * stride;
+      offs[j] = static_cast<int64_t>(i + j) * stride;
     }
     __m512i base[G], c[G];
     for (int g = 0; g < G; ++g) {
@@ -222,15 +218,14 @@ __attribute__((target("avx512f"))) int WalkGroupsAvx512(
 
 __attribute__((target("avx512f"))) void WalkTreeAvx512(
     const CompiledForest::Node* nodes, int root, int depth, const double* rows,
-    int stride, const int* idx, int count, double* sum, double* sum2,
-    bool assign) {
-  int i = WalkGroupsAvx512<4>(nodes, root, depth, rows, stride, idx, 0, count,
-                              sum, sum2, assign);
-  i = WalkGroupsAvx512<2>(nodes, root, depth, rows, stride, idx, i, count,
-                          sum, sum2, assign);
-  i = WalkGroupsAvx512<1>(nodes, root, depth, rows, stride, idx, i, count,
-                          sum, sum2, assign);
-  WalkRowsSerial(nodes, root, rows, stride, idx, i, count, sum, sum2, assign);
+    int stride, int count, double* sum, double* sum2, bool assign) {
+  int i = WalkGroupsAvx512<4>(nodes, root, depth, rows, stride, 0, count, sum,
+                              sum2, assign);
+  i = WalkGroupsAvx512<2>(nodes, root, depth, rows, stride, i, count, sum, sum2,
+                          assign);
+  i = WalkGroupsAvx512<1>(nodes, root, depth, rows, stride, i, count, sum, sum2,
+                          assign);
+  WalkRowsSerial(nodes, root, rows, stride, i, count, sum, sum2, assign);
 }
 
 #endif  // PAWS_SIMD_TRAVERSAL_X86

@@ -7,10 +7,10 @@
 namespace paws {
 namespace internal {
 
-/// Walks one flattened tree over the `count` rows selected by `idx`
-/// (indices into the row-major block at `rows` with stride `stride`),
-/// accumulating each row's leaf value and its square into `sum`/`sum2` —
-/// or assigning them when `assign` is set (the first tree of a learner).
+/// Walks one flattened tree over the contiguous block of `count` rows at
+/// `rows` (row-major, stride `stride`), accumulating each row's leaf value
+/// and its square into `sum`/`sum2` — or assigning them when `assign` is
+/// set (the first tree of a learner).
 /// Drop-in replacement for CompiledForest's scalar WalkTree: identical
 /// NaN routing (`!(x <= value)` sends NaN right, exactly the reference
 /// DecisionTree::PredictRow ternary), identical leaf parking, identical
@@ -18,8 +18,8 @@ namespace internal {
 /// the number of rows in flight per lane group differs.
 using SimdWalkTreeFn = void (*)(const CompiledForest::Node* nodes, int root,
                                 int depth, const double* rows, int stride,
-                                const int* idx, int count, double* sum,
-                                double* sum2, bool assign);
+                                int count, double* sum, double* sum2,
+                                bool assign);
 
 /// The gathered walker for `tier`, or nullptr when `tier` is kScalar or
 /// this build cannot emit it (non-x86, or a toolchain without target

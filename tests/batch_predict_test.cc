@@ -2,6 +2,7 @@
 // learner kind and for the iWare-E ensemble, PredictBatch output must be
 // bit-identical to the looped pointwise calls, and the effort-curve tables
 // must be monotone in qualified-learner count.
+#include <cmath>
 #include <memory>
 #include <string>
 
@@ -118,12 +119,20 @@ TEST_F(IWareBatchTest, UniformEffortBatchMatchesLoopedPointwise) {
 }
 
 TEST_F(IWareBatchTest, PerRowEffortBatchMatchesLoopedPointwise) {
+  // Rows on and one ulp below every threshold: one batch spans both sides
+  // of every qualification edge.
+  std::vector<double> efforts = test_->efforts();
+  const std::vector<double>& thresholds = model_->thresholds();
+  ASSERT_LE(2 * thresholds.size(), efforts.size());
+  for (size_t i = 0; i < thresholds.size(); ++i) {
+    efforts[2 * i] = thresholds[i];
+    efforts[2 * i + 1] = std::nextafter(thresholds[i], -1.0);
+  }
   std::vector<Prediction> batch;
-  model_->PredictBatch(test_->FeaturesView(), test_->efforts(), &batch);
+  model_->PredictBatch(test_->FeaturesView(), efforts, &batch);
   ASSERT_EQ(static_cast<int>(batch.size()), test_->size());
   for (int i = 0; i < test_->size(); ++i) {
-    const Prediction p =
-        model_->Predict(test_->RowVector(i), test_->effort(i));
+    const Prediction p = model_->Predict(test_->RowVector(i), efforts[i]);
     EXPECT_EQ(batch[i].prob, p.prob);
     EXPECT_EQ(batch[i].variance, p.variance);
   }

@@ -7,6 +7,7 @@
 // GPB; see scoring_backend_test.cc / compiled_gp_test.cc for those
 // equivalence suites). The SIMD tier sweep lives in simd_traversal_test.cc.
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -126,6 +127,7 @@ TEST_F(CompiledForestTest, PerRowEffortBatchBitIdenticalToReference) {
   std::vector<double> efforts = test_->efforts();
   efforts[0] = 0.0;
   efforts[1] = 100.0;
+  efforts[2] = std::numeric_limits<double>::quiet_NaN();
   std::vector<Prediction> compiled, reference;
   model_->set_compiled_serving(true);
   model_->PredictBatch(test_->FeaturesView(), efforts, &compiled);
@@ -133,6 +135,11 @@ TEST_F(CompiledForestTest, PerRowEffortBatchBitIdenticalToReference) {
   model_->PredictBatch(test_->FeaturesView(), efforts, &reference);
   model_->set_compiled_serving(true);
   ExpectPredictionsEq(compiled, reference);
+  // A NaN effort exceeds no threshold, so it qualifies every learner.
+  std::vector<Prediction> all;
+  model_->PredictBatch(test_->FeaturesView(), 100.0, &all);
+  EXPECT_EQ(compiled[2].prob, all[2].prob);
+  EXPECT_EQ(compiled[2].variance, all[2].variance);
 }
 
 TEST_F(CompiledForestTest, EffortCurveTableBitIdenticalToReference) {

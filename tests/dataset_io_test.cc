@@ -1,6 +1,7 @@
 #include "ml/dataset_io.h"
 
 #include <cstdio>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "core/pipeline.h"
@@ -77,6 +78,14 @@ TEST(DatasetIoTest, RejectsMalformedInput) {
   EXPECT_FALSE(
       DatasetFromCsv("label,effort,time_step,cell_id,f0\n1,1.0,0,0,abc\n")
           .ok());
+  // NaN effort, and time steps or cell ids that are not integral ints.
+  for (const char* row : {"1,nan,0,0,0.5", "1,1.0,nan,0,0.5",
+                          "1,1.0,0,1e300,0.5", "1,1.0,0,2.5,0.5"}) {
+    const auto parsed = DatasetFromCsv(
+        std::string("label,effort,time_step,cell_id,f0\n") + row + "\n");
+    ASSERT_FALSE(parsed.ok()) << row;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << row;
+  }
 }
 
 TEST(DatasetIoTest, ReadMissingFileIsNotFound) {

@@ -7,6 +7,7 @@
 // Predict* wrappers (backends must never call back into them).
 #include "ml/scoring_backend.h"
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -113,6 +114,7 @@ TEST_F(CompiledSvbTest, PerRowEffortBatchBitIdenticalToReference) {
   std::vector<double> efforts = test_->efforts();
   efforts[0] = 0.0;
   efforts[1] = 100.0;
+  efforts[2] = std::numeric_limits<double>::quiet_NaN();
   std::vector<Prediction> compiled, reference;
   model_->set_compiled_serving(true);
   model_->PredictBatch(test_->FeaturesView(), efforts, &compiled);
@@ -120,6 +122,11 @@ TEST_F(CompiledSvbTest, PerRowEffortBatchBitIdenticalToReference) {
   model_->PredictBatch(test_->FeaturesView(), efforts, &reference);
   model_->set_compiled_serving(true);
   ExpectPredictionsEq(compiled, reference);
+  // A NaN effort exceeds no threshold, so it qualifies every learner.
+  std::vector<Prediction> all;
+  model_->PredictBatch(test_->FeaturesView(), 100.0, &all);
+  EXPECT_EQ(compiled[2].prob, all[2].prob);
+  EXPECT_EQ(compiled[2].variance, all[2].variance);
 }
 
 TEST_F(CompiledSvbTest, EffortCurveTableBitIdenticalToReference) {
