@@ -88,9 +88,9 @@ int main() {
   planner.horizon = 6;
   planner.num_patrols = 3;
   planner.pwl_segments = 10;
-  // Non-concave PWL tables need SOS2 binaries; a small node budget keeps
-  // each solve interactive while the rounding heuristic supplies a good
-  // incumbent (gaps are reported in the plan).
+  // Non-concave PWL tables become SOS2 sets; a small node budget keeps
+  // each solve interactive while segment rounding at the root supplies a
+  // good incumbent (gaps are reported in the plan).
   planner.milp.max_nodes = 8;
 
   for (const ParkPreset preset : presets) {

@@ -215,7 +215,10 @@ EffortCurveTable CurvesFor(const ParkFixture& fixture, int segments,
       UniformEffortGrid(0.0, PlannerEffortCap(planner), segments));
 }
 
-StatusOr<PatrolPlan> SolveOnce(const ParkFixture& fixture, int segments) {
+// Plans the fixture's post; `plan_ms`, when given, receives the wall time
+// of PlanPatrols alone (LP build and branch and bound, no tabulation).
+StatusOr<PatrolPlan> SolveOnce(const ParkFixture& fixture, int segments,
+                               double* plan_ms = nullptr) {
   RobustParams robust;
   robust.beta = 1.0;
   PlannerConfig planner;
@@ -225,7 +228,10 @@ StatusOr<PatrolPlan> SolveOnce(const ParkFixture& fixture, int segments) {
   planner.milp.max_nodes = 10;
   const auto utils =
       MakeRobustUtilityTables(CurvesFor(fixture, segments, planner), robust);
-  return PlanPatrols(fixture.graph, utils, planner);
+  const auto start = Clock::now();
+  auto plan = PlanPatrols(fixture.graph, utils, planner);
+  if (plan_ms != nullptr) *plan_ms = MsSince(start);
+  return plan;
 }
 
 // True robust utility of a plan (not the PWL surrogate): the ensemble is
@@ -1323,15 +1329,6 @@ int main(int argc, char** argv) {
     ReportMegaPark(g_mega_cells > 0 ? g_mega_cells : 60000, jp);
   }
 
-  if (jp != nullptr) {
-    const auto st = WriteStringToFile(json.ToString(), json_path);
-    if (!st.ok()) {
-      std::fprintf(stderr, "json: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-
   // Part (b): utility convergence with segments.
   const std::vector<ParkPreset> presets =
       g_smoke ? std::vector<ParkPreset>{ParkPreset::kMfnp}
@@ -1348,19 +1345,32 @@ int main(int argc, char** argv) {
   CsvWriter csv({"park", "segments", "utility"});
   RobustParams eval_params;
   eval_params.beta = 1.0;
+  // The solver's side of each plan, segments-major, for the JSON.
+  struct PlanningRow {
+    double plan_ms = 0.0;
+    int nodes = 0;
+    long pivots = 0;
+    bool proven_optimal = false;
+    double utility = 0.0;
+  };
+  std::vector<PlanningRow> planning;
   for (const int segments : segment_sweep) {
     std::printf("%6d", segments);
     for (const ParkPreset preset : presets) {
       const ParkFixture& fixture = GetFixture(preset);
-      auto plan = SolveOnce(fixture, segments);
-      double utility = 0.0;
+      PlanningRow row;
+      auto plan = SolveOnce(fixture, segments, &row.plan_ms);
       if (plan.ok()) {
+        row.nodes = plan->nodes_explored;
+        row.pivots = plan->simplex_iterations;
+        row.proven_optimal = plan->proven_optimal;
         // True utility of the plan (not the PWL surrogate).
-        utility = ExactRobustUtility(fixture, plan->coverage, eval_params);
+        row.utility = ExactRobustUtility(fixture, plan->coverage, eval_params);
       }
-      std::printf(" %10.4f", utility);
+      std::printf(" %10.4f", row.utility);
       csv.AddTextRow({ParkPresetName(preset), std::to_string(segments),
-                      FormatDouble(utility)});
+                      FormatDouble(row.utility)});
+      planning.push_back(row);
     }
     std::printf("\n");
   }
@@ -1368,6 +1378,33 @@ int main(int argc, char** argv) {
               "(paper: convergence by 20-25 segments).\n\n");
   const auto st = csv.WriteFile("fig9_convergence.csv");
   if (!st.ok()) std::fprintf(stderr, "csv: %s\n", st.ToString().c_str());
+
+  if (jp != nullptr) {
+    // planning.<park>.segments_<m>: node and pivot counts are exact, so
+    // CI can trend-check them with no noise.
+    json.Begin("planning");
+    for (size_t p = 0; p < presets.size(); ++p) {
+      json.Begin(ParkPresetName(presets[p]));
+      for (size_t k = 0; k < segment_sweep.size(); ++k) {
+        const PlanningRow& row = planning[k * presets.size() + p];
+        json.Begin("segments_" + std::to_string(segment_sweep[k]));
+        json.Add("plan_ms", row.plan_ms);
+        json.Add("nodes", row.nodes);
+        json.Add("pivots", static_cast<double>(row.pivots));
+        json.Add("proven_optimal", row.proven_optimal);
+        json.Add("utility", row.utility);
+        json.End();
+      }
+      json.End();
+    }
+    json.End();
+    const auto written = WriteStringToFile(json.ToString(), json_path);
+    if (!written.ok()) {
+      std::fprintf(stderr, "json: %s\n", written.ToString().c_str());
+      return 1;
+    }
+    std::printf("wrote %s\n", json_path.c_str());
+  }
 
   if (g_smoke) {
     std::printf("--smoke: skipping the google-benchmark sweep.\n");

@@ -169,7 +169,9 @@ class CompiledBackendBase : public ScoringBackend {
         double wsum = 0.0, mean = 0.0, second = 0.0;
         int qi = 0;
         for (int k = 0; k < m; ++k) {
-          while (qi < q_max && thresholds[qi] <= effort_grid[k]) {
+          // Negated so a NaN grid point qualifies every learner, as in
+          // NumQualified and the reference backend.
+          while (qi < q_max && !(thresholds[qi] > effort_grid[k])) {
             const double w = weights[qi];
             const double lm = lmean[static_cast<size_t>(qi) * cn + r];
             const double lv = lvar[static_cast<size_t>(qi) * cn + r];

@@ -134,6 +134,21 @@ Status ValidatePlannerConfig(const PlannerConfig& config) {
   if (config.pwl_segments < 1) {
     return Status::InvalidArgument("PlanPatrols: pwl_segments must be >= 1");
   }
+  // The solver options arrive over the wire too: a loose or NaN tolerance
+  // accepts the LP envelope as a plan, or calls a feasible model
+  // infeasible. Every comparison here is false for NaN.
+  const MilpOptions& milp = config.milp;
+  const auto tolerance_ok = [](double t) { return t >= 0.0 && t <= 1e-2; };
+  if (!tolerance_ok(milp.integrality_tolerance) ||
+      !tolerance_ok(milp.simplex.feasibility_tolerance) ||
+      !tolerance_ok(milp.simplex.optimality_tolerance) ||
+      !(std::isfinite(milp.absolute_gap_tolerance) &&
+        milp.absolute_gap_tolerance >= 0.0) ||
+      milp.simplex.max_iterations < 0) {
+    return Status::InvalidArgument(
+        "PlanPatrols: solver tolerances must be in [0, 1e-2], the gap "
+        "finite and >= 0, and max_iterations >= 0");
+  }
   return Status::OK();
 }
 

@@ -61,9 +61,11 @@ struct PatrolRoute {
   std::vector<int> cells;         // local cell per time step (size = horizon)
 };
 
-/// Validates horizon / num_patrols / pwl_segments — the single source of
-/// truth for config rules, shared by the planner entry points and callers
-/// that build effort grids from the config before planning.
+/// Validates horizon / num_patrols / pwl_segments and the solver
+/// tolerances (each in [0, 1e-2]; the gap finite and >= 0; simplex
+/// max_iterations >= 0) — the single source of truth for config rules,
+/// shared by the planner entry points and callers that build effort grids
+/// from the config before planning.
 Status ValidatePlannerConfig(const PlannerConfig& config);
 
 /// Domain cap for per-cell effort the planner applies to coverage variables

@@ -11,16 +11,9 @@ int LinearProgram::AddVariable(double lower, double upper, double objective,
   lower_.push_back(lower);
   upper_.push_back(upper);
   objective_.push_back(objective);
-  is_integer_.push_back(0);
   if (name.empty()) name = "x" + std::to_string(lower_.size() - 1);
   names_.push_back(std::move(name));
   return num_variables() - 1;
-}
-
-int LinearProgram::AddBinaryVariable(double objective, std::string name) {
-  const int j = AddVariable(0.0, 1.0, objective, std::move(name));
-  is_integer_[j] = 1;
-  return j;
 }
 
 void LinearProgram::AddConstraint(
@@ -45,12 +38,6 @@ void LinearProgram::AddConstraint(
   rhs_.push_back(rhs);
 }
 
-int LinearProgram::num_integer_variables() const {
-  int n = 0;
-  for (uint8_t f : is_integer_) n += f;
-  return n;
-}
-
 void LinearProgram::SetBounds(int j, double lower, double upper) {
   CheckOrDie(j >= 0 && j < num_variables(), "SetBounds: bad variable");
   CheckOrDie(lower <= upper, "SetBounds: crossing bounds");
@@ -58,9 +45,16 @@ void LinearProgram::SetBounds(int j, double lower, double upper) {
   upper_[j] = upper;
 }
 
-void LinearProgram::SetInteger(int j, bool is_integer) {
-  CheckOrDie(j >= 0 && j < num_variables(), "SetInteger: bad variable");
-  is_integer_[j] = is_integer ? 1 : 0;
+void LinearProgram::AddSos2(std::vector<int> vars,
+                            std::vector<double> weights) {
+  CheckOrDie(vars.size() == weights.size(), "AddSos2: size mismatch");
+  for (size_t i = 0; i < vars.size(); ++i) {
+    CheckOrDie(vars[i] >= 0 && vars[i] < num_variables(),
+               "AddSos2: unknown variable");
+    CheckOrDie(i == 0 || weights[i] > weights[i - 1],
+               "AddSos2: weights must be strictly increasing");
+  }
+  sos2_.push_back({std::move(vars), std::move(weights)});
 }
 
 double LinearProgram::ObjectiveValue(const std::vector<double>& x) const {

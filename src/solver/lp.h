@@ -20,21 +20,20 @@ enum class Relation {
 /// Value treated as +infinity for variable bounds.
 inline constexpr double kLpInfinity = 1e30;
 
-/// A linear (or mixed-integer linear) program in model form:
+/// A linear program in model form:
 ///   maximize  c . x
 ///   subject to A x (<=, =, >=) b,   l <= x <= u,
-/// with an optional integrality flag per variable. Minimization is
-/// expressed by negating the objective at the call site (the planner only
-/// maximizes). The model is solver-agnostic; SolveLp / SolveMilp consume it.
+/// plus optional SOS2 sets ("special ordered sets of type 2": at most two
+/// members nonzero, and those two adjacent). Minimization is expressed by
+/// negating the objective at the call site (the planner only maximizes).
+/// The model is solver-agnostic: SolveLp ignores the sets, SolveMilp
+/// branches on them.
 class LinearProgram {
  public:
   /// Adds a variable and returns its index. `objective` is the
   /// coefficient of the variable in the maximized objective.
   int AddVariable(double lower, double upper, double objective,
                   std::string name = "");
-
-  /// Adds a binary variable (bounds [0,1], integral).
-  int AddBinaryVariable(double objective, std::string name = "");
 
   /// Adds the constraint sum(coef * var) relation rhs. Terms with the same
   /// variable are accumulated.
@@ -43,17 +42,26 @@ class LinearProgram {
 
   int num_variables() const { return static_cast<int>(lower_.size()); }
   int num_constraints() const { return static_cast<int>(rhs_.size()); }
-  int num_integer_variables() const;
 
   double lower(int j) const { return lower_[j]; }
   double upper(int j) const { return upper_[j]; }
   double objective(int j) const { return objective_[j]; }
-  bool is_integer(int j) const { return is_integer_[j] != 0; }
   const std::string& name(int j) const { return names_[j]; }
 
-  /// Mutators used by branch-and-bound to tighten bounds on a copy.
+  /// Mutator used by branch-and-bound to tighten bounds on a copy.
   void SetBounds(int j, double lower, double upper);
-  void SetInteger(int j, bool is_integer);
+
+  /// One SOS2 set: member variables in order, with strictly increasing
+  /// weights that fix the order and locate the set's weight-space centre.
+  struct Sos2Set {
+    std::vector<int> vars;
+    std::vector<double> weights;
+  };
+
+  /// Declares `vars` (nonnegative variables) as one SOS2 set ordered by
+  /// `weights`, which must be strictly increasing and one per member.
+  void AddSos2(std::vector<int> vars, std::vector<double> weights);
+  const std::vector<Sos2Set>& sos2_sets() const { return sos2_; }
 
   const std::vector<std::pair<int, double>>& constraint_terms(int i) const {
     return rows_[i];
@@ -69,11 +77,11 @@ class LinearProgram {
 
  private:
   std::vector<double> lower_, upper_, objective_;
-  std::vector<uint8_t> is_integer_;
   std::vector<std::string> names_;
   std::vector<std::vector<std::pair<int, double>>> rows_;
   std::vector<Relation> relations_;
   std::vector<double> rhs_;
+  std::vector<Sos2Set> sos2_;
 };
 
 /// Termination state of an LP/MILP solve.

@@ -1,8 +1,6 @@
 #include "solver/milp.h"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
 #include <queue>
 #include <vector>
 
@@ -10,10 +8,11 @@ namespace paws {
 
 namespace {
 
+using Sos2Set = LinearProgram::Sos2Set;
+
+// A branch-and-bound node: the set members it fixes at zero.
 struct Node {
-  // Bound overrides relative to the root problem, as (var, lower, upper).
-  std::vector<std::array<double, 2>> bounds;  // indexed by position in vars
-  std::vector<int> vars;
+  std::vector<int> zeroed;
   double lp_bound = 0.0;
 
   bool operator<(const Node& other) const {
@@ -21,244 +20,182 @@ struct Node {
   }
 };
 
-// Index of the most fractional integer variable, or -1 if all integral.
-int MostFractional(const LinearProgram& lp, const std::vector<double>& x,
-                   double tol) {
-  int best = -1;
-  double best_frac = tol;
-  for (int j = 0; j < lp.num_variables(); ++j) {
-    if (!lp.is_integer(j)) continue;
-    const double f = std::fabs(x[j] - std::round(x[j]));
-    if (f > best_frac) {
-      // Prefer the variable closest to 0.5 fractional part.
-      const double dist_to_half = std::fabs(f - 0.5);
-      const double best_dist = std::fabs(best_frac - 0.5);
-      if (best < 0 || dist_to_half < best_dist) {
-        best = j;
-        best_frac = f;
-      }
+// One set at an LP point. Members at or below the tolerance count as zero
+// for the violation and the span; the centre uses every member's value.
+struct SetState {
+  double outside = 0.0;       // mass outside the heaviest adjacent pair
+  int below = 0;              // member nearest at or below the centre
+  int first = -1, last = -1;  // nonzero span
+};
+
+SetState Inspect(const Sos2Set& set, const std::vector<double>& x,
+                 double tol) {
+  SetState st;
+  double mass = 0.0, pair = 0.0, prev = 0.0, raw_mass = 0.0, moment = 0.0;
+  for (int i = 0; i < static_cast<int>(set.vars.size()); ++i) {
+    const double raw = std::max(0.0, x[set.vars[i]]);
+    const double v = raw > tol ? raw : 0.0;
+    if (v > 0.0) {
+      if (st.first < 0) st.first = i;
+      st.last = i;
+    }
+    mass += v;
+    pair = std::max(pair, prev + v);
+    prev = v;
+    raw_mass += raw;
+    moment += raw * set.weights[i];
+  }
+  st.outside = mass - pair;
+  if (raw_mass > 0.0) {  // centre = sum(x_i * w_i) / sum(x_i)
+    st.below = static_cast<int>(std::upper_bound(set.weights.begin(),
+                                                 set.weights.end(),
+                                                 moment / raw_mass) -
+                                set.weights.begin()) -
+               1;
+  }
+  return st;
+}
+
+// The set to branch on: the most mass outside its heaviest adjacent pair,
+// the first on a tie; -1 when every set is satisfied.
+int MostViolated(const std::vector<Sos2Set>& sets,
+                 const std::vector<double>& x, double tol,
+                 SetState* state = nullptr) {
+  int pick = -1;
+  double worst = tol;
+  for (int s = 0; s < static_cast<int>(sets.size()); ++s) {
+    const SetState st = Inspect(sets[s], x, tol);
+    if (st.outside > worst) {
+      pick = s;
+      worst = st.outside;
+      if (state != nullptr) *state = st;
     }
   }
-  return best;
+  return pick;
 }
 
-void ApplyNode(const Node& node, LinearProgram* lp) {
-  for (size_t i = 0; i < node.vars.size(); ++i) {
-    lp->SetBounds(node.vars[i], node.bounds[i][0], node.bounds[i][1]);
+// Appends to `zeroed` the members [begin, end) of `set` that `lp` still
+// leaves free; false when one of them cannot be zero (a positive lower
+// bound).
+bool ZeroRange(const LinearProgram& lp, const Sos2Set& set, int begin,
+               int end, std::vector<int>* zeroed) {
+  for (int i = begin; i < end; ++i) {
+    const int j = set.vars[i];
+    if (lp.lower(j) > 0.0) return false;
+    if (lp.upper(j) > 0.0) zeroed->push_back(j);
   }
-}
-
-void RestoreBounds(const LinearProgram& root, const Node& node,
-                   LinearProgram* lp) {
-  for (int v : node.vars) {
-    lp->SetBounds(v, root.lower(v), root.upper(v));
-  }
+  return true;
 }
 
 }  // namespace
 
 StatusOr<LpSolution> SolveMilp(const LinearProgram& lp,
                                const MilpOptions& options) {
-  if (lp.num_integer_variables() == 0) return SolveLp(lp, options.simplex);
+  const std::vector<Sos2Set>& sets = lp.sos2_sets();
+  if (sets.empty()) return SolveLp(lp, options.simplex);
 
-  LinearProgram work = lp;  // bounds are mutated per node and restored
-
-  PAWS_ASSIGN_OR_RETURN(LpSolution root, SolveLp(work, options.simplex));
-  if (root.status != SolveStatus::kOptimal) return root;
-
-  LpSolution incumbent;
-  incumbent.status = SolveStatus::kInfeasible;
-  incumbent.objective = -kLpInfinity;
-  long total_iterations = root.simplex_iterations;
+  const double tol = options.integrality_tolerance;
+  LinearProgram work = lp;  // node bounds are applied here, then restored
+  long total_iterations = 0;
   int nodes = 1;
+  LpSolution incumbent;  // kInfeasible until a solution satisfies every set
+  double best = -kLpInfinity;
+  std::priority_queue<Node> open;
 
-  const double int_tol = options.integrality_tolerance;
-
-  auto accept_if_integral = [&](const LpSolution& sol) {
-    if (MostFractional(lp, sol.values, int_tol) != -1) return false;
-    if (sol.objective > incumbent.objective) {
+  // Solves with `zeroed` fixed at zero. The bounds stay on `work` until
+  // restore(), so branching sees which members are still free.
+  auto solve = [&](const std::vector<int>& zeroed) {
+    for (int j : zeroed) work.SetBounds(j, lp.lower(j), 0.0);
+    StatusOr<LpSolution> sol = SolveLp(work, options.simplex);
+    if (sol.ok()) total_iterations += sol->simplex_iterations;
+    return sol;
+  };
+  auto restore = [&](const std::vector<int>& zeroed) {
+    for (int j : zeroed) work.SetBounds(j, lp.lower(j), lp.upper(j));
+  };
+  auto accept = [&](const LpSolution& sol) {
+    if (sol.objective > best) {
       incumbent = sol;
-      incumbent.status = SolveStatus::kOptimal;
+      best = sol.objective;
     }
-    return true;
+  };
+  // Takes `sol` as an incumbent if every set is satisfied; otherwise
+  // splits the most violated set strictly inside its nonzero span, so both
+  // children cut `sol` off. Both keep the split member.
+  auto branch = [&](const LpSolution& sol, const Node& node) {
+    SetState st;
+    const int s = MostViolated(sets, sol.values, tol, &st);
+    if (s < 0) {
+      accept(sol);
+      return;
+    }
+    const Sos2Set& set = sets[s];
+    const int split = std::clamp(st.below, st.first + 1, st.last - 1);
+    Node left{node.zeroed, sol.objective};
+    Node right = left;
+    const int size = static_cast<int>(set.vars.size());
+    if (ZeroRange(work, set, split + 1, size, &left.zeroed)) {
+      open.push(std::move(left));
+    }
+    if (ZeroRange(work, set, 0, split, &right.zeroed)) {
+      open.push(std::move(right));
+    }
   };
 
-  // Diving heuristic: repeatedly fix the most nearly-integral fractional
-  // variable to its rounded value and re-solve. Unlike naive rounding this
-  // respects coupled integer structures (e.g. SOS2 segment selectors whose
-  // sum must be exactly 1), so it reliably seeds an incumbent.
-  if (options.use_rounding_heuristic && !accept_if_integral(root)) {
-    Node dive;
-    LpSolution current = root;
-    for (int depth = 0; depth < 4 * lp.num_integer_variables() + 8; ++depth) {
-      // Pick the fractional integer variable closest to an integer.
-      int pick = -1;
-      double best_frac = 1.0;
-      for (int j = 0; j < lp.num_variables(); ++j) {
-        if (!lp.is_integer(j)) continue;
-        bool fixed = false;
-        for (size_t i = 0; i < dive.vars.size(); ++i) {
-          fixed = fixed || dive.vars[i] == j;
-        }
-        if (fixed) continue;
-        const double f = std::fabs(current.values[j] -
-                                   std::round(current.values[j]));
-        if (f > int_tol && f < best_frac) {
-          best_frac = f;
-          pick = j;
-        }
-      }
-      if (pick < 0) break;  // integral (or only fixed vars remain)
-      const double r = std::clamp(std::round(current.values[pick]),
-                                  lp.lower(pick), lp.upper(pick));
-      dive.vars.push_back(pick);
-      dive.bounds.push_back({r, r});
-      ApplyNode(dive, &work);
-      auto dived = SolveLp(work, options.simplex);
-      RestoreBounds(lp, dive, &work);
-      if (!dived.ok()) break;
-      total_iterations += dived->simplex_iterations;
-      if (dived->status != SolveStatus::kOptimal) {
-        // Infeasible dive: flip the last fix to the other side once.
-        const double flipped = r > current.values[pick]
-                                   ? std::floor(current.values[pick])
-                                   : std::ceil(current.values[pick]);
-        dive.bounds.back() = {std::clamp(flipped, lp.lower(pick),
-                                         lp.upper(pick)),
-                              std::clamp(flipped, lp.lower(pick),
-                                         lp.upper(pick))};
-        ApplyNode(dive, &work);
-        auto retried = SolveLp(work, options.simplex);
-        RestoreBounds(lp, dive, &work);
-        if (!retried.ok() || retried->status != SolveStatus::kOptimal) break;
-        total_iterations += retried->simplex_iterations;
-        current = std::move(retried).value();
-      } else {
-        current = std::move(dived).value();
-      }
-      if (accept_if_integral(current)) break;
-    }
-  }
+  PAWS_ASSIGN_OR_RETURN(LpSolution root, solve({}));
+  if (root.status != SolveStatus::kOptimal) return root;
 
-  // Plain rounding as a second chance if the dive found nothing.
+  // Segment rounding: each set keeps the two members bracketing its
+  // centre. For a PWL term the centre is the linked variable's value,
+  // which those two can still represent, so the rounded LP is feasible.
   if (options.use_rounding_heuristic &&
-      incumbent.status != SolveStatus::kOptimal) {
-    // Two attempts: round to nearest, then round down (floors keep
-    // packing-style <= constraints feasible when nearest overshoots).
-    for (const bool round_down : {false, true}) {
-      Node fixed;
-      for (int j = 0; j < lp.num_variables(); ++j) {
-        if (!lp.is_integer(j)) continue;
-        const double raw = round_down ? std::floor(root.values[j] + int_tol)
-                                      : std::round(root.values[j]);
-        const double r = std::clamp(raw, lp.lower(j), lp.upper(j));
-        fixed.vars.push_back(j);
-        fixed.bounds.push_back({r, r});
-      }
-      ApplyNode(fixed, &work);
-      auto rounded = SolveLp(work, options.simplex);
-      RestoreBounds(lp, fixed, &work);
-      if (rounded.ok()) {
-        total_iterations += rounded->simplex_iterations;
-        if (rounded->status == SolveStatus::kOptimal &&
-            accept_if_integral(*rounded)) {
-          break;
-        }
+      MostViolated(sets, root.values, tol) >= 0) {
+    std::vector<int> zeroed;
+    bool can_round = true;
+    for (const Sos2Set& set : sets) {
+      const int size = static_cast<int>(set.vars.size());
+      const int keep =
+          std::max(0, std::min(Inspect(set, root.values, tol).below, size - 2));
+      can_round = can_round && ZeroRange(work, set, 0, keep, &zeroed) &&
+                  ZeroRange(work, set, keep + 2, size, &zeroed);
+    }
+    if (can_round) {
+      const StatusOr<LpSolution> rounded = solve(zeroed);
+      restore(zeroed);
+      if (rounded.ok() && rounded->status == SolveStatus::kOptimal &&
+          MostViolated(sets, rounded->values, tol) < 0) {
+        accept(*rounded);
       }
     }
   }
+  branch(root, Node{});
 
-  std::priority_queue<Node> open;
-  {
-    Node root_node;
-    root_node.lp_bound = root.objective;
-    open.push(std::move(root_node));
-  }
-  // If the root relaxation is already integral we are done.
-  if (incumbent.status == SolveStatus::kOptimal &&
-      std::fabs(incumbent.objective - root.objective) <=
-          options.absolute_gap_tolerance) {
-    incumbent.simplex_iterations = total_iterations;
-    incumbent.nodes_explored = nodes;
-    incumbent.gap = 0.0;
-    return incumbent;
-  }
-
-  double best_open_bound = root.objective;
   while (!open.empty() && nodes < options.max_nodes) {
-    Node node = open.top();
-    open.pop();
-    best_open_bound = node.lp_bound;
-    if (node.lp_bound <=
-        incumbent.objective + options.absolute_gap_tolerance) {
+    if (open.top().lp_bound <= best + options.absolute_gap_tolerance) {
       break;  // best-first: every remaining node is dominated
     }
-
-    ApplyNode(node, &work);
-    auto solved = SolveLp(work, options.simplex);
-    RestoreBounds(lp, node, &work);
+    const Node node = open.top();
+    open.pop();
+    StatusOr<LpSolution> solved = solve(node.zeroed);
     PAWS_RETURN_IF_ERROR(solved.status());
     ++nodes;
-    total_iterations += solved->simplex_iterations;
-    if (solved->status != SolveStatus::kOptimal) continue;  // pruned
-    if (solved->objective <=
-        incumbent.objective + options.absolute_gap_tolerance) {
-      continue;
+    if (solved->status == SolveStatus::kOptimal &&
+        solved->objective > best + options.absolute_gap_tolerance) {
+      branch(*solved, node);
     }
-    const int frac = MostFractional(lp, solved->values, int_tol);
-    if (frac < 0) {
-      accept_if_integral(*solved);
-      continue;
-    }
-    // Branch on the fractional variable.
-    const double v = solved->values[frac];
-    double node_lo = lp.lower(frac), node_hi = lp.upper(frac);
-    for (size_t i = 0; i < node.vars.size(); ++i) {
-      if (node.vars[i] == frac) {
-        node_lo = node.bounds[i][0];
-        node_hi = node.bounds[i][1];
-      }
-    }
-    auto make_child = [&](double lo, double hi) {
-      Node child = node;
-      child.lp_bound = solved->objective;
-      bool replaced = false;
-      for (size_t i = 0; i < child.vars.size(); ++i) {
-        if (child.vars[i] == frac) {
-          child.bounds[i] = {lo, hi};
-          replaced = true;
-        }
-      }
-      if (!replaced) {
-        child.vars.push_back(frac);
-        child.bounds.push_back({lo, hi});
-      }
-      if (lo <= hi) open.push(std::move(child));
-    };
-    make_child(node_lo, std::floor(v));
-    make_child(std::ceil(v), node_hi);
+    restore(node.zeroed);
   }
 
-  if (incumbent.status != SolveStatus::kOptimal) {
-    // No integral solution found.
-    if (open.empty()) {
-      LpSolution out;
-      out.status = SolveStatus::kInfeasible;
-      out.simplex_iterations = total_iterations;
-      out.nodes_explored = nodes;
-      return out;
-    }
+  if (incumbent.status != SolveStatus::kOptimal && !open.empty()) {
     return Status::ResourceExhausted(
         "SolveMilp: node limit reached without an incumbent");
   }
-
   incumbent.simplex_iterations = total_iterations;
   incumbent.nodes_explored = nodes;
-  if (!open.empty() && nodes >= options.max_nodes) {
+  if (!open.empty() &&
+      open.top().lp_bound > best + options.absolute_gap_tolerance) {
     incumbent.status = SolveStatus::kFeasibleLimit;
-    incumbent.gap = std::max(0.0, best_open_bound - incumbent.objective);
-  } else {
-    incumbent.gap = 0.0;
+    incumbent.gap = open.top().lp_bound - best;
   }
   return incumbent;
 }

@@ -75,20 +75,20 @@ std::vector<PiecewiseLinear> PwlFromGrid(const std::vector<double>& x_grid,
   return out;
 }
 
-PwlTermHandle AddPwlObjectiveTerm(LinearProgram* lp, int var_x,
-                                  const PiecewiseLinear& f, double weight) {
+void AddPwlObjectiveTerm(LinearProgram* lp, int var_x,
+                         const PiecewiseLinear& f, double weight) {
   CheckOrDie(lp != nullptr, "AddPwlObjectiveTerm: null model");
   const auto& bx = f.breakpoints_x();
   const auto& by = f.breakpoints_y();
   const int num_points = static_cast<int>(bx.size());
 
-  PwlTermHandle handle;
+  std::vector<int> lambdas;
   std::vector<std::pair<int, double>> convexity, link;
   for (int i = 0; i < num_points; ++i) {
     const int lam =
         lp->AddVariable(0.0, 1.0, weight * by[i],
                         "lam_" + lp->name(var_x) + "_" + std::to_string(i));
-    handle.lambda_vars.push_back(lam);
+    lambdas.push_back(lam);
     convexity.emplace_back(lam, 1.0);
     link.emplace_back(lam, bx[i]);
   }
@@ -96,27 +96,10 @@ PwlTermHandle AddPwlObjectiveTerm(LinearProgram* lp, int var_x,
   link.emplace_back(var_x, -1.0);
   lp->AddConstraint(link, Relation::kEqual, 0.0);
 
-  // Non-concave terms (or negative weights on concave ones) need explicit
-  // SOS2 adjacency; the LP would otherwise cherry-pick the upper envelope.
+  // Non-concave terms (or negative weights on concave ones) need SOS2
+  // adjacency; the LP would otherwise cherry-pick the upper envelope.
   const bool relaxation_exact = weight >= 0.0 && f.IsConcave();
-  if (!relaxation_exact) {
-    std::vector<int> z(num_points - 1);
-    std::vector<std::pair<int, double>> pick;
-    for (int s = 0; s < num_points - 1; ++s) {
-      z[s] = lp->AddBinaryVariable(
-          0.0, "seg_" + lp->name(var_x) + "_" + std::to_string(s));
-      pick.emplace_back(z[s], 1.0);
-    }
-    lp->AddConstraint(pick, Relation::kEqual, 1.0);
-    for (int i = 0; i < num_points; ++i) {
-      std::vector<std::pair<int, double>> adj = {{handle.lambda_vars[i], 1.0}};
-      if (i > 0) adj.emplace_back(z[i - 1], -1.0);
-      if (i < num_points - 1) adj.emplace_back(z[i], -1.0);
-      lp->AddConstraint(adj, Relation::kLessEqual, 0.0);
-    }
-    handle.segment_vars = std::move(z);
-  }
-  return handle;
+  if (!relaxation_exact) lp->AddSos2(std::move(lambdas), bx);
 }
 
 }  // namespace paws

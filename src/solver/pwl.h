@@ -32,7 +32,7 @@ class PiecewiseLinear {
   double x_back() const { return x_.back(); }
 
   /// True if successive segment slopes are non-increasing (within tol).
-  /// Concave maximization objectives need no integer variables.
+  /// Concave maximization objectives need no SOS2 set.
   bool IsConcave(double tol = 1e-9) const;
 
   /// Max |Eval(x) - fn(x)| over a dense sample; approximation-quality probe.
@@ -51,21 +51,16 @@ std::vector<PiecewiseLinear> PwlFromGrid(const std::vector<double>& x_grid,
                                          const std::vector<double>& y_values,
                                          int num_rows);
 
-/// Variables created when a PWL term is attached to a model.
-struct PwlTermHandle {
-  std::vector<int> lambda_vars;   // convex-combination weights per breakpoint
-  std::vector<int> segment_vars;  // SOS2 binaries (empty for concave terms)
-};
-
 /// Adds `weight * f(value_of(var_x))` to the maximized objective of `lp`
-/// via the lambda (convex-combination) formulation:
+/// via the lambda (convex-combination) formulation, two rows per term:
 ///   sum lambda_i = 1,  var_x = sum lambda_i * x_i,
 ///   objective += weight * sum lambda_i * y_i.
-/// For concave f (with weight > 0) the LP relaxation is exact; otherwise
-/// SOS2 adjacency is enforced with one binary per segment, making the model
-/// a MILP. `var_x` must already be bounded within [f.x_front(), f.x_back()].
-PwlTermHandle AddPwlObjectiveTerm(LinearProgram* lp, int var_x,
-                                  const PiecewiseLinear& f, double weight);
+/// For concave f (with weight >= 0) the LP relaxation is exact; otherwise
+/// the lambdas are declared one SOS2 set weighted by the breakpoints, and
+/// SolveMilp branches on it. `var_x` must already be bounded within
+/// [f.x_front(), f.x_back()].
+void AddPwlObjectiveTerm(LinearProgram* lp, int var_x,
+                         const PiecewiseLinear& f, double weight);
 
 }  // namespace paws
 

@@ -15,7 +15,7 @@ struct SimplexOptions {
   double optimality_tolerance = 1e-7;
 };
 
-/// Solves the LP relaxation of `lp` (integrality flags ignored) with a
+/// Solves the LP relaxation of `lp` (SOS2 sets ignored) with a
 /// dense two-phase primal simplex supporting variable bounds. Returns
 /// kOptimal / kInfeasible / kUnbounded; Status errors indicate internal
 /// failures (iteration cap) rather than problem status.

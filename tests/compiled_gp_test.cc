@@ -153,6 +153,22 @@ TEST_F(CompiledGpTest, EffortCurveTableBitIdenticalToReference) {
   ExpectTablesEq(compiled, reference);
 }
 
+TEST_F(CompiledGpTest, OnePointNanGridMatchesReference) {
+  // A NaN effort qualifies every learner in every backend. Fields are
+  // compared one by one: the NaN grids never compare equal.
+  const std::vector<double> grid = {std::numeric_limits<double>::quiet_NaN()};
+  model_->set_compiled_serving(true);
+  const EffortCurveTable compiled =
+      model_->PredictEffortCurves(test_->FeaturesView(), grid);
+  model_->set_compiled_serving(false);
+  const EffortCurveTable reference =
+      model_->PredictEffortCurves(test_->FeaturesView(), grid);
+  model_->set_compiled_serving(true);
+  EXPECT_EQ(compiled.qualified_count, reference.qualified_count);
+  EXPECT_EQ(compiled.prob, reference.prob);
+  EXPECT_EQ(compiled.variance, reference.variance);
+}
+
 TEST_F(CompiledGpTest, ParallelCompiledServingBitIdenticalToSerial) {
   const std::vector<double> grid = UniformEffortGrid(0.0, 4.0, 9);
   model_->set_compiled_serving(true);

@@ -8,15 +8,30 @@ namespace {
 TEST(LpModelTest, VariableBookkeeping) {
   LinearProgram lp;
   const int x = lp.AddVariable(0.0, 5.0, 2.0, "x");
-  const int y = lp.AddBinaryVariable(1.0, "y");
+  const int y = lp.AddVariable(0.0, 1.0, 1.0);
   EXPECT_EQ(lp.num_variables(), 2);
   EXPECT_DOUBLE_EQ(lp.lower(x), 0.0);
   EXPECT_DOUBLE_EQ(lp.upper(x), 5.0);
   EXPECT_DOUBLE_EQ(lp.objective(x), 2.0);
-  EXPECT_FALSE(lp.is_integer(x));
-  EXPECT_TRUE(lp.is_integer(y));
   EXPECT_EQ(lp.name(x), "x");
-  EXPECT_EQ(lp.num_integer_variables(), 1);
+  EXPECT_EQ(lp.name(y), "x1");
+  EXPECT_TRUE(lp.sos2_sets().empty());
+  lp.AddSos2({x, y}, {0.5, 2.0});
+  ASSERT_EQ(lp.sos2_sets().size(), 1u);
+  EXPECT_EQ(lp.sos2_sets()[0].vars, (std::vector<int>{x, y}));
+  EXPECT_EQ(lp.sos2_sets()[0].weights, (std::vector<double>{0.5, 2.0}));
+  EXPECT_EQ(lp.num_constraints(), 0);
+}
+
+TEST(LpModelDeathTest, AddSos2RejectsMisuse) {
+  LinearProgram lp;
+  const int x = lp.AddVariable(0.0, 1.0, 0.0);
+  const int y = lp.AddVariable(0.0, 1.0, 0.0);
+  EXPECT_DEATH(lp.AddSos2({x, 2}, {0.0, 1.0}), "unknown variable");
+  EXPECT_DEATH(lp.AddSos2({x, -1}, {0.0, 1.0}), "unknown variable");
+  EXPECT_DEATH(lp.AddSos2({x, y}, {0.0}), "size mismatch");
+  EXPECT_DEATH(lp.AddSos2({x, y}, {1.0, 1.0}), "strictly increasing");
+  EXPECT_DEATH(lp.AddSos2({x, y}, {1.0, 0.0}), "strictly increasing");
 }
 
 TEST(LpModelTest, DuplicateTermsAreMerged) {
@@ -67,12 +82,13 @@ TEST(LpModelTest, MaxViolationDetectsBoundBreaches) {
 
 TEST(LpModelTest, SetBoundsForBranchAndBound) {
   LinearProgram lp;
-  const int x = lp.AddBinaryVariable(1.0);
+  const int x = lp.AddVariable(0.0, 1.0, 1.0);
+  lp.SetBounds(x, 0.0, 0.0);
+  EXPECT_DOUBLE_EQ(lp.lower(x), 0.0);
+  EXPECT_DOUBLE_EQ(lp.upper(x), 0.0);
   lp.SetBounds(x, 1.0, 1.0);
   EXPECT_DOUBLE_EQ(lp.lower(x), 1.0);
   EXPECT_DOUBLE_EQ(lp.upper(x), 1.0);
-  lp.SetInteger(x, false);
-  EXPECT_FALSE(lp.is_integer(x));
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "gtest/gtest.h"
 #include "core/pipeline.h"
 #include "serving_reference.h"
+#include "utility_tables.h"
 
 namespace paws {
 namespace {
@@ -144,6 +145,16 @@ TEST_F(ParkServiceTest, RejectsMalformedServingInputsWithoutAborting) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+  // Solver tolerances come from the peer too; a loose one (0.9) would
+  // accept the LP envelope as a proven-optimal plan.
+  for (const auto& corrupt : BadSolverOptions()) {
+    PlannerConfig bad_solver = TinyPlanner();
+    corrupt(&bad_solver.milp);
+    EXPECT_EQ(service.PlanForPost("p", 0, bad_solver, RobustParams())
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
   // The park still serves fine afterwards.
   EXPECT_TRUE(service.RiskMap("p", 1.0).ok());
 }

@@ -160,6 +160,20 @@ TEST(PlannerTest, RejectsBadInputs) {
   bad = SmallConfig();
   bad.num_patrols = 0;
   EXPECT_FALSE(PlanPatrols(g, utils, bad).ok());
+  // Solver options arrive over the wire: a tolerance outside [0, 1e-2] or
+  // NaN, a negative or non-finite gap, or a negative iteration cap is
+  // refused, not planned with.
+  for (const auto& corrupt : BadSolverOptions()) {
+    bad = SmallConfig();
+    corrupt(&bad.milp);
+    EXPECT_EQ(PlanPatrols(g, utils, bad).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  bad = SmallConfig();
+  bad.milp.integrality_tolerance = 1e-2;
+  bad.milp.simplex.feasibility_tolerance = 0.0;
+  bad.milp.simplex.optimality_tolerance = 3e-9;
+  EXPECT_TRUE(ValidatePlannerConfig(bad).ok());
 }
 
 TEST(PlannerTest, RejectsTablesThatDoNotSpanTheEffortCap) {

@@ -46,30 +46,34 @@ TEST(PwlTest, ApproximationErrorShrinksWithSegments) {
   EXPECT_LT(fine.MaxAbsError(fn), 0.01);
 }
 
-// Optimizing a concave PWL objective needs no binaries and the LP must pick
-// the maximizing breakpoint.
+// Optimizing a concave PWL objective needs no SOS2 set and the LP must
+// pick the maximizing breakpoint.
 TEST(PwlLpTest, ConcaveMaximizationIsExact) {
   LinearProgram lp;
   const int x = lp.AddVariable(0.0, 4.0, 0.0, "x");
   // Tent peaking at x = 3 with value 6.
   PiecewiseLinear tent({0.0, 3.0, 4.0}, {0.0, 6.0, 2.0});
-  const PwlTermHandle handle = AddPwlObjectiveTerm(&lp, x, tent, 1.0);
-  EXPECT_TRUE(handle.segment_vars.empty());  // no binaries needed
+  AddPwlObjectiveTerm(&lp, x, tent, 1.0);
+  EXPECT_TRUE(lp.sos2_sets().empty());
+  EXPECT_EQ(lp.num_constraints(), 2);  // convexity and link
   auto sol = SolveMilp(lp);
   ASSERT_TRUE(sol.ok()) << sol.status();
   EXPECT_NEAR(sol->objective, 6.0, 1e-6);
   EXPECT_NEAR(sol->values[x], 3.0, 1e-6);
 }
 
-// A non-concave function requires SOS2 binaries; without them the LP would
-// report the (wrong) upper convex envelope.
-TEST(PwlLpTest, NonConcaveUsesBinariesAndFindsTrueOptimum) {
+// A non-concave function requires an SOS2 set; without it the LP would
+// report the (wrong) upper concave envelope.
+TEST(PwlLpTest, NonConcaveUsesSos2AndFindsTrueOptimum) {
   LinearProgram lp;
   const int x = lp.AddVariable(0.0, 2.0, 0.0, "x");
   // W-shape: f(0)=1, f(1)=0, f(2)=1.4, constrained to x <= 1.5.
   PiecewiseLinear w({0.0, 1.0, 2.0}, {1.0, 0.0, 1.4});
-  const PwlTermHandle handle = AddPwlObjectiveTerm(&lp, x, w, 1.0);
-  EXPECT_FALSE(handle.segment_vars.empty());
+  AddPwlObjectiveTerm(&lp, x, w, 1.0);
+  ASSERT_EQ(lp.sos2_sets().size(), 1u);
+  EXPECT_EQ(lp.sos2_sets()[0].vars.size(), 3u);  // one lambda per point
+  EXPECT_EQ(lp.sos2_sets()[0].weights, w.breakpoints_x());
+  EXPECT_EQ(lp.num_constraints(), 2);  // no adjacency rows
   lp.AddConstraint({{x, 1.0}}, Relation::kLessEqual, 1.5);
   auto sol = SolveMilp(lp);
   ASSERT_TRUE(sol.ok()) << sol.status();
@@ -112,9 +116,13 @@ TEST(PwlLpTest, WeightScalesObjective) {
   const int x = lp.AddVariable(0.0, 1.0, 0.0, "x");
   PiecewiseLinear line({0.0, 1.0}, {0.0, 1.0});
   AddPwlObjectiveTerm(&lp, x, line, 2.5);
+  EXPECT_TRUE(lp.sos2_sets().empty());
   auto sol = SolveMilp(lp);
   ASSERT_TRUE(sol.ok()) << sol.status();
   EXPECT_NEAR(sol->objective, 2.5, 1e-6);
+  // A negative weight turns the concave line into a convex term.
+  AddPwlObjectiveTerm(&lp, x, line, -1.0);
+  EXPECT_EQ(lp.sos2_sets().size(), 1u);
 }
 
 TEST(PwlDeathTest, RejectsBadBreakpoints) {

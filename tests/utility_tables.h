@@ -1,10 +1,12 @@
 // Puts analytic test utilities on the planner's only input path: PWL tables,
 // either sampled straight from a function or built from a hand-made
-// EffortCurveTable the way a served plan builds them from the ensemble.
+// EffortCurveTable the way a served plan builds them from the ensemble;
+// plus the solver options a planner must refuse.
 #ifndef PAWS_TESTS_UTILITY_TABLES_H_
 #define PAWS_TESTS_UTILITY_TABLES_H_
 
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "ml/effort_curve.h"
@@ -14,6 +16,25 @@
 namespace paws {
 
 using Curve = std::function<double(double)>;
+
+/// Edits that each make a MilpOptions invalid for ValidatePlannerConfig.
+inline std::vector<std::function<void(MilpOptions*)>> BadSolverOptions() {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  return {
+      [](MilpOptions* m) { m->integrality_tolerance = 0.9; },
+      [](MilpOptions* m) { m->integrality_tolerance = kNan; },
+      [](MilpOptions* m) { m->integrality_tolerance = -1e-9; },
+      [](MilpOptions* m) { m->simplex.feasibility_tolerance = kNan; },
+      [](MilpOptions* m) { m->simplex.feasibility_tolerance = 0.5; },
+      [](MilpOptions* m) { m->simplex.optimality_tolerance = kNan; },
+      [](MilpOptions* m) { m->simplex.optimality_tolerance = -1e-7; },
+      [](MilpOptions* m) { m->absolute_gap_tolerance = kNan; },
+      [](MilpOptions* m) { m->absolute_gap_tolerance = -1e-6; },
+      [](MilpOptions* m) { m->absolute_gap_tolerance = kInf; },
+      [](MilpOptions* m) { m->simplex.max_iterations = -1; },
+  };
+}
 
 /// One PWL per function on [0, PlannerEffortCap(config)] with
 /// config.pwl_segments segments — the breakpoints the planner plans on.
