@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <utility>
 
 namespace paws {
@@ -53,6 +54,16 @@ TiledFeaturePlane::TiledFeaturePlane(const Park& park,
              "non-negative");
   lagged_effort_ = std::move(lagged_effort);
   tile_versions_.assign(geometry_.num_tiles(), 0);
+  // Count each run's cells, then prefix-sum the counts into run starts.
+  run_starts_.assign(static_cast<size_t>(grid_height_) * geometry_.tiles_x + 1,
+                     0);
+  for (const int grid_index : park.cell_indices()) {
+    const int run = (grid_index / grid_width_) * geometry_.tiles_x +
+                    (grid_index % grid_width_) / geometry_.tile_size;
+    ++run_starts_[run + 1];
+  }
+  std::partial_sum(run_starts_.begin(), run_starts_.end(),
+                   run_starts_.begin());
 }
 
 void TiledFeaturePlane::CheckPark(const Park& park) const {
@@ -110,20 +121,27 @@ Status TiledFeaturePlane::UpdateLaggedEffort(
         "lagged-effort layer does not match the park");
   }
   CheckPark(park);
-  // Diff the layers cell by cell (by bit pattern: a -0.0 -> 0.0 flip is a
+  // Diff the layers run by run (by bit pattern: a -0.0 -> 0.0 flip is a
   // row change even though == would miss it) and mark the containing
   // tiles dirty. Only dirty tiles pay: version bump + pool eviction.
   std::vector<bool> dirty(geometry_.num_tiles(), false);
-  const std::vector<int>& indices = park.cell_indices();
   bool valid = true;
-  for (int id = 0; id < num_cells_; ++id) {
-    const double a = lagged_effort_[id];
-    const double b = lagged_effort[id];
-    if (std::memcmp(&a, &b, sizeof(double)) == 0) continue;
-    valid = valid && IsValidCoverage(b);  // unchanged cells were checked
-    const int grid_index = indices[id];
-    dirty[geometry_.TileOf(grid_index % grid_width_,
-                           grid_index / grid_width_)] = true;
+  const int tiles_x = geometry_.tiles_x;
+  for (int y = 0; y < grid_height_; ++y) {
+    for (int tx = 0; tx < tiles_x; ++tx) {
+      const int run = y * tiles_x + tx;
+      const int begin = run_starts_[run];
+      const size_t n = run_starts_[run + 1] - begin;
+      const double* after = lagged_effort.data() + begin;
+      if (n == 0 ||
+          std::memcmp(lagged_effort_.data() + begin, after,
+                      n * sizeof(double)) == 0) {
+        continue;
+      }
+      // The run's unchanged cells were checked when installed.
+      valid = valid && std::all_of(after, after + n, IsValidCoverage);
+      dirty[(y / geometry_.tile_size) * tiles_x + tx] = true;
+    }
   }
   if (!valid) {
     return Status::InvalidArgument(

@@ -173,10 +173,10 @@ class TiledFeaturePlane {
   /// Replaces the lagged-coverage layer; see the invalidation contract
   /// above. Size must match num_cells() (or be empty for all-zero), and
   /// every value must be a valid coverage (IsValidCoverage); otherwise
-  /// returns InvalidArgument and changes nothing. Only changed cells are
-  /// checked, in the pass that diffs the layers: the current layer is
-  /// always valid, so an invalid value always differs from the value it
-  /// would replace.
+  /// returns InvalidArgument and changes nothing. Only changed runs of
+  /// cells are checked, in the pass that diffs the layers: the current
+  /// layer is always valid, so an invalid value always differs from the
+  /// value it would replace.
   Status UpdateLaggedEffort(const Park& park,
                             std::vector<double> lagged_effort);
 
@@ -220,6 +220,11 @@ class TiledFeaturePlane {
   std::vector<double> lagged_effort_;
   uint64_t coverage_version_ = 0;
   std::vector<uint64_t> tile_versions_;
+  /// Run y * tiles_x + tx holds the in-park cells of grid row y inside
+  /// tile column tx: dense ids [run_starts_[run], run_starts_[run + 1]),
+  /// since dense ids follow the grid in row-major order. Coverage diffs
+  /// compare whole runs, so they need no per-cell tile lookup.
+  std::vector<int> run_starts_;
 
   /// LRU pool of materialized tiles keyed by tile id, its capacity the
   /// byte budget.

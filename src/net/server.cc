@@ -36,7 +36,8 @@ double MsBetween(Clock::time_point from, Clock::time_point to) {
 
 }  // namespace
 
-Status FrameServer::Start(FrameServerOptions options, Handler handler) {
+Status FrameServer::Start(FrameServerOptions options, Handler handler,
+                          InlineHandler try_inline) {
   if (started_) {
     return Status::FailedPrecondition("FrameServer: already started");
   }
@@ -49,6 +50,7 @@ Status FrameServer::Start(FrameServerOptions options, Handler handler) {
   }
   options_ = std::move(options);
   handler_ = std::move(handler);
+  try_inline_ = std::move(try_inline);
 
   const Status opened = OpenSockets();
   if (!opened.ok()) {
@@ -179,6 +181,11 @@ void FrameServer::AcceptNewConnections() {
   }
 }
 
+bool FrameServer::Backlogged(const Conn& conn) {
+  return conn.outbuf.size() - conn.out_pos >= kMaxUnsentBytesPerConn ||
+         conn.in_flight >= kMaxInFlightPerConn;
+}
+
 bool FrameServer::ReadFromConn(uint64_t conn_id, Conn* conn) {
   char buf[64 * 1024];
   size_t cap = sizeof(buf);
@@ -186,38 +193,73 @@ bool FrameServer::ReadFromConn(uint64_t conn_id, Conn* conn) {
       options_.max_read_bytes_for_test < cap) {
     cap = options_.max_read_bytes_for_test;
   }
-  while (true) {
+  while (!Backlogged(*conn)) {
     const ssize_t n = ::recv(conn->fd, buf, cap, 0);
     if (n > 0) {
       conn->last_activity = Clock::now();
       conn->parser.Append(buf, static_cast<size_t>(n));
-      while (true) {
-        Frame frame;
-        StatusOr<bool> got = conn->parser.Next(&frame);
-        if (!got.ok()) {
-          // Unrecoverable stream (bad magic / version / oversized
-          // prefix): count it and close; there is no trustworthy frame
-          // to answer on.
-          protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-          return false;
-        }
-        if (!*got) break;
-        frames_in_.fetch_add(1, std::memory_order_relaxed);
-        ++conn->in_flight;
-        {
-          std::lock_guard<std::mutex> lock(queue_mu_);
-          work_queue_.push_back(
-              Task{conn_id, std::move(frame), Clock::now()});
-        }
-        queue_cv_.notify_one();
-      }
+      if (!DispatchFrames(conn_id, conn)) return false;
       continue;
     }
-    if (n == 0) return false;  // orderly EOF
+    if (n == 0) {
+      // Orderly EOF: the peer may have only shut down its write side, and
+      // it is still owed the answers to what it sent.
+      conn->read_closed = true;
+      return true;
+    }
     if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
     if (errno == EINTR) continue;
     return false;
   }
+  return true;
+}
+
+bool FrameServer::DispatchFrames(uint64_t conn_id, Conn* conn) {
+  conn->frames_pending = true;
+  while (!Backlogged(*conn)) {
+    Frame frame;
+    StatusOr<bool> got = conn->parser.Next(&frame);
+    if (!got.ok()) {
+      // Unrecoverable stream (bad magic / version / oversized prefix):
+      // count it and close; there is no trustworthy frame to answer on.
+      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    if (!*got) {
+      conn->frames_pending = false;
+      return true;
+    }
+    frames_in_.fetch_add(1, std::memory_order_relaxed);
+    Frame response;
+    if (try_inline_ && try_inline_(frame, &response)) {
+      conn->outbuf.append(FinishResponse(frame, std::move(response)));
+      frames_out_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    ++conn->in_flight;
+    {
+      std::lock_guard<std::mutex> lock(queue_mu_);
+      work_queue_.push_back(Task{conn_id, std::move(frame), Clock::now()});
+    }
+    queue_cv_.notify_one();
+  }
+  return true;
+}
+
+std::string FrameServer::FinishResponse(const Frame& request,
+                                        Frame response) const {
+  response.request_id = request.request_id;
+  // The peer's FrameParser treats a frame over the cap as a broken
+  // stream, which a client reports as a transport error and a router
+  // answers by failing over; refuse the response in a frame it can read.
+  if (response.payload.size() > options_.max_frame_bytes) {
+    response.opcode = static_cast<uint32_t>(Opcode::kStatusResponse);
+    response.payload = EncodeStatusPayload(Status::ResourceExhausted(
+        "FrameServer: " + OpcodeName(request.opcode) + " response of " +
+        std::to_string(response.payload.size()) + " bytes exceeds the " +
+        std::to_string(options_.max_frame_bytes) + "-byte frame cap"));
+  }
+  return EncodeFrame(response);
 }
 
 bool FrameServer::WriteToConn(Conn* conn) {
@@ -234,7 +276,15 @@ bool FrameServer::WriteToConn(Conn* conn) {
       conn->last_activity = Clock::now();
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      // Drop the sent prefix once it outweighs the rest, so a peer that
+      // reads slowly but never catches up holds a bounded buffer.
+      if (conn->out_pos > conn->outbuf.size() / 2) {
+        conn->outbuf.erase(0, conn->out_pos);
+        conn->out_pos = 0;
+      }
+      return true;
+    }
     if (n < 0 && errno == EINTR) continue;
     return false;
   }
@@ -303,6 +353,20 @@ void FrameServer::EventLoop() {
       }
     }
 
+    if (!draining) {
+      // Frames held back by a backpressure cap are dispatched once their
+      // connection drains, without waiting for its peer to send more.
+      std::vector<uint64_t> broken;
+      for (auto& kv : conns_) {
+        Conn& conn = kv.second;
+        if (conn.frames_pending && !Backlogged(conn) &&
+            !DispatchFrames(kv.first, &conn)) {
+          broken.push_back(kv.first);
+        }
+      }
+      for (uint64_t conn_id : broken) CloseConn(conn_id);
+    }
+
     fds.clear();
     fd_conn_ids.clear();
     if (listen_fd_ >= 0) {
@@ -314,7 +378,9 @@ void FrameServer::EventLoop() {
     for (auto& kv : conns_) {
       short events = 0;
       // During drain no new requests are read; only responses flush out.
-      if (!draining) events |= POLLIN;
+      if (!draining && !kv.second.read_closed && !Backlogged(kv.second)) {
+        events |= POLLIN;
+      }
       if (kv.second.out_pos < kv.second.outbuf.size()) events |= POLLOUT;
       fds.push_back({kv.second.fd, events, 0});
       fd_conn_ids.push_back(kv.first);
@@ -349,14 +415,17 @@ void FrameServer::EventLoop() {
         to_close.push_back(conn_id);
         continue;
       }
-      if ((pfd.revents & POLLOUT) != 0 && !WriteToConn(&conn)) {
+      // Answers given inline during the read leave now, not on the next
+      // pass's POLLOUT.
+      if ((pfd.revents & (POLLIN | POLLOUT)) != 0 && !WriteToConn(&conn)) {
         to_close.push_back(conn_id);
         continue;
       }
-      // POLLHUP alone: the peer closed its end. Keep the connection only
-      // while responses are still flushing (send may still succeed on a
-      // half-closed socket).
-      if ((pfd.revents & POLLHUP) != 0 && conn.in_flight == 0 &&
+      // The peer closed its end (POLLHUP) or shut down its write side
+      // (EOF). Keep the connection only while it is still owed answers
+      // (send may still succeed on a half-closed socket).
+      if (((pfd.revents & POLLHUP) != 0 || conn.read_closed) &&
+          conn.in_flight == 0 && !conn.frames_pending &&
           conn.out_pos >= conn.outbuf.size()) {
         to_close.push_back(conn_id);
       }
@@ -407,7 +476,6 @@ void FrameServer::WorkerLoop() {
     }
 
     Frame response;
-    response.request_id = task.frame.request_id;
     const bool expired =
         options_.request_deadline_ms > 0 &&
         MsBetween(task.enqueued, Clock::now()) > options_.request_deadline_ms;
@@ -421,23 +489,11 @@ void FrameServer::WorkerLoop() {
         options_.pre_dispatch_hook_for_test();
       }
       response = handler_(task.frame);
-      response.request_id = task.frame.request_id;
     }
-    // The peer's FrameParser treats a frame over the cap as a broken
-    // stream, which a client reports as a transport error and a router
-    // answers by failing over; refuse the response in a frame it can read.
-    if (response.payload.size() > options_.max_frame_bytes) {
-      response.opcode = static_cast<uint32_t>(Opcode::kStatusResponse);
-      response.payload = EncodeStatusPayload(Status::ResourceExhausted(
-          "FrameServer: " + OpcodeName(task.frame.opcode) + " response of " +
-          std::to_string(response.payload.size()) + " bytes exceeds the " +
-          std::to_string(options_.max_frame_bytes) + "-byte frame cap"));
-    }
-
+    std::string bytes = FinishResponse(task.frame, std::move(response));
     {
       std::lock_guard<std::mutex> lock(response_mu_);
-      response_queue_.push_back(
-          Response{task.conn_id, EncodeFrame(response)});
+      response_queue_.push_back(Response{task.conn_id, std::move(bytes)});
     }
     tasks_executing_.fetch_sub(1, std::memory_order_acq_rel);
     WakeEventLoop();

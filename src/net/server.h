@@ -37,7 +37,8 @@ struct FrameServerOptions {
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Requests still queued this long after arrival are answered with a
   /// ResourceExhausted status frame instead of being dispatched (shed
-  /// load when the workers fall behind). 0 = never expire.
+  /// load when the workers fall behind). 0 = never expire. Answers the
+  /// event thread gives itself never queue, so they are never shed.
   int request_deadline_ms = 0;
   /// Test seam: runs on the worker thread immediately before the handler
   /// (after the deadline check). Lets tests make dispatch observably slow
@@ -54,10 +55,20 @@ struct FrameServerOptions {
 /// every socket (poll(2)-based — the fd counts of a serving daemon are
 /// tens of connections, where poll and epoll are indistinguishable and
 /// poll needs no OS gating), non-blocking accept, per-connection
-/// partial-frame reassembly and buffered partial writes; complete frames
-/// are dispatched to dedicated worker threads whose responses are handed
-/// back to the event thread through a self-pipe wakeup, so sockets are
-/// only ever touched from one thread.
+/// partial-frame reassembly and buffered partial writes. The event thread
+/// first offers each complete frame to the optional inline handler, which
+/// answers what it can without waiting (ParkServer: cache hits), and
+/// writes that answer at once. Every other frame is dispatched to
+/// dedicated worker threads whose responses are handed back to the event
+/// thread through a self-pipe wakeup, so sockets are only ever touched
+/// from one thread. Inline answers may overtake queued requests of the
+/// same connection; responses carry their request's id.
+///
+/// Backpressure: a connection is not read while it owes
+/// kMaxUnsentBytesPerConn of unwritten output or has
+/// kMaxInFlightPerConn requests queued or executing, so a peer that sends
+/// without reading cannot grow the daemon. A peer that shuts down its
+/// write side still gets every answer it is owed before the close.
 ///
 /// Error handling at the framing layer: a connection that sends bytes the
 /// FrameParser rejects (bad magic, wrong version, oversized length
@@ -74,6 +85,18 @@ class FrameServer {
   /// Produces the response frame for one request frame. Runs on a worker
   /// thread; must be thread-safe (ParkService is).
   using Handler = std::function<Frame(const Frame&)>;
+  /// Answers a request on the event thread when it can do so without
+  /// waiting: returns true with `response` filled, or false to send the
+  /// request to the workers. Must never block (ARCHITECTURE contract 3)
+  /// and should stay O(small): every connection waits while it runs.
+  using InlineHandler = std::function<bool(const Frame&, Frame* response)>;
+
+  /// A connection is not read while it owes this much unsent output...
+  static constexpr size_t kMaxUnsentBytesPerConn = size_t{1} << 20;
+  /// ...or has this many requests with the workers. Both caps are far
+  /// above what a client with one request in flight reaches, and neither
+  /// splits a response: one larger answer still goes out whole.
+  static constexpr int kMaxInFlightPerConn = 16;
 
   FrameServer() = default;
   ~FrameServer() { Shutdown(); }
@@ -81,9 +104,11 @@ class FrameServer {
   FrameServer(const FrameServer&) = delete;
   FrameServer& operator=(const FrameServer&) = delete;
 
-  /// Binds, listens and starts the event + worker threads. Fails with
+  /// Binds, listens and starts the event + worker threads. `try_inline`
+  /// may be empty (every request goes to a worker). Fails with
   /// FailedPrecondition if already started, Internal on socket errors.
-  Status Start(FrameServerOptions options, Handler handler);
+  Status Start(FrameServerOptions options, Handler handler,
+               InlineHandler try_inline = nullptr);
 
   /// The bound port (resolves option port 0), or -1 before Start.
   int port() const { return port_; }
@@ -112,6 +137,12 @@ class FrameServer {
     /// Requests dispatched but whose responses are not yet in outbuf;
     /// only the event thread touches it.
     int in_flight = 0;
+    /// The parser may hold complete frames left undispatched when a
+    /// backpressure cap tripped.
+    bool frames_pending = false;
+    /// The peer shut down its write side: nothing more to read, but the
+    /// answers it is owed still go out before the close.
+    bool read_closed = false;
   };
 
   struct Task {
@@ -132,9 +163,17 @@ class FrameServer {
   void WorkerLoop();
   void WakeEventLoop();
   void AcceptNewConnections();
-  /// Reads whatever the socket has; returns false if the connection must
-  /// close (EOF, error, protocol violation).
+  /// Whether a backpressure cap stops reading and dispatching `conn`.
+  static bool Backlogged(const Conn& conn);
+  /// Reads whatever the socket has until a cap trips; returns false if the
+  /// connection must close (error, protocol violation).
   bool ReadFromConn(uint64_t conn_id, Conn* conn);
+  /// Answers inline or queues the complete frames in `conn`'s parser until
+  /// it runs dry or a cap trips; returns false on a protocol violation.
+  bool DispatchFrames(uint64_t conn_id, Conn* conn);
+  /// The response as sent: the request's id echoed, and a response over
+  /// max_frame_bytes replaced by a ResourceExhausted status frame.
+  std::string FinishResponse(const Frame& request, Frame response) const;
   /// Flushes buffered output; returns false if the connection must close.
   bool WriteToConn(Conn* conn);
   void CloseConn(uint64_t conn_id);
@@ -142,6 +181,7 @@ class FrameServer {
 
   FrameServerOptions options_;
   Handler handler_;
+  InlineHandler try_inline_;
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};
   int port_ = -1;

@@ -10,9 +10,85 @@
 
 namespace paws {
 
+namespace {
+
+template <typename T>
+size_t Bytes(const std::vector<T>& values) {
+  return values.size() * sizeof(T);
+}
+
+size_t AnswerBytes(const RiskMaps& maps) {
+  return Bytes(maps.risk) + Bytes(maps.variance);
+}
+
+size_t AnswerBytes(const RiskTile& tile) {
+  return Bytes(tile.cell_ids) + Bytes(tile.risk) + Bytes(tile.variance);
+}
+
+size_t AnswerBytes(const EffortCurveTable& table) {
+  return Bytes(table.effort_grid) + Bytes(table.qualified_count) +
+         Bytes(table.prob) + Bytes(table.variance);
+}
+
+template <typename T>
+bool FitsInline(const T& answer) {
+  return AnswerBytes(answer) <= ParkServer::kInlineAnswerBytes;
+}
+
+}  // namespace
+
 Status ParkServer::Start(FrameServerOptions options) {
-  return server_.Start(std::move(options),
-                       [this](const Frame& request) { return Handle(request); });
+  return server_.Start(
+      std::move(options),
+      [this](const Frame& request) { return Handle(request); },
+      [this](const Frame& request, Frame* response) {
+        return TryHandleCached(request, response);
+      });
+}
+
+bool ParkServer::TryHandleCached(const Frame& request, Frame* response) {
+  std::string payload;
+  switch (static_cast<Opcode>(request.opcode)) {
+    case Opcode::kRiskMap: {
+      const StatusOr<RiskMapRequest> decoded =
+          DecodeRiskMapRequest(request.payload);
+      if (!decoded.ok()) return false;
+      const std::shared_ptr<const RiskMaps> maps = service_->TryCachedRiskMap(
+          decoded->park_id, decoded->assumed_effort, FitsInline<RiskMaps>);
+      if (maps == nullptr) return false;
+      payload = EncodeRiskMapsPayload(*maps);
+      break;
+    }
+    case Opcode::kRiskTile: {
+      const StatusOr<RiskTileRequest> decoded =
+          DecodeRiskTileRequest(request.payload);
+      if (!decoded.ok()) return false;
+      const std::shared_ptr<const RiskTile> tile = service_->TryCachedRiskTile(
+          decoded->park_id, decoded->tile_id, decoded->assumed_effort,
+          FitsInline<RiskTile>);
+      if (tile == nullptr) return false;
+      payload = EncodeRiskTilePayload(*tile);
+      break;
+    }
+    case Opcode::kCellCurves: {
+      const StatusOr<CellCurvesRequest> decoded =
+          DecodeCellCurvesRequest(request.payload);
+      if (!decoded.ok()) return false;
+      const std::shared_ptr<const EffortCurveTable> table =
+          service_->TryCachedCellCurves(decoded->park_id, decoded->cell_ids,
+                                        decoded->effort_grid,
+                                        FitsInline<EffortCurveTable>);
+      if (table == nullptr) return false;
+      payload = EncodeEffortCurveTablePayload(*table);
+      break;
+    }
+    default:
+      return false;
+  }
+  response->request_id = request.request_id;
+  response->opcode = static_cast<uint32_t>(Opcode::kOkResponse);
+  response->payload = std::move(payload);
+  return true;
 }
 
 Frame ParkServer::Handle(const Frame& request) {

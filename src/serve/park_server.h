@@ -19,6 +19,11 @@ namespace paws {
 /// InvalidArgument status frame (the connection survives; only broken
 /// *framing* closes it, inside FrameServer).
 ///
+/// Cache hits are answered on FrameServer's event thread (TryHandleCached):
+/// a kRiskMap, kRiskTile or kCellCurves request whose result sits in the
+/// park's cache, under locks taken without waiting, with an answer of at
+/// most kInlineAnswerBytes. Everything else goes to a worker and Handle.
+///
 /// Wire SwapSnapshot is an upsert: replacing an unknown park id registers
 /// it instead, so a fresh field daemon can be bootstrapped entirely over
 /// the network by the training fleet.
@@ -31,6 +36,12 @@ namespace paws {
 /// replicas.
 class ParkServer {
  public:
+  /// The largest answer encoded on the event thread, counted as the bytes
+  /// of its arrays. Encoding is O(cells) and every connection waits while
+  /// it runs, so a full 64x64 tile (81,984 payload bytes) or a mega park's
+  /// map goes to a worker.
+  static constexpr size_t kInlineAnswerBytes = 64 << 10;
+
   /// `service` must outlive the server and Shutdown().
   explicit ParkServer(ParkService* service) : service_(service) {}
   ~ParkServer() { Shutdown(); }
@@ -61,6 +72,10 @@ class ParkServer {
   Frame Handle(const Frame& request);
 
  private:
+  /// FrameServer's inline handler: fills `response` with exactly what
+  /// Handle would answer and returns true when the request is a cache hit
+  /// that fits kInlineAnswerBytes; false otherwise, touching nothing.
+  bool TryHandleCached(const Frame& request, Frame* response);
   /// Decodes, serves and encodes one request; an error becomes the
   /// response's status frame.
   StatusOr<std::string> Dispatch(const Frame& request);

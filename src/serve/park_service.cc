@@ -21,6 +21,14 @@ uint64_t EffortBits(double effort) {
   return bits;
 }
 
+/// Lifts a probe's predicate on a served value to the cache's shared_ptr.
+template <typename T>
+auto OnPointee(const ParkService::Accept<T>& accept) {
+  return [&accept](const std::shared_ptr<const T>& value) {
+    return accept(*value);
+  };
+}
+
 }  // namespace
 
 ParkService::ParkService(ParkServiceOptions options)
@@ -69,6 +77,52 @@ std::shared_ptr<ParkService::Entry> ParkService::Find(
   return it == parks_.end() ? nullptr : it->second;
 }
 
+ParkService::Pinned ParkService::TryPin(const std::string& park_id) const {
+  Pinned park;
+  {
+    std::shared_lock<std::shared_mutex> lock(registry_mu_, std::try_to_lock);
+    if (!lock.owns_lock()) return park;
+    const auto it = parks_.find(park_id);
+    if (it == parks_.end()) return park;
+    park.entry = it->second;
+  }
+  park.lock = std::shared_lock<std::shared_mutex>(park.entry->mu,
+                                                  std::try_to_lock);
+  if (!park.lock.owns_lock()) park.entry = nullptr;
+  return park;
+}
+
+ParkService::RiskKey ParkService::RiskKeyOf(const Entry& entry,
+                                            double assumed_effort) {
+  return {entry.snapshot_version, entry.snapshot.coverage_version(),
+          EffortBits(assumed_effort)};
+}
+
+ParkService::TileKey ParkService::TileKeyOf(const Entry& entry, int tile_id,
+                                            double assumed_effort) {
+  // Keyed on the TILE's coverage version: an UpdateCoverage that changed
+  // other tiles leaves this key — and its cached result — valid.
+  return {entry.snapshot_version,
+          entry.snapshot.tile_coverage_version(tile_id),
+          static_cast<uint64_t>(tile_id), EffortBits(assumed_effort)};
+}
+
+ParkService::CurveKey ParkService::CurveKeyOf(
+    const Entry& entry, const std::vector<int>& cell_ids,
+    const std::vector<double>& effort_grid) {
+  // Strictly-increasing grids can still differ only in bit pattern
+  // (-0.0 head vs 0.0), so the key uses the bits — same contract as the
+  // risk-map cache.
+  CurveKey key;
+  key.reserve(3 + cell_ids.size() + effort_grid.size());
+  key.push_back(entry.snapshot_version);
+  key.push_back(entry.snapshot.coverage_version());
+  key.push_back(cell_ids.size());
+  for (int id : cell_ids) key.push_back(static_cast<uint64_t>(id));
+  for (double e : effort_grid) key.push_back(EffortBits(e));
+  return key;
+}
+
 StatusOr<std::shared_ptr<const RiskMaps>> ParkService::RiskMap(
     const std::string& park_id, double assumed_effort) const {
   // Malformed client input must surface as Status: the CheckOrDie inside
@@ -82,9 +136,7 @@ StatusOr<std::shared_ptr<const RiskMaps>> ParkService::RiskMap(
   // Shared snapshot lock for the whole request: a SwapSnapshot or
   // UpdateCoverage can never tear the (versions, prediction) pair.
   std::shared_lock<std::shared_mutex> lock(entry->mu);
-  const RiskKey key{entry->snapshot_version,
-                    entry->snapshot.coverage_version(),
-                    EffortBits(assumed_effort)};
+  const RiskKey key = RiskKeyOf(*entry, assumed_effort);
   // Whole-park maps are assembled tile by tile through the snapshot's
   // feature-tile pool, with tiles fanned out across dedicated threads
   // (never the shared pool; the tile fetch takes the plane's pool mutex).
@@ -108,12 +160,7 @@ StatusOr<std::shared_ptr<const paws::RiskTile>> ParkService::RiskTile(
   if (tile_id < 0 || tile_id >= entry->snapshot.num_tiles()) {
     return Status::InvalidArgument("ParkService: tile id out of range");
   }
-  // Keyed on the TILE's coverage version: an UpdateCoverage that changed
-  // other tiles leaves this key — and its cached result — valid.
-  const TileKey key{entry->snapshot_version,
-                    entry->snapshot.tile_coverage_version(tile_id),
-                    static_cast<uint64_t>(tile_id),
-                    EffortBits(assumed_effort)};
+  const TileKey key = TileKeyOf(*entry, tile_id, assumed_effort);
   return entry->tile_cache.GetOrCompute(key, [&] {
     return std::make_shared<const paws::RiskTile>(
         entry->snapshot.PredictRiskTile(tile_id, assumed_effort));
@@ -144,20 +191,49 @@ StatusOr<std::shared_ptr<const EffortCurveTable>> ParkService::CellCurves(
       return Status::InvalidArgument("ParkService: cell id out of range");
     }
   }
-  // Strictly-increasing grids can still differ only in bit pattern
-  // (-0.0 head vs 0.0), so the key uses the bits — same contract as the
-  // risk-map cache.
-  CurveKey key;
-  key.reserve(3 + cell_ids.size() + effort_grid.size());
-  key.push_back(entry->snapshot_version);
-  key.push_back(entry->snapshot.coverage_version());
-  key.push_back(cell_ids.size());
-  for (int id : cell_ids) key.push_back(static_cast<uint64_t>(id));
-  for (double e : effort_grid) key.push_back(EffortBits(e));
+  const CurveKey key = CurveKeyOf(*entry, cell_ids, effort_grid);
   return entry->curve_cache.GetOrCompute(key, [&] {
     return std::make_shared<const EffortCurveTable>(
         entry->snapshot.PredictCellCurves(cell_ids, std::move(effort_grid)));
   });
+}
+
+std::shared_ptr<const RiskMaps> ParkService::TryCachedRiskMap(
+    const std::string& park_id, double assumed_effort,
+    const Accept<RiskMaps>& accept) const {
+  const Pinned park = TryPin(park_id);
+  if (park.entry == nullptr) return nullptr;
+  return park.entry->risk_cache
+      .TryGet(RiskKeyOf(*park.entry, assumed_effort), OnPointee(accept))
+      .value_or(nullptr);
+}
+
+std::shared_ptr<const paws::RiskTile> ParkService::TryCachedRiskTile(
+    const std::string& park_id, int tile_id, double assumed_effort,
+    const Accept<paws::RiskTile>& accept) const {
+  const Pinned park = TryPin(park_id);
+  if (park.entry == nullptr) return nullptr;
+  // The one check a probe repeats: the key reads the tile's version, and
+  // the plane dies on an id out of range.
+  if (tile_id < 0 || tile_id >= park.entry->snapshot.num_tiles()) {
+    return nullptr;
+  }
+  return park.entry->tile_cache
+      .TryGet(TileKeyOf(*park.entry, tile_id, assumed_effort),
+              OnPointee(accept))
+      .value_or(nullptr);
+}
+
+std::shared_ptr<const EffortCurveTable> ParkService::TryCachedCellCurves(
+    const std::string& park_id, const std::vector<int>& cell_ids,
+    const std::vector<double>& effort_grid,
+    const Accept<EffortCurveTable>& accept) const {
+  const Pinned park = TryPin(park_id);
+  if (park.entry == nullptr) return nullptr;
+  return park.entry->curve_cache
+      .TryGet(CurveKeyOf(*park.entry, cell_ids, effort_grid),
+              OnPointee(accept))
+      .value_or(nullptr);
 }
 
 StatusOr<PatrolPlan> ParkService::PlanForPost(

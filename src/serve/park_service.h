@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -85,6 +86,27 @@ class ParkService {
   StatusOr<std::shared_ptr<const EffortCurveTable>> CellCurves(
       const std::string& park_id, const std::vector<int>& cell_ids,
       std::vector<double> effort_grid) const;
+
+  /// Non-blocking probes of the three result caches, for a caller that
+  /// must never wait (FrameServer's event thread). Each returns what the
+  /// matching call above would serve from its cache when the registry, the
+  /// park and the cache locks are free, the result is cached and `accept`
+  /// takes it; otherwise nullptr. They never compute and never validate:
+  /// only validated requests are cached, so a malformed one just misses.
+  /// A returned value counts as the cache hit; nullptr counts nothing, so
+  /// the blocking call that follows counts the request once.
+  template <typename T>
+  using Accept = std::function<bool(const T&)>;
+  std::shared_ptr<const RiskMaps> TryCachedRiskMap(
+      const std::string& park_id, double assumed_effort,
+      const Accept<RiskMaps>& accept) const;
+  std::shared_ptr<const paws::RiskTile> TryCachedRiskTile(
+      const std::string& park_id, int tile_id, double assumed_effort,
+      const Accept<paws::RiskTile>& accept) const;
+  std::shared_ptr<const EffortCurveTable> TryCachedCellCurves(
+      const std::string& park_id, const std::vector<int>& cell_ids,
+      const std::vector<double>& effort_grid,
+      const Accept<EffortCurveTable>& accept) const;
 
   /// Robust patrol plan around `post_index` of `park_id`.
   StatusOr<PatrolPlan> PlanForPost(const std::string& park_id, int post_index,
@@ -212,6 +234,25 @@ class ParkService {
 
   /// Shared-locked registry lookup; nullptr when absent.
   std::shared_ptr<Entry> Find(const std::string& park_id) const;
+
+  /// A park with its lock held shared, both taken without waiting. `entry`
+  /// is nullptr when the park is absent or a writer holds the registry or
+  /// the park. The lock is released before the entry is.
+  struct Pinned {
+    std::shared_ptr<Entry> entry;
+    std::shared_lock<std::shared_mutex> lock;
+  };
+  Pinned TryPin(const std::string& park_id) const;
+
+  /// Each cache's key for the park's current state; the caller holds
+  /// `entry.mu`. The blocking calls and the probes both build their keys
+  /// here, so a probe can only find what the blocking call cached.
+  static RiskKey RiskKeyOf(const Entry& entry, double assumed_effort);
+  static TileKey TileKeyOf(const Entry& entry, int tile_id,
+                           double assumed_effort);
+  static CurveKey CurveKeyOf(const Entry& entry,
+                             const std::vector<int>& cell_ids,
+                             const std::vector<double>& effort_grid);
 
   ParkServiceOptions options_;
   mutable std::shared_mutex registry_mu_;

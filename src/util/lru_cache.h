@@ -5,6 +5,7 @@
 #include <iterator>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -139,6 +140,22 @@ class ServedCache {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.evictions += lru_.Put(key, value);
     return value;
+  }
+
+  /// Never waits: the cached value for `key` when the lock is free, the
+  /// key is resident and `accept(value)` holds, else nullopt. `accept`
+  /// runs under the lock, so it must be cheap. A resident key's recency
+  /// is refreshed as by GetOrCompute, but only a returned value counts
+  /// (as a hit): a caller that gets nullopt falls back to GetOrCompute,
+  /// which counts the request once.
+  template <typename Accept>
+  std::optional<V> TryGet(const K& key, const Accept& accept) {
+    std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
+    if (!lock.owns_lock()) return std::nullopt;
+    const V* hit = lru_.Get(key);
+    if (hit == nullptr || !accept(*hit)) return std::nullopt;
+    ++stats_.hits;
+    return *hit;
   }
 
   /// Drops `key` if resident, counting it as an eviction.

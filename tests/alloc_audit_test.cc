@@ -171,6 +171,21 @@ TEST_F(AllocAuditTest, WarmRiskTileHitAllocatesNothing) {
   }
 }
 
+// The event thread's probe of the same warm key: try-locks, a key built
+// on the stack, a lookup and a refcount bump — no heap either.
+TEST_F(AllocAuditTest, WarmTryCachedRiskTileHitAllocatesNothing) {
+  const std::string park_id = "p";
+  ASSERT_TRUE(service_->RiskTile(park_id, 0, 2.0).ok());  // prime the LRU
+  for (int i = 0; i < 3; ++i) {
+    const std::uint64_t allocs = CountAllocations([&] {
+      const auto tile = service_->TryCachedRiskTile(
+          park_id, 0, 2.0, [](const RiskTile&) { return true; });
+      CheckOrDie(tile != nullptr, "warm probe missed");
+    });
+    EXPECT_EQ(allocs, 0u) << "warm probe " << i << " touched the heap";
+  }
+}
+
 // Rejected requests take the early-return path before any computation;
 // the only heap traffic allowed is the Status error message itself (one
 // string, too long for the small-string buffer).

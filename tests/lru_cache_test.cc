@@ -1,6 +1,7 @@
 #include "util/lru_cache.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -176,6 +177,58 @@ TEST(ServedCacheTest, CostWeightedEvictionErasureAndRefresh) {
   EXPECT_EQ(stats.resident_cost, 3u);
   EXPECT_EQ(stats.evictions, 4u);
   EXPECT_EQ(*cache.GetOrCompute(5, CountingCompute{&calls, "e"}), "eee");
+}
+
+using StringPtr = std::shared_ptr<const std::string>;
+
+// Each request counts exactly one hit or one miss: TryGet counts the hits
+// it returns and nothing else, and its caller's GetOrCompute fallback
+// counts the rest.
+TEST(ServedCacheTest, TryGetCountsAHitOnlyWhenItReturnsAValue) {
+  ServedCache<int, StringPtr> cache(2);
+  const auto accept = [](const StringPtr&) { return true; };
+  const auto refuse = [](const StringPtr&) { return false; };
+  int calls = 0;
+
+  EXPECT_FALSE(cache.TryGet(1, accept).has_value());  // absent
+  ServedCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+
+  const auto stored = cache.GetOrCompute(1, CountingCompute{&calls, "one"});
+  const std::optional<StringPtr> hit = cache.TryGet(1, accept);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->get(), stored.get());  // the cached object itself
+  stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+
+  // A resident value the caller refuses counts nothing; the fallback
+  // counts the request once, as a hit, without recomputing.
+  EXPECT_FALSE(cache.TryGet(1, refuse).has_value());
+  stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(cache.GetOrCompute(1, CountingCompute{&calls, "uno"}).get(),
+            stored.get());
+  stats = cache.stats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(ServedCacheTest, TryGetHitRefreshesRecencyLikeGetOrCompute) {
+  ServedCache<int, StringPtr> cache(2);
+  const auto accept = [](const StringPtr&) { return true; };
+  int calls = 0;
+  cache.GetOrCompute(1, CountingCompute{&calls, "one"});
+  cache.GetOrCompute(2, CountingCompute{&calls, "two"});
+  ASSERT_TRUE(cache.TryGet(1, accept).has_value());      // 1 most recent
+  cache.GetOrCompute(3, CountingCompute{&calls, "three"});  // evicts 2
+  EXPECT_EQ(calls, 3);
+  EXPECT_TRUE(cache.TryGet(1, accept).has_value());
+  EXPECT_FALSE(cache.TryGet(2, accept).has_value());
+  EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 }  // namespace

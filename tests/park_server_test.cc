@@ -19,6 +19,7 @@
 #include <chrono>
 #include <filesystem>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -136,9 +137,42 @@ class RawConn {
     return got;
   }
 
+  /// Reads until `n` whole frames have arrived or the peer closes.
+  std::vector<Frame> RecvFrames(size_t n) {
+    FrameParser parser;
+    std::vector<Frame> frames;
+    char buf[64 * 1024];
+    while (frames.size() < n) {
+      Frame frame;
+      const StatusOr<bool> got = parser.Next(&frame);
+      CheckOrDie(got.ok(), "raw response stream broken");
+      if (*got) {
+        frames.push_back(std::move(frame));
+        continue;
+      }
+      const ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
+      if (r <= 0) break;
+      parser.Append(buf, static_cast<size_t>(r));
+    }
+    return frames;
+  }
+
+  /// Ends this side's sending; the server reads EOF but can still answer.
+  void ShutdownWrite() {
+    CheckOrDie(::shutdown(fd_, SHUT_WR) == 0, "raw shutdown failed");
+  }
+
  private:
   int fd_ = -1;
 };
+
+Frame RequestFrame(uint64_t request_id, Opcode opcode, std::string payload) {
+  Frame frame;
+  frame.request_id = request_id;
+  frame.opcode = static_cast<uint32_t>(opcode);
+  frame.payload = std::move(payload);
+  return frame;
+}
 
 TEST_F(ParkServerTest, LoopbackResultsAreBitIdenticalToDirectCalls) {
   ParkService service;
@@ -572,6 +606,171 @@ TEST_F(ParkServerTest, ConnectionLimitRejectsTheExcessConnection) {
   EXPECT_TRUE(first.RiskMap("p", 1.0).ok());
 }
 
+// A request whose answer is already cached is answered on the event
+// thread: the dispatch hook, which runs on a worker before every handler
+// call, never runs for it, and its bytes equal Handle's. Everything else
+// goes to a worker and gets Handle's status or answer, and each request
+// counts exactly once in the cache counters.
+TEST_F(ParkServerTest, CachedHitsAreAnsweredWithoutAWorker) {
+  ParkService service;
+  ASSERT_TRUE(service.Register("p", MakeSnapshot()).ok());
+  std::atomic<int> dispatched{0};
+  FrameServerOptions options;
+  options.pre_dispatch_hook_for_test = [&dispatched] { ++dispatched; };
+  StartServer(&service, options);
+  WireClient wire(FastClient());
+  ASSERT_TRUE(wire.Connect("127.0.0.1", server_->port()).ok());
+
+  // Warm one key per cache in process, plus a curve table over every cell
+  // of the park on a finer grid, whose answer is over the inline cap.
+  const std::vector<int> cells = {0, 3, 11};
+  const std::vector<double> grid = UniformEffortGrid(0.0, 4.0, 8);
+  const std::vector<double> fine_grid = UniformEffortGrid(0.0, 4.0, 16);
+  const auto map = service.RiskMap("p", 1.0);
+  ASSERT_TRUE(map.ok());
+  ASSERT_TRUE(service.RiskTile("p", 0, 2.0).ok());
+  ASSERT_TRUE(service.CellCurves("p", cells, grid).ok());
+  std::vector<int> all_cells((*map)->risk.size());
+  for (size_t i = 0; i < all_cells.size(); ++i) {
+    all_cells[i] = static_cast<int>(i);
+  }
+  const auto big = service.CellCurves("p", all_cells, fine_grid);
+  ASSERT_TRUE(big.ok());
+  ASSERT_GT(EncodeEffortCurveTablePayload(**big).size(),
+            ParkServer::kInlineAnswerBytes);
+
+  std::vector<std::pair<Frame, Frame>> answered;  // request, wire answer
+  const auto call = [&](const Frame& request) {
+    StatusOr<Frame> got =
+        wire.Call(static_cast<Opcode>(request.opcode), request.payload);
+    CheckOrDie(got.ok(), "wire call failed");
+    answered.emplace_back(request, *got);
+    return *got;
+  };
+  const Frame map_hit =
+      RequestFrame(0, Opcode::kRiskMap, EncodeRiskMapRequest({"p", 1.0}));
+  const Frame tile_hit = RequestFrame(
+      0, Opcode::kRiskTile, EncodeRiskTileRequest({"p", 0, 2.0}));
+  const Frame curves_hit = RequestFrame(
+      0, Opcode::kCellCurves, EncodeCellCurvesRequest({"p", cells, grid}));
+  for (int round = 0; round < 2; ++round) {
+    for (const Frame& request : {map_hit, tile_hit, curves_hit}) {
+      EXPECT_EQ(call(request).opcode,
+                static_cast<uint32_t>(Opcode::kOkResponse));
+    }
+  }
+  EXPECT_EQ(dispatched.load(), 0) << "a cache hit reached a worker";
+
+  // Each of these reaches a worker: a miss, a Stats request, a negative
+  // effort, an unknown park, tile ids out of range (which must not abort
+  // the daemon) and a hit whose answer is over the inline cap.
+  const std::vector<Frame> to_workers = {
+      RequestFrame(0, Opcode::kRiskMap, EncodeRiskMapRequest({"p", 3.0})),
+      RequestFrame(0, Opcode::kStats, EncodeStatsRequest({"p"})),
+      RequestFrame(0, Opcode::kRiskMap, EncodeRiskMapRequest({"p", -1.0})),
+      RequestFrame(0, Opcode::kRiskMap, EncodeRiskMapRequest({"ghost", 1.0})),
+      RequestFrame(0, Opcode::kRiskTile,
+                   EncodeRiskTileRequest({"p", 1 << 20, 2.0})),
+      RequestFrame(0, Opcode::kRiskTile, EncodeRiskTileRequest({"p", -1, 2.0})),
+      RequestFrame(0, Opcode::kCellCurves,
+                   EncodeCellCurvesRequest({"p", all_cells, fine_grid})),
+  };
+  for (size_t i = 0; i < to_workers.size(); ++i) {
+    call(to_workers[i]);
+    EXPECT_EQ(dispatched.load(), static_cast<int>(i) + 1) << "request " << i;
+  }
+
+  // One count per request that reached each cache: the warm-up call, the
+  // wire hits, and the miss or the over-cap hit the workers served.
+  const auto risk = service.RiskCacheStats("p");
+  ASSERT_TRUE(risk.ok());
+  EXPECT_EQ(risk->hits + risk->misses, 1u + 2u + 1u);
+  const auto curves = service.CurveCacheStats("p");
+  ASSERT_TRUE(curves.ok());
+  EXPECT_EQ(curves->hits + curves->misses, 2u + 2u + 1u);
+  const auto tiles = service.RiskTileStats("p");
+  ASSERT_TRUE(tiles.ok());
+  EXPECT_EQ(tiles->hits + tiles->misses, 1u + 2u);
+
+  for (const auto& [request, got] : answered) {
+    const Frame want = server_->Handle(request);
+    EXPECT_EQ(got.opcode, want.opcode) << OpcodeName(request.opcode);
+    if (request.opcode == static_cast<uint32_t>(Opcode::kStats)) continue;
+    EXPECT_EQ(got.payload, want.payload) << OpcodeName(request.opcode);
+  }
+  EXPECT_EQ(server_->net_stats().frames_in, answered.size());
+  EXPECT_EQ(server_->net_stats().frames_out, answered.size());
+}
+
+// No in-repo client pipelines, so this pins the server side of the
+// protocol rule: several requests in flight on one connection are each
+// answered once, matched by id, whichever path answers them first.
+TEST_F(ParkServerTest, PipelinedRequestsAreAnsweredById) {
+  ParkService service;
+  ASSERT_TRUE(service.Register("p", MakeSnapshot()).ok());
+  ASSERT_TRUE(service.RiskMap("p", 1.0).ok());
+  ASSERT_TRUE(service.RiskTile("p", 0, 2.0).ok());
+  StartServer(&service);
+
+  const std::vector<Frame> requests = {
+      RequestFrame(11, Opcode::kRiskMap, EncodeRiskMapRequest({"p", 3.0})),
+      RequestFrame(12, Opcode::kRiskMap, EncodeRiskMapRequest({"p", 1.0})),
+      RequestFrame(13, Opcode::kStats, EncodeStatsRequest({"p"})),
+      RequestFrame(14, Opcode::kRiskTile, EncodeRiskTileRequest({"p", 0, 2.0})),
+  };
+  std::string bytes;
+  for (const Frame& request : requests) bytes += EncodeFrame(request);
+  RawConn raw(server_->port());
+  raw.Send(bytes);
+  const std::vector<Frame> got = raw.RecvFrames(requests.size());
+  ASSERT_EQ(got.size(), requests.size());
+
+  std::map<uint64_t, Frame> by_id;
+  for (const Frame& frame : got) {
+    EXPECT_TRUE(by_id.emplace(frame.request_id, frame).second)
+        << "id " << frame.request_id << " answered twice";
+  }
+  for (const Frame& request : requests) {
+    const auto it = by_id.find(request.request_id);
+    ASSERT_NE(it, by_id.end()) << "id " << request.request_id;
+    const Frame want = server_->Handle(request);
+    EXPECT_EQ(it->second.opcode, want.opcode);
+    if (request.opcode == static_cast<uint32_t>(Opcode::kStats)) {
+      // Live counters differ from call to call; the report is the same.
+      const auto report = DecodeStatsReportPayload(it->second.payload);
+      ASSERT_TRUE(report.ok()) << report.status();
+      ASSERT_EQ(report->parks.size(), 1u);
+      EXPECT_EQ(report->parks[0].park_id, "p");
+      continue;
+    }
+    EXPECT_EQ(it->second.payload, want.payload) << "id " << request.request_id;
+  }
+}
+
+// A peer that shuts down its write side after sending is still owed the
+// answer: the server stops reading at EOF, answers, then closes.
+TEST_F(ParkServerTest, HalfClosedPeerGetsTheAnswerItIsOwed) {
+  ParkService service;
+  ASSERT_TRUE(service.Register("p", MakeSnapshot()).ok());
+  StartServer(&service);
+  // A miss, so a worker answers it after the server has read the EOF.
+  const Frame request =
+      RequestFrame(7, Opcode::kRiskMap, EncodeRiskMapRequest({"p", 3.0}));
+  RawConn raw(server_->port());
+  raw.Send(EncodeFrame(request));
+  raw.ShutdownWrite();
+  const std::string got = raw.RecvUntilClosed();
+
+  FrameParser parser;
+  parser.Append(got.data(), got.size());
+  Frame frame;
+  const StatusOr<bool> parsed = parser.Next(&frame);
+  ASSERT_TRUE(parsed.ok() && *parsed) << got.size() << " bytes received";
+  EXPECT_EQ(parser.buffered_bytes(), 0u) << "more than one frame";
+  EXPECT_EQ(frame.request_id, 7u);
+  EXPECT_EQ(frame.payload, server_->Handle(request).payload);
+}
+
 // Number of open descriptors in this process.
 long OpenFdCount() {
   return std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
@@ -599,6 +798,54 @@ TEST(FrameServerTest, FailedStartClosesEverythingItOpened) {
   EXPECT_EQ(started.code(), StatusCode::kInternal) << started.ToString();
   EXPECT_EQ(OpenFdCount(), fds_before);
   EXPECT_EQ(server.port(), -1);
+}
+
+// A peer that pipelines requests and never reads its answers stops being
+// read: the server owes it at most the backpressure caps' worth, instead
+// of buffering every answer. Once the peer reads, every answer arrives.
+TEST(FrameServerTest, PeerThatNeverReadsIsNotReadEither) {
+  FrameServer server;
+  ASSERT_TRUE(server
+                  .Start(FrameServerOptions(),
+                         [](const Frame& request) {
+                           Frame response = request;
+                           response.opcode =
+                               static_cast<uint32_t>(Opcode::kOkResponse);
+                           return response;
+                         })
+                  .ok());
+  constexpr int kFrames = 20000;
+  const std::string payload(8 << 10, 'x');
+  RawConn raw(server.port());
+  std::thread sender([&] {
+    for (int i = 1; i <= kFrames; ++i) {
+      raw.Send(EncodeFrame(RequestFrame(i, Opcode::kRiskMap, payload)));
+    }
+  });
+
+  // Wait until the server has stopped taking frames: its count holds still
+  // for 200 ms.
+  uint64_t frames_in = 0;
+  for (int still = 0; still < 10;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const uint64_t now = server.stats().frames_in;
+    still = (now == frames_in && now > 0) ? still + 1 : 0;
+    frames_in = now;
+  }
+  EXPECT_LT(frames_in, static_cast<uint64_t>(kFrames / 4));
+
+  const std::vector<Frame> answers = raw.RecvFrames(kFrames);
+  sender.join();
+  ASSERT_EQ(answers.size(), static_cast<size_t>(kFrames));
+  std::vector<bool> seen(kFrames + 1, false);
+  for (const Frame& answer : answers) {
+    ASSERT_GE(answer.request_id, 1u);
+    ASSERT_LE(answer.request_id, static_cast<uint64_t>(kFrames));
+    ASSERT_FALSE(seen[answer.request_id]) << "id " << answer.request_id;
+    seen[answer.request_id] = true;
+    ASSERT_EQ(answer.payload, payload);
+  }
+  EXPECT_EQ(server.stats().frames_out, static_cast<uint64_t>(kFrames));
 }
 
 // Concurrency suite: the name contains "Parallel" so CI's TSan job
@@ -687,6 +934,115 @@ TEST_F(ParkServerParallelTest, ManyClientsHammerOneServerWithMixedOpcodes) {
   EXPECT_EQ(stats.frames_in, stats.frames_out);
   EXPECT_GE(stats.frames_in,
             static_cast<uint64_t>(kClients * kIterations + 3));
+}
+
+// Inline hits race the writers: while clients read cached keys over the
+// wire, an in-process writer flips the park's coverage between two layers
+// and swaps in a fresh snapshot (which carries the first layer). Every
+// answer must equal the in-process answer under one of the two coverage
+// states, bit for bit.
+TEST_F(ParkServerParallelTest, InlineHitsRaceCoverageUpdatesAndSwaps) {
+  ParkService service;
+  ASSERT_TRUE(service.Register("a", MakeSnapshot()).ok());
+  const std::vector<double> layer_a = MakeSnapshot().lagged_effort();
+  std::vector<double> layer_b = layer_a;
+  for (double& effort : layer_b) effort += 1.0;
+  const std::vector<int> cells = {0, 5, 9};
+  const std::vector<double> grid = UniformEffortGrid(0.0, 3.0, 5);
+
+  struct Answers {
+    std::vector<double> map_risk, map_variance;
+    std::vector<double> tile_risk, tile_variance;
+    std::vector<double> curve_prob, curve_variance;
+  };
+  const auto answers_now = [&] {
+    const auto map = service.RiskMap("a", 1.0);
+    const auto tile = service.RiskTile("a", 0, 2.0);
+    const auto curves = service.CellCurves("a", cells, grid);
+    CheckOrDie(map.ok() && tile.ok() && curves.ok(), "reference failed");
+    Answers answers;
+    answers.map_risk = (*map)->risk;
+    answers.map_variance = (*map)->variance;
+    answers.tile_risk = (*tile)->risk;
+    answers.tile_variance = (*tile)->variance;
+    answers.curve_prob = (*curves)->prob;
+    answers.curve_variance = (*curves)->variance;
+    return answers;
+  };
+  ASSERT_TRUE(service.UpdateCoverage("a", layer_b).ok());
+  const Answers under_b = answers_now();
+  ASSERT_TRUE(service.UpdateCoverage("a", layer_a).ok());
+  const Answers under_a = answers_now();  // also warms the caches
+  ASSERT_NE(under_a.map_risk, under_b.map_risk) << "layers serve alike";
+
+  FrameServerOptions options;
+  options.num_workers = 4;
+  StartServer(&service, options);
+  const int port = server_->port();
+
+  constexpr int kClients = 4;
+  constexpr int kIterations = 12;  // small: TSan multiplies the cost
+  std::atomic<int> failures{0};
+  std::atomic<int> readers_left{kClients};
+  std::vector<std::thread> threads;
+  threads.reserve(kClients + 1);
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      ParkClient client(FastClient());
+      if (!client.Connect("127.0.0.1", port).ok()) failures.fetch_add(1);
+      for (int i = 0; i < kIterations; ++i) {
+        bool matched = false;
+        switch ((c + i) % 3) {
+          case 0: {
+            const auto got = client.RiskMap("a", 1.0);
+            for (const Answers* want : {&under_a, &under_b}) {
+              matched |= got.ok() && got->risk == want->map_risk &&
+                         got->variance == want->map_variance;
+            }
+            break;
+          }
+          case 1: {
+            const auto got = client.RiskTile("a", 0, 2.0);
+            for (const Answers* want : {&under_a, &under_b}) {
+              matched |= got.ok() && got->risk == want->tile_risk &&
+                         got->variance == want->tile_variance;
+            }
+            break;
+          }
+          case 2: {
+            const auto got = client.CellCurves("a", cells, grid);
+            for (const Answers* want : {&under_a, &under_b}) {
+              matched |= got.ok() && got->prob == want->curve_prob &&
+                         got->variance == want->curve_variance;
+            }
+            break;
+          }
+        }
+        if (!matched) failures.fetch_add(1);
+      }
+      readers_left.fetch_sub(1);
+    });
+  }
+  // The writer keeps going until every reader is done, at least twice.
+  std::atomic<int> rounds{0};
+  threads.emplace_back([&] {
+    while (rounds.load() < 2 || readers_left.load() > 0) {
+      if (!service.UpdateCoverage("a", layer_b).ok() ||
+          !service.UpdateCoverage("a", layer_a).ok() ||
+          !service.SwapSnapshot("a", MakeSnapshot()).ok()) {
+        failures.fetch_add(1);
+      }
+      rounds.fetch_add(1);
+    }
+  });
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(rounds.load(), 2);
+  const auto stats = server_->net_stats();
+  EXPECT_EQ(stats.protocol_errors, 0u);
+  EXPECT_EQ(stats.frames_in, stats.frames_out);
+  EXPECT_EQ(stats.frames_in, static_cast<uint64_t>(kClients * kIterations));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "geo/tiled_feature_plane.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -161,6 +162,32 @@ TEST_F(TiledPlaneTest, UpdateInvalidatesOnlyTheTouchedTile) {
   ExpectTileRowsMatch(
       plane, data_->park,
       BuildCellFeatureRows(data_->park, OneStepHistory(lag), /*t=*/1));
+}
+
+// The diff compares runs of cells (a grid row inside one tile column), so
+// pin it cell by cell: changing any one cell, a run's first and last
+// included, dirties exactly the tile that holds it.
+TEST_F(TiledPlaneTest, EveryCellDirtiesExactlyItsOwnTile) {
+  TiledFeaturePlane plane(data_->park, {}, SmallTiles());
+  std::vector<double> lag(data_->park.num_cells(), 0.0);
+  for (int cell = 0; cell < data_->park.num_cells(); ++cell) {
+    lag[cell] = 1.0 + cell;
+    const uint64_t before = plane.coverage_version();
+    ASSERT_TRUE(plane.UpdateLaggedEffort(data_->park, lag).ok());
+    const int grid_index = data_->park.cell_indices()[cell];
+    const int tile = plane.geometry().TileOf(
+        grid_index % data_->park.width(), grid_index / data_->park.width());
+    for (int t = 0; t < plane.num_tiles(); ++t) {
+      ASSERT_EQ(plane.tile_coverage_version(t) > before, t == tile)
+          << "cell " << cell << ", tile " << t;
+    }
+  }
+  // A NaN in any run is refused, and the layer stays as it was.
+  const std::vector<double> kept = plane.lagged_effort();
+  lag.back() = std::nan("");
+  EXPECT_EQ(plane.UpdateLaggedEffort(data_->park, lag).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(plane.lagged_effort(), kept);
 }
 
 TEST_F(TiledPlaneTest, UpdateSpanningManyTilesInvalidatesAllOfThem) {
