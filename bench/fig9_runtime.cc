@@ -33,6 +33,7 @@
 #include "core/pipeline.h"
 #include "core/snapshot.h"
 #include "geo/synth.h"
+#include "geo/tiled_feature_plane.h"
 #include "ml/compiled_forest.h"
 #include "ml/compiled_gp.h"
 #include "serve/park_service.h"
@@ -1121,7 +1122,8 @@ double ReadPeakRssMb() {
 // ModelSnapshot whose feature-tile pool is LRU-bounded at 64 MiB (no
 // O(cells) feature rows ever exist).
 // Reports synthesis time, cold single-tile latency (rows materialized +
-// scored; the `ns_per_cell` bench_trend_check tracks), warm served-tile
+// scored; the `ns_per_cell` bench_trend_check tracks), feature-row
+// assembly alone (`materialize_ns_per_cell`), warm served-tile
 // LRU hits, pool/cache counters, and peak RSS — which stays at park
 // rasters + model + pool budget instead of growing an O(cells) row plane
 // (`eager_rows_mb_avoided` is what all-cells rows held at once would add).
@@ -1165,6 +1167,37 @@ void ReportMegaPark(long long target_cells, JsonWriter* json) {
                          std::vector<double>(cells, 0.0), tiled);
   const int num_tiles = snapshot.num_tiles();
 
+  // Evenly sampled tiles across the park: the cold pass materializes and
+  // scores each (served-tile cache miss), the warm pass replays the same
+  // ids as pure LRU hits.
+  const int sample = std::min(num_tiles, 256);
+  std::vector<int> tile_ids;
+  for (int i = 0; i < sample; ++i) {
+    tile_ids.push_back(static_cast<int>(1LL * i * num_tiles / sample));
+  }
+
+  // Feature-row assembly alone, over the same tiles: a plane whose 1-byte
+  // pool budget makes every GetTile a miss (the `materialize_ns_per_cell`
+  // bench_trend_check tracks). Its rows are the snapshot's: same park,
+  // same all-zero coverage.
+  double materialize_ms = 0.0;
+  long long materialized_cells = 0;
+  {
+    TiledPlaneOptions probe_options = tiled;
+    probe_options.pool_budget_bytes = 1;
+    const TiledFeaturePlane probe(snapshot.park(), {}, probe_options);
+    const auto t_materialize = Clock::now();
+    for (int t : tile_ids) {
+      auto tile = probe.GetTile(snapshot.park(), t);
+      materialized_cells += static_cast<long long>(tile->cell_ids.size());
+      benchmark::DoNotOptimize(tile);
+    }
+    materialize_ms = MsSince(t_materialize);
+  }
+  const double materialize_ns_per_cell =
+      materialized_cells > 0 ? materialize_ms * 1e6 / materialized_cells
+                             : 0.0;
+
   ParkServiceOptions opts;
   opts.tile_cache_capacity = 512;  // >= the sweep below, so warm == hit
   ParkService service(opts);
@@ -1178,14 +1211,6 @@ void ReportMegaPark(long long target_cells, JsonWriter* json) {
       cells, num_tiles, row_width, gen_ms, train_ms, pool_budget_mb,
       eager_rows_mb);
 
-  // Evenly sampled tiles across the park: the cold pass materializes and
-  // scores each (served-tile cache miss), the warm pass replays the same
-  // ids as pure LRU hits.
-  const int sample = std::min(num_tiles, 256);
-  std::vector<int> tile_ids;
-  for (int i = 0; i < sample; ++i) {
-    tile_ids.push_back(static_cast<int>(1LL * i * num_tiles / sample));
-  }
   long long scored_cells = 0;
   const auto t_cold = Clock::now();
   for (int t : tile_ids) {
@@ -1210,6 +1235,10 @@ void ReportMegaPark(long long target_cells, JsonWriter* json) {
       "(%.0f ns/cell, %.0f tiles/s), warm %.2f ms (%.0f tiles/s)\n",
       sample, scored_cells, cold_ms, ns_per_cell, cold_tile_qps, warm_ms,
       warm_tile_qps);
+  std::printf(
+      "feature-row assembly alone (same tiles, 1-byte pool): %.1f ms "
+      "(%.0f ns/cell)\n",
+      materialize_ms, materialize_ns_per_cell);
 
   const auto stats = service.RiskTileStats("mega");
   CheckOrDie(stats.ok(), "fig9: mega RiskTileStats failed");
@@ -1242,6 +1271,8 @@ void ReportMegaPark(long long target_cells, JsonWriter* json) {
     json->Add("scored_cells", static_cast<double>(scored_cells));
     json->Add("cold_ms", cold_ms);
     json->Add("ns_per_cell", ns_per_cell);
+    json->Add("materialize_ms", materialize_ms);
+    json->Add("materialize_ns_per_cell", materialize_ns_per_cell);
     json->Add("cold_tile_qps", cold_tile_qps);
     json->Add("warm_ms", warm_ms);
     json->Add("warm_tile_qps", warm_tile_qps);

@@ -50,15 +50,6 @@ StatusOr<int> Park::FeatureIndex(const std::string& feature_name) const {
   return Status::NotFound("no feature named " + feature_name);
 }
 
-std::vector<double> Park::FeatureVector(int dense_id) const {
-  const Cell c = CellOf(dense_id);
-  std::vector<double> x(features_.size());
-  for (size_t f = 0; f < features_.size(); ++f) {
-    x[f] = features_[f].raster.At(c);
-  }
-  return x;
-}
-
 void Park::AddPatrolPost(const Cell& c) {
   CheckOrDie(CheckPost(c).ok(), "Park::AddPatrolPost outside the park");
   patrol_posts_.push_back(c);

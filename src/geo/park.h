@@ -51,8 +51,16 @@ class Park {
   const GridD& feature(int f) const { return features_[f].raster; }
   StatusOr<int> FeatureIndex(const std::string& feature_name) const;
 
-  /// Static feature vector (length num_features()) of a dense cell id.
-  std::vector<double> FeatureVector(int dense_id) const;
+  /// Writes the static features of dense cell `dense_id`, num_features()
+  /// values in park order, to `out`. AddFeature and the PARK loader
+  /// (CheckRaster) prove every raster has the mask's shape, so the cell's
+  /// one grid index addresses every raster.
+  void CopyFeatures(int dense_id, double* out) const {
+    CheckOrDie(dense_id >= 0 && dense_id < num_cells(),
+               "Park::CopyFeatures out of bounds");
+    const size_t grid_index = cell_indices_[dense_id];
+    for (const Feature& f : features_) *out++ = f.raster.data()[grid_index];
+  }
 
   /// Patrol posts: cells where every patrol must start and end.
   void AddPatrolPost(const Cell& c);

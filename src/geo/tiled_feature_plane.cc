@@ -84,12 +84,22 @@ void TiledFeaturePlane::TileCellIds(const Park& park, int tile_id,
   CheckPark(park);
   int x0, y0, x1, y1;
   geometry_.TileRect(tile_id, grid_width_, grid_height_, &x0, &y0, &x1, &y1);
-  out->clear();
-  for (int y = y0; y < y1; ++y) {
-    for (int x = x0; x < x1; ++x) {
-      const int id = park.DenseIdOf(Cell{x, y});
-      if (id >= 0) out->push_back(id);
-    }
+  // The tile's cells are its runs for grid rows y0..y1-1, concatenated.
+  const int tiles_x = geometry_.tiles_x;
+  const int tx = tile_id % tiles_x;
+  const int first_run = y0 * tiles_x + tx;
+  const int end_run = y1 * tiles_x + tx;
+  size_t count = 0;
+  for (int run = first_run; run < end_run; run += tiles_x) {
+    count += run_starts_[run + 1] - run_starts_[run];
+  }
+  out->resize(count);
+  int* next = out->data();
+  for (int run = first_run; run < end_run; run += tiles_x) {
+    const int begin = run_starts_[run];
+    const int end = run_starts_[run + 1];
+    std::iota(next, next + (end - begin), begin);
+    next += end - begin;
   }
 }
 

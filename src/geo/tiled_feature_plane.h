@@ -57,18 +57,22 @@ inline bool IsValidCoverage(double km) {
 }
 
 /// The one per-cell feature-row assembly loop: for each cell, the park's
-/// static raster features in park order, then the lagged-coverage value
-/// (zero when `lagged` is null). Appends to `*rows`. Tile materialization,
+/// static raster features in park order (Park::CopyFeatures), then the
+/// lagged-coverage value (zero when `lagged` is null). Appends to `*rows`,
+/// which grows once; each row is written in place. Tile materialization,
 /// subset gathers and the training-side BuildCellFeatureRows all run this
 /// loop, so their rows are byte-identical by construction.
 template <typename Rows>
 void AppendCellFeatureRows(const Park& park, const std::vector<double>* lagged,
                            const std::vector<int>& cell_ids, Rows* rows) {
-  rows->reserve(rows->size() + cell_ids.size() * (park.num_features() + 1));
+  const size_t width = park.num_features() + 1;
+  const size_t begin = rows->size();
+  rows->resize(begin + cell_ids.size() * width);
+  double* row = rows->data() + begin;
   for (int id : cell_ids) {
-    const std::vector<double> static_x = park.FeatureVector(id);
-    rows->insert(rows->end(), static_x.begin(), static_x.end());
-    rows->push_back(lagged != nullptr ? (*lagged)[id] : 0.0);
+    park.CopyFeatures(id, row);
+    row[width - 1] = lagged != nullptr ? (*lagged)[id] : 0.0;
+    row += width;
   }
 }
 
@@ -166,7 +170,8 @@ class TiledFeaturePlane {
   std::shared_ptr<const Tile> GetTile(const Park& park, int tile_id) const;
 
   /// Dense ids of the tile's in-park cells (grid row-major), without
-  /// materializing rows. Appends into `*out` (cleared first).
+  /// materializing rows: the tile's runs (see run_starts_), concatenated.
+  /// Replaces the contents of `*out`.
   void TileCellIds(const Park& park, int tile_id,
                    std::vector<int>* out) const;
 
@@ -223,7 +228,8 @@ class TiledFeaturePlane {
   /// Run y * tiles_x + tx holds the in-park cells of grid row y inside
   /// tile column tx: dense ids [run_starts_[run], run_starts_[run + 1]),
   /// since dense ids follow the grid in row-major order. Coverage diffs
-  /// compare whole runs, so they need no per-cell tile lookup.
+  /// compare whole runs, and TileCellIds concatenates them, so neither
+  /// needs a per-cell mask or tile lookup.
   std::vector<int> run_starts_;
 
   /// LRU pool of materialized tiles keyed by tile id, its capacity the

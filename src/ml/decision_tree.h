@@ -67,8 +67,14 @@ class DecisionTree : public Classifier {
     /// A node on its own: a leaf, or a split on a real feature whose
     /// children come after the root (see ArchiveLoaded(DecisionTree&)).
     /// A real feature leaves room for the int width, feature + 1, of the
-    /// rows that hold it.
+    /// rows that hold it. Fit gives every node a Laplace-smoothed
+    /// probability in (0, 1), so one outside [0, 1] (NaN included) is
+    /// refused rather than served as risk.
     friend Status ArchiveLoaded(Node& n) {
+      if (!(n.prob >= 0.0 && n.prob <= 1.0)) {
+        return Status::InvalidArgument(
+            "DecisionTree: node probability outside [0, 1]");
+      }
       const bool leaf = n.left == -1 && n.right == -1;
       const bool real = n.feature >= 0 &&
                         n.feature < std::numeric_limits<int>::max();

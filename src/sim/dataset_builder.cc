@@ -26,8 +26,7 @@ Dataset BuildDataset(const Park& park, const PatrolHistory& history,
     for (int id = 0; id < park.num_cells(); ++id) {
       const double effort = rec.effort[id];
       if (effort <= 0.0 && !options.include_unpatrolled) continue;
-      const std::vector<double> static_x = park.FeatureVector(id);
-      std::copy(static_x.begin(), static_x.end(), x.begin());
+      park.CopyFeatures(id, x.data());
       x[k - 1] = prev != nullptr ? (*prev)[id] : 0.0;
       // One-sided noise: label is what rangers *saw*, not the truth.
       data.AddRow(x, rec.detected[id] ? 1 : 0, effort, t, id);

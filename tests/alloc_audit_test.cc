@@ -2,8 +2,10 @@
 // ParkService::RiskTile hit — the request the tile LRU exists to make
 // cheap — performs ZERO heap allocations on the calling thread, and that
 // a steady-state miss (scratch buffers already warmed) allocates the same
-// bounded count every time instead of drifting. The wire decoders are
-// audited too: a hostile element count may not size an allocation.
+// bounded count every time instead of drifting, and a feature-tile pool
+// miss allocates as much for a full tile as for a small one. The wire
+// decoders are audited too: a hostile element count may not size an
+// allocation.
 //
 // The audit instruments the global allocator: this TU replaces the
 // replaceable global operator new/delete family with malloc-backed
@@ -23,6 +25,7 @@
 #include "core/pipeline.h"
 #include "core/snapshot.h"
 #include "fleet/fleet_map.h"
+#include "geo/tiled_feature_plane.h"
 #include "net/fault_injector.h"
 #include "net/wire.h"
 #include "serve/park_service.h"
@@ -140,6 +143,7 @@ class AllocAuditTest : public ::testing::Test {
         data.history.steps[data.num_steps() - 2].effort;
     TiledPlaneOptions options;
     options.tile_size = 8;
+    park_ = new Park(data.park);
     service_ = new ParkService();
     CheckOrDie(service_
                    ->Register("p", ModelSnapshot(std::move(model), data.park,
@@ -150,11 +154,15 @@ class AllocAuditTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete service_;
     service_ = nullptr;
+    delete park_;
+    park_ = nullptr;
   }
   static ParkService* service_;
+  static Park* park_;
 };
 
 ParkService* AllocAuditTest::service_ = nullptr;
+Park* AllocAuditTest::park_ = nullptr;
 
 // The warm path: once a tile result sits in the served-tile LRU, the next
 // request for the same key is a map find plus a list splice plus a
@@ -222,6 +230,41 @@ TEST_F(AllocAuditTest, SteadyStateMissAllocationCountIsFlat) {
         << "miss " << i << " allocation count drifted";
   }
   // A miss does real work; the audit itself is live if this is non-zero.
+  EXPECT_GT(counts[0], 0u);
+}
+
+// A feature-tile pool miss builds the tile, its id list and its row block,
+// and writes each cell's row in place, so its allocation count does not
+// grow with the tile's cells. A 1-byte budget makes each fresh plane's
+// GetTile a miss; the fullest tile at two tile sizes must allocate alike.
+TEST_F(AllocAuditTest, PoolMissAllocationCountIsIndependentOfTileCells) {
+  std::vector<size_t> cells;
+  std::vector<std::uint64_t> counts;
+  for (const int tile_size : {8, 16}) {
+    TiledPlaneOptions options;
+    options.tile_size = tile_size;
+    options.pool_budget_bytes = 1;
+    const TiledFeaturePlane plane(*park_, {}, options);
+    int fullest = 0;
+    std::vector<int> ids;
+    size_t most = 0;
+    for (int t = 0; t < plane.num_tiles(); ++t) {
+      plane.TileCellIds(*park_, t, &ids);
+      if (ids.size() > most) {
+        most = ids.size();
+        fullest = t;
+      }
+    }
+    cells.push_back(most);
+    counts.push_back(CountAllocations([&] {
+      const auto tile = plane.GetTile(*park_, fullest);
+      CheckOrDie(tile->cell_ids.size() == most, "pool miss lost cells");
+    }));
+  }
+  ASSERT_LT(cells[0], cells[1]);
+  EXPECT_EQ(counts[0], counts[1])
+      << "a " << cells[0] << "-cell miss made " << counts[0]
+      << " allocations, a " << cells[1] << "-cell miss " << counts[1];
   EXPECT_GT(counts[0], 0u);
 }
 

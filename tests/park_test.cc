@@ -50,10 +50,11 @@ TEST(ParkTest, FeatureVectorReadsAllLayers) {
   park.AddFeature("a", a);
   park.AddFeature("b", b);
   const int id = park.DenseIdOf(Cell{2, 2});
-  const std::vector<double> x = park.FeatureVector(id);
-  ASSERT_EQ(x.size(), 2u);
+  double x[3] = {0.0, 0.0, -1.0};
+  park.CopyFeatures(id, x);
   EXPECT_DOUBLE_EQ(x[0], 1.0);
   EXPECT_DOUBLE_EQ(x[1], 2.0);
+  EXPECT_DOUBLE_EQ(x[2], -1.0);  // writes num_features() values only
 }
 
 TEST(ParkTest, PatrolPosts) {
@@ -63,6 +64,14 @@ TEST(ParkTest, PatrolPosts) {
   ASSERT_EQ(park.patrol_posts().size(), 2u);
   EXPECT_EQ(park.patrol_posts()[0].x, 2);
   EXPECT_EQ(park.patrol_posts()[0].y, 0);
+}
+
+TEST(ParkDeathTest, CopyFeaturesOutOfRangeDies) {
+  Park park("test", DiamondMask());
+  park.AddFeature("a", GridD(5, 5, 1.0));
+  double x[1];
+  EXPECT_DEATH(park.CopyFeatures(park.num_cells(), x), "out of bounds");
+  EXPECT_DEATH(park.CopyFeatures(-1, x), "out of bounds");
 }
 
 TEST(ParkDeathTest, AddPatrolPostOutsideParkDies) {

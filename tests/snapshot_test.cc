@@ -181,6 +181,33 @@ TEST(ClassifierRoundTripTest, SplitOnAFeatureNoRowCanHoldFails) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ClassifierRoundTripTest, NodeProbabilityOutsideTheUnitIntervalFails) {
+  // Fit gives every node a probability in (0, 1). A leaf outside [0, 1]
+  // would be served as risk, so the node is refused as it is read.
+  const auto load_with_leaf = [](double prob) {
+    ArchiveWriter writer;
+    writer.BeginSection(DecisionTree::kArchiveSection.tag);
+    writer.WriteU32(1);  // schema version
+    SaveRecord(DecisionTreeConfig{}, &writer);
+    SaveRecord(std::vector<DecisionTree::Node>{{0, 0.5, 1, 2, 0.5},
+                                               {-1, 0.0, -1, -1, 0.25},
+                                               {-1, 0.0, -1, -1, prob}},
+               &writer);
+    writer.EndSection();
+    auto reader = ArchiveReader::FromBytes(writer.Bytes());
+    CheckOrDie(reader.ok(), "tree archive did not seal");
+    return Load<Learner>(&*reader).status();
+  };
+  EXPECT_TRUE(load_with_leaf(0.0).ok());
+  EXPECT_TRUE(load_with_leaf(1.0).ok());
+  for (const double bad : {3e143, -0.25, 1.0 + 1e-12,
+                           std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(load_with_leaf(bad).code(), StatusCode::kInvalidArgument)
+        << bad;
+  }
+}
+
 TEST(IWareRoundTripTest, UnknownWeakLearnerKindFails) {
   IWareConfig config;
   config.weak_learner = static_cast<WeakLearnerKind>(3);

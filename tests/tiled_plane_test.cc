@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -84,6 +86,76 @@ TEST_F(TiledPlaneTest, TilesPartitionTheDenseCellsExactlyOnce) {
     }
   }
   EXPECT_EQ(static_cast<int>(seen.size()), data_->park.num_cells());
+}
+
+// A hand-drawn 23x19 mask: ragged row ends, interior holes, out-of-park
+// stretches inside tile rows that cross a tile-column boundary, and a
+// corner with no in-park cell. Raster values name their grid cell.
+Park HoledPark() {
+  const int width = 23, height = 19;
+  GridB mask(width, height, 0);
+  for (int y = 0; y < height; ++y) {
+    for (int x = (y * 5) % 4; x < width - y % 3; ++x) {
+      const bool hole = (x * 7 + y * 3) % 11 == 0;
+      const bool stretch = y % 4 == 1 && x >= 6 && x < 13;
+      const bool empty_corner = x >= 15 && y < 8;
+      mask.At(x, y) = !(hole || stretch || empty_corner);
+    }
+  }
+  Park park("holed", mask);
+  for (int f = 0; f < 3; ++f) {
+    GridD raster(width, height, 0.0);
+    for (int i = 0; i < raster.size(); ++i) {
+      raster.AtIndex(i) = 1000.0 * f + i + 0.5;
+    }
+    park.AddFeature("f" + std::to_string(f), raster);
+  }
+  return park;
+}
+
+// A tile's ids are a row-major DenseIdOf scan of its rectangle, and its
+// rows are the per-request assembly's rows for those ids, byte for byte.
+TEST_F(TiledPlaneTest, TileIdsAndRowsFollowAMaskWithHoles) {
+  const Park park = HoledPark();
+  std::vector<double> lag(park.num_cells());
+  for (int id = 0; id < park.num_cells(); ++id) lag[id] = 0.125 * id;
+  const std::vector<double> all_rows =
+      BuildCellFeatureRows(park, OneStepHistory(lag), /*t=*/1);
+  for (const int tile_size : {5, 8}) {
+    TiledPlaneOptions options;
+    options.tile_size = tile_size;
+    const TiledFeaturePlane plane(park, lag, options);
+    const int w = plane.row_width();
+    std::vector<int> ids;
+    int empty_tiles = 0;
+    for (int t = 0; t < plane.num_tiles(); ++t) {
+      int x0, y0, x1, y1;
+      plane.geometry().TileRect(t, park.width(), park.height(), &x0, &y0,
+                                &x1, &y1);
+      std::vector<int> scan;
+      std::vector<double> want;
+      for (int y = y0; y < y1; ++y) {
+        for (int x = x0; x < x1; ++x) {
+          const int id = park.DenseIdOf(Cell{x, y});
+          if (id < 0) continue;
+          scan.push_back(id);
+          want.insert(want.end(), all_rows.begin() + id * w,
+                      all_rows.begin() + (id + 1) * w);
+        }
+      }
+      empty_tiles += scan.empty();
+      plane.TileCellIds(park, t, &ids);
+      EXPECT_EQ(ids, scan) << "tile " << t << " at size " << tile_size;
+      const auto tile = plane.GetTile(park, t);
+      EXPECT_EQ(tile->cell_ids, scan);
+      ASSERT_EQ(tile->rows.size(), want.size());
+      EXPECT_TRUE(want.empty() ||
+                  std::memcmp(tile->rows.data(), want.data(),
+                              want.size() * sizeof(double)) == 0)
+          << "tile " << t << " at size " << tile_size;
+    }
+    EXPECT_GT(empty_tiles, 0);
+  }
 }
 
 // Every tile row equals the per-request assembly's row for the same cell.
