@@ -130,14 +130,7 @@ StatusOr<std::vector<FleetEndpoint>> ParseEndpoints(const std::string& spec) {
     const std::string item = spec.substr(start, comma - start);
     start = comma + 1;
     if (item.empty()) continue;
-    const size_t colon = item.rfind(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 >= item.size()) {
-      return Status::InvalidArgument("fleet_loadgen: bad endpoint '" + item +
-                                     "' (want host:port)");
-    }
-    FleetEndpoint endpoint;
-    endpoint.host = item.substr(0, colon);
-    endpoint.port = std::atoi(item.c_str() + colon + 1);
+    PAWS_ASSIGN_OR_RETURN(FleetEndpoint endpoint, FleetEndpoint::Parse(item));
     endpoints.push_back(std::move(endpoint));
   }
   return endpoints;

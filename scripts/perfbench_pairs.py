@@ -22,16 +22,23 @@ won (ties count for neither side), then a verdict:
 
 Per-layer metrics (--trace 1) have no bound, so they get medians, quartiles
 and wins only. Results go to BENCH_<workload>.json (or --out): one set per
-(seed, trace) with every run's numbers and perfbench's `host:` line. A set
-already in the file for the same seed and trace is replaced; others stay,
-so a held-out seed adds beside the first.
+run of this script, with every run's numbers, perfbench's `host:` line and
+the identity of the code each side measured: a SHA-256 digest of the files
+perfbench builds (src/, perfbench/ and the top-level CMakeLists.txt) and
+the git commit when the tree is a checkout (a `git archive` tree has
+none). A set already in the file is replaced only by a rerun of the same
+seed and trace on the same two identities; any other set is added beside
+the ones there.
 """
 import argparse
+import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 
 WIN_SHARE = 0.9  # a gain needs at least 9 of every 10 pairs
 
@@ -125,9 +132,38 @@ def run_once(tree, args):
     return json.loads(lines[-1]), host
 
 
+def tree_identity(tree):
+    """{"digest", "commit"} for the code in `tree`: a SHA-256 over the
+    relative path and bytes of every file perfbench builds, and the git
+    commit when `tree` is the top of a checkout, else None."""
+    paths = [os.path.join(tree, "CMakeLists.txt")]
+    for top in ("src", "perfbench"):
+        for root, dirs, files in os.walk(os.path.join(tree, top)):
+            dirs[:] = [d for d in dirs if d != "__pycache__"]
+            paths += [os.path.join(root, f) for f in files]
+    digest = hashlib.sha256()
+    for path in sorted(paths):
+        with open(path, "rb") as f:
+            data = f.read()
+        name = os.path.relpath(path, tree).replace(os.sep, "/")
+        digest.update(("%s %d\n" % (name, len(data))).encode() + data)
+    commit = None
+    if shutil.which("git"):
+        git = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"],
+                             cwd=tree, stdout=subprocess.PIPE,
+                             stderr=subprocess.DEVNULL,
+                             universal_newlines=True)
+        lines = git.stdout.split()
+        if (git.returncode == 0 and len(lines) == 2
+                and os.path.realpath(lines[0]) == os.path.realpath(tree)):
+            commit = lines[1]
+    return {"digest": digest.hexdigest(), "commit": commit}
+
+
 def run_pairs(args):
     declared = load_declared(args.change_tree)
     trees = {"parent": args.parent_tree, "change": args.change_tree}
+    identity = {side: tree_identity(tree) for side, tree in trees.items()}
     for tree in trees.values():  # build once, outside the timed runs
         subprocess.run([sys.executable, "perfbench/run.py", "--self-test"],
                        cwd=tree, stdout=subprocess.DEVNULL, check=True)
@@ -144,10 +180,10 @@ def run_pairs(args):
                 i + 1, side, m.get("latency_p50_us", {}).get("value"),
                 m.get("ops_per_s", {}).get("value"), result["failed"],
                 result["attempted"]), flush=True)
-    return summarize(results, declared, args, host)
+    return summarize(results, declared, args, host, identity)
 
 
-def summarize(results, declared, args, host):
+def summarize(results, declared, args, host, identity):
     names = [n for n in results["parent"][0]["metrics"]
              if all(n in r["metrics"] for side in results.values()
                     for r in side)]
@@ -166,6 +202,7 @@ def summarize(results, declared, args, host):
         "pairs": len(results["parent"]),
         "order": "alternating, parent first in odd pairs",
         "host": host,
+        "identity": identity,
         "failed": {side: [r["failed"] for r in runs]
                    for side, runs in results.items()},
         "attempted": {side: [r["attempted"] for r in runs]
@@ -196,9 +233,9 @@ def write_set(path, workload, result):
     if os.path.exists(path):
         with open(path) as f:
             doc = json.load(f)
+    key = (result["seed"], result["trace"], result.get("identity"))
     doc["sets"] = [s for s in doc["sets"]
-                   if (s["seed"], s["trace"]) != (result["seed"],
-                                                  result["trace"])]
+                   if (s["seed"], s["trace"], s.get("identity")) != key]
     doc["sets"].append(result)
     doc["sets"].sort(key=lambda s: (s["trace"], s["seed"]))
     with open(path, "w") as f:
@@ -263,6 +300,72 @@ def self_test():
     # A bounded metric whose parent median is zero regresses on any rise.
     m = judge([0, 0, 0], [0, 1, 1], "lower", 0.25)
     check(m["verdict"] == "regressed", "rise from zero")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        # The identity covers src/, perfbench/ and CMakeLists.txt only.
+        tree = os.path.join(tmp, "tree")
+        for name in ("src/a.cc", "perfbench/run.py", "CMakeLists.txt",
+                     "docs/notes.md"):
+            os.makedirs(os.path.dirname(os.path.join(tree, name)),
+                        exist_ok=True)
+            with open(os.path.join(tree, name), "w") as f:
+                f.write(name)
+        first = tree_identity(tree)
+        check(first == tree_identity(tree), "identity is stable")
+        check(first["commit"] is None, "no commit outside a checkout")
+        with open(os.path.join(tree, "docs/notes.md"), "a") as f:
+            f.write("more")
+        check(tree_identity(tree) == first, "docs outside the digest")
+        with open(os.path.join(tree, "src/a.cc"), "a") as f:
+            f.write("more")
+        second = tree_identity(tree)
+        check(second["digest"] != first["digest"], "src edit moves digest")
+        os.rename(os.path.join(tree, "src/a.cc"),
+                  os.path.join(tree, "src/b.cc"))
+        check(tree_identity(tree)["digest"] != second["digest"],
+              "rename moves digest")
+        if shutil.which("git"):
+            # A tree unpacked inside a checkout is not that checkout.
+            nested = os.path.join(tree, "nested")
+            for name in ("src", "perfbench"):
+                shutil.copytree(os.path.join(tree, name),
+                                os.path.join(nested, name))
+            shutil.copy(os.path.join(tree, "CMakeLists.txt"), nested)
+            quiet = {"stdout": subprocess.DEVNULL,
+                     "stderr": subprocess.DEVNULL}
+            subprocess.run(["git", "init", "-q", tree], check=True, **quiet)
+            subprocess.run(["git", "-C", tree, "add", "-A"], check=True,
+                           **quiet)
+            subprocess.run(["git", "-C", tree, "-c", "user.name=t", "-c",
+                            "user.email=t@t", "commit", "-qm", "t"],
+                           check=True, **quiet)
+            head = subprocess.run(["git", "-C", tree, "rev-parse", "HEAD"],
+                                  stdout=subprocess.PIPE, check=True,
+                                  universal_newlines=True).stdout.strip()
+            check(tree_identity(tree)["commit"] == head, "checkout commit")
+            check(tree_identity(nested)["commit"] is None,
+                  "no commit below the top of a checkout")
+
+        # write_set replaces a set only on the same seed, trace and both
+        # identities; a legacy set without identities is left alone.
+        path = os.path.join(tmp, "BENCH_x.json")
+        ids = {"parent": first, "change": second}
+        other = {"parent": first, "change": first}
+        with open(path, "w") as f:
+            json.dump({"workload": "x", "sets": [
+                {"seed": 1, "trace": 0, "pairs": 0}]}, f)
+        write_set(path, "x", {"seed": 1, "trace": 0, "identity": ids,
+                              "pairs": 1})
+        write_set(path, "x", {"seed": 1, "trace": 0, "identity": ids,
+                              "pairs": 2})
+        write_set(path, "x", {"seed": 1, "trace": 0, "identity": other,
+                              "pairs": 3})
+        write_set(path, "x", {"seed": 7, "trace": 0, "identity": ids,
+                              "pairs": 4})
+        with open(path) as f:
+            sets = json.load(f)["sets"]
+        check(sorted(s["pairs"] for s in sets) == [0, 2, 3, 4],
+              "replace-or-append")
 
     print("perfbench_pairs self-test: %d checks passed" % checks)
     return 0

@@ -1,46 +1,31 @@
 #include "fleet/fleet_admin.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "core/snapshot.h"
 
 namespace paws {
 
-FleetAdmin::FleetAdmin(const FleetMap* map, FleetAdminOptions options)
-    : map_(map), options_(std::move(options)) {}
+namespace {
 
-Status FleetAdmin::PushSnapshotTo(const FleetEndpoint& endpoint,
-                                  const std::string& park_id,
-                                  const std::string& snapshot_bytes) {
-  ParkClient client(options_.client);
-  PAWS_RETURN_IF_ERROR(client.Connect(endpoint.host, endpoint.port));
-  return client.SwapSnapshot(park_id, snapshot_bytes);
-}
+// Any effort the snapshot can serve works: the comparison is bit-exact.
+constexpr double kVerifyEffort = 1.0;
 
-Status FleetAdmin::PushTo(int endpoint_index, const std::string& park_id,
-                          const std::string& snapshot_bytes) {
-  return PushSnapshotTo(map_->endpoints()[endpoint_index], park_id,
-                        snapshot_bytes);
-}
-
-Status FleetAdmin::VerifyEndpoint(const FleetEndpoint& endpoint,
-                                  const std::string& park_id,
-                                  const std::string& snapshot_bytes) {
-  // The reference result: what the artifact itself serves, computed
-  // locally. Decoding also re-validates the bytes end to end.
+// The reference result: what the artifact itself serves, computed
+// locally. Decoding also re-validates the bytes end to end.
+StatusOr<RiskMaps> ReferenceMaps(const std::string& snapshot_bytes) {
   PAWS_ASSIGN_OR_RETURN(ModelSnapshot snapshot,
                         ModelSnapshot::FromBytes(snapshot_bytes));
-  // Any effort the snapshot can serve works: the comparison is bit-exact.
-  constexpr double kVerifyEffort = 1.0;
-  const RiskMaps want = snapshot.PredictRisk(kVerifyEffort);
+  return snapshot.PredictRisk(kVerifyEffort);
+}
 
-  ParkClient client(options_.client);
-  PAWS_RETURN_IF_ERROR(client.Connect(endpoint.host, endpoint.port));
-  PAWS_ASSIGN_OR_RETURN(RiskMaps got,
-                        client.RiskMap(park_id, kVerifyEffort));
-  if (got.risk != want.risk || got.variance != want.variance) {
+// Does `client`'s daemon serve `park_id` exactly as `want`?
+Status Verify(ParkClient* client, const FleetEndpoint& endpoint,
+              const std::string& park_id, const StatusOr<RiskMaps>& want) {
+  PAWS_RETURN_IF_ERROR(want.status());
+  PAWS_ASSIGN_OR_RETURN(RiskMaps got, client->RiskMap(park_id, kVerifyEffort));
+  if (got.risk != want->risk || got.variance != want->variance) {
     return Status::Internal("fleet rollout verify: " + endpoint.ToString() +
                             " serves '" + park_id +
                             "' with bytes that differ from the pushed "
@@ -49,28 +34,35 @@ Status FleetAdmin::VerifyEndpoint(const FleetEndpoint& endpoint,
   return Status::OK();
 }
 
+// Pushes `snapshot_bytes` to `endpoint` and, when that succeeds, reads the
+// park back over the same connection and compares it with `want`, the
+// artifact's local risk map (or the error computing it).
+void PushAndVerify(const ClientOptions& options, const FleetEndpoint& endpoint,
+                   const std::string& park_id,
+                   const std::string& snapshot_bytes,
+                   const StatusOr<RiskMaps>& want, Status* push,
+                   Status* verify) {
+  ParkClient client(options, endpoint.host, endpoint.port);
+  *push = client.SwapSnapshot(park_id, snapshot_bytes);
+  if (push->ok()) *verify = Verify(&client, endpoint, park_id, want);
+}
+
+bool Contains(const std::vector<FleetEndpoint>& endpoints,
+              const FleetEndpoint& endpoint) {
+  return std::find(endpoints.begin(), endpoints.end(), endpoint) !=
+         endpoints.end();
+}
+
+}  // namespace
+
+FleetAdmin::FleetAdmin(const FleetMap* map, FleetAdminOptions options)
+    : map_(map), options_(std::move(options)) {}
+
 Status FleetAdmin::VerifyReplica(int endpoint_index, const std::string& park_id,
                                  const std::string& snapshot_bytes) {
-  return VerifyEndpoint(map_->endpoints()[endpoint_index], park_id,
-                        snapshot_bytes);
-}
-
-StatusOr<std::string> FleetAdmin::PullSnapshot(const FleetEndpoint& endpoint,
-                                               const std::string& park_id) {
-  ParkClient client(options_.client);
-  PAWS_RETURN_IF_ERROR(client.Connect(endpoint.host, endpoint.port));
-  PAWS_ASSIGN_OR_RETURN(std::string bytes, client.GetSnapshot(park_id));
-  // Validate before shipping anywhere: migration must move artifacts, not
-  // propagate damage.
-  PAWS_RETURN_IF_ERROR(ModelSnapshot::FromBytes(bytes).status());
-  return bytes;
-}
-
-Status FleetAdmin::PushMapTo(const FleetEndpoint& endpoint,
-                             const std::string& map_bytes) {
-  ParkClient client(options_.client);
-  PAWS_RETURN_IF_ERROR(client.Connect(endpoint.host, endpoint.port));
-  return client.SwapFleetMap(map_bytes);
+  const FleetEndpoint& endpoint = map_->endpoints()[endpoint_index];
+  ParkClient client(options_.client, endpoint.host, endpoint.port);
+  return Verify(&client, endpoint, park_id, ReferenceMaps(snapshot_bytes));
 }
 
 MigrationReport FleetAdmin::MigrateParks(
@@ -80,68 +72,43 @@ MigrationReport FleetAdmin::MigrateParks(
       ParksMoved(*map_, new_map, park_ids);
   report.parks_unchanged = park_ids.size() - moved.size();
 
-  // Address → endpoint over both generations; migration works in
-  // addresses because the same daemon usually sits at different indices
-  // in the two maps.
-  std::vector<FleetEndpoint> union_endpoints = map_->endpoints();
-  std::set<std::string> union_seen;
-  for (const FleetEndpoint& ep : union_endpoints) {
-    union_seen.insert(ep.ToString());
-  }
-  for (const FleetEndpoint& ep : new_map.endpoints()) {
-    if (union_seen.insert(ep.ToString()).second) {
-      union_endpoints.push_back(ep);
-    }
-  }
-  auto endpoint_by_address = [&](const std::string& address) {
-    for (const FleetEndpoint& ep : union_endpoints) {
-      if (ep.ToString() == address) return ep;
-    }
-    return FleetEndpoint{};  // unreachable: addresses come from the maps
-  };
-
   bool all_moves_ok = true;
   for (const std::string& park_id : moved) {
     MigrationReport::ParkMove move;
     move.park_id = park_id;
-
-    const std::vector<std::string> old_addrs =
-        ReplicaAddresses(*map_, park_id);
-    const std::vector<std::string> new_addrs =
-        ReplicaAddresses(new_map, park_id);
+    const std::vector<FleetEndpoint> old_replicas =
+        ReplicaEndpoints(*map_, park_id);
 
     // Pull the artifact from the first old replica that serves it. Every
-    // old replica holds the park, so one healthy daemon suffices.
+    // old replica holds the park, so one healthy daemon suffices. The
+    // local decode validates the bytes before they ship anywhere
+    // (migration must move artifacts, not propagate damage) and yields
+    // the reference every target is verified against.
     std::string snapshot_bytes;
-    move.pull = Status::Internal("migrate '" + park_id +
-                                 "': no old replica reachable");
-    for (const std::string& address : old_addrs) {
-      StatusOr<std::string> pulled =
-          PullSnapshot(endpoint_by_address(address), park_id);
-      if (pulled.ok()) {
+    StatusOr<RiskMaps> want = Status::Internal(
+        "migrate '" + park_id + "': no old replica reachable");
+    for (const FleetEndpoint& source : old_replicas) {
+      ParkClient client(options_.client, source.host, source.port);
+      StatusOr<std::string> pulled = client.GetSnapshot(park_id);
+      want = pulled.ok() ? ReferenceMaps(*pulled)
+                         : StatusOr<RiskMaps>(pulled.status());
+      if (want.ok()) {
         snapshot_bytes = std::move(pulled).value();
-        move.source = address;
-        move.pull = Status::OK();
+        move.source = source.ToString();
         break;
       }
-      move.pull = pulled.status();
     }
+    move.pull = want.status();
 
     if (move.pull.ok()) {
       move.ok = true;
-      for (const std::string& address : new_addrs) {
+      for (const FleetEndpoint& endpoint : ReplicaEndpoints(new_map, park_id)) {
         // Only daemons *gaining* the park need the artifact.
-        if (std::find(old_addrs.begin(), old_addrs.end(), address) !=
-            old_addrs.end()) {
-          continue;
-        }
+        if (Contains(old_replicas, endpoint)) continue;
         MigrationReport::TargetResult target;
-        target.address = address;
-        const FleetEndpoint endpoint = endpoint_by_address(address);
-        target.push = PushSnapshotTo(endpoint, park_id, snapshot_bytes);
-        if (target.push.ok()) {
-          target.verify = VerifyEndpoint(endpoint, park_id, snapshot_bytes);
-        }
+        target.address = endpoint.ToString();
+        PushAndVerify(options_.client, endpoint, park_id, snapshot_bytes, want,
+                      &target.push, &target.verify);
         if (!target.push.ok() || !target.verify.ok()) move.ok = false;
         move.targets.push_back(std::move(target));
       }
@@ -156,20 +123,21 @@ MigrationReport FleetAdmin::MigrateParks(
     return report;
   }
 
-  // Publish the new generation. New-map endpoints are mandatory (routers
-  // handshake against them); old-only endpoints are best effort (they may
-  // already be draining out of the fleet).
-  const std::string map_bytes = new_map.ToBytes();
-  std::set<std::string> new_addresses;
-  for (const FleetEndpoint& ep : new_map.endpoints()) {
-    new_addresses.insert(ep.ToString());
+  // Publish the new generation to every endpoint of either map, old ones
+  // first. New-map endpoints are mandatory (routers handshake against
+  // them); old-only endpoints are best effort (they may already be
+  // draining out of the fleet).
+  std::vector<FleetEndpoint> everyone = map_->endpoints();
+  for (const FleetEndpoint& endpoint : new_map.endpoints()) {
+    if (!Contains(everyone, endpoint)) everyone.push_back(endpoint);
   }
+  const std::string map_bytes = new_map.ToBytes();
   bool published_ok = true;
-  for (const FleetEndpoint& ep : union_endpoints) {
-    MigrationReport::MapPush push;
-    push.address = ep.ToString();
-    push.push = PushMapTo(ep, map_bytes);
-    if (!push.push.ok() && new_addresses.count(push.address) > 0) {
+  for (const FleetEndpoint& endpoint : everyone) {
+    ParkClient client(options_.client, endpoint.host, endpoint.port);
+    MigrationReport::MapPush push{endpoint.ToString(),
+                                  client.SwapFleetMap(map_bytes)};
+    if (!push.push.ok() && Contains(new_map.endpoints(), endpoint)) {
       published_ok = false;
     }
     report.map_pushes.push_back(std::move(push));
@@ -185,15 +153,14 @@ RolloutReport FleetAdmin::RolloutSnapshot(
   const std::vector<int> replicas = map_->ReplicasFor(park_id);
   report.replicas.reserve(replicas.size());
 
+  const StatusOr<RiskMaps> want = ReferenceMaps(snapshot_bytes);
   size_t advanced = 0;
   bool failed = false;
   for (int endpoint_index : replicas) {
     RolloutReport::ReplicaResult result;
     result.endpoint_index = endpoint_index;
-    result.push = PushTo(endpoint_index, park_id, snapshot_bytes);
-    if (result.push.ok() && options_.verify) {
-      result.verify = VerifyReplica(endpoint_index, park_id, snapshot_bytes);
-    }
+    PushAndVerify(options_.client, map_->endpoints()[endpoint_index], park_id,
+                  snapshot_bytes, want, &result.push, &result.verify);
     const bool ok = result.push.ok() && result.verify.ok();
     report.replicas.push_back(std::move(result));
     if (!ok) {
@@ -216,9 +183,9 @@ RolloutReport FleetAdmin::RolloutSnapshot(
   report.rollback_ok = true;
   for (size_t i = 0; i < advanced; ++i) {
     RolloutReport::ReplicaResult& result = report.replicas[i];
-    const Status rolled =
-        PushTo(result.endpoint_index, park_id, previous_snapshot_bytes);
-    if (rolled.ok()) {
+    const FleetEndpoint& endpoint = map_->endpoints()[result.endpoint_index];
+    ParkClient client(options_.client, endpoint.host, endpoint.port);
+    if (client.SwapSnapshot(park_id, previous_snapshot_bytes).ok()) {
       result.rolled_back = true;
     } else {
       report.rollback_ok = false;

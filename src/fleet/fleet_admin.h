@@ -11,12 +11,9 @@
 namespace paws {
 
 struct FleetAdminOptions {
-  /// Per-push client options; snapshot archives are the largest frames
+  /// Per-replica client options; snapshot archives are the largest frames
   /// the fleet moves, so the request timeout is generous.
   ClientOptions client;
-  /// Skip the read-back comparison (push-only rollout). The default is
-  /// the safe path: verify before advancing to the next replica.
-  bool verify = true;
 
   FleetAdminOptions() {
     client.connect_timeout_ms = 2000;
@@ -69,8 +66,8 @@ struct RolloutReport {
     int endpoint_index = -1;
     /// The SwapSnapshot push (upsert) to this replica.
     Status push;
-    /// The verify-before-advance read-back (OK when verification is off
-    /// or the replica was never reached).
+    /// The verify-before-advance read-back (OK when the push failed, so
+    /// nothing was read back).
     Status verify;
     /// This replica had already advanced and was reverted to the
     /// previous artifact after a later failure.
@@ -88,10 +85,11 @@ struct RolloutReport {
 /// Sequences the per-daemon zero-downtime snapshot swap (wire
 /// SwapSnapshot, an upsert) across every replica of a park:
 ///
-///   for each replica in FleetMap preference order:
+///   compute the artifact's risk map locally, once
+///   for each replica in FleetMap preference order, over one connection:
 ///     1. push the new snapshot archive        (SwapSnapshot upsert)
 ///     2. read back a risk map and compare it  (verify-before-advance)
-///        bit-exactly against the artifact served locally
+///        bit-exactly against the local one
 ///   on any failure: re-push the previous artifact to the replicas that
 ///   already advanced (rollback), so the fleet never stays split between
 ///   versions.
@@ -126,13 +124,14 @@ class FleetAdmin {
                        const std::string& snapshot_bytes);
 
   /// Elastic resize: migrates every park of `park_ids` whose replica
-  /// address set differs between the admin's current map (before) and
+  /// endpoint set differs between the admin's current map (before) and
   /// `new_map` (after), then publishes `new_map` to the fleet.
   ///
   ///   for each moved park:
   ///     1. pull its snapshot archive from an old replica  (kGetSnapshot)
+  ///        and compute its risk map locally, once
   ///     2. push it to each newly-gained replica            (SwapSnapshot)
-  ///     3. read back and compare bit-exactly               (verify)
+  ///     3. read back over the same connection and compare  (verify)
   ///   only when every move verified: publish the new map artifact to the
   ///   old∪new endpoint union (kSwapFleetMap), which flips the routers'
   ///   kMapVersion handshake to the new generation.
@@ -144,21 +143,6 @@ class FleetAdmin {
                                const std::vector<std::string>& park_ids);
 
  private:
-  Status PushTo(int endpoint_index, const std::string& park_id,
-                const std::string& snapshot_bytes);
-  /// Address-based primitives (migration spans two maps, so endpoint
-  /// *indices* are ambiguous; "host:port" is the stable identity).
-  Status PushSnapshotTo(const FleetEndpoint& endpoint,
-                        const std::string& park_id,
-                        const std::string& snapshot_bytes);
-  Status VerifyEndpoint(const FleetEndpoint& endpoint,
-                        const std::string& park_id,
-                        const std::string& snapshot_bytes);
-  StatusOr<std::string> PullSnapshot(const FleetEndpoint& endpoint,
-                                     const std::string& park_id);
-  Status PushMapTo(const FleetEndpoint& endpoint,
-                   const std::string& map_bytes);
-
   const FleetMap* map_;
   FleetAdminOptions options_;
 };

@@ -15,6 +15,23 @@ std::string FleetEndpoint::ToString() const {
   return host + ":" + std::to_string(port);
 }
 
+StatusOr<FleetEndpoint> FleetEndpoint::Parse(const std::string& address) {
+  const auto bad = [&] {
+    return Status::InvalidArgument("bad endpoint '" + address +
+                                   "' (want host:port)");
+  };
+  const size_t colon = address.rfind(':');
+  if (colon == std::string::npos || colon + 1 == address.size()) return bad();
+  FleetEndpoint endpoint{address.substr(0, colon), 0};
+  for (size_t i = colon + 1; i < address.size(); ++i) {
+    if (address[i] < '0' || address[i] > '9') return bad();
+    // Saturates past the range, so no run of digits can overflow.
+    endpoint.port = std::min(endpoint.port * 10 + (address[i] - '0'), 65536);
+  }
+  PAWS_RETURN_IF_ERROR(FleetMap::CheckEndpoint(endpoint));
+  return endpoint;
+}
+
 uint64_t FleetHash64(const std::string& s) {
   // FNV-1a, 64-bit, then a full avalanche finalizer. Pinned constants:
   // the ring layout is a cross-process contract (see header).
@@ -141,13 +158,13 @@ StatusOr<FleetMap> FleetMap::ReadFile(const std::string& path) {
   return map;
 }
 
-std::vector<std::string> ReplicaAddresses(const FleetMap& map,
-                                          const std::string& park_id) {
-  std::vector<std::string> addresses;
+std::vector<FleetEndpoint> ReplicaEndpoints(const FleetMap& map,
+                                            const std::string& park_id) {
+  std::vector<FleetEndpoint> endpoints;
   for (int index : map.ReplicasFor(park_id)) {
-    addresses.push_back(map.endpoints()[index].ToString());
+    endpoints.push_back(map.endpoints()[index]);
   }
-  return addresses;
+  return endpoints;
 }
 
 std::vector<std::string> ParksMoved(const FleetMap& before,
@@ -155,11 +172,13 @@ std::vector<std::string> ParksMoved(const FleetMap& before,
                                     const std::vector<std::string>& park_ids) {
   std::vector<std::string> moved;
   for (const std::string& park_id : park_ids) {
-    std::vector<std::string> old_addrs = ReplicaAddresses(before, park_id);
-    std::vector<std::string> new_addrs = ReplicaAddresses(after, park_id);
-    std::sort(old_addrs.begin(), old_addrs.end());
-    std::sort(new_addrs.begin(), new_addrs.end());
-    if (old_addrs != new_addrs) moved.push_back(park_id);
+    const std::vector<FleetEndpoint> old_set =
+        ReplicaEndpoints(before, park_id);
+    const std::vector<FleetEndpoint> new_set = ReplicaEndpoints(after, park_id);
+    if (!std::is_permutation(old_set.begin(), old_set.end(), new_set.begin(),
+                             new_set.end())) {
+      moved.push_back(park_id);
+    }
   }
   return moved;
 }

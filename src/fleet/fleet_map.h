@@ -21,6 +21,10 @@ struct FleetEndpoint {
   }
   /// "host:port" — the form operators write in configs and logs.
   std::string ToString() const;
+  /// The inverse of ToString, split at the last ':'. Refuses, with
+  /// InvalidArgument, what FleetMap would: an empty host, or a port that
+  /// is not all digits in [1, 65535].
+  static StatusOr<FleetEndpoint> Parse(const std::string& address);
 };
 
 template <typename Io>
@@ -97,6 +101,7 @@ class FleetMap {
   static StatusOr<FleetMap> ReadFile(const std::string& path);
 
  private:
+  friend struct FleetEndpoint;
   static constexpr int kMaxEndpoints = 4096;
 
   FleetMap() = default;
@@ -112,16 +117,16 @@ class FleetMap {
   std::vector<std::pair<uint64_t, int>> ring_;
 };
 
-/// The "host:port" strings of ReplicasFor(park_id), preference order.
-/// Replica *indices* are map-relative (the same daemon can sit at index 2
-/// in one map and index 0 in its successor), so cross-map comparisons —
-/// the elastic-resize diff — must work in addresses.
-std::vector<std::string> ReplicaAddresses(const FleetMap& map,
-                                          const std::string& park_id);
+/// The endpoints of ReplicasFor(park_id), preference order. Replica
+/// *indices* are map-relative (the same daemon can sit at index 2 in one
+/// map and index 0 in its successor), so cross-map comparisons — the
+/// elastic-resize diff — must compare endpoints.
+std::vector<FleetEndpoint> ReplicaEndpoints(const FleetMap& map,
+                                            const std::string& park_id);
 
-/// The subset of `park_ids` whose replica *address set* differs between
+/// The subset of `park_ids` whose replica *endpoint set* differs between
 /// `before` and `after` — the parks an elastic resize must migrate.
-/// Preference-order changes among the same addresses do not count: every
+/// Preference-order changes among the same endpoints do not count: every
 /// replica already holds the artifact, so nothing needs to move.
 std::vector<std::string> ParksMoved(const FleetMap& before,
                                     const FleetMap& after,

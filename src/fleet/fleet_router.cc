@@ -68,6 +68,21 @@ std::shared_ptr<const FleetRouter::RoutingState> FleetRouter::State() const {
   return state_;
 }
 
+template <typename Fn>
+auto FleetRouter::Attempt(Endpoint& endpoint, Fn&& fn, bool* transport,
+                          std::optional<Clock::time_point> deadline) {
+  std::lock_guard<std::mutex> lock(endpoint.mu);
+  if (deadline) endpoint.client.set_call_deadline(*deadline);
+  // The client connects on first use and reconnects a dropped connection
+  // itself (single attempt: this router owns retry policy, see options).
+  auto result = fn(&endpoint.client);
+  if (transport != nullptr) {
+    *transport = !result.ok() && endpoint.client.last_error_was_transport();
+  }
+  if (deadline) endpoint.client.clear_call_deadline();
+  return result;
+}
+
 uint64_t FleetRouter::map_version() const { return State()->map.version(); }
 
 FleetMap FleetRouter::map_snapshot() const { return State()->map; }
@@ -160,12 +175,15 @@ void FleetRouter::MarkUnhealthy(const std::shared_ptr<Endpoint>& endpoint,
   }
 
   std::lock_guard<std::mutex> lock(probe_mu_);
-  endpoint->probe_backoff_ms = kProbeInitialBackoffMs;
-  endpoint->next_probe =
-      Clock::now() +
-      std::chrono::milliseconds(JitteredBackoffMs(
-          endpoint->probe_backoff_ms, kProbeJitterPct,
-          SplitMix64Uniform(&probe_jitter_state_)));
+  ScheduleProbeLocked(*endpoint, kProbeInitialBackoffMs);
+}
+
+void FleetRouter::ScheduleProbeLocked(Endpoint& endpoint, int backoff_ms) {
+  endpoint.probe_backoff_ms = backoff_ms;
+  endpoint.next_probe =
+      Clock::now() + std::chrono::milliseconds(JitteredBackoffMs(
+                         backoff_ms, kProbeJitterPct,
+                         SplitMix64Uniform(&probe_jitter_state_)));
 }
 
 void FleetRouter::SendRepairNudges(
@@ -180,15 +198,16 @@ void FleetRouter::SendRepairNudges(
     // Sources: the park's *other* replicas in the current map — the
     // copies that kept serving while this endpoint was down.
     std::vector<std::string> sources;
-    for (const std::string& address : ReplicaAddresses(state->map, park_id)) {
-      if (address != endpoint->address) sources.push_back(address);
+    for (const FleetEndpoint& replica : ReplicaEndpoints(state->map, park_id)) {
+      std::string address = replica.ToString();
+      if (address != endpoint->address) sources.push_back(std::move(address));
     }
-    std::lock_guard<std::mutex> lock(endpoint->mu);
     // Best effort: a failed nudge re-queues so the next recovery retries.
-    StatusOr<RepairResponse> repaired =
-        endpoint->client.Repair(park_id, sources);
+    const bool repaired = Attempt(*endpoint, [&](ParkClient* client) {
+                            return client->Repair(park_id, sources);
+                          }).ok();
     repair_nudges_.fetch_add(1, std::memory_order_relaxed);
-    if (!repaired.ok()) {
+    if (!repaired) {
       std::lock_guard<std::mutex> repair_lock(endpoint->repair_mu);
       if (endpoint->repair_parks.size() < kMaxRepairParks) {
         endpoint->repair_parks.push_back(park_id);
@@ -213,21 +232,11 @@ int FleetRouter::ProbeOnce(bool force) {
   }
   int recovered = 0;
   for (const std::shared_ptr<Endpoint>& endpoint : due) {
-    bool ok;
-    {
-      std::lock_guard<std::mutex> lock(endpoint->mu);
-      if (!endpoint->connected_once.load(std::memory_order_relaxed)) {
-        ok = endpoint->client.Connect(endpoint->host, endpoint->port).ok();
-        if (ok) {
-          endpoint->connected_once.store(true, std::memory_order_relaxed);
-        }
-      } else {
-        ok = true;
-      }
-      // The cheapest opcode the server answers from counters alone.
-      if (ok) ok = endpoint->client.Stats().ok();
-    }
-    if (ok) {
+    // The cheapest opcode the server answers from counters alone.
+    const bool live =
+        Attempt(*endpoint, [](ParkClient* client) { return client->Stats(); })
+            .ok();
+    if (live) {
       endpoint->healthy.store(true, std::memory_order_relaxed);
       // A live answer closes the breaker: recovery must be immediate,
       // not delayed by a stale open window.
@@ -239,16 +248,9 @@ int FleetRouter::ProbeOnce(bool force) {
       continue;
     }
     std::lock_guard<std::mutex> lock(probe_mu_);
-    endpoint->probe_backoff_ms = std::min(endpoint->probe_backoff_ms * 2,
-                                          kProbeMaxBackoffMs);
-    if (endpoint->probe_backoff_ms < kProbeInitialBackoffMs) {
-      endpoint->probe_backoff_ms = kProbeInitialBackoffMs;
-    }
-    endpoint->next_probe =
-        Clock::now() +
-        std::chrono::milliseconds(JitteredBackoffMs(
-            endpoint->probe_backoff_ms, kProbeJitterPct,
-            SplitMix64Uniform(&probe_jitter_state_)));
+    ScheduleProbeLocked(*endpoint,
+                        std::clamp(endpoint->probe_backoff_ms * 2,
+                                   kProbeInitialBackoffMs, kProbeMaxBackoffMs));
   }
   return recovered;
 }
@@ -292,18 +294,10 @@ int FleetRouter::CheckMapOnce() {
   const uint64_t known = state->map.version();
   for (const std::shared_ptr<Endpoint>& endpoint : state->endpoints) {
     if (!endpoint->healthy.load(std::memory_order_relaxed)) continue;
-    StatusOr<MapVersionResponse> response =
-        Status::Internal("map check unattempted");
-    {
-      std::lock_guard<std::mutex> lock(endpoint->mu);
-      if (!endpoint->connected_once.load(std::memory_order_relaxed)) {
-        if (!endpoint->client.Connect(endpoint->host, endpoint->port).ok()) {
-          continue;
-        }
-        endpoint->connected_once.store(true, std::memory_order_relaxed);
-      }
-      response = endpoint->client.MapVersion(known);
-    }
+    const StatusOr<MapVersionResponse> response =
+        Attempt(*endpoint, [known](ParkClient* client) {
+          return client->MapVersion(known);
+        });
     if (!response.ok()) continue;  // next healthy endpoint answers
     if (!response->has_map || response->version <= known) return 0;
     StatusOr<FleetMap> map = FleetMap::FromBytes(response->map_bytes);
@@ -325,39 +319,17 @@ bool FleetRouter::endpoint_healthy(int endpoint_index) const {
 }
 
 template <typename Fn>
-Status FleetRouter::Attempt(const std::shared_ptr<Endpoint>& endpoint,
-                            Fn&& fn, bool* transport,
-                            Clock::time_point deadline, bool has_deadline) {
-  std::lock_guard<std::mutex> lock(endpoint->mu);
-  if (has_deadline) endpoint->client.set_call_deadline(deadline);
-  if (!endpoint->connected_once.load(std::memory_order_relaxed)) {
-    Status connected = endpoint->client.Connect(endpoint->host,
-                                                endpoint->port);
-    if (!connected.ok()) {
-      if (has_deadline) endpoint->client.clear_call_deadline();
-      *transport = true;
-      return connected;
-    }
-    endpoint->connected_once.store(true, std::memory_order_relaxed);
-  }
-  // Dropped connections reconnect transparently inside the client
-  // (single attempt: this router owns retry policy, see options).
-  Status status = fn(&endpoint->client);
-  *transport = !status.ok() && endpoint->client.last_error_was_transport();
-  if (has_deadline) endpoint->client.clear_call_deadline();
-  return status;
-}
-
-template <typename Fn>
-Status FleetRouter::Route(const std::string& park_id, Fn&& fn) {
+auto FleetRouter::Route(const std::string& park_id, Fn&& fn) {
+  using Result = decltype(fn(static_cast<ParkClient*>(nullptr)));
   const std::shared_ptr<const RoutingState> state = State();
   const std::vector<int> replicas = state->map.ReplicasFor(park_id);
   requests_.fetch_add(1, std::memory_order_relaxed);
 
-  const bool has_deadline = options_.request_deadline_ms > 0;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(
-                         has_deadline ? options_.request_deadline_ms : 0);
+  std::optional<Clock::time_point> deadline;
+  if (options_.request_deadline_ms > 0) {
+    deadline = Clock::now() +
+               std::chrono::milliseconds(options_.request_deadline_ms);
+  }
 
   Status last = Status::Internal("fleet: no replica attempted");
   int failed_attempts = 0;
@@ -386,15 +358,15 @@ Status FleetRouter::Route(const std::string& park_id, Fn&& fn) {
       // Truncate to whole milliseconds, matching the client's own call
       // deadline: with <1ms left the client would refuse to send anyway,
       // so attempting would misreport the expiry as a transport error.
-      if (has_deadline &&
+      if (deadline &&
           std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - Clock::now())
+              *deadline - Clock::now())
                   .count() <= 0) {
         deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-        return Status::ResourceExhausted(
+        return Result(Status::ResourceExhausted(
             "fleet: request deadline exceeded after " +
             std::to_string(failed_attempts) + " failed attempts on '" +
-            park_id + "'");
+            park_id + "'"));
       }
       // Degradation policy: the first attempt is free; every failover
       // retry draws a token that only successes refill. When the whole
@@ -402,15 +374,14 @@ Status FleetRouter::Route(const std::string& park_id, Fn&& fn) {
       // attempt each instead of multiplying timeouts.
       if (failed_attempts > 0 && !TryDrawRetryToken()) {
         retry_budget_exhausted_.fetch_add(1, std::memory_order_relaxed);
-        return Status(last.code(),
-                      "fleet: retry budget exhausted routing '" + park_id +
-                          "'; last: " + last.message());
+        return Result(Status(last.code(),
+                             "fleet: retry budget exhausted routing '" +
+                                 park_id + "'; last: " + last.message()));
       }
 
       bool transport = false;
-      Status status = Attempt(endpoint, fn, &transport, deadline,
-                              has_deadline);
-      if (status.ok() || !transport) {
+      Result result = Attempt(*endpoint, fn, &transport, deadline);
+      if (result.ok() || !transport) {
         // Served, or answered with an application status — either way
         // this endpoint handled the request; never fail over on answers.
         endpoint->requests.fetch_add(1, std::memory_order_relaxed);
@@ -419,66 +390,50 @@ Status FleetRouter::Route(const std::string& park_id, Fn&& fn) {
           failovers_.fetch_add(1, std::memory_order_relaxed);
         }
         DepositRetryToken();
-        return status;
+        return result;
       }
       transport_errors_.fetch_add(1, std::memory_order_relaxed);
       ++failed_attempts;
       MarkUnhealthy(endpoint, park_id);
-      last = status;
+      last = result.status();
     }
   }
   exhausted_.fetch_add(1, std::memory_order_relaxed);
-  return Status(last.code(),
-                "fleet: all " + std::to_string(replicas.size()) +
-                    " replicas of '" + park_id +
-                    "' failed; last: " + last.message());
+  return Result(Status(last.code(),
+                       "fleet: all " + std::to_string(replicas.size()) +
+                           " replicas of '" + park_id +
+                           "' failed; last: " + last.message()));
 }
 
 StatusOr<RiskMaps> FleetRouter::RiskMap(const std::string& park_id,
                                         double assumed_effort) {
-  StatusOr<RiskMaps> result{Status::Internal("fleet: unrouted")};
-  Status routed = Route(park_id, [&](ParkClient* client) {
-    result = client->RiskMap(park_id, assumed_effort);
-    return result.status();
+  return Route(park_id, [&](ParkClient* client) {
+    return client->RiskMap(park_id, assumed_effort);
   });
-  if (!routed.ok()) return routed;
-  return result;
 }
 
 StatusOr<RiskTile> FleetRouter::RiskTile(const std::string& park_id,
                                          int tile_id, double assumed_effort) {
-  StatusOr<paws::RiskTile> result{Status::Internal("fleet: unrouted")};
-  Status routed = Route(park_id, [&](ParkClient* client) {
-    result = client->RiskTile(park_id, tile_id, assumed_effort);
-    return result.status();
+  return Route(park_id, [&](ParkClient* client) {
+    return client->RiskTile(park_id, tile_id, assumed_effort);
   });
-  if (!routed.ok()) return routed;
-  return result;
 }
 
 StatusOr<EffortCurveTable> FleetRouter::CellCurves(
     const std::string& park_id, const std::vector<int>& cell_ids,
     std::vector<double> effort_grid) {
-  StatusOr<EffortCurveTable> result{Status::Internal("fleet: unrouted")};
-  Status routed = Route(park_id, [&](ParkClient* client) {
-    result = client->CellCurves(park_id, cell_ids, effort_grid);
-    return result.status();
+  return Route(park_id, [&](ParkClient* client) {
+    return client->CellCurves(park_id, cell_ids, effort_grid);
   });
-  if (!routed.ok()) return routed;
-  return result;
 }
 
 StatusOr<PatrolPlan> FleetRouter::PlanForPost(const std::string& park_id,
                                               int post_index,
                                               const PlannerConfig& config,
                                               const RobustParams& robust) {
-  StatusOr<PatrolPlan> result{Status::Internal("fleet: unrouted")};
-  Status routed = Route(park_id, [&](ParkClient* client) {
-    result = client->PlanForPost(park_id, post_index, config, robust);
-    return result.status();
+  return Route(park_id, [&](ParkClient* client) {
+    return client->PlanForPost(park_id, post_index, config, robust);
   });
-  if (!routed.ok()) return routed;
-  return result;
 }
 
 StatusOr<ServerStatsReport> FleetRouter::EndpointStats(int endpoint_index) {
@@ -487,17 +442,8 @@ StatusOr<ServerStatsReport> FleetRouter::EndpointStats(int endpoint_index) {
       endpoint_index >= static_cast<int>(state->endpoints.size())) {
     return Status::InvalidArgument("fleet: endpoint index out of range");
   }
-  StatusOr<ServerStatsReport> result{Status::Internal("fleet: unrouted")};
-  bool transport = false;
-  Status status = Attempt(
-      state->endpoints[endpoint_index],
-      [&](ParkClient* client) {
-        result = client->Stats();
-        return result.status();
-      },
-      &transport, Clock::time_point{}, false);
-  if (!status.ok()) return status;
-  return result;
+  return Attempt(*state->endpoints[endpoint_index],
+                 [](ParkClient* client) { return client->Stats(); });
 }
 
 FleetRouter::Stats FleetRouter::stats() const {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -192,14 +193,12 @@ class FleetRouter {
   struct Endpoint {
     /// "host:port" — the reload-stable identity of this daemon.
     std::string address;
-    std::string host;
-    int port = 0;
 
-    /// Serializes the (blocking, single-connection) client.
+    /// Serializes the (blocking, single-connection) client, which names
+    /// the daemon from construction and connects on first use.
     std::mutex mu;
     ParkClient client;
     std::atomic<bool> healthy{true};
-    std::atomic<bool> connected_once{false};
     std::atomic<uint64_t> requests{0};
 
     /// Circuit breaker: consecutive transport failures and the
@@ -217,10 +216,7 @@ class FleetRouter {
     std::vector<std::string> repair_parks;
 
     Endpoint(const ClientOptions& options, const FleetEndpoint& ep)
-        : address(ep.ToString()),
-          host(ep.host),
-          port(ep.port),
-          client(options) {}
+        : address(ep.ToString()), client(options, ep.host, ep.port) {}
   };
 
   /// Immutable routing table snapshot: requests grab a shared_ptr and
@@ -235,21 +231,26 @@ class FleetRouter {
 
   std::shared_ptr<const RoutingState> State() const;
 
-  /// Runs `fn(client)` against `park_id`'s replicas with failover.
-  /// `fn` returns the call's Status; `transport` distinguishes retryable
-  /// failures (ParkClient::last_error_was_transport).
+  /// Runs `fn(client)` against `park_id`'s replicas with failover and
+  /// returns the result of the call that answered, or the routing
+  /// failure when none did.
   template <typename Fn>
-  Status Route(const std::string& park_id, Fn&& fn);
+  auto Route(const std::string& park_id, Fn&& fn);
 
-  /// Connects lazily (first use / after close) and runs one attempt.
+  /// Runs `fn(&endpoint.client)` under the endpoint's lock and returns
+  /// its result. `transport`, when given, reports whether a failure was
+  /// the transport's (ParkClient::last_error_was_transport) — the
+  /// retryable kind; `deadline`, when set, bounds the call.
   template <typename Fn>
-  Status Attempt(const std::shared_ptr<Endpoint>& endpoint, Fn&& fn,
-                 bool* transport,
-                 std::chrono::steady_clock::time_point deadline,
-                 bool has_deadline);
+  auto Attempt(Endpoint& endpoint, Fn&& fn, bool* transport = nullptr,
+               std::optional<std::chrono::steady_clock::time_point>
+                   deadline = std::nullopt);
 
   void MarkUnhealthy(const std::shared_ptr<Endpoint>& endpoint,
                      const std::string& park_id);
+  /// Sets the endpoint's probe backoff and schedules its next probe that
+  /// far out, jittered. Caller holds probe_mu_.
+  void ScheduleProbeLocked(Endpoint& endpoint, int backoff_ms);
   bool BreakerOpen(const Endpoint& endpoint) const;
   bool TryDrawRetryToken();
   void DepositRetryToken();

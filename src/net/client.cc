@@ -47,6 +47,12 @@ WireClient::WireClient(ClientOptions options)
       (static_cast<uint64_t>(reinterpret_cast<uintptr_t>(this)) << 1);
 }
 
+WireClient::WireClient(ClientOptions options, const std::string& host,
+                       int port)
+    : WireClient(std::move(options)) {
+  SetEndpoint(host, port);
+}
+
 WireClient::~WireClient() { Close(); }
 
 void WireClient::Close() {
@@ -62,10 +68,7 @@ int WireClient::DeadlineBudgetMs(int cap) const {
   return left < cap ? left : cap;
 }
 
-Status WireClient::Connect(const std::string& host, int port) {
-  if (port <= 0 || port > 65535) {
-    return Status::InvalidArgument("port out of range: " + std::to_string(port));
-  }
+void WireClient::SetEndpoint(const std::string& host, int port) {
   host_ = host;
   port_ = port;
   Close();
@@ -77,13 +80,21 @@ Status WireClient::Connect(const std::string& host, int port) {
         std::move(transport_), options_.fault_injector,
         host_ + ":" + std::to_string(port_));
   }
+}
+
+Status WireClient::Connect(const std::string& host, int port) {
+  SetEndpoint(host, port);
   return EnsureConnected();
 }
 
 Status WireClient::EnsureConnected() {
   if (connected()) return Status::OK();
-  if (port_ < 0 || transport_ == nullptr) {
-    return Status::FailedPrecondition("WireClient: Connect was never called");
+  if (transport_ == nullptr) {
+    return Status::FailedPrecondition("WireClient: no daemon named");
+  }
+  if (port_ <= 0 || port_ > 65535) {
+    return Status::InvalidArgument("port out of range: " +
+                                   std::to_string(port_));
   }
   Status last = Status::Internal("connect never attempted");
   int backoff_ms = options_.backoff_initial_ms;
@@ -186,10 +197,6 @@ StatusOr<Frame> WireClient::Call(Opcode opcode, std::string payload) {
 }
 
 ParkClient::ParkClient(ClientOptions options) : client_(std::move(options)) {}
-
-Status ParkClient::Connect(const std::string& host, int port) {
-  return client_.Connect(host, port);
-}
 
 template <typename Decode>
 auto ParkClient::Call(Opcode opcode, std::string request, Decode decode) {

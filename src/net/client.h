@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/transport.h"
@@ -56,13 +57,16 @@ int JitteredBackoffMs(int base_ms, double jitter_pct, double unit_uniform);
 class WireClient {
  public:
   explicit WireClient(ClientOptions options = {});
+  /// Names the daemon without connecting: the first Call connects, the
+  /// same way every reconnect does.
+  WireClient(ClientOptions options, const std::string& host, int port);
   ~WireClient();
 
   WireClient(const WireClient&) = delete;
   WireClient& operator=(const WireClient&) = delete;
 
-  /// Resolves and connects (with backoff); remembers the endpoint for
-  /// later reconnects.
+  /// Names the daemon (closing any connection to the previous one), then
+  /// connects now with backoff. Later reconnects go to the same daemon.
   Status Connect(const std::string& host, int port);
 
   bool connected() const { return transport_ != nullptr && transport_->connected(); }
@@ -87,6 +91,8 @@ class WireClient {
   void clear_call_deadline() { has_call_deadline_ = false; }
 
  private:
+  /// Remembers the daemon and builds its transport; connects nothing.
+  void SetEndpoint(const std::string& host, int port);
   Status EnsureConnected();
   Status ConnectOnce();
   /// Remaining ms until the per-call deadline, clamped into [0, cap];
@@ -119,8 +125,13 @@ class WireClient {
 class ParkClient {
  public:
   explicit ParkClient(ClientOptions options = {});
+  /// Names the daemon without connecting (see WireClient).
+  ParkClient(ClientOptions options, const std::string& host, int port)
+      : client_(std::move(options), host, port) {}
 
-  Status Connect(const std::string& host, int port);
+  Status Connect(const std::string& host, int port) {
+    return client_.Connect(host, port);
+  }
   bool connected() const { return client_.connected(); }
   void Close() { client_.Close(); }
 

@@ -1,8 +1,17 @@
 #include "plan/graph.h"
 
 #include <deque>
+#include <unordered_map>
 
 namespace paws {
+
+namespace {
+
+// The 4-neighbourhood, in the order neighbour lists are built.
+constexpr int kDx[4] = {1, -1, 0, 0};
+constexpr int kDy[4] = {0, 0, 1, -1};
+
+}  // namespace
 
 PlanningGraph BuildPlanningGraph(const Park& park, const Cell& post,
                                  int radius) {
@@ -10,48 +19,37 @@ PlanningGraph BuildPlanningGraph(const Park& park, const Cell& post,
              "BuildPlanningGraph: post outside park");
   CheckOrDie(radius >= 1, "BuildPlanningGraph: radius must be >= 1");
 
-  // BFS from the post collecting cells within the radius.
-  const int post_id = park.DenseIdOf(post);
-  std::vector<int> dist(park.num_cells(), -1);
-  std::deque<int> queue = {post_id};
-  dist[post_id] = 0;
-  std::vector<int> cells = {post_id};
-  while (!queue.empty()) {
-    const int cur = queue.front();
-    queue.pop_front();
-    if (dist[cur] >= radius) continue;
-    const Cell c = park.CellOf(cur);
-    static const int kDx[4] = {1, -1, 0, 0};
-    static const int kDy[4] = {0, 0, 1, -1};
+  // BFS from the post collecting cells within the radius. Cells are
+  // numbered in visit order, so `park_cell_ids` is the BFS queue itself,
+  // and every scratch structure is sized by the graph, not by the park.
+  // The post is local cell 0, the graph's source.
+  PlanningGraph graph;
+  graph.park_cell_ids = {park.DenseIdOf(post)};
+  std::unordered_map<int, int> local_of = {{graph.park_cell_ids[0], 0}};
+  std::vector<int> dist = {0};
+  for (size_t head = 0; head < graph.park_cell_ids.size(); ++head) {
+    if (dist[head] >= radius) continue;
+    const Cell c = park.CellOf(graph.park_cell_ids[head]);
     for (int k = 0; k < 4; ++k) {
       const Cell n{c.x + kDx[k], c.y + kDy[k]};
       if (!park.mask().InBounds(n) || !park.mask().At(n)) continue;
-      const int nid = park.DenseIdOf(n);
-      if (dist[nid] != -1) continue;
-      dist[nid] = dist[cur] + 1;
-      queue.push_back(nid);
-      cells.push_back(nid);
+      const int id = park.DenseIdOf(n);
+      const int local = static_cast<int>(graph.park_cell_ids.size());
+      if (!local_of.emplace(id, local).second) continue;
+      graph.park_cell_ids.push_back(id);
+      dist.push_back(dist[head] + 1);
     }
   }
 
-  PlanningGraph graph;
-  graph.park_cell_ids = cells;
-  std::vector<int> local_of(park.num_cells(), -1);
-  for (size_t i = 0; i < cells.size(); ++i) {
-    local_of[cells[i]] = static_cast<int>(i);
-  }
-  graph.source = local_of[post_id];
-  graph.neighbors.resize(cells.size());
-  for (size_t i = 0; i < cells.size(); ++i) {
+  graph.neighbors.resize(graph.park_cell_ids.size());
+  for (size_t i = 0; i < graph.park_cell_ids.size(); ++i) {
     graph.neighbors[i].push_back(static_cast<int>(i));  // waiting allowed
-    const Cell c = park.CellOf(cells[i]);
-    static const int kDx[4] = {1, -1, 0, 0};
-    static const int kDy[4] = {0, 0, 1, -1};
+    const Cell c = park.CellOf(graph.park_cell_ids[i]);
     for (int k = 0; k < 4; ++k) {
       const Cell n{c.x + kDx[k], c.y + kDy[k]};
       if (!park.mask().InBounds(n) || !park.mask().At(n)) continue;
-      const int nid = park.DenseIdOf(n);
-      if (local_of[nid] >= 0) graph.neighbors[i].push_back(local_of[nid]);
+      const auto found = local_of.find(park.DenseIdOf(n));
+      if (found != local_of.end()) graph.neighbors[i].push_back(found->second);
     }
   }
   return graph;

@@ -56,10 +56,7 @@ StatusOr<UnrolledModel> BuildModel(
         EdgeVar e;
         e.from = u;
         e.to = v;
-        e.var = model.lp.AddVariable(
-            0.0, 1.0, 0.0,
-            "f_t" + std::to_string(t) + "_" + std::to_string(u) + "_" +
-                std::to_string(v));
+        e.var = model.lp.AddVariable(0.0, 1.0, 0.0);
         model.edges[t].push_back(e);
       }
     }
@@ -104,8 +101,7 @@ StatusOr<UnrolledModel> BuildModel(
     if (dist[v] < 0 || dist[v] > (horizon - 1) / 2) {
       continue;  // unreachable within a round trip; no coverage variable
     }
-    const int c_var = model.lp.AddVariable(0.0, cap, 0.0,
-                                           "c_" + std::to_string(v));
+    const int c_var = model.lp.AddVariable(0.0, cap, 0.0);
     model.coverage_vars[v] = c_var;
     std::vector<std::pair<int, double>> terms = {{c_var, 1.0}};
     for (int t = 0; t + 1 < horizon; ++t) {

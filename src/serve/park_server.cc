@@ -1,6 +1,5 @@
 #include "serve/park_server.h"
 
-#include <cstdlib>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -319,20 +318,17 @@ StatusOr<std::string> ParkServer::HandleRepair(const std::string& payload) {
   Status last = Status::Internal("repair of '" + request.park_id +
                                  "': no sources listed");
   for (const std::string& source : request.sources) {
-    const size_t colon = source.rfind(':');
-    if (colon == std::string::npos) {
-      last = Status::InvalidArgument("bad repair source '" + source + "'");
+    // Sources are peer input: a malformed one is skipped, not guessed at.
+    const StatusOr<FleetEndpoint> endpoint = FleetEndpoint::Parse(source);
+    if (!endpoint.ok()) {
+      last = endpoint.status();
       continue;
     }
-    const std::string host = source.substr(0, colon);
-    const int port = std::atoi(source.c_str() + colon + 1);
-    if (port == server_.port() &&
-        (host == "127.0.0.1" || host == "localhost")) {
+    if (endpoint->port == server_.port() &&
+        (endpoint->host == "127.0.0.1" || endpoint->host == "localhost")) {
       continue;  // never pull from ourselves — that is the damaged copy
     }
-    ParkClient peer(pull_options);
-    last = peer.Connect(host, port);
-    if (!last.ok()) continue;
+    ParkClient peer(pull_options, endpoint->host, endpoint->port);
     StatusOr<std::string> pulled = peer.GetSnapshot(request.park_id);
     last = pulled.ok() ? Install(request.park_id, *pulled) : pulled.status();
     if (last.ok()) return EncodeRepairResponse({"repaired"});

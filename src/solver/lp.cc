@@ -5,14 +5,11 @@
 
 namespace paws {
 
-int LinearProgram::AddVariable(double lower, double upper, double objective,
-                               std::string name) {
+int LinearProgram::AddVariable(double lower, double upper, double objective) {
   CheckOrDie(lower <= upper, "LinearProgram: lower bound exceeds upper");
   lower_.push_back(lower);
   upper_.push_back(upper);
   objective_.push_back(objective);
-  if (name.empty()) name = "x" + std::to_string(lower_.size() - 1);
-  names_.push_back(std::move(name));
   return num_variables() - 1;
 }
 

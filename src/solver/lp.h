@@ -2,7 +2,6 @@
 #define PAWS_SOLVER_LP_H_
 
 #include <limits>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -32,8 +31,7 @@ class LinearProgram {
  public:
   /// Adds a variable and returns its index. `objective` is the
   /// coefficient of the variable in the maximized objective.
-  int AddVariable(double lower, double upper, double objective,
-                  std::string name = "");
+  int AddVariable(double lower, double upper, double objective);
 
   /// Adds the constraint sum(coef * var) relation rhs. Terms with the same
   /// variable are accumulated.
@@ -46,7 +44,6 @@ class LinearProgram {
   double lower(int j) const { return lower_[j]; }
   double upper(int j) const { return upper_[j]; }
   double objective(int j) const { return objective_[j]; }
-  const std::string& name(int j) const { return names_[j]; }
 
   /// Mutator used by branch-and-bound to tighten bounds on a copy.
   void SetBounds(int j, double lower, double upper);
@@ -77,7 +74,6 @@ class LinearProgram {
 
  private:
   std::vector<double> lower_, upper_, objective_;
-  std::vector<std::string> names_;
   std::vector<std::vector<std::pair<int, double>>> rows_;
   std::vector<Relation> relations_;
   std::vector<double> rhs_;

@@ -85,9 +85,7 @@ void AddPwlObjectiveTerm(LinearProgram* lp, int var_x,
   std::vector<int> lambdas;
   std::vector<std::pair<int, double>> convexity, link;
   for (int i = 0; i < num_points; ++i) {
-    const int lam =
-        lp->AddVariable(0.0, 1.0, weight * by[i],
-                        "lam_" + lp->name(var_x) + "_" + std::to_string(i));
+    const int lam = lp->AddVariable(0.0, 1.0, weight * by[i]);
     lambdas.push_back(lam);
     convexity.emplace_back(lam, 1.0);
     link.emplace_back(lam, bx[i]);

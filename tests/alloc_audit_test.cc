@@ -3,8 +3,9 @@
 // cheap — performs ZERO heap allocations on the calling thread, and that
 // a steady-state miss (scratch buffers already warmed) allocates the same
 // bounded count every time instead of drifting, and a feature-tile pool
-// miss allocates as much for a full tile as for a small one. The wire
-// decoders are audited too: a hostile element count may not size an
+// miss allocates as much for a full tile as for a small one, and the
+// largest allocation of a planning graph does not grow with the park. The
+// wire decoders are audited too: a hostile element count may not size an
 // allocation.
 //
 // The audit instruments the global allocator: this TU replaces the
@@ -28,6 +29,7 @@
 #include "geo/tiled_feature_plane.h"
 #include "net/fault_injector.h"
 #include "net/wire.h"
+#include "plan/graph.h"
 #include "serve/park_service.h"
 #include "util/archive.h"
 
@@ -266,6 +268,24 @@ TEST_F(AllocAuditTest, PoolMissAllocationCountIsIndependentOfTileCells) {
       << "a " << cells[0] << "-cell miss made " << counts[0]
       << " allocations, a " << cells[1] << "-cell miss " << counts[1];
   EXPECT_GT(counts[0], 0u);
+}
+
+// The planner searches a few dozen cells around a post; its scratch must
+// be sized by that graph, not by the park. At 1M cells a park-sized int
+// array is 4 MB per call.
+TEST_F(AllocAuditTest, PlanningGraphScratchDoesNotGrowWithParkSize) {
+  std::vector<std::size_t> largest;
+  for (const int side : {32, 512}) {
+    const Park park("open", GridB(side, side, 1));
+    const Cell post{side / 2, side / 2};
+    PlanningGraph graph;
+    largest.push_back(
+        LargestAllocation([&] { graph = BuildPlanningGraph(park, post, 4); }));
+    ASSERT_EQ(graph.num_cells(), 41);  // the radius-4 diamond
+  }
+  EXPECT_EQ(largest[0], largest[1])
+      << "a 32x32 park's graph made a " << largest[0]
+      << "-byte allocation, a 512x512 park's " << largest[1];
 }
 
 // A CRC-valid `tag` section: the fields `prefix` writes, then an element

@@ -116,7 +116,7 @@ class FleetElasticTest : public ::testing::Test {
     std::vector<std::string> ids;
     for (int p = 0; p < 10000 && static_cast<int>(ids.size()) < want; ++p) {
       const std::string id = "pk-" + std::to_string(p);
-      if (ReplicaAddresses(before, id) != ReplicaAddresses(after, id)) {
+      if (ReplicaEndpoints(before, id) != ReplicaEndpoints(after, id)) {
         ids.push_back(id);
       }
     }
@@ -130,7 +130,7 @@ class FleetElasticTest : public ::testing::Test {
                                     const FleetMap& after) {
     for (int p = 0; p < 10000; ++p) {
       const std::string id = "pk-" + std::to_string(p);
-      if (ReplicaAddresses(before, id) == ReplicaAddresses(after, id)) {
+      if (ReplicaEndpoints(before, id) == ReplicaEndpoints(after, id)) {
         return id;
       }
     }

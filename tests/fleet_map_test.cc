@@ -65,6 +65,35 @@ TEST(FleetMapTest, CreateValidatesItsInputs) {
   EXPECT_TRUE(FleetMap::Create(MakeEndpoints(1), 1).ok());
 }
 
+// FleetEndpoint::Parse reads operator and peer input ("host:port" in
+// --endpoints and in kRepair sources) by the rule FleetMap enforces: split
+// at the last ':', a non-empty host, an all-digit port in [1, 65535].
+TEST(FleetEndpointTest, ParseAcceptsHostPortAndRefusesEverythingElse) {
+  const auto good = FleetEndpoint::Parse("10.0.0.7:9000");
+  ASSERT_TRUE(good.ok()) << good.status();
+  EXPECT_EQ(good->host, "10.0.0.7");
+  EXPECT_EQ(good->port, 9000);
+  const auto last_colon = FleetEndpoint::Parse("::1:65535");
+  ASSERT_TRUE(last_colon.ok()) << last_colon.status();
+  EXPECT_EQ(last_colon->host, "::1");
+  EXPECT_EQ(last_colon->port, 65535);
+
+  for (const std::string bad :
+       {"10.0.0.7", "10.0.0.7:", ":9000", "10.0.0.7:0", "10.0.0.7:65536",
+        "10.0.0.7:9000junk", "10.0.0.7: 9000", "10.0.0.7:-1",
+        "10.0.0.7:12345678901234567890"}) {
+    const auto parsed = FleetEndpoint::Parse(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+
+  for (const FleetEndpoint& endpoint : MakeEndpoints(3)) {
+    const auto round_trip = FleetEndpoint::Parse(endpoint.ToString());
+    ASSERT_TRUE(round_trip.ok()) << round_trip.status();
+    EXPECT_EQ(*round_trip, endpoint);
+  }
+}
+
 TEST(FleetMapTest, ReplicaSetsAreDistinctOrderedAndClamped) {
   auto map = FleetMap::Create(MakeEndpoints(3), /*replication=*/2);
   ASSERT_TRUE(map.ok());

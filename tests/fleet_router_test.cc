@@ -380,6 +380,17 @@ TEST_F(FleetRouterTest, EndpointStatsAddressesOneEndpoint) {
   EXPECT_FALSE(router.EndpointStats(2).ok());
 }
 
+// A rollout pushes and verifies each replica over one connection.
+TEST_F(FleetRouterTest, AdminPushesAndVerifiesEachReplicaOverOneConnection) {
+  const FleetMap map = StartFleet(2, /*replication=*/2, {});
+  FleetAdmin admin(&map);
+  const RolloutReport report = admin.RolloutSnapshot("pk-one", *bytes_);
+  ASSERT_TRUE(report.ok);
+  for (const auto& shard : shards_) {
+    EXPECT_EQ(shard->server->net_stats().accepted_connections, 1u);
+  }
+}
+
 TEST_F(FleetRouterTest, AdminRolloutUpsertsVerifiesAndRollsBack) {
   // Two empty shards: the rollout itself bootstraps them over the wire.
   const FleetMap map = StartFleet(2, /*replication=*/2, {});

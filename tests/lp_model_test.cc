@@ -7,14 +7,12 @@ namespace {
 
 TEST(LpModelTest, VariableBookkeeping) {
   LinearProgram lp;
-  const int x = lp.AddVariable(0.0, 5.0, 2.0, "x");
+  const int x = lp.AddVariable(0.0, 5.0, 2.0);
   const int y = lp.AddVariable(0.0, 1.0, 1.0);
   EXPECT_EQ(lp.num_variables(), 2);
   EXPECT_DOUBLE_EQ(lp.lower(x), 0.0);
   EXPECT_DOUBLE_EQ(lp.upper(x), 5.0);
   EXPECT_DOUBLE_EQ(lp.objective(x), 2.0);
-  EXPECT_EQ(lp.name(x), "x");
-  EXPECT_EQ(lp.name(y), "x1");
   EXPECT_TRUE(lp.sos2_sets().empty());
   lp.AddSos2({x, y}, {0.5, 2.0});
   ASSERT_EQ(lp.sos2_sets().size(), 1u);

@@ -349,6 +349,56 @@ TEST_F(ParkServerTest, WireSwapOfAModelWiderThanItsParkIsRefused) {
   EXPECT_EQ(server_->net_stats().accepted_connections, 1u);
 }
 
+// A client told its daemon at construction connects on its first call,
+// the same way it reconnects after a close; one never told has nowhere to
+// connect.
+TEST_F(ParkServerTest, ClientNamedAtConstructionConnectsOnFirstCall) {
+  ParkService service;
+  ASSERT_TRUE(service.Register("p", MakeSnapshot()).ok());
+  StartServer(&service);
+  ParkClient client(FastClient(), "127.0.0.1", server_->port());
+  EXPECT_FALSE(client.connected());
+  EXPECT_EQ(server_->net_stats().accepted_connections, 0u);
+  const auto maps = client.RiskMap("p", 1.0);
+  ASSERT_TRUE(maps.ok()) << maps.status();
+  EXPECT_TRUE(client.connected());
+  EXPECT_EQ(maps->risk, MakeSnapshot().PredictRisk(1.0).risk);
+  EXPECT_EQ(server_->net_stats().accepted_connections, 1u);
+
+  ParkClient unnamed(FastClient());
+  const auto refused = unnamed.RiskMap("p", 1.0);
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(unnamed.last_error_was_transport());
+}
+
+// kRepair sources are peer input. One whose port carries trailing junk
+// names no daemon and is skipped, even when the digits before the junk are
+// a live peer's port that would serve the park.
+TEST_F(ParkServerTest, RepairSkipsASourceWithJunkAfterItsPort) {
+  ParkService peer_service;
+  ASSERT_TRUE(peer_service.Register("pk", MakeSnapshot()).ok());
+  ParkServer peer(&peer_service);
+  FrameServerOptions peer_options;
+  peer_options.port = 0;
+  ASSERT_TRUE(peer.Start(std::move(peer_options)).ok());
+  const std::string peer_at = "127.0.0.1:" + std::to_string(peer.port());
+
+  ParkService service;
+  StartServer(&service);
+  ParkClient client(FastClient(), "127.0.0.1", server_->port());
+  const auto junk = client.Repair("pk", {peer_at + "junk"});
+  ASSERT_FALSE(junk.ok()) << "repaired from '" << peer_at << "junk'";
+  EXPECT_EQ(junk.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(client.last_error_was_transport());
+  EXPECT_EQ(service.num_parks(), 0);
+
+  // The bad source is skipped, not fatal: the next one repairs.
+  const auto repaired = client.Repair("pk", {peer_at + "junk", peer_at});
+  ASSERT_TRUE(repaired.ok()) << repaired.status();
+  EXPECT_EQ(repaired->action, "repaired");
+  EXPECT_EQ(service.num_parks(), 1);
+}
+
 TEST_F(ParkServerTest, GarbageBytesCloseTheConnectionAndCountAsProtocolError) {
   ParkService service;
   ASSERT_TRUE(service.Register("p", MakeSnapshot()).ok());

@@ -50,7 +50,7 @@ TEST(PwlTest, ApproximationErrorShrinksWithSegments) {
 // pick the maximizing breakpoint.
 TEST(PwlLpTest, ConcaveMaximizationIsExact) {
   LinearProgram lp;
-  const int x = lp.AddVariable(0.0, 4.0, 0.0, "x");
+  const int x = lp.AddVariable(0.0, 4.0, 0.0);
   // Tent peaking at x = 3 with value 6.
   PiecewiseLinear tent({0.0, 3.0, 4.0}, {0.0, 6.0, 2.0});
   AddPwlObjectiveTerm(&lp, x, tent, 1.0);
@@ -66,7 +66,7 @@ TEST(PwlLpTest, ConcaveMaximizationIsExact) {
 // report the (wrong) upper concave envelope.
 TEST(PwlLpTest, NonConcaveUsesSos2AndFindsTrueOptimum) {
   LinearProgram lp;
-  const int x = lp.AddVariable(0.0, 2.0, 0.0, "x");
+  const int x = lp.AddVariable(0.0, 2.0, 0.0);
   // W-shape: f(0)=1, f(1)=0, f(2)=1.4, constrained to x <= 1.5.
   PiecewiseLinear w({0.0, 1.0, 2.0}, {1.0, 0.0, 1.4});
   AddPwlObjectiveTerm(&lp, x, w, 1.0);
@@ -86,7 +86,7 @@ TEST(PwlLpTest, AdjacencyPreventsEnvelopeCheating) {
   // Without SOS2, lambda could mix breakpoints 0 and 2 to fake value 1.2 at
   // x = 1. With adjacency the value at x = 1 is the true f(1) = 0.
   LinearProgram lp;
-  const int x = lp.AddVariable(1.0, 1.0, 0.0, "x");  // pinned at 1
+  const int x = lp.AddVariable(1.0, 1.0, 0.0);  // pinned at 1
   PiecewiseLinear w({0.0, 1.0, 2.0}, {1.0, 0.0, 1.4});
   AddPwlObjectiveTerm(&lp, x, w, 1.0);
   auto sol = SolveMilp(lp);
@@ -96,8 +96,8 @@ TEST(PwlLpTest, AdjacencyPreventsEnvelopeCheating) {
 
 TEST(PwlLpTest, MultipleTermsSumCorrectly) {
   LinearProgram lp;
-  const int x = lp.AddVariable(0.0, 2.0, 0.0, "x");
-  const int y = lp.AddVariable(0.0, 2.0, 0.0, "y");
+  const int x = lp.AddVariable(0.0, 2.0, 0.0);
+  const int y = lp.AddVariable(0.0, 2.0, 0.0);
   lp.AddConstraint({{x, 1.0}, {y, 1.0}}, Relation::kLessEqual, 2.0);
   // Concave saturating rewards; optimal split is x = y = 1 by symmetry
   // (diminishing returns).
@@ -113,7 +113,7 @@ TEST(PwlLpTest, MultipleTermsSumCorrectly) {
 
 TEST(PwlLpTest, WeightScalesObjective) {
   LinearProgram lp;
-  const int x = lp.AddVariable(0.0, 1.0, 0.0, "x");
+  const int x = lp.AddVariable(0.0, 1.0, 0.0);
   PiecewiseLinear line({0.0, 1.0}, {0.0, 1.0});
   AddPwlObjectiveTerm(&lp, x, line, 2.5);
   EXPECT_TRUE(lp.sos2_sets().empty());

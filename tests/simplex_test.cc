@@ -14,8 +14,8 @@ TEST(SimplexTest, SolvesTextbookTwoVariableLp) {
   // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18, x,y >= 0.
   // Optimum: x = 2, y = 6, objective = 36 (classic Dantzig example).
   LinearProgram lp;
-  const int x = lp.AddVariable(0.0, kLpInfinity, 3.0, "x");
-  const int y = lp.AddVariable(0.0, kLpInfinity, 5.0, "y");
+  const int x = lp.AddVariable(0.0, kLpInfinity, 3.0);
+  const int y = lp.AddVariable(0.0, kLpInfinity, 5.0);
   lp.AddConstraint({{x, 1.0}}, Relation::kLessEqual, 4.0);
   lp.AddConstraint({{y, 2.0}}, Relation::kLessEqual, 12.0);
   lp.AddConstraint({{x, 3.0}, {y, 2.0}}, Relation::kLessEqual, 18.0);
