@@ -37,6 +37,7 @@
 #include "ml/compiled_forest.h"
 #include "ml/compiled_gp.h"
 #include "serve/park_service.h"
+#include "util/archive.h"
 #include "util/cpu_features.h"
 #include "util/csv.h"
 #include "util/rng.h"
@@ -960,6 +961,16 @@ void ReportSnapshotRoundtrip(const ParkFixture& fixture, JsonWriter* json) {
   const RiskMaps got = snapshot->PredictRisk(2.0);
   const bool identical =
       got.risk == want.risk && got.variance == want.variance;
+
+  // The archive checksum alone, over the bytes just saved: every save,
+  // load and served response pays it, and a CPU where the carry-less fold
+  // is not picked reads several times slower here.
+  const double crc_ms = MinMs(9, [&] {
+    const uint32_t crc = Crc32(bytes.data(), bytes.size());
+    benchmark::DoNotOptimize(crc);
+  });
+  const double crc_ns_per_kib = crc_ms * 1e6 / (bytes.size() / 1024.0);
+  std::printf("snapshot CRC-32: %.0f ns/KiB\n", crc_ns_per_kib);
   std::printf(
       "snapshot: %.1f KiB, save %.1f ms, load %.1f ms; training took "
       "%.0f ms -> load-vs-retrain speedup %.0fx (served risk map %s)\n\n",
@@ -973,6 +984,7 @@ void ReportSnapshotRoundtrip(const ParkFixture& fixture, JsonWriter* json) {
     json->Add("size_kib", bytes.size() / 1024.0);
     json->Add("save_ms", save_ms);
     json->Add("load_ms", load_ms);
+    json->Add("crc32_ns_per_kib", crc_ns_per_kib);
     json->Add("train_ms", fixture.train_ms);
     json->Add("load_vs_retrain_speedup",
               load_ms > 0 ? fixture.train_ms / load_ms : 0.0);

@@ -24,6 +24,15 @@ Status ArchiveLoaded(IWareEnsemble& model) {
             "IWareEnsemble: thresholds not strictly increasing");
       }
     }
+    // Serving mixes sum(w * p) / sum(w): a negative weight can move that
+    // outside [0, 1] and a NaN one makes it NaN. Zero is legal (a zero sum
+    // falls back to learner 0).
+    for (const double w : model.weights_) {
+      if (!(w >= 0.0 && std::isfinite(w))) {
+        return Status::InvalidArgument(
+            "IWareEnsemble: weight negative or not finite");
+      }
+    }
   }
   // The serving backend is derived state — re-selected here rather than
   // serialized, so the archive format predates and outlives it.

@@ -20,10 +20,14 @@ namespace paws {
 /// (per-endpoint, per-opcode) and when it triggers (skip window, firing
 /// limit, seeded probability). A FaultInjectedTransport consults the
 /// shared FaultInjector on every connect/send/recv and perturbs exactly
-/// what the rule says — nothing else is random, so any chaos-suite
-/// failure reproduces from its `{seed, schedule}` pair alone. The
-/// injector's event log (and its fingerprint) is the audit trail tests
-/// compare across runs to prove that determinism.
+/// what the rule says — nothing else is random, so the decisions are a
+/// pure function of `{seed, schedule}` and the operation sequence. In a
+/// fleet that sequence also follows the ring layout (which endpoint is a
+/// park's primary, and the map order probes walk), so a chaos failure
+/// reproduces in another process when the layout is pinned too, as
+/// `tests/chaos_test.cc` does. The injector's event log (and its
+/// fingerprint) is the audit trail tests compare across runs to prove
+/// that determinism; it names real endpoints, ports included.
 
 /// What a fired rule does to the operation it matched.
 enum class FaultKind : uint32_t {

@@ -4,12 +4,14 @@
 // bit-identical to the in-process ground truth, and every failure carries
 // a transport-grade status, never a fabricated application answer. A
 // second suite replays the identical schedule against the same fleet and
-// asserts the injector fingerprints match — any chaos failure reproduces
-// from its {seed, schedule} pair alone. CI runs the whole file under a
-// PAWS_CHAOS_SEED matrix.
+// asserts the injector fingerprints match. A fleet's fault decisions
+// depend on its {seed, schedule} pair and on its ring layout, which that
+// test pins, so a chaos failure reproduces from the seed in any process.
+// CI runs the whole file under a PAWS_CHAOS_SEED matrix.
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -181,7 +183,19 @@ TEST_F(ChaosTest, SeededChaosCostsRequestsButNeverCorruptsAnswers) {
 }
 
 TEST_F(ChaosTest, ChaosRunReproducesFromSeedAndScheduleBytesAlone) {
-  const FleetMap map = StartFleet(2, /*replication=*/2, {"pk-0"});
+  // The shards bind ephemeral ports and the ring hashes "host:port#k", so
+  // which shard is pk-0's primary changes from process to process, while
+  // ProbeOnce walks endpoints in map order. Listing pk-0's primary first
+  // gives every process the same layout; placement does not move, because
+  // the reordered map hashes the same endpoint strings.
+  const FleetMap fleet = StartFleet(2, /*replication=*/2, {"pk-0"});
+  const int primary = fleet.ReplicasFor("pk-0")[0];
+  std::vector<FleetEndpoint> endpoints = fleet.endpoints();
+  std::swap(endpoints[0], endpoints[primary]);
+  auto pinned = FleetMap::Create(endpoints, /*replication=*/2);
+  ASSERT_TRUE(pinned.ok()) << pinned.status();
+  const FleetMap& map = *pinned;
+  ASSERT_EQ(map.ReplicasFor("pk-0")[0], 0);
 
   // Connect/send faults only: the client performs exactly one connect
   // and one send per attempt, so the operation sequence the injector

@@ -270,6 +270,59 @@ TEST(IWareRoundTripTest, EnsembleRoundTripsBitIdentical) {
   EXPECT_EQ(got_curves.qualified_count, want_curves.qualified_count);
 }
 
+// The payload `writer` holds, without the 8-byte header and the 4-byte CRC
+// that frame it.
+std::string PayloadOf(const ArchiveWriter& writer) {
+  const std::string framed = writer.Bytes();
+  return framed.substr(8, framed.size() - 12);
+}
+
+TEST(IWareRoundTripTest, NegativeOrNonFiniteWeightFails) {
+  // Fit leaves the weights on the simplex (or uniform), but serving mixes
+  // sum(w * p) / sum(w) from whatever an archive holds: a negative weight
+  // can move risk outside [0, 1] and a NaN one makes it NaN, so both are
+  // refused as the ensemble is read, and so is infinity.
+  Rng rng(17);
+  const Dataset train = MakeData(120, &rng);
+  IWareConfig config;
+  config.num_thresholds = 3;
+  config.cv_folds = 2;
+  config.weak_learner = WeakLearnerKind::kDecisionTreeBagging;
+  config.bagging.num_estimators = 2;
+  IWareEnsemble model(config);
+  ASSERT_TRUE(model.Fit(train, &rng).ok());
+  ArchiveWriter writer;
+  SaveRecord(model, &writer);
+  const std::string archive = writer.Bytes();
+
+  ArchiveWriter weights_writer;
+  weights_writer.WriteDoubleVector(model.weights());
+  const std::string weights = PayloadOf(weights_writer);
+  const size_t at = archive.find(weights);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(archive.find(weights, at + 1), std::string::npos);
+
+  const auto load_with_first_weight = [&](double w0) {
+    ArchiveWriter w0_writer;
+    w0_writer.WriteDouble(w0);
+    std::string bytes = archive;
+    bytes.replace(at + 8, 8, PayloadOf(w0_writer));  // after the count
+    bytes.resize(bytes.size() - 4);
+    AppendU32(&bytes, Crc32(bytes.data(), bytes.size()));
+    auto reader = ArchiveReader::FromBytes(bytes);
+    CheckOrDie(reader.ok(), "resealed ensemble archive did not open");
+    return Load(&*reader, IWareEnsemble(IWareConfig{})).status();
+  };
+  EXPECT_TRUE(load_with_first_weight(model.weights()[0]).ok());
+  EXPECT_TRUE(load_with_first_weight(0.0).ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {-0.25, inf, nan}) {
+    EXPECT_EQ(load_with_first_weight(bad).code(), StatusCode::kInvalidArgument)
+        << bad;
+  }
+}
+
 TEST(EffortCurveRoundTripTest, TableRoundTripsExactly) {
   EffortCurveTable table;
   table.effort_grid = {0.0, 1.0, 2.5};
