@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks (CI `docs` job).
 
-Four checks, all stdlib-only:
+Five checks, all stdlib-only:
 
 1. Relative markdown links in README.md and docs/*.md must resolve to
    files that exist in the repo (anchors are stripped; absolute URLs and
@@ -27,6 +27,10 @@ Four checks, all stdlib-only:
    is exempt: those files are the change log and working notes, which name
    files as they were before a change deleted them.
    Deleting or moving a source file without updating the docs fails CI.
+5. Orphan-header guard: every git-tracked `src/**/*.h` must be
+   `#include`d by some file under src/, bench/, examples/ or perfbench/
+   other than its own `.cc`. A module that only tests include is code
+   nothing runs, and fails CI.
 
 Exit status: 0 if everything checks out, 1 otherwise (each problem is
 printed on its own line).
@@ -168,13 +172,16 @@ CODE_PATH_RE = re.compile(r"`((?:src|tests)/[^`\s]*)`")
 PATH_CHECKED_TOP_LEVEL = {"README.md", "ROADMAP.md"}
 
 
-def tracked_markdown():
-    out = subprocess.run(
-        ["git", "ls-files", "*.md"], cwd=REPO, capture_output=True, text=True
-    )
+def git_files(*pathspecs):
+    out = subprocess.run(["git", "ls-files", *pathspecs], cwd=REPO,
+                         capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"error: git ls-files failed: {out.stderr.strip()}")
-    return [p for p in out.stdout.split()
+    return out.stdout.split()
+
+
+def tracked_markdown():
+    return [p for p in git_files("*.md")
             if "/" in p or p in PATH_CHECKED_TOP_LEVEL]
 
 
@@ -205,9 +212,39 @@ def check_code_paths():
     return problems
 
 
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
+RUNNING_DIRS = ("src", "bench", "examples", "perfbench")
+
+
+def check_orphan_headers():
+    """Headers no binary, bench, example or perfbench source includes."""
+    included = {}  # header -> the files that include it
+    for rel in git_files(*RUNNING_DIRS):
+        if not rel.endswith((".h", ".cc", ".cpp")):
+            continue
+        text = (REPO / rel).read_text(encoding="utf-8")
+        for target in INCLUDE_RE.findall(text):
+            # Quoted includes resolve against src/ (the include root) or
+            # the including file's own directory.
+            for base in (Path("src"), Path(rel).parent):
+                header = (base / target).as_posix()
+                if (REPO / header).is_file():
+                    included.setdefault(header, set()).add(rel)
+                    break
+    problems = []
+    for header in git_files("src/*.h"):
+        own_cc = header[: -len(".h")] + ".cc"
+        if not included.get(header, set()) - {own_cc}:
+            problems.append(
+                f"{header}: no file under src/, bench/, examples/ or "
+                f"perfbench/ includes it (only tests or its own .cc do)"
+            )
+    return problems
+
+
 def main():
     problems = (check_links() + check_wire_doc() + check_backend_doc() +
-                check_code_paths())
+                check_code_paths() + check_orphan_headers())
     for p in problems:
         print(p)
     if problems:
@@ -218,7 +255,8 @@ def main():
           f"WIRE_PROTOCOL.md covers every opcode, status code and "
           f"payload tag, the docs name every archive section tag, "
           f"ARCHITECTURE.md covers every scoring backend, "
-          f"every backticked src/ and tests/ path exists.")
+          f"every backticked src/ and tests/ path exists, "
+          f"every src/ header is included by code that runs.")
     return 0
 
 

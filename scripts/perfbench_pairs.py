@@ -26,9 +26,10 @@ run of this script, with every run's numbers, perfbench's `host:` line and
 the identity of the code each side measured: a SHA-256 digest of the files
 perfbench builds (src/, perfbench/ and the top-level CMakeLists.txt) and
 the git commit when the tree is a checkout (a `git archive` tree has
-none). A set already in the file is replaced only by a rerun of the same
-seed and trace on the same two identities; any other set is added beside
-the ones there.
+none). Every set is added beside the ones already there, never in place of
+one: its `run` is 1 plus the number of sets stored with the same seed,
+trace and both identities, so a rerun made to resolve a verdict keeps the
+first run too.
 """
 import argparse
 import hashlib
@@ -233,9 +234,11 @@ def write_set(path, workload, result):
     if os.path.exists(path):
         with open(path) as f:
             doc = json.load(f)
-    key = (result["seed"], result["trace"], result.get("identity"))
-    doc["sets"] = [s for s in doc["sets"]
-                   if (s["seed"], s["trace"], s.get("identity")) != key]
+
+    def key(s):
+        return s["seed"], s["trace"], s.get("identity")
+
+    result["run"] = 1 + sum(key(s) == key(result) for s in doc["sets"])
     doc["sets"].append(result)
     doc["sets"].sort(key=lambda s: (s["trace"], s["seed"]))
     with open(path, "w") as f:
@@ -346,8 +349,9 @@ def self_test():
             check(tree_identity(nested)["commit"] is None,
                   "no commit below the top of a checkout")
 
-        # write_set replaces a set only on the same seed, trace and both
-        # identities; a legacy set without identities is left alone.
+        # write_set keeps every set: two writes of one seed, trace and
+        # pair of identities are runs 1 and 2, another identity or seed
+        # starts at run 1, and a legacy set without identities stays.
         path = os.path.join(tmp, "BENCH_x.json")
         ids = {"parent": first, "change": second}
         other = {"parent": first, "change": first}
@@ -364,8 +368,9 @@ def self_test():
                               "pairs": 4})
         with open(path) as f:
             sets = json.load(f)["sets"]
-        check(sorted(s["pairs"] for s in sets) == [0, 2, 3, 4],
-              "replace-or-append")
+        check(sorted((s["pairs"], s.get("run")) for s in sets) ==
+              [(0, None), (1, 1), (2, 2), (3, 1), (4, 1)],
+              "every write appends with its run number")
 
     print("perfbench_pairs self-test: %d checks passed" % checks)
     return 0

@@ -18,6 +18,9 @@ Status ArchiveLoaded(IWareEnsemble& model) {
       return Status::InvalidArgument(
           "IWareEnsemble: learner/threshold/weight count mismatch");
     }
+    if (!AllFinite(model.thresholds_)) {
+      return Status::InvalidArgument("IWareEnsemble: threshold not finite");
+    }
     for (size_t i = 1; i < model.thresholds_.size(); ++i) {
       if (!(model.thresholds_[i] > model.thresholds_[i - 1])) {
         return Status::InvalidArgument(

@@ -1,5 +1,9 @@
 #include "ml/cross_validation.h"
 
+#include <utility>
+
+#include "util/status.h"
+
 namespace paws {
 
 std::vector<std::vector<int>> StratifiedKFold(const std::vector<int>& labels,
@@ -23,55 +27,6 @@ std::vector<std::vector<int>> StratifiedKFold(const std::vector<int>& labels,
   for (int i : pos) folds[next++ % num_folds].push_back(i);
   for (int i : neg) folds[next++ % num_folds].push_back(i);
   return folds;
-}
-
-StatusOr<std::vector<double>> OutOfFoldPredictions(
-    const Classifier& proto, const Dataset& data, int num_folds, Rng* rng,
-    const ParallelismConfig& parallelism) {
-  if (data.size() < num_folds) {
-    return Status::InvalidArgument("OutOfFoldPredictions: too few rows");
-  }
-  const std::vector<std::vector<int>> folds =
-      StratifiedKFold(data.labels(), num_folds, rng);
-  // Fork one training Rng per fold serially so fold training below can run
-  // in any order (and on any number of threads) without changing results.
-  std::vector<Rng> fold_rngs;
-  fold_rngs.reserve(num_folds);
-  for (int f = 0; f < num_folds; ++f) fold_rngs.push_back(rng->Fork());
-  std::vector<double> preds(data.size(), 0.0);
-  std::vector<Status> statuses(num_folds, Status::OK());
-  ParallelFor(parallelism, 0, num_folds, /*grain=*/1, [&](std::int64_t lo,
-                                                          std::int64_t hi) {
-    for (std::int64_t f = lo; f < hi; ++f) {
-      std::vector<int> train_rows;
-      for (int g = 0; g < num_folds; ++g) {
-        if (g == f) continue;
-        train_rows.insert(train_rows.end(), folds[g].begin(), folds[g].end());
-      }
-      const Dataset train = data.Subset(train_rows);
-      const double base_rate = train.PositiveFraction();
-      const int pos = train.CountPositives();
-      if (pos == 0 || pos == train.size()) {
-        // Each fold writes only its own held-out rows, so these stores are
-        // disjoint across threads.
-        for (int i : folds[f]) preds[i] = base_rate;
-        continue;
-      }
-      auto model = proto.CloneUntrained();
-      statuses[f] = model->Fit(train, &fold_rngs[f]);
-      if (!statuses[f].ok()) continue;
-      // Gather the held-out rows and score them in one batch.
-      std::vector<double> gathered;
-      std::vector<double> fold_preds;
-      model->PredictBatch(
-          GatherRows(data.FeaturesView(), folds[f], &gathered), &fold_preds);
-      for (size_t j = 0; j < folds[f].size(); ++j) {
-        preds[folds[f][j]] = fold_preds[j];
-      }
-    }
-  });
-  PAWS_RETURN_IF_ERROR(FirstError(statuses));
-  return preds;
 }
 
 }  // namespace paws

@@ -3,9 +3,7 @@
 
 #include <vector>
 
-#include "ml/classifier.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace paws {
 
@@ -15,19 +13,6 @@ namespace paws {
 /// list of validation row indices. Every row appears in exactly one fold.
 std::vector<std::vector<int>> StratifiedKFold(const std::vector<int>& labels,
                                               int num_folds, Rng* rng);
-
-/// Out-of-fold predictions: for each fold, trains a fresh clone of `proto`
-/// on the other folds and scores the held-out rows. The returned vector is
-/// indexed by dataset row. Rows whose training split degenerates (single
-/// class) receive the training-set base rate.
-///
-/// Folds train on up to `parallelism` threads. Fold assignment and each
-/// fold's training Rng are drawn from `rng` serially beforehand, and every
-/// fold writes only its own held-out rows, so the result is bit-identical
-/// for every thread count.
-StatusOr<std::vector<double>> OutOfFoldPredictions(
-    const Classifier& proto, const Dataset& data, int num_folds, Rng* rng,
-    const ParallelismConfig& parallelism = ParallelismConfig());
 
 }  // namespace paws
 

@@ -116,6 +116,9 @@ Status ArchiveLoaded(Standardizer& s) {
   if (s.mean_.size() != s.stddev_.size()) {
     return Status::InvalidArgument("Standardizer: mean/stddev width mismatch");
   }
+  if (!AllFinite(s.mean_) || !AllFinite(s.stddev_)) {
+    return Status::InvalidArgument("Standardizer: mean or stddev not finite");
+  }
   for (double sd : s.stddev_) {
     if (!(sd > 0.0)) {
       return Status::InvalidArgument("Standardizer: non-positive stddev");

@@ -66,20 +66,6 @@ class Dataset {
   /// The q-th percentile (q in [0,100]) of the effort channel.
   double EffortPercentile(double q) const;
 
-  /// Archived as a "DSET" section (see ml/dataset_io.h): the width, the row
-  /// count, then the label, effort, time-step, cell-id and feature columns.
-  static constexpr ArchiveSection kArchiveSection{FourCc("DSET"), 1};
-  template <typename Io>
-  friend void ArchiveFields(Io& io, ArchiveRef<Io, Dataset> d) {
-    uint64_t rows = d.y_.size();
-    io(d.num_features_, rows, d.y_, d.effort_, d.time_step_, d.cell_id_,
-       d.x_);
-    if (rows != d.y_.size()) {
-      io.Check(Status::InvalidArgument("dataset: column size mismatch"));
-    }
-  }
-  friend Status ArchiveLoaded(Dataset& d);
-
  private:
   int num_features_;
   std::vector<double> x_;  // flattened row-major

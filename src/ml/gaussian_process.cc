@@ -219,6 +219,23 @@ Status ArchiveLoaded(GaussianProcessClassifier& gp) {
     return Status::InvalidArgument(
         "GaussianProcess: posterior cache shape mismatch");
   }
+  const RbfKernel& k = gp.kernel_;
+  if (!(std::isfinite(k.length_scale) && k.length_scale > 0.0 &&
+        std::isfinite(k.signal_variance) && k.signal_variance > 0.0)) {
+    return Status::InvalidArgument(
+        "GaussianProcess: kernel length scale or signal variance not finite "
+        "and positive");
+  }
+  bool ok = AllFinite(gp.grad_log_lik_) && AllFinite(gp.sqrt_w_);
+  for (size_t i = 0; ok && i < n; ++i) {
+    const double* l_row = gp.chol_b_.Row(static_cast<int>(i));
+    ok = AllFinite(gp.x_train_[i]) && AllFinite(l_row, n) && l_row[i] > 0.0;
+  }
+  if (!ok) {
+    return Status::InvalidArgument(
+        "GaussianProcess: posterior cache not finite or Cholesky diagonal "
+        "not positive");
+  }
   return Status::OK();
 }
 

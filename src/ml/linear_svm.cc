@@ -121,8 +121,14 @@ std::unique_ptr<Classifier> LinearSvm::CloneUntrained() const {
 
 Status ArchiveLoaded(LinearSvm& svm) {
   const int width = svm.standardizer_.num_features();
-  if (svm.fitted_ && svm.weights_.size() != static_cast<size_t>(width)) {
+  if (!svm.fitted_) return Status::OK();
+  if (svm.weights_.size() != static_cast<size_t>(width)) {
     return Status::InvalidArgument("LinearSvm: weight width mismatch");
+  }
+  if (!AllFinite(svm.weights_) || !std::isfinite(svm.bias_) ||
+      !std::isfinite(svm.platt_a_) || !std::isfinite(svm.platt_b_)) {
+    return Status::InvalidArgument(
+        "LinearSvm: weight, bias or Platt parameter not finite");
   }
   return Status::OK();
 }

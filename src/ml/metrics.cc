@@ -1,7 +1,6 @@
 #include "ml/metrics.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "ml/classifier.h"
@@ -49,59 +48,6 @@ StatusOr<double> AucRoc(const std::vector<double>& scores,
       (pos_rank_sum - 0.5 * n_pos * (n_pos + 1)) /
       (static_cast<double>(n_pos) * static_cast<double>(n_neg));
   return auc;
-}
-
-double LogLoss(const std::vector<double>& probs, const std::vector<int>& labels,
-               double eps) {
-  CheckOrDie(probs.size() == labels.size(), "LogLoss: size mismatch");
-  CheckOrDie(!probs.empty(), "LogLoss: empty input");
-  double total = 0.0;
-  for (size_t i = 0; i < probs.size(); ++i) {
-    const double p = std::clamp(probs[i], eps, 1.0 - eps);
-    total += labels[i] == 1 ? -std::log(p) : -std::log(1.0 - p);
-  }
-  return total / probs.size();
-}
-
-double BrierScore(const std::vector<double>& probs,
-                  const std::vector<int>& labels) {
-  CheckOrDie(probs.size() == labels.size(), "BrierScore: size mismatch");
-  CheckOrDie(!probs.empty(), "BrierScore: empty input");
-  double total = 0.0;
-  for (size_t i = 0; i < probs.size(); ++i) {
-    const double d = probs[i] - labels[i];
-    total += d * d;
-  }
-  return total / probs.size();
-}
-
-double Accuracy(const std::vector<double>& probs, const std::vector<int>& labels,
-                double threshold) {
-  CheckOrDie(probs.size() == labels.size(), "Accuracy: size mismatch");
-  CheckOrDie(!probs.empty(), "Accuracy: empty input");
-  int correct = 0;
-  for (size_t i = 0; i < probs.size(); ++i) {
-    const int pred = probs[i] >= threshold ? 1 : 0;
-    if (pred == labels[i]) ++correct;
-  }
-  return static_cast<double>(correct) / probs.size();
-}
-
-PrecisionRecall PrecisionRecallAt(const std::vector<double>& probs,
-                                  const std::vector<int>& labels,
-                                  double threshold) {
-  CheckOrDie(probs.size() == labels.size(), "PrecisionRecall: size mismatch");
-  int tp = 0, fp = 0, fn = 0;
-  for (size_t i = 0; i < probs.size(); ++i) {
-    const int pred = probs[i] >= threshold ? 1 : 0;
-    if (pred == 1 && labels[i] == 1) ++tp;
-    if (pred == 1 && labels[i] == 0) ++fp;
-    if (pred == 0 && labels[i] == 1) ++fn;
-  }
-  PrecisionRecall pr;
-  if (tp + fp > 0) pr.precision = static_cast<double>(tp) / (tp + fp);
-  if (tp + fn > 0) pr.recall = static_cast<double>(tp) / (tp + fn);
-  return pr;
 }
 
 }  // namespace paws

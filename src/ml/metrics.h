@@ -13,29 +13,6 @@ namespace paws {
 StatusOr<double> AucRoc(const std::vector<double>& scores,
                         const std::vector<int>& labels);
 
-/// Mean binary cross-entropy. Probabilities are clipped to
-/// [eps, 1 - eps] to keep the loss finite.
-double LogLoss(const std::vector<double>& probs, const std::vector<int>& labels,
-               double eps = 1e-9);
-
-/// Mean squared error between probabilities and binary labels.
-double BrierScore(const std::vector<double>& probs,
-                  const std::vector<int>& labels);
-
-/// Fraction of rows where (prob >= threshold) matches the label.
-double Accuracy(const std::vector<double>& probs, const std::vector<int>& labels,
-                double threshold = 0.5);
-
-/// Precision and recall at a threshold. Precision is 1 when there are no
-/// predicted positives; recall is 1 when there are no actual positives.
-struct PrecisionRecall {
-  double precision = 1.0;
-  double recall = 1.0;
-};
-PrecisionRecall PrecisionRecallAt(const std::vector<double>& probs,
-                                  const std::vector<int>& labels,
-                                  double threshold = 0.5);
-
 }  // namespace paws
 
 #endif  // PAWS_ML_METRICS_H_

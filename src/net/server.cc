@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <exception>
 
 namespace paws {
 
@@ -32,6 +33,13 @@ Status SetNonBlocking(int fd) {
 
 double MsBetween(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
+}
+
+Frame StatusFrame(const Status& status) {
+  Frame frame;
+  frame.opcode = static_cast<uint32_t>(Opcode::kStatusResponse);
+  frame.payload = EncodeStatusPayload(status);
+  return frame;
 }
 
 }  // namespace
@@ -481,14 +489,23 @@ void FrameServer::WorkerLoop() {
         MsBetween(task.enqueued, Clock::now()) > options_.request_deadline_ms;
     if (expired) {
       deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      response.opcode = static_cast<uint32_t>(Opcode::kStatusResponse);
-      response.payload = EncodeStatusPayload(Status::ResourceExhausted(
+      response = StatusFrame(Status::ResourceExhausted(
           "FrameServer: request deadline expired before dispatch"));
     } else {
       if (options_.pre_dispatch_hook_for_test) {
         options_.pre_dispatch_hook_for_test();
       }
-      response = handler_(task.frame);
+      // A handler that throws answers this request alone; the worker and
+      // the daemon keep serving.
+      try {
+        response = handler_(task.frame);
+      } catch (const std::exception& e) {
+        response = StatusFrame(Status::Internal(
+            std::string("FrameServer: handler threw: ") + e.what()));
+      } catch (...) {
+        response = StatusFrame(Status::Internal(
+            "FrameServer: handler threw a non-standard exception"));
+      }
     }
     std::string bytes = FinishResponse(task.frame, std::move(response));
     {

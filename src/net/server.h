@@ -83,7 +83,9 @@ struct FrameServerOptions {
 class FrameServer {
  public:
   /// Produces the response frame for one request frame. Runs on a worker
-  /// thread; must be thread-safe (ParkService is).
+  /// thread; must be thread-safe (ParkService is). An exception it throws
+  /// is answered with an Internal status frame naming it, and the worker
+  /// serves on.
   using Handler = std::function<Frame(const Frame&)>;
   /// Answers a request on the event thread when it can do so without
   /// waiting: returns true with `response` filled, or false to send the

@@ -1,47 +1,17 @@
 #include "plan/game.h"
 
-#include "util/special.h"
-
 namespace paws {
 
-std::vector<double> CoverageToMixedStrategy(const std::vector<double>& effort,
-                                            int num_patrols) {
-  CheckOrDie(num_patrols >= 1, "CoverageToMixedStrategy: bad num_patrols");
-  std::vector<double> x(effort.size());
-  for (size_t v = 0; v < effort.size(); ++v) x[v] = effort[v] / num_patrols;
-  return x;
-}
-
-double DefenderExpectedUtility(
-    const std::vector<double>& coverage, const std::vector<double>& attack_prob,
-    const std::function<double(double)>& detect_prob) {
+double ExpectedDetections(const std::vector<double>& coverage,
+                          const std::vector<double>& attack_prob,
+                          const std::function<double(double)>& detect_prob) {
   CheckOrDie(coverage.size() == attack_prob.size(),
-             "DefenderExpectedUtility: size mismatch");
+             "ExpectedDetections: size mismatch");
   double u = 0.0;
   for (size_t v = 0; v < coverage.size(); ++v) {
     u += detect_prob(coverage[v]) * attack_prob[v];
   }
   return u;
-}
-
-std::vector<double> QuantalResponseAttack(
-    const std::vector<double>& base_logit, const std::vector<double>& coverage,
-    double rationality) {
-  CheckOrDie(base_logit.size() == coverage.size(),
-             "QuantalResponseAttack: size mismatch");
-  CheckOrDie(rationality >= 0.0,
-             "QuantalResponseAttack: rationality must be >= 0");
-  std::vector<double> p(base_logit.size());
-  for (size_t v = 0; v < p.size(); ++v) {
-    p[v] = Sigmoid(base_logit[v] - rationality * coverage[v]);
-  }
-  return p;
-}
-
-double ExpectedDetections(const std::vector<double>& coverage,
-                          const std::vector<double>& attack_prob,
-                          const std::function<double(double)>& detect_prob) {
-  return DefenderExpectedUtility(coverage, attack_prob, detect_prob);
 }
 
 }  // namespace paws

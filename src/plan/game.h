@@ -14,31 +14,11 @@ namespace paws {
 /// snares. The defender earns 1 per detected attack, so her expected
 /// utility is Eq. 3: U_d = sum_v Pr[o_v = O | a_v = A] Pr[a_v = A].
 
-/// Converts per-cell effort c_v (km) into the defender mixed-strategy
-/// coverage x_v = c_v / K, K = number of patrols.
-std::vector<double> CoverageToMixedStrategy(const std::vector<double>& effort,
-                                            int num_patrols);
-
-/// Defender expected utility, Eq. 3. `attack_prob[v]` is Pr[a_v = A];
-/// `detect_prob(c)` maps effort to Pr[o = O | a = A].
-double DefenderExpectedUtility(
-    const std::vector<double>& coverage,
-    const std::vector<double>& attack_prob,
-    const std::function<double(double)>& detect_prob);
-
-/// A boundedly rational (quantal-response) adversary: attack probability at
-/// cell v responds to defender coverage as
-///   Pr[a_v = A] = sigmoid(base_logit[v] - rationality * coverage[v]).
-/// rationality = 0 recovers a coverage-oblivious attacker; large values
-/// approach a best responder. GSGs explicitly avoid assuming perfect
-/// rationality (Sec. VI-A).
-std::vector<double> QuantalResponseAttack(
-    const std::vector<double>& base_logit, const std::vector<double>& coverage,
-    double rationality);
-
-/// Expected number of detected attacks (snares found) when the true attack
-/// probabilities are `attack_prob` and detection follows `detect_prob` —
-/// the ground-truth score used to claim the paper's "30% more snares".
+/// Expected number of detected attacks (snares found), the defender
+/// expected utility of Eq. 3. `attack_prob[v]` is Pr[a_v = A];
+/// `detect_prob(c)` maps effort to Pr[o = O | a = A]. With the true attack
+/// probabilities this is the ground-truth score used to claim the paper's
+/// "30% more snares".
 double ExpectedDetections(const std::vector<double>& coverage,
                           const std::vector<double>& attack_prob,
                           const std::function<double(double)>& detect_prob);

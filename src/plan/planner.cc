@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace paws {
 
@@ -121,14 +122,16 @@ StatusOr<UnrolledModel> BuildModel(
 }  // namespace
 
 Status ValidatePlannerConfig(const PlannerConfig& config) {
-  if (config.horizon < 2) {
-    return Status::InvalidArgument("PlanPatrols: horizon must be >= 2");
+  if (config.horizon < 2 || config.horizon > kMaxPlannerHorizon) {
+    return Status::InvalidArgument("PlanPatrols: horizon must be in [2, " +
+                                   std::to_string(kMaxPlannerHorizon) + "]");
   }
   if (config.num_patrols < 1) {
     return Status::InvalidArgument("PlanPatrols: num_patrols must be >= 1");
   }
-  if (config.pwl_segments < 1) {
-    return Status::InvalidArgument("PlanPatrols: pwl_segments must be >= 1");
+  if (config.pwl_segments < 1 || config.pwl_segments > kMaxPwlSegments) {
+    return Status::InvalidArgument("PlanPatrols: pwl_segments must be in [1, " +
+                                   std::to_string(kMaxPwlSegments) + "]");
   }
   // The solver options arrive over the wire too: a loose or NaN tolerance
   // accepts the LP envelope as a plan, or calls a feasible model

@@ -61,11 +61,20 @@ struct PatrolRoute {
   std::vector<int> cells;         // local cell per time step (size = horizon)
 };
 
-/// Validates horizon / num_patrols / pwl_segments and the solver
-/// tolerances (each in [0, 1e-2]; the gap finite and >= 0; simplex
-/// max_iterations >= 0) — the single source of truth for config rules,
-/// shared by the planner entry points and callers that build effort grids
-/// from the config before planning.
+/// Upper bounds ValidatePlannerConfig puts on a config, which also arrives
+/// over the wire. Fig. 9b converges at 20-25 segments and every planner
+/// here runs horizon <= 8, so the caps do not bind on a real plan; they
+/// keep a request from sizing the effort grid and the time-unrolled graph
+/// by itself. SolveLp bounds the LP that results on its own.
+inline constexpr int kMaxPlannerHorizon = 64;
+inline constexpr int kMaxPwlSegments = 256;
+
+/// Validates horizon in [2, kMaxPlannerHorizon], num_patrols >= 1,
+/// pwl_segments in [1, kMaxPwlSegments] and the solver tolerances (each in
+/// [0, 1e-2]; the gap finite and >= 0; simplex max_iterations >= 0) — the
+/// single source of truth for config rules, shared by the planner entry
+/// points and callers that build effort grids from the config before
+/// planning.
 Status ValidatePlannerConfig(const PlannerConfig& config);
 
 /// Domain cap for per-cell effort the planner applies to coverage variables

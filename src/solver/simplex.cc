@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "util/matrix.h"
@@ -28,7 +30,7 @@ class SimplexSolver {
  private:
   enum class StepResult { kOptimal, kUnbounded, kPivoted };
 
-  void BuildStandardForm();
+  Status BuildStandardForm();
   void SetupInitialBasis();
   StepResult Step(const std::vector<double>& cost, bool use_bland);
   StatusOr<SolveStatus> RunPhase(const std::vector<double>& cost,
@@ -53,7 +55,7 @@ class SimplexSolver {
   long iterations_ = 0;
 };
 
-void SimplexSolver::BuildStandardForm() {
+Status SimplexSolver::BuildStandardForm() {
   m_ = lp_.num_constraints();
   n_struct_ = lp_.num_variables();
   // Count slacks.
@@ -63,6 +65,13 @@ void SimplexSolver::BuildStandardForm() {
   }
   first_artificial_ = n_struct_ + n_slack;
   n_ = first_artificial_ + m_;
+  if (static_cast<uint64_t>(m_) * static_cast<uint64_t>(n_) >
+      kMaxTableauBytes / sizeof(double)) {
+    return Status::ResourceExhausted(
+        "SolveLp: a " + std::to_string(m_) + " x " + std::to_string(n_) +
+        " tableau passes the " + std::to_string(kMaxTableauBytes >> 20) +
+        " MiB cap");
+  }
 
   tableau_ = Matrix(m_, n_);
   rhs_.assign(m_, 0.0);
@@ -92,6 +101,7 @@ void SimplexSolver::BuildStandardForm() {
   }
   // Artificial columns are filled in SetupInitialBasis (sign depends on the
   // initial residual).
+  return Status::OK();
 }
 
 void SimplexSolver::SetupInitialBasis() {
@@ -307,7 +317,7 @@ StatusOr<SolveStatus> SimplexSolver::RunPhase(const std::vector<double>& cost,
 }
 
 StatusOr<LpSolution> SimplexSolver::Solve() {
-  BuildStandardForm();
+  PAWS_RETURN_IF_ERROR(BuildStandardForm());
   SetupInitialBasis();
 
   // Phase 1: maximize -(sum of artificials).

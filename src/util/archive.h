@@ -2,6 +2,7 @@
 #define PAWS_UTIL_ARCHIVE_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -14,7 +15,7 @@
 namespace paws {
 
 /// Versioned, endian-safe binary archive — the one encoding layer shared by
-/// model snapshots and dataset files. Design goals, in order:
+/// model snapshots, fleet maps and wire payloads. Design goals, in order:
 ///
 ///  1. *Bit-exact round trips.* Doubles are stored as their IEEE-754 bit
 ///     pattern, so a loaded model predicts bit-identically to the one that
@@ -207,7 +208,7 @@ class ArchiveReader {
   std::vector<size_t> section_ends_;
 };
 
-/// Whole-file IO shared by the archive and the CSV dataset codecs.
+/// Whole-file IO for archive files and the text files benches write.
 StatusOr<std::string> ReadFileToString(const std::string& path);
 Status WriteStringToFile(const std::string& data, const std::string& path);
 
@@ -248,6 +249,17 @@ using ArchiveRef = typename Io::template Ref<T>;
 /// The post-read step of records that declare none.
 template <typename T>
 Status ArchiveLoaded(T&) { return Status::OK(); }
+
+/// True when none of `count` values is NaN or infinite: what an
+/// ArchiveLoaded hook asks of the doubles a served prediction is computed
+/// from.
+inline bool AllFinite(const double* values, size_t count) {
+  return std::all_of(values, values + count,
+                     [](double v) { return std::isfinite(v); });
+}
+inline bool AllFinite(const std::vector<double>& values) {
+  return AllFinite(values.data(), values.size());
+}
 
 /// Field adapter for a rectangular table of doubles stored as rows (i32),
 /// columns (i32), then rows x columns values with no per-row counts.

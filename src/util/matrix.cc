@@ -100,12 +100,6 @@ std::vector<double> CholeskySolve(const Matrix& l,
   return BackSubstituteTranspose(l, ForwardSubstitute(l, b));
 }
 
-double LogDetFromCholesky(const Matrix& l) {
-  double s = 0.0;
-  for (int i = 0; i < l.rows(); ++i) s += std::log(l(i, i));
-  return s;
-}
-
 Status ArchiveLoaded(Matrix& m) {
   if (m.rows_ < 0 || m.cols_ < 0 ||
       m.data_.size() != static_cast<size_t>(m.rows_) * m.cols_) {

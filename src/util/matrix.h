@@ -75,9 +75,6 @@ std::vector<double> BackSubstituteTranspose(const Matrix& l,
 /// Solves A x = b given the Cholesky factor L of A.
 std::vector<double> CholeskySolve(const Matrix& l, const std::vector<double>& b);
 
-/// Sum of log of diagonal entries of L; log det(A) = 2 * this for A = L L^T.
-double LogDetFromCholesky(const Matrix& l);
-
 /// Dot product. Requires equal sizes.
 double Dot(const std::vector<double>& a, const std::vector<double>& b);
 

@@ -67,24 +67,6 @@ double Rng::Normal() {
   return r * std::cos(theta);
 }
 
-int Rng::Poisson(double mean) {
-  CheckOrDie(mean >= 0.0, "Poisson mean must be non-negative");
-  if (mean <= 0.0) return 0;
-  // Knuth's algorithm; for large means fall back to a normal approximation.
-  if (mean > 30.0) {
-    const double v = Normal(mean, std::sqrt(mean));
-    return v < 0 ? 0 : static_cast<int>(v + 0.5);
-  }
-  const double limit = std::exp(-mean);
-  double p = 1.0;
-  int k = 0;
-  do {
-    ++k;
-    p *= Uniform();
-  } while (p > limit);
-  return k - 1;
-}
-
 int Rng::Categorical(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) {

@@ -44,9 +44,6 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool Bernoulli(double p) { return Uniform() < p; }
 
-  /// Poisson variate (Knuth's method; suitable for small means).
-  int Poisson(double mean);
-
   /// Samples an index in [0, weights.size()) proportional to weights.
   /// Weights must be non-negative with a positive sum.
   int Categorical(const std::vector<double>& weights);

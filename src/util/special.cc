@@ -86,8 +86,6 @@ double ChiSquaredSurvival(double x, int degrees_of_freedom) {
   return RegularizedGammaQ(0.5 * degrees_of_freedom, 0.5 * x);
 }
 
-double NormalCdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
-
 double Sigmoid(double x) {
   if (x >= 0.0) {
     const double z = std::exp(-x);
@@ -102,7 +100,5 @@ double Log1pExp(double x) {
   if (x < -35.0) return std::exp(x);
   return std::log1p(std::exp(x));
 }
-
-double Erf(double x) { return std::erf(x); }
 
 }  // namespace paws

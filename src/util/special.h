@@ -19,17 +19,11 @@ double RegularizedGammaQ(double a, double x);
 /// freedom: Pr[X >= x]. This is the p-value of a chi-squared test statistic.
 double ChiSquaredSurvival(double x, int degrees_of_freedom);
 
-/// Standard normal cumulative distribution function.
-double NormalCdf(double x);
-
 /// Logistic sigmoid 1 / (1 + exp(-x)), numerically stable for large |x|.
 double Sigmoid(double x);
 
 /// Natural log of (1 + exp(x)), numerically stable.
 double Log1pExp(double x);
-
-/// Error function wrapper (provided for symmetry with NormalCdf).
-double Erf(double x);
 
 }  // namespace paws
 

@@ -123,17 +123,4 @@ double Percentile(std::vector<double> values, double q) {
   return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
-double WeightedMean(const std::vector<double>& values,
-                    const std::vector<double>& weights) {
-  CheckOrDie(values.size() == weights.size(), "WeightedMean: size mismatch");
-  double num = 0.0, den = 0.0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    CheckOrDie(weights[i] >= 0.0, "WeightedMean: negative weight");
-    num += values[i] * weights[i];
-    den += weights[i];
-  }
-  CheckOrDie(den > 0.0, "WeightedMean: zero total weight");
-  return num / den;
-}
-
 }  // namespace paws

@@ -43,10 +43,6 @@ StatusOr<ChiSquaredResult> ChiSquaredIndependence(
 /// interpolation between order statistics. Requires a non-empty sample.
 double Percentile(std::vector<double> values, double q);
 
-/// Weighted mean; weights must be non-negative with a positive sum.
-double WeightedMean(const std::vector<double>& values,
-                    const std::vector<double>& weights);
-
 }  // namespace paws
 
 #endif  // PAWS_UTIL_STATS_H_

@@ -31,6 +31,7 @@
 #include "net/wire.h"
 #include "plan/graph.h"
 #include "serve/park_service.h"
+#include "solver/simplex.h"
 #include "util/archive.h"
 
 namespace {
@@ -286,6 +287,23 @@ TEST_F(AllocAuditTest, PlanningGraphScratchDoesNotGrowWithParkSize) {
   EXPECT_EQ(largest[0], largest[1])
       << "a 32x32 park's graph made a " << largest[0]
       << "-byte allocation, a 512x512 park's " << largest[1];
+}
+
+// A 12,000-row LP whose dense tableau would take 3.2 GiB: SolveLp refuses
+// it from the model's counts, so nothing it allocates is near that size
+// (the refusal's message is the only heap traffic).
+TEST(SolverAllocAuditTest, OversizedTableauIsRefusedBeforeItIsAllocated) {
+  LinearProgram lp;
+  for (int i = 0; i < 12000; ++i) {
+    const int x = lp.AddVariable(0.0, kLpInfinity, 1.0);
+    lp.AddConstraint({{x, 1.0}}, Relation::kLessEqual, 1.0);
+  }
+  StatusCode code = StatusCode::kOk;
+  const std::size_t largest =
+      LargestAllocation([&] { code = SolveLp(lp).status().code(); });
+  EXPECT_EQ(code, StatusCode::kResourceExhausted);
+  EXPECT_LT(largest, 1024u) << "SolveLp made a " << largest
+                            << "-byte allocation before refusing";
 }
 
 // A CRC-valid `tag` section: the fields `prefix` writes, then an element

@@ -4,9 +4,11 @@
 // is what a buggy or hostile writer produces. Every decode must return a
 // Status or a value — never abort, never trip a sanitizer — and a mutated
 // snapshot that loads must also serve a whole-park risk map and a 4-cell
-// curve table without aborting. The inputs are the ArchiveGoldenTest
+// curve table whose every risk is in [0, 1] and every variance finite and
+// >= 0. The inputs are the ArchiveGoldenTest
 // fixtures and the 21 WireGoldenTest payload instances. Everything is
 // seeded from kSeed, so a failure replays exactly.
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -15,7 +17,6 @@
 #include "core/snapshot.h"
 #include "fleet/fleet_map.h"
 #include "gtest/gtest.h"
-#include "ml/dataset_io.h"
 #include "net/fault_injector.h"
 #include "net/wire.h"
 #include "util/archive.h"
@@ -64,14 +65,28 @@ std::function<bool(const std::string&)> Decoder(
   return [decode](const std::string& bytes) { return decode(bytes).ok(); };
 }
 
+// How many of `risk` lie outside [0, 1] or of `variance` outside
+// [0, inf), NaN included.
+int OutOfRange(const std::vector<double>& risk,
+               const std::vector<double>& variance) {
+  int bad = 0;
+  for (const double r : risk) bad += !(r >= 0.0 && r <= 1.0);
+  for (const double v : variance) bad += !(v >= 0.0 && std::isfinite(v));
+  return bad;
+}
+
 bool ServeSnapshot(const std::string& bytes) {
   const StatusOr<ModelSnapshot> snapshot = ModelSnapshot::FromBytes(bytes);
   if (!snapshot.ok()) return false;
   const RiskMaps maps = snapshot->PredictRisk(1.5);
   EXPECT_EQ(static_cast<int>(maps.risk.size()), snapshot->park().num_cells());
+  EXPECT_EQ(OutOfRange(maps.risk, maps.variance), 0)
+      << "risk map values out of range";
   const EffortCurveTable curves =
       snapshot->PredictCellCurves({0, 1, 2, 3}, UniformEffortGrid(0, 4, 4));
   EXPECT_EQ(curves.num_cells, 4);
+  EXPECT_EQ(OutOfRange(curves.prob, curves.variance), 0)
+      << "curve table values out of range";
   return true;
 }
 
@@ -81,11 +96,6 @@ std::vector<Input> ArchiveInputs() {
        {"snapshot_dtb.paws", "snapshot_svb.paws", "snapshot_gpb.paws"}) {
     inputs.push_back({file, GoldenBytes(file), ServeSnapshot});
   }
-  inputs.push_back({"dataset.paws", GoldenBytes("dataset.paws"),
-                    [](const std::string& bytes) {
-                      Dataset data(1);
-                      return FromArchiveBytes(bytes, &data).ok();
-                    }});
   inputs.push_back({"fleet_map.paws", GoldenBytes("fleet_map.paws"),
                     Decoder(&FleetMap::FromBytes)});
   inputs.push_back({"fault_schedule.paws", GoldenBytes("fault_schedule.paws"),

@@ -1,8 +1,8 @@
 // Pins the archive bytes of every artifact type a daemon loads from disk or
-// from a peer: model snapshots (one per learner kind), the binary dataset,
-// the FleetMap and the FaultSchedule. Each fixture under tests/golden/ is
-// loaded, saved again and compared byte for byte, so a codec change that
-// alters the format fails here even when save and load change together.
+// from a peer: model snapshots (one per learner kind), the FleetMap and the
+// FaultSchedule. Each fixture under tests/golden/ is loaded, saved again
+// and compared byte for byte, so a codec change that alters the format
+// fails here even when save and load change together.
 // A byte round trip cannot see two same-typed fields swapped in both
 // directions at once, so each fixture is also checked for meaning: the
 // snapshots serve a whole-park risk map whose fingerprint is pinned, and
@@ -16,12 +16,7 @@
 //       {num_thresholds 2, cv_folds 2, min_subset_rows 10, weak learner
 //       DTB/SVB/GPB, bagging.num_estimators 2, tree.max_depth 3,
 //       gp.max_points 8, bagging.track_bootstrap_counts only for DTB}.
-//   dataset.paws  WriteDatasetBinary of 12 rows x 3 features: row i is
-//       {Uniform(-1,1), Uniform(0,5), 0.25 i}, label i%3==0, effort
-//       Uniform(0,3), time step i/4, cell id 100+i, drawn from Rng(5) in
-//       that order.
 //   fleet_map.paws, fault_schedule.paws  the values the tests below check.
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -29,7 +24,6 @@
 #include "core/snapshot.h"
 #include "fleet/fleet_map.h"
 #include "gtest/gtest.h"
-#include "ml/dataset_io.h"
 #include "net/fault_injector.h"
 #include "util/archive.h"
 
@@ -86,27 +80,6 @@ TEST(ArchiveGoldenTest, SnapshotsResaveByteForByteAndServePinnedMaps) {
         << c.file << ": 0x" << std::hex
         << Fingerprint(snapshot->PredictRisk(1.5));
   }
-}
-
-TEST(ArchiveGoldenTest, DatasetResavesByteForByte) {
-  const StatusOr<Dataset> data = ReadDatasetBinary(GoldenPath("dataset.paws"));
-  ASSERT_TRUE(data.ok()) << data.status();
-  ASSERT_EQ(data->size(), 12);
-  ASSERT_EQ(data->num_features(), 3);
-  for (int i = 0; i < data->size(); ++i) {
-    EXPECT_EQ(data->label(i), i % 3 == 0 ? 1 : 0) << i;
-    EXPECT_EQ(data->time_step(i), i / 4) << i;
-    EXPECT_EQ(data->cell_id(i), 100 + i) << i;
-    EXPECT_EQ(data->Row(i)[2], 0.25 * i) << i;
-    EXPECT_GE(data->effort(i), 0.0) << i;
-    EXPECT_LT(data->effort(i), 3.0) << i;
-  }
-  const std::string path = "archive_golden_dataset.paws";
-  ASSERT_TRUE(WriteDatasetBinary(*data, path).ok());
-  const StatusOr<std::string> resaved = ReadFileToString(path);
-  std::remove(path.c_str());
-  ASSERT_TRUE(resaved.ok());
-  EXPECT_TRUE(*resaved == GoldenBytes("dataset.paws"));
 }
 
 TEST(ArchiveGoldenTest, FleetMapResavesByteForByte) {

@@ -4,8 +4,6 @@
 #include <set>
 
 #include "gtest/gtest.h"
-#include "ml/decision_tree.h"
-#include "ml/metrics.h"
 
 namespace paws {
 namespace {
@@ -50,30 +48,6 @@ TEST(StratifiedKFoldTest, TinyMinorityClassSpreadAcrossFolds) {
     folds_with_pos += pos > 0;
   }
   EXPECT_EQ(folds_with_pos, 3);
-}
-
-TEST(OutOfFoldTest, PredictionsCoverEveryRow) {
-  Rng rng(4);
-  Dataset d(1);
-  for (int i = 0; i < 200; ++i) {
-    const double x = rng.Uniform(-1, 1);
-    d.AddRow({x}, x > 0 ? 1 : 0, 1.0);
-  }
-  DecisionTree proto;
-  auto preds = OutOfFoldPredictions(proto, d, 4, &rng);
-  ASSERT_TRUE(preds.ok());
-  ASSERT_EQ(preds->size(), 200u);
-  const auto auc = AucRoc(*preds, d.labels());
-  ASSERT_TRUE(auc.ok());
-  EXPECT_GT(auc.value(), 0.9);
-}
-
-TEST(OutOfFoldTest, RejectsTinyDatasets) {
-  Rng rng(5);
-  Dataset d(1);
-  d.AddRow({1.0}, 1, 1.0);
-  DecisionTree proto;
-  EXPECT_FALSE(OutOfFoldPredictions(proto, d, 5, &rng).ok());
 }
 
 }  // namespace

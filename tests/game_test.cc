@@ -9,54 +9,23 @@ namespace {
 
 double Detect(double c) { return 1.0 - std::exp(-0.5 * c); }
 
-TEST(GameTest, CoverageToMixedStrategyDivides) {
-  const auto x = CoverageToMixedStrategy({2.0, 4.0, 0.0}, 4);
-  EXPECT_DOUBLE_EQ(x[0], 0.5);
-  EXPECT_DOUBLE_EQ(x[1], 1.0);
-  EXPECT_DOUBLE_EQ(x[2], 0.0);
-}
-
 TEST(GameTest, DefenderUtilityIsEq3) {
   // U_d = sum_v P(detect | c_v) * P(attack at v).
   const std::vector<double> coverage = {1.0, 2.0};
   const std::vector<double> attack = {0.5, 0.25};
   const double expected = Detect(1.0) * 0.5 + Detect(2.0) * 0.25;
-  EXPECT_NEAR(DefenderExpectedUtility(coverage, attack, Detect), expected,
-              1e-12);
+  EXPECT_NEAR(ExpectedDetections(coverage, attack, Detect), expected, 1e-12);
 }
 
 TEST(GameTest, ZeroCoverageYieldsZeroUtility) {
-  EXPECT_DOUBLE_EQ(
-      DefenderExpectedUtility({0.0, 0.0}, {0.9, 0.9}, Detect), 0.0);
+  EXPECT_DOUBLE_EQ(ExpectedDetections({0.0, 0.0}, {0.9, 0.9}, Detect), 0.0);
 }
 
 TEST(GameTest, UtilityMonotoneInCoverage) {
   const std::vector<double> attack = {0.3, 0.3};
-  const double lo = DefenderExpectedUtility({1.0, 1.0}, attack, Detect);
-  const double hi = DefenderExpectedUtility({2.0, 2.0}, attack, Detect);
+  const double lo = ExpectedDetections({1.0, 1.0}, attack, Detect);
+  const double hi = ExpectedDetections({2.0, 2.0}, attack, Detect);
   EXPECT_GT(hi, lo);
-}
-
-TEST(GameTest, QuantalResponseReactsToCoverage) {
-  const std::vector<double> base = {0.0, 0.0};
-  const auto uncovered = QuantalResponseAttack(base, {0.0, 0.0}, 2.0);
-  const auto covered = QuantalResponseAttack(base, {0.0, 3.0}, 2.0);
-  EXPECT_DOUBLE_EQ(uncovered[0], 0.5);
-  EXPECT_DOUBLE_EQ(covered[0], 0.5);       // uncovered cell unchanged
-  EXPECT_LT(covered[1], uncovered[1]);     // covered cell deterred
-}
-
-TEST(GameTest, ZeroRationalityIgnoresCoverage) {
-  const auto p = QuantalResponseAttack({1.0, -1.0}, {5.0, 5.0}, 0.0);
-  EXPECT_NEAR(p[0], 1.0 / (1.0 + std::exp(-1.0)), 1e-12);
-  EXPECT_NEAR(p[1], 1.0 / (1.0 + std::exp(1.0)), 1e-12);
-}
-
-TEST(GameTest, ExpectedDetectionsEqualsDefenderUtility) {
-  const std::vector<double> coverage = {1.5, 0.5};
-  const std::vector<double> attack = {0.4, 0.7};
-  EXPECT_DOUBLE_EQ(ExpectedDetections(coverage, attack, Detect),
-                   DefenderExpectedUtility(coverage, attack, Detect));
 }
 
 }  // namespace

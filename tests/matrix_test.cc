@@ -98,17 +98,6 @@ TEST(CholeskyTest, SolveRecoversRandomSystem) {
   for (int i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-8);
 }
 
-TEST(CholeskyTest, LogDetMatchesDirectComputation) {
-  Matrix a(2, 2);
-  a(0, 0) = 4;
-  a(0, 1) = 2;
-  a(1, 0) = 2;
-  a(1, 1) = 3;  // det = 8
-  auto l = CholeskyFactor(a);
-  ASSERT_TRUE(l.ok());
-  EXPECT_NEAR(2.0 * LogDetFromCholesky(*l), std::log(8.0), 1e-12);
-}
-
 TEST(DotTest, Basic) {
   EXPECT_DOUBLE_EQ(Dot({1, 2, 3}, {4, 5, 6}), 32.0);
   EXPECT_DOUBLE_EQ(Dot({}, {}), 0.0);

@@ -68,40 +68,5 @@ TEST(AucTest, InvariantToMonotoneTransform) {
   EXPECT_NEAR(a1, a2, 1e-12);
 }
 
-TEST(LogLossTest, PerfectAndWorstCase) {
-  EXPECT_NEAR(LogLoss({1.0, 0.0}, {1, 0}), 0.0, 1e-6);
-  EXPECT_GT(LogLoss({0.0, 1.0}, {1, 0}), 10.0);  // clipped but huge
-}
-
-TEST(LogLossTest, UniformPredictionIsLog2) {
-  EXPECT_NEAR(LogLoss({0.5, 0.5}, {1, 0}), std::log(2.0), 1e-12);
-}
-
-TEST(BrierTest, Basics) {
-  EXPECT_DOUBLE_EQ(BrierScore({1.0, 0.0}, {1, 0}), 0.0);
-  EXPECT_DOUBLE_EQ(BrierScore({0.0, 1.0}, {1, 0}), 1.0);
-  EXPECT_DOUBLE_EQ(BrierScore({0.5}, {1}), 0.25);
-}
-
-TEST(AccuracyTest, ThresholdBehavior) {
-  EXPECT_DOUBLE_EQ(Accuracy({0.6, 0.4}, {1, 0}), 1.0);
-  EXPECT_DOUBLE_EQ(Accuracy({0.6, 0.4}, {0, 1}), 0.0);
-  EXPECT_DOUBLE_EQ(Accuracy({0.6, 0.4}, {1, 1}, 0.3), 1.0);
-}
-
-TEST(PrecisionRecallTest, MixedPredictions) {
-  // preds at 0.5: [1, 1, 0, 0]; labels [1, 0, 1, 0] -> tp=1 fp=1 fn=1.
-  const PrecisionRecall pr =
-      PrecisionRecallAt({0.9, 0.8, 0.1, 0.2}, {1, 0, 1, 0});
-  EXPECT_DOUBLE_EQ(pr.precision, 0.5);
-  EXPECT_DOUBLE_EQ(pr.recall, 0.5);
-}
-
-TEST(PrecisionRecallTest, DegenerateCasesDefaultToOne) {
-  const PrecisionRecall pr = PrecisionRecallAt({0.1, 0.2}, {0, 0});
-  EXPECT_DOUBLE_EQ(pr.precision, 1.0);
-  EXPECT_DOUBLE_EQ(pr.recall, 1.0);
-}
-
 }  // namespace
 }  // namespace paws

@@ -9,7 +9,6 @@
 
 #include "gtest/gtest.h"
 #include "core/pipeline.h"
-#include "ml/cross_validation.h"
 
 namespace paws {
 namespace {
@@ -146,27 +145,6 @@ TEST_F(ParallelDeterminismIWareTest,
     const Prediction p = model.Predict(train.RowVector(i), 2.0);
     EXPECT_EQ(whole[i].prob, p.prob);
     EXPECT_EQ(whole[i].variance, p.variance);
-  }
-}
-
-TEST(ParallelDeterminismTest, OutOfFoldPredictionsBitIdentical) {
-  const ScenarioData data = SimulateScenario(SmallScenario(5), 7);
-  const Dataset train = BuildDataset(data.park, data.history);
-  DecisionTreeConfig tree;
-  tree.max_features = 2;
-  BaggingConfig bag;
-  bag.num_estimators = 4;
-  const BaggingClassifier proto(std::make_unique<DecisionTree>(tree), bag);
-  std::vector<std::vector<double>> results;
-  for (const int threads : ThreadCounts()) {
-    Rng rng(9);
-    auto preds = OutOfFoldPredictions(proto, train, /*num_folds=*/3, &rng,
-                                      ParallelismConfig{threads});
-    ASSERT_TRUE(preds.ok()) << "threads=" << threads;
-    results.push_back(std::move(preds).value());
-  }
-  for (size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i], results[0]) << "variant " << i;
   }
 }
 

@@ -17,10 +17,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <filesystem>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -513,6 +515,38 @@ TEST_F(ParkServerTest, UnknownOpcodeAndBadPayloadGetStatusFramesNotCloses) {
   EXPECT_EQ(server_->net_stats().protocol_errors, 0u);
 }
 
+// A well-formed kPlanForPost may ask for more than a daemon can hold:
+// horizon 1000 or INT_MAX segments is refused by ValidatePlannerConfig,
+// and horizon 64 on this 26x22 park builds a 13,204-row LP whose dense
+// tableau would take 7.6 GB, which SolveLp refuses. Each gets a typed
+// answer, and the connection then serves a risk map.
+TEST_F(ParkServerTest, OversizedPlansAreRefusedAndTheDaemonServesOn) {
+  ParkService service;
+  ASSERT_TRUE(service.Register("p", MakeSnapshot()).ok());
+  StartServer(&service);
+  ParkClient client(FastClient());
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  const RobustParams robust;
+
+  PlannerConfig config = TinyPlanner();
+  config.horizon = 1000;
+  EXPECT_EQ(client.PlanForPost("p", 0, config, robust).status().code(),
+            StatusCode::kInvalidArgument);
+  config = TinyPlanner();
+  config.pwl_segments = INT_MAX;
+  EXPECT_EQ(client.PlanForPost("p", 0, config, robust).status().code(),
+            StatusCode::kInvalidArgument);
+  config = TinyPlanner();
+  config.horizon = 64;
+  const auto huge = client.PlanForPost("p", 0, config, robust);
+  EXPECT_EQ(huge.status().code(), StatusCode::kResourceExhausted)
+      << huge.status();
+
+  const auto risk = client.RiskMap("p", 2.0);
+  ASSERT_TRUE(risk.ok()) << risk.status();
+  EXPECT_EQ(risk->risk, (*service.RiskMap("p", 2.0))->risk);
+}
+
 TEST_F(ParkServerTest, QueuedRequestsPastTheDeadlineAreShed) {
   ParkService service;
   ASSERT_TRUE(service.Register("p", MakeSnapshot()).ok());
@@ -848,6 +882,45 @@ TEST(FrameServerTest, FailedStartClosesEverythingItOpened) {
   EXPECT_EQ(started.code(), StatusCode::kInternal) << started.ToString();
   EXPECT_EQ(OpenFdCount(), fds_before);
   EXPECT_EQ(server.port(), -1);
+}
+
+// A handler that throws answers that one request with an Internal status
+// frame naming the exception; the worker serves the next request.
+TEST(FrameServerTest, HandlerExceptionBecomesAnInternalStatusFrame) {
+  FrameServer server;
+  FrameServerOptions options;
+  options.num_workers = 1;
+  ASSERT_TRUE(server
+                  .Start(options,
+                         [](const Frame& request) {
+                           if (request.payload == "throw") {
+                             throw std::length_error("vector too long");
+                           }
+                           if (request.payload == "throw int") throw 7;
+                           Frame response = request;
+                           response.opcode =
+                               static_cast<uint32_t>(Opcode::kOkResponse);
+                           return response;
+                         })
+                  .ok());
+  WireClient wire(FastClient());
+  ASSERT_TRUE(wire.Connect("127.0.0.1", server.port()).ok());
+  for (const std::string payload : {"throw", "throw int"}) {
+    const auto thrown = wire.Call(Opcode::kRiskMap, payload);
+    ASSERT_TRUE(thrown.ok()) << thrown.status();
+    ASSERT_EQ(thrown->opcode, static_cast<uint32_t>(Opcode::kStatusResponse));
+    Status carried;
+    ASSERT_TRUE(DecodeStatusPayload(thrown->payload, &carried).ok());
+    EXPECT_EQ(carried.code(), StatusCode::kInternal) << payload;
+    if (payload == "throw") {
+      EXPECT_NE(carried.message().find("vector too long"), std::string::npos)
+          << carried;
+    }
+    const auto served = wire.Call(Opcode::kRiskMap, "next");
+    ASSERT_TRUE(served.ok()) << served.status();
+    EXPECT_EQ(served->opcode, static_cast<uint32_t>(Opcode::kOkResponse));
+    EXPECT_EQ(served->payload, "next");
+  }
 }
 
 // A peer that pipelines requests and never reads its answers stops being

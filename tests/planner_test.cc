@@ -1,5 +1,6 @@
 #include "plan/planner.h"
 
+#include <climits>
 #include <cmath>
 #include <utility>
 
@@ -160,6 +161,23 @@ TEST(PlannerTest, RejectsBadInputs) {
   bad = SmallConfig();
   bad.num_patrols = 0;
   EXPECT_FALSE(PlanPatrols(g, utils, bad).ok());
+  // The config arrives over the wire too: a horizon past 64 or more than
+  // 256 segments is refused before it sizes anything (INT_MAX segments
+  // would overflow the grid's point count).
+  bad = SmallConfig();
+  bad.horizon = 65;
+  EXPECT_EQ(PlanPatrols(g, utils, bad).status().code(),
+            StatusCode::kInvalidArgument);
+  for (const int segments : {257, INT_MAX}) {
+    bad = SmallConfig();
+    bad.pwl_segments = segments;
+    EXPECT_EQ(ValidatePlannerConfig(bad).code(), StatusCode::kInvalidArgument)
+        << segments;
+  }
+  bad = SmallConfig();
+  bad.horizon = kMaxPlannerHorizon;
+  bad.pwl_segments = kMaxPwlSegments;
+  EXPECT_TRUE(ValidatePlannerConfig(bad).ok());
   // Solver options arrive over the wire: a tolerance outside [0, 1e-2] or
   // NaN, a negative or non-finite gap, or a negative iteration cap is
   // refused, not planned with.

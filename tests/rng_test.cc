@@ -69,19 +69,6 @@ TEST(RngTest, BernoulliMatchesProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(RngTest, PoissonMeanMatches) {
-  Rng rng(23);
-  const int n = 20000;
-  long total = 0;
-  for (int i = 0; i < n; ++i) total += rng.Poisson(3.5);
-  EXPECT_NEAR(static_cast<double>(total) / n, 3.5, 0.1);
-}
-
-TEST(RngTest, PoissonZeroMeanIsZero) {
-  Rng rng(27);
-  EXPECT_EQ(rng.Poisson(0.0), 0);
-}
-
 TEST(RngTest, CategoricalRespectsWeights) {
   Rng rng(29);
   std::vector<double> w = {1.0, 0.0, 3.0};

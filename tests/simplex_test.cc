@@ -115,6 +115,29 @@ TEST(SimplexTest, SolvesDegenerateLpWithoutCycling) {
 // --- Property suite: fractional-knapsack LPs have a closed-form greedy
 // optimum, so we can verify the simplex against it exactly. ---
 
+// 12,000 rows of x_i <= 1: the sparse model is tiny, but its dense
+// tableau (12,000 x 36,000 doubles, 3.2 GiB) is not, so SolveLp refuses it
+// before allocating (SolverAllocAuditTest bounds the bytes).
+LinearProgram BoxLp(int n) {
+  LinearProgram lp;
+  for (int i = 0; i < n; ++i) {
+    const int x = lp.AddVariable(0.0, kLpInfinity, 1.0);
+    lp.AddConstraint({{x, 1.0}}, Relation::kLessEqual, 1.0);
+  }
+  return lp;
+}
+
+TEST(SimplexTest, RefusesATableauPastTheCapWithResourceExhausted) {
+  const StatusOr<LpSolution> refused = SolveLp(BoxLp(12000));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted)
+      << refused.status();
+  // The same shape one size down solves.
+  const StatusOr<LpSolution> solved = SolveLp(BoxLp(60));
+  ASSERT_TRUE(solved.ok()) << solved.status();
+  EXPECT_NEAR(solved->objective, 60.0, 1e-9);
+}
+
 struct KnapsackCase {
   uint64_t seed;
   int num_items;

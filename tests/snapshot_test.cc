@@ -62,6 +62,52 @@ StatusOr<T> Load(ArchiveReader* reader, T value = T()) {
 
 using Learner = std::unique_ptr<Classifier>;
 
+// The payload `writer` holds, without the 8-byte header and the 4-byte CRC
+// that frame it.
+std::string PayloadOf(const ArchiveWriter& writer) {
+  const std::string framed = writer.Bytes();
+  return framed.substr(8, framed.size() - 12);
+}
+
+// `archive` with the double `offset` bytes into the one occurrence of
+// `anchor` replaced by `value` and the CRC resealed, as a buggy or hostile
+// writer would produce it.
+std::string Resealed(const std::string& archive, const std::string& anchor,
+                     size_t offset, double value) {
+  const size_t at = archive.find(anchor);
+  CheckOrDie(at != std::string::npos &&
+                 archive.find(anchor, at + 1) == std::string::npos,
+             "reseal anchor is not unique in the archive");
+  ArchiveWriter value_writer;
+  value_writer.WriteDouble(value);
+  std::string bytes = archive;
+  bytes.replace(at + offset, 8, PayloadOf(value_writer));
+  bytes.resize(bytes.size() - 4);
+  AppendU32(&bytes, Crc32(bytes.data(), bytes.size()));
+  return bytes;
+}
+
+template <typename T>
+Status LoadStatus(const std::string& bytes, T blank = T()) {
+  auto reader = ArchiveReader::FromBytes(bytes);
+  CheckOrDie(reader.ok(), "resealed archive did not open");
+  return Load(&*reader, std::move(blank)).status();
+}
+
+// A fitted `kind` learner's archive (MakeLearner, 200 rows of MakeData).
+std::string FittedLearnerArchive(const std::string& kind, Learner* model) {
+  Rng rng(11);
+  const Dataset train = MakeData(200, &rng);
+  *model = MakeLearner(kind);
+  CheckOrDie((*model)->Fit(train, &rng).ok(), "learner fit failed");
+  ArchiveWriter writer;
+  SaveRecord(*model, &writer);
+  return writer.Bytes();
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+
 class ClassifierRoundTripTest : public ::testing::TestWithParam<std::string> {
 };
 
@@ -208,6 +254,146 @@ TEST(ClassifierRoundTripTest, NodeProbabilityOutsideTheUnitIntervalFails) {
   }
 }
 
+TEST(ClassifierRoundTripTest, NonFiniteStandardizerMomentFails) {
+  // Every linear SVM and GP row is standardized as (x - mean) / stddev
+  // before it is scored: a NaN or infinite moment serves NaN risk.
+  Learner model;
+  const std::string archive = FittedLearnerArchive("svm", &model);
+  const Standardizer& standardizer =
+      static_cast<const LinearSvm&>(*model).standardizer();
+  ArchiveWriter moments_writer;
+  SaveRecord(standardizer, &moments_writer);
+  const std::string moments = PayloadOf(moments_writer);
+  const size_t width = standardizer.mean().size();
+  const size_t first_mean = 8, first_stddev = 8 + 8 * width + 8;
+  EXPECT_TRUE(
+      LoadStatus<Learner>(Resealed(archive, moments, first_mean, 0.5)).ok());
+  EXPECT_TRUE(
+      LoadStatus<Learner>(Resealed(archive, moments, first_stddev, 2.0)).ok());
+  for (const double bad : {kNan, kInf, -kInf}) {
+    EXPECT_EQ(
+        LoadStatus<Learner>(Resealed(archive, moments, first_mean, bad)).code(),
+        StatusCode::kInvalidArgument)
+        << "mean " << bad;
+  }
+  EXPECT_EQ(
+      LoadStatus<Learner>(Resealed(archive, moments, first_stddev, kInf))
+          .code(),
+      StatusCode::kInvalidArgument);
+}
+
+TEST(ClassifierRoundTripTest, NonFiniteSvmParameterFails) {
+  // The weights, bias and Platt parameters are stored after the
+  // standardizer; a non-finite one makes the served sigmoid NaN or pins it.
+  Learner model;
+  const std::string archive = FittedLearnerArchive("svm", &model);
+  const LinearSvm& svm = static_cast<const LinearSvm&>(*model);
+  ArchiveWriter params_writer;
+  params_writer.WriteDoubleVector(svm.weights());
+  params_writer.WriteDouble(svm.bias());
+  params_writer.WriteDouble(svm.platt_a());
+  params_writer.WriteDouble(svm.platt_b());
+  const std::string params = PayloadOf(params_writer);
+  const size_t weights_end = 8 + 8 * svm.weights().size();
+  const struct {
+    const char* name;
+    size_t offset;
+  } fields[] = {{"weight 0", 8},
+                {"bias", weights_end},
+                {"platt_a", weights_end + 8},
+                {"platt_b", weights_end + 16}};
+  for (const auto& field : fields) {
+    EXPECT_TRUE(
+        LoadStatus<Learner>(Resealed(archive, params, field.offset, 0.25))
+            .ok())
+        << field.name;
+    for (const double bad : {kNan, kInf}) {
+      EXPECT_EQ(
+          LoadStatus<Learner>(Resealed(archive, params, field.offset, bad))
+              .code(),
+          StatusCode::kInvalidArgument)
+          << field.name << " " << bad;
+    }
+  }
+}
+
+TEST(ClassifierRoundTripTest, BadGpKernelFails) {
+  // The fitted kernel's length scale and signal variance are stored just
+  // before the standardizer; each must be finite and positive.
+  Learner model;
+  const std::string archive = FittedLearnerArchive("gp", &model);
+  const auto& gp = static_cast<const GaussianProcessClassifier&>(*model);
+  ArchiveWriter kernel_writer;
+  kernel_writer.WriteDouble(gp.effective_kernel().length_scale);
+  kernel_writer.WriteDouble(gp.effective_kernel().signal_variance);
+  SaveRecord(gp.standardizer(), &kernel_writer);
+  const std::string kernel = PayloadOf(kernel_writer);
+  for (const size_t offset : {0, 8}) {
+    EXPECT_TRUE(LoadStatus<Learner>(Resealed(archive, kernel, offset, 0.75))
+                    .ok())
+        << offset;
+    for (const double bad : {kNan, kInf, 0.0, -1.0}) {
+      EXPECT_EQ(LoadStatus<Learner>(Resealed(archive, kernel, offset, bad))
+                    .code(),
+                StatusCode::kInvalidArgument)
+          << "offset " << offset << " value " << bad;
+    }
+  }
+}
+
+TEST(ClassifierRoundTripTest, NonFiniteGpPosteriorOrCholeskyDiagonalFails) {
+  // Loading skips the Newton iteration, so the stored posterior cache is
+  // served as is: each value must be finite and the Cholesky factor of B
+  // must have a positive diagonal (it divides every forward substitution).
+  Learner model;
+  const std::string archive = FittedLearnerArchive("gp", &model);
+  const auto& gp = static_cast<const GaussianProcessClassifier&>(*model);
+  const size_t n = gp.inducing_inputs().size();
+  ASSERT_GE(n, 2u);
+  ArchiveWriter cache_writer;
+  cache_writer.WriteI32(static_cast<int>(n));
+  cache_writer.WriteI32(static_cast<int>(gp.inducing_inputs()[0].size()));
+  for (const std::vector<double>& row : gp.inducing_inputs()) {
+    for (const double v : row) cache_writer.WriteDouble(v);
+  }
+  const size_t grad_at = cache_writer.payload_size();
+  cache_writer.WriteDoubleVector(gp.grad_log_lik());
+  const size_t sqrt_w_at = cache_writer.payload_size();
+  cache_writer.WriteDoubleVector(gp.sqrt_w());
+  const size_t chol_at = cache_writer.payload_size();
+  SaveRecord(gp.chol_b(), &cache_writer);
+  const std::string cache = PayloadOf(cache_writer);
+  // A vector's values follow its 8-byte count; the factor's follow its
+  // rows, columns and count (16 bytes).
+  const auto chol = [&](size_t r, size_t c) {
+    return chol_at + 16 + 8 * (r * n + c);
+  };
+  const struct {
+    const char* name;
+    size_t offset;
+  } fields[] = {{"inducing input", 8},
+                {"likelihood gradient", grad_at + 8},
+                {"W^1/2", sqrt_w_at + 8},
+                {"Cholesky (1, 0)", chol(1, 0)},
+                {"Cholesky (1, 1)", chol(1, 1)}};
+  for (const auto& field : fields) {
+    for (const double bad : {kNan, kInf}) {
+      EXPECT_EQ(LoadStatus<Learner>(Resealed(archive, cache, field.offset, bad))
+                    .code(),
+                StatusCode::kInvalidArgument)
+          << field.name << " " << bad;
+    }
+  }
+  EXPECT_TRUE(
+      LoadStatus<Learner>(Resealed(archive, cache, chol(1, 1), 1.5)).ok());
+  for (const double bad : {0.0, -0.5}) {
+    EXPECT_EQ(
+        LoadStatus<Learner>(Resealed(archive, cache, chol(1, 1), bad)).code(),
+        StatusCode::kInvalidArgument)
+        << "Cholesky diagonal " << bad;
+  }
+}
+
 TEST(IWareRoundTripTest, UnknownWeakLearnerKindFails) {
   IWareConfig config;
   config.weak_learner = static_cast<WeakLearnerKind>(3);
@@ -270,13 +456,6 @@ TEST(IWareRoundTripTest, EnsembleRoundTripsBitIdentical) {
   EXPECT_EQ(got_curves.qualified_count, want_curves.qualified_count);
 }
 
-// The payload `writer` holds, without the 8-byte header and the 4-byte CRC
-// that frame it.
-std::string PayloadOf(const ArchiveWriter& writer) {
-  const std::string framed = writer.Bytes();
-  return framed.substr(8, framed.size() - 12);
-}
-
 TEST(IWareRoundTripTest, NegativeOrNonFiniteWeightFails) {
   // Fit leaves the weights on the simplex (or uniform), but serving mixes
   // sum(w * p) / sum(w) from whatever an archive holds: a negative weight
@@ -298,28 +477,58 @@ TEST(IWareRoundTripTest, NegativeOrNonFiniteWeightFails) {
   ArchiveWriter weights_writer;
   weights_writer.WriteDoubleVector(model.weights());
   const std::string weights = PayloadOf(weights_writer);
-  const size_t at = archive.find(weights);
-  ASSERT_NE(at, std::string::npos);
-  ASSERT_EQ(archive.find(weights, at + 1), std::string::npos);
 
   const auto load_with_first_weight = [&](double w0) {
-    ArchiveWriter w0_writer;
-    w0_writer.WriteDouble(w0);
-    std::string bytes = archive;
-    bytes.replace(at + 8, 8, PayloadOf(w0_writer));  // after the count
-    bytes.resize(bytes.size() - 4);
-    AppendU32(&bytes, Crc32(bytes.data(), bytes.size()));
-    auto reader = ArchiveReader::FromBytes(bytes);
-    CheckOrDie(reader.ok(), "resealed ensemble archive did not open");
-    return Load(&*reader, IWareEnsemble(IWareConfig{})).status();
+    // The first weight sits after the vector's 8-byte count.
+    return LoadStatus(Resealed(archive, weights, 8, w0),
+                      IWareEnsemble(IWareConfig{}));
   };
   EXPECT_TRUE(load_with_first_weight(model.weights()[0]).ok());
   EXPECT_TRUE(load_with_first_weight(0.0).ok());
-  const double inf = std::numeric_limits<double>::infinity();
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (const double bad : {-0.25, inf, nan}) {
+  for (const double bad : {-0.25, kInf, kNan}) {
     EXPECT_EQ(load_with_first_weight(bad).code(), StatusCode::kInvalidArgument)
         << bad;
+  }
+}
+
+TEST(IWareRoundTripTest, NonFiniteThresholdFails) {
+  // Serving qualifies a cell for learner i when its effort reaches
+  // threshold i. The strictly-increasing check alone passes a single NaN
+  // threshold and infinite end thresholds, so non-finite ones are refused.
+  const auto fitted_archive = [](int num_thresholds, IWareEnsemble* model) {
+    Rng rng(17);
+    const Dataset train = MakeData(120, &rng);
+    IWareConfig config;
+    config.num_thresholds = num_thresholds;
+    config.cv_folds = 2;
+    config.weak_learner = WeakLearnerKind::kDecisionTreeBagging;
+    config.bagging.num_estimators = 2;
+    *model = IWareEnsemble(config);
+    CheckOrDie(model->Fit(train, &rng).ok(), "ensemble fit failed");
+    ArchiveWriter writer;
+    SaveRecord(*model, &writer);
+    return writer.Bytes();
+  };
+  for (const int count : {1, 3}) {
+    IWareEnsemble model{IWareConfig{}};
+    const std::string archive = fitted_archive(count, &model);
+    ASSERT_EQ(model.thresholds().size(), static_cast<size_t>(count));
+    ArchiveWriter thresholds_writer;
+    thresholds_writer.WriteDoubleVector(model.thresholds());
+    const std::string thresholds = PayloadOf(thresholds_writer);
+    const auto load_with = [&](size_t index, double value) {
+      return LoadStatus(Resealed(archive, thresholds, 8 + 8 * index, value),
+                        IWareEnsemble(IWareConfig{}));
+    };
+    const size_t last = count - 1;
+    EXPECT_TRUE(load_with(0, model.thresholds()[0]).ok()) << count;
+    EXPECT_EQ(load_with(0, -kInf).code(), StatusCode::kInvalidArgument)
+        << count;
+    EXPECT_EQ(load_with(last, kInf).code(), StatusCode::kInvalidArgument)
+        << count;
+    if (count == 1) {
+      EXPECT_EQ(load_with(0, kNan).code(), StatusCode::kInvalidArgument);
+    }
   }
 }
 

@@ -58,12 +58,6 @@ TEST(ChiSquaredSurvivalTest, Df2IsClosedForm) {
   }
 }
 
-TEST(NormalCdfTest, StandardValues) {
-  EXPECT_NEAR(NormalCdf(0.0), 0.5, 1e-12);
-  EXPECT_NEAR(NormalCdf(1.96), 0.975, 1e-4);
-  EXPECT_NEAR(NormalCdf(-1.96), 0.025, 1e-4);
-}
-
 TEST(SigmoidTest, SymmetryAndLimits) {
   EXPECT_DOUBLE_EQ(Sigmoid(0.0), 0.5);
   EXPECT_NEAR(Sigmoid(3.0) + Sigmoid(-3.0), 1.0, 1e-12);

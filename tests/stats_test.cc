@@ -100,10 +100,5 @@ TEST(PercentileTest, InterpolatesBetweenPoints) {
   EXPECT_DOUBLE_EQ(Percentile({0.0, 10.0}, 75), 7.5);
 }
 
-TEST(WeightedMeanTest, Basic) {
-  EXPECT_DOUBLE_EQ(WeightedMean({1.0, 3.0}, {1.0, 1.0}), 2.0);
-  EXPECT_DOUBLE_EQ(WeightedMean({1.0, 3.0}, {3.0, 1.0}), 1.5);
-}
-
 }  // namespace
 }  // namespace paws
