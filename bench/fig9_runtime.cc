@@ -997,8 +997,8 @@ void ReportSnapshotRoundtrip(const ParkFixture& fixture, JsonWriter* json) {
 // in one ParkService. Reports repeated-risk-map latency at three serving
 // depths — the uncached per-request path (feature rows re-assembled from
 // the rasters every call), the snapshot's tile pool (warm tile rows, fresh
-// scoring), and ParkService LRU hits — plus batched fleet throughput.
-// Every served map is checked bit-identical to the per-request path.
+// scoring), and ParkService LRU hits. Every served map is checked
+// bit-identical to the per-request path.
 void ReportParkService(JsonWriter* json) {
   constexpr int kParks = 8;
   const ParkFixture& fixture = GetDtbFixture();
@@ -1073,27 +1073,9 @@ void ReportParkService(JsonWriter* json) {
   const double cached_speedup = cached_ms > 0 ? uncached_ms / cached_ms : 0.0;
   std::printf(
       "repeated risk map (%d cells): per-request re-assembly %.4f ms, "
-      "tile pool %.4f ms (%.2fx), LRU hit %.5f ms (%.0fx) — maps %s\n",
+      "tile pool %.4f ms (%.2fx), LRU hit %.5f ms (%.0fx) — maps %s\n\n",
       n, uncached_ms, pool_ms, pool_speedup, cached_ms, cached_speedup,
       identical ? "bit-identical" : "DIFFER");
-
-  // Batched fleet throughput: every park at three effort levels per batch.
-  std::vector<ParkService::RiskRequest> requests;
-  for (int p = 0; p < kParks; ++p) {
-    for (double effort : {1.0, 2.0, 3.0}) {
-      requests.push_back({"park-" + std::to_string(p), effort});
-    }
-  }
-  const double batch_ms = MinMs(reps, [&] {
-    auto results = service.RiskMapBatch(requests);
-    benchmark::DoNotOptimize(results);
-  });
-  const double req_per_s =
-      batch_ms > 0 ? 1000.0 * requests.size() / batch_ms : 0.0;
-  std::printf(
-      "batched fleet serving: %zu requests (%d parks x 3 efforts) in "
-      "%.3f ms -> %.0f req/s (warm cache)\n\n",
-      requests.size(), kParks, batch_ms, req_per_s);
 
   if (json != nullptr) {
     json->Begin("park_service");
@@ -1105,9 +1087,6 @@ void ReportParkService(JsonWriter* json) {
     json->Add("tile_pool_speedup", pool_speedup);
     json->Add("cached_speedup", cached_speedup);
     json->Add("bit_identical", identical);
-    json->Add("batch_requests", static_cast<int>(requests.size()));
-    json->Add("batch_ms", batch_ms);
-    json->Add("batch_req_per_s", req_per_s);
     json->End();
   }
 }

@@ -6,15 +6,20 @@ Five checks, all stdlib-only:
 1. Relative markdown links in README.md and docs/*.md must resolve to
    files that exist in the repo (anchors are stripped; absolute URLs and
    mailto: links are skipped).
-2. Drift guard: docs/WIRE_PROTOCOL.md is the normative wire spec, so
-   every enumerator of `enum class Opcode` (src/net/wire.h) and of
-   `enum class StatusCode` (src/util/status.h) must appear in it by
-   exact name (e.g. `kRiskMap`, `kNotFound`), and so must every
-   `FourCc("....")` section tag in src/net/wire.{h,cc} (e.g. `RQRM`).
-   Every other `FourCc("....")` tag under src/ (archive sections such as
-   `SNAP` or `FMAP`) must appear in README.md or a docs/*.md file.
-   Adding an opcode, a status code, a payload section or an archive
-   section without documenting it fails CI.
+2. Drift guard: docs/WIRE_PROTOCOL.md is the normative wire spec. Its
+   opcode catalog is read both ways against `enum class Opcode`
+   (src/net/wire.h): each catalog row (`| `kName` | N | ...`) must name
+   an enumerator whose value is N, each enumerator must have exactly one
+   catalog row, and every other table row that opens with a backticked
+   `kName` (the success-payload table) must name an enumerator too.
+   Every enumerator of `enum class StatusCode` (src/util/status.h) must
+   appear in the document by exact name (e.g. `kNotFound`), and so must
+   every `FourCc("....")` section tag in src/net/wire.{h,cc} (e.g.
+   `RQRM`). Every other `FourCc("....")` tag under src/ (archive
+   sections such as `SNAP` or `FMAP`) must appear in README.md or a
+   docs/*.md file. Adding, deleting or renumbering an opcode, or adding
+   a status code, a payload section or an archive section, without
+   updating the docs fails CI.
 3. Backend drift guard: docs/ARCHITECTURE.md documents the scoring
    backends and their SIMD dispatch tiers, so every name in
    `kScoringBackendNames` (src/ml/scoring_backend.h) must appear in it
@@ -79,7 +84,8 @@ def check_links():
 
 
 def enum_members(header, enum_name):
-    """Return the kSomething enumerator names of one enum class."""
+    """Return (name, value) for each kSomething enumerator of one enum
+    class; the value is None where the enumerator has no initializer."""
     text = (REPO / header).read_text(encoding="utf-8")
     match = re.search(
         r"enum\s+class\s+" + re.escape(enum_name) + r"\b[^{]*\{(.*?)\}",
@@ -89,10 +95,39 @@ def enum_members(header, enum_name):
     if match is None:
         raise SystemExit(f"error: enum class {enum_name} not found in {header}")
     body = re.sub(r"//[^\n]*", "", match.group(1))  # strip comments
-    members = re.findall(r"\b(k\w+)\b\s*(?:=\s*\d+\s*)?(?:,|$)", body)
+    members = re.findall(r"\b(k\w+)\b\s*(?:=\s*(\d+)\s*)?(?:,|$)", body)
     if not members:
         raise SystemExit(f"error: no enumerators parsed for {enum_name}")
-    return members
+    return [(name, int(value) if value else None) for name, value in members]
+
+
+# A table row whose first cell is a backticked enumerator, and its second
+# cell: the opcode's value in the catalog, prose in the success table.
+ENUM_ROW_RE = re.compile(r"^\|\s*`(k\w+)`\s*\|\s*([^|]*?)\s*\|",
+                         re.MULTILINE)
+
+
+def check_opcode_catalog(doc):
+    """The opcode rows of WIRE_PROTOCOL.md against `enum class Opcode`."""
+    where = "docs/WIRE_PROTOCOL.md"
+    values = dict(enum_members("src/net/wire.h", "Opcode"))
+    problems = []
+    catalog = {}  # enumerator -> the values its catalog rows give
+    for name, cell in ENUM_ROW_RE.findall(doc):
+        if name not in values:
+            problems.append(f"{where}: table row `{name}` names no Opcode "
+                            f"enumerator (src/net/wire.h)")
+        elif cell.isdigit():
+            catalog.setdefault(name, []).append(int(cell))
+    for name, value in values.items():
+        rows = catalog.get(name, [])
+        if len(rows) != 1:
+            problems.append(f"{where}: Opcode `{name}` has {len(rows)} "
+                            f"catalog rows, not exactly one")
+        elif rows[0] != value:
+            problems.append(f"{where}: catalog row gives `{name}` value "
+                            f"{rows[0]}, src/net/wire.h gives {value}")
+    return problems
 
 
 def check_wire_doc():
@@ -101,16 +136,13 @@ def check_wire_doc():
     if not doc_path.is_file():
         return ["docs/WIRE_PROTOCOL.md is missing"]
     doc = doc_path.read_text(encoding="utf-8")
-    for header, enum_name in (
-        ("src/net/wire.h", "Opcode"),
-        ("src/util/status.h", "StatusCode"),
-    ):
-        for member in enum_members(header, enum_name):
-            if member not in doc:
-                problems.append(
-                    f"docs/WIRE_PROTOCOL.md: {enum_name} entry `{member}` "
-                    f"({header}) is undocumented"
-                )
+    problems += check_opcode_catalog(doc)
+    for member, _ in enum_members("src/util/status.h", "StatusCode"):
+        if member not in doc:
+            problems.append(
+                f"docs/WIRE_PROTOCOL.md: StatusCode entry `{member}` "
+                f"(src/util/status.h) is undocumented"
+            )
     for source in ("src/net/wire.h", "src/net/wire.cc"):
         for tag in fourcc_tags(source):
             if re.search(r"\b" + re.escape(tag) + r"\b", doc) is None:
@@ -252,7 +284,8 @@ def main():
         return 1
     n_files = len(markdown_files())
     print(f"docs OK: {n_files} markdown files, links resolve, "
-          f"WIRE_PROTOCOL.md covers every opcode, status code and "
+          f"WIRE_PROTOCOL.md's opcode catalog matches the Opcode enum "
+          f"row for row, it covers every status code and "
           f"payload tag, the docs name every archive section tag, "
           f"ARCHITECTURE.md covers every scoring backend, "
           f"every backticked src/ and tests/ path exists, "

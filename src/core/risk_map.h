@@ -79,10 +79,12 @@ RiskTile ScoreRiskTile(const IWareEnsemble& model,
 /// bounded pool), scored, and scattered into dense-id order. Bit-identical
 /// to the history-based PredictRiskMap at the same coverage layer (per-row
 /// scoring is batch-composition independent). Tiles fan out
-/// across dedicated threads (never the shared ThreadPool: fetching a tile
-/// takes the plane's pool mutex, and pool tasks must stay lock-free —
-/// see ParkService::RiskMapBatch for the deadlock this rule prevents);
-/// each tile's model scoring still uses the pool internally.
+/// across dedicated threads, never the shared ThreadPool: fetching a tile
+/// takes the plane's pool mutex, and pool tasks must stay lock-free. A
+/// pool task blocked on a lock whose holder waits for the pool deadlocks,
+/// and so does one blocked on a park lock that a pending writer keeps
+/// from its readers while a reader waits for the pool. Each tile's model
+/// scoring still uses the pool internally.
 RiskMaps PredictRiskMapTiled(const IWareEnsemble& model, const Park& park,
                              const TiledFeaturePlane& plane,
                              double assumed_effort,

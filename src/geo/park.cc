@@ -1,5 +1,7 @@
 #include "geo/park.h"
 
+#include <cmath>
+
 namespace paws {
 
 Park::Park(std::string name, GridB mask)
@@ -72,6 +74,18 @@ Status Park::CheckRaster(const GridD& raster) const {
 Status Park::CheckPost(const Cell& c) const {
   if (!mask_.InBounds(c) || !mask_.At(c)) {
     return Status::InvalidArgument("Park: patrol post outside the park");
+  }
+  return Status::OK();
+}
+
+Status Park::CheckFinite() const {
+  for (const Feature& f : features_) {
+    for (const int index : cell_indices_) {
+      if (!std::isfinite(f.raster.data()[index])) {
+        return Status::InvalidArgument("Park: feature '" + f.name +
+                                       "' is not finite inside the park");
+      }
+    }
   }
   return Status::OK();
 }

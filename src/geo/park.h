@@ -81,7 +81,9 @@ class Park {
   /// which is what a model snapshot needs to serve risk maps and plans
   /// without the training scenario. The mask is checked before the
   /// rasters it shapes are read, and each raster and post as it is read.
-  /// Cell indexing is rebuilt on load.
+  /// Cell indexing is rebuilt on load, and then every in-park raster value
+  /// must be finite: a NaN there would be scored into the served maps.
+  /// Out-of-park values stay ignored, as AddFeature documents.
   static constexpr ArchiveSection kArchiveSection{FourCc("PARK"), 1};
   template <typename Io>
   friend void ArchiveFields(Io& io, ArchiveRef<Io, Park> p) {
@@ -95,7 +97,7 @@ class Park {
   }
   friend Status ArchiveLoaded(Park& park) {
     park.IndexCells();
-    return Status::OK();
+    return park.CheckFinite();
   }
 
  private:
@@ -105,6 +107,8 @@ class Park {
   Status CheckMask() const;
   Status CheckRaster(const GridD& raster) const;
   Status CheckPost(const Cell& c) const;
+  /// The load-time check of ArchiveLoaded: in-park raster values only.
+  Status CheckFinite() const;
 
   std::string name_;
   GridB mask_;

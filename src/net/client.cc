@@ -236,12 +236,6 @@ StatusOr<RiskMaps> ParkClient::RiskMap(const std::string& park_id,
               DecodeRiskMapsPayload);
 }
 
-StatusOr<std::vector<StatusOr<RiskMaps>>> ParkClient::RiskMapBatch(
-    const std::vector<RiskMapRequest>& requests) {
-  return Call(Opcode::kRiskMapBatch, EncodeRiskMapBatchRequest({requests}),
-              DecodeRiskMapBatchPayload);
-}
-
 StatusOr<RiskTile> ParkClient::RiskTile(const std::string& park_id,
                                         int tile_id, double assumed_effort) {
   return Call(Opcode::kRiskTile,

@@ -137,8 +137,6 @@ class ParkClient {
 
   StatusOr<RiskMaps> RiskMap(const std::string& park_id,
                              double assumed_effort);
-  StatusOr<std::vector<StatusOr<RiskMaps>>> RiskMapBatch(
-      const std::vector<RiskMapRequest>& requests);
   /// One 64x64-cell tile of the park's risk map (tile ids row-major over
   /// the tile grid) — the sub-park request a pan/zoom frontend issues.
   StatusOr<paws::RiskTile> RiskTile(const std::string& park_id, int tile_id,

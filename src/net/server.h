@@ -27,7 +27,8 @@ struct FrameServerOptions {
   /// Dedicated request-dispatch threads. Deliberately NOT the shared
   /// ParallelFor pool: a request holds a park reader lock while its model
   /// scoring waits on the pool, so pool tasks must stay lock-free (the
-  /// PR 5 deadlock contract, see ParkService::RiskMapBatch).
+  /// deadlock contract; PredictRiskMapTiled's tile fan-out in
+  /// core/risk_map.h spells out the cycle).
   int num_workers = 4;
   /// Connections beyond this are accepted and immediately closed.
   int max_connections = 64;

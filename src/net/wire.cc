@@ -18,8 +18,6 @@ std::string OpcodeName(uint32_t opcode) {
   switch (static_cast<Opcode>(opcode)) {
     case Opcode::kRiskMap:
       return "RiskMap";
-    case Opcode::kRiskMapBatch:
-      return "RiskMapBatch";
     case Opcode::kCellCurves:
       return "CellCurves";
     case Opcode::kPlanForPost:
@@ -44,11 +42,6 @@ std::string OpcodeName(uint32_t opcode) {
       return "StatusResponse";
   }
   return "unknown(" + std::to_string(opcode) + ")";
-}
-
-bool IsRequestOpcode(uint32_t opcode) {
-  return opcode >= static_cast<uint32_t>(Opcode::kRiskMap) &&
-         opcode <= static_cast<uint32_t>(Opcode::kRiskTile);
 }
 
 std::string EncodeFrame(const Frame& frame) {
@@ -190,13 +183,6 @@ void ArchiveFields(Io& io, ArchiveRef<Io, RiskMapRequest> m) {
 }
 
 template <>
-constexpr uint32_t kTag<RiskMapBatchRequest> = FourCc("RQRB");
-template <typename Io>
-void ArchiveFields(Io& io, ArchiveRef<Io, RiskMapBatchRequest> m) {
-  io(m.requests);
-}
-
-template <>
 constexpr uint32_t kTag<RiskTileRequest> = FourCc("RQRT");
 template <typename Io>
 void ArchiveFields(Io& io, ArchiveRef<Io, RiskTileRequest> m) {
@@ -282,10 +268,6 @@ constexpr uint32_t kTag<RepairResponse> = FourCc("RSRP");
 template <typename Io>
 void ArchiveFields(Io& io, ArchiveRef<Io, RepairResponse> m) { io(m.action); }
 
-/// Batch response: one (ok, maps | status) item per request, in order.
-template <>
-constexpr uint32_t kTag<std::vector<StatusOr<RiskMaps>>> = FourCc("RSRB");
-
 template <>
 constexpr uint32_t kTag<ServerStatsReport> = FourCc("RSST");
 template <typename Io>
@@ -303,9 +285,8 @@ void ArchiveFields(Io& io, ArchiveRef<Io, ServerStatsReport::ParkStats> m) {
      m.tile_pool_evictions, m.scoring_backend);
 }
 
-// A Status travels as its wire code, then its message; a StatusOr as an ok
-// flag, then the value or the error. Both convert on the way, so they are
-// the two codecs written once per direction.
+// A Status travels as its wire code, then its message. It converts on the
+// way, so it is the one codec written once per direction.
 void ArchiveFields(FieldWriter& io, const Status& status) {
   io(WireCodeFromStatus(status.code()), status.message());
 }
@@ -315,35 +296,6 @@ void ArchiveFields(FieldReader& io, Status& status) {
   std::string message;
   io(wire_code, message);
   status = Status(StatusCodeFromWire(wire_code), std::move(message));
-}
-
-template <typename T>
-void ArchiveFields(FieldWriter& io, const StatusOr<T>& result) {
-  io(result.ok());
-  if (result.ok()) {
-    io(*result);
-  } else {
-    io(result.status());
-  }
-}
-
-template <typename T>
-void ArchiveFields(FieldReader& io, StatusOr<T>& result) {
-  bool ok = false;
-  io(ok);
-  if (ok) {
-    T value;
-    io(value);
-    result = std::move(value);
-    return;
-  }
-  Status error;
-  io(error);
-  // An OK status would make a StatusOr that claims a value it lacks.
-  if (io.ok() && error.ok()) {
-    io.Check(BrokenStream("error item carries status OK"));
-  }
-  result = std::move(error);
 }
 
 namespace {
@@ -377,14 +329,6 @@ Status DecodeStatusPayload(const std::string& payload, Status* decoded) {
 std::string EncodeRiskMapRequest(const RiskMapRequest& m) { return Encode(m); }
 StatusOr<RiskMapRequest> DecodeRiskMapRequest(const std::string& payload) {
   return Decode<RiskMapRequest>(payload);
-}
-
-std::string EncodeRiskMapBatchRequest(const RiskMapBatchRequest& m) {
-  return Encode(m);
-}
-StatusOr<RiskMapBatchRequest> DecodeRiskMapBatchRequest(
-    const std::string& payload) {
-  return Decode<RiskMapBatchRequest>(payload);
 }
 
 std::string EncodeRiskTileRequest(const RiskTileRequest& m) {
@@ -476,15 +420,6 @@ StatusOr<RepairResponse> DecodeRepairResponse(const std::string& payload) {
 std::string EncodeRiskMapsPayload(const RiskMaps& maps) { return Encode(maps); }
 StatusOr<RiskMaps> DecodeRiskMapsPayload(const std::string& payload) {
   return Decode<RiskMaps>(payload);
-}
-
-std::string EncodeRiskMapBatchPayload(
-    const std::vector<StatusOr<RiskMaps>>& results) {
-  return Encode(results);
-}
-StatusOr<std::vector<StatusOr<RiskMaps>>> DecodeRiskMapBatchPayload(
-    const std::string& payload) {
-  return Decode<std::vector<StatusOr<RiskMaps>>>(payload);
 }
 
 std::string EncodeRiskTilePayload(const RiskTile& tile) { return Encode(tile); }

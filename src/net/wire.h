@@ -48,10 +48,10 @@ constexpr size_t kDefaultMaxFrameBytes = 64ull << 20;
 
 /// Request opcodes mirror the ParkService serving API one to one; the two
 /// response opcodes close the protocol (clients dispatch on the request
-/// they issued, not on the response opcode).
+/// they issued, not on the response opcode). Value 2 is retired: a server
+/// answers it like any unknown opcode.
 enum class Opcode : uint32_t {
   kRiskMap = 1,
-  kRiskMapBatch = 2,
   kCellCurves = 3,
   kPlanForPost = 4,
   kSwapSnapshot = 5,
@@ -72,9 +72,6 @@ enum class Opcode : uint32_t {
 
 /// Human-readable opcode name for logs/errors ("RiskMap", "unknown(42)").
 std::string OpcodeName(uint32_t opcode);
-
-/// True for the request opcodes a server dispatches.
-bool IsRequestOpcode(uint32_t opcode);
 
 struct Frame {
   uint64_t request_id = 0;
@@ -150,10 +147,6 @@ Status DecodeStatusPayload(const std::string& payload, Status* decoded);
 struct RiskMapRequest {
   std::string park_id;
   double assumed_effort = 0.0;
-};
-
-struct RiskMapBatchRequest {
-  std::vector<RiskMapRequest> requests;
 };
 
 /// One tile of `park_id`'s risk map at `assumed_effort` km. Tile ids are
@@ -275,10 +268,6 @@ struct ServerStatsReport {
 std::string EncodeRiskMapRequest(const RiskMapRequest& req);
 StatusOr<RiskMapRequest> DecodeRiskMapRequest(const std::string& payload);
 
-std::string EncodeRiskMapBatchRequest(const RiskMapBatchRequest& req);
-StatusOr<RiskMapBatchRequest> DecodeRiskMapBatchRequest(
-    const std::string& payload);
-
 std::string EncodeRiskTileRequest(const RiskTileRequest& req);
 StatusOr<RiskTileRequest> DecodeRiskTileRequest(const std::string& payload);
 
@@ -325,12 +314,6 @@ StatusOr<RepairResponse> DecodeRepairResponse(const std::string& payload);
 
 std::string EncodeRiskMapsPayload(const RiskMaps& maps);
 StatusOr<RiskMaps> DecodeRiskMapsPayload(const std::string& payload);
-
-/// Batch response: one per-item (status, maps) pair, request order.
-std::string EncodeRiskMapBatchPayload(
-    const std::vector<StatusOr<RiskMaps>>& results);
-StatusOr<std::vector<StatusOr<RiskMaps>>> DecodeRiskMapBatchPayload(
-    const std::string& payload);
 
 std::string EncodeRiskTilePayload(const RiskTile& tile);
 StatusOr<RiskTile> DecodeRiskTilePayload(const std::string& payload);

@@ -6,6 +6,7 @@
 
 #include "core/snapshot.h"
 #include "fleet/fleet_map.h"
+#include "net/client.h"
 
 namespace paws {
 
@@ -37,6 +38,7 @@ bool FitsInline(const T& answer) {
 }  // namespace
 
 Status ParkServer::Start(FrameServerOptions options) {
+  max_frame_bytes_ = options.max_frame_bytes;
   return server_.Start(
       std::move(options),
       [this](const Frame& request) { return Handle(request); },
@@ -109,8 +111,6 @@ StatusOr<std::string> ParkServer::Dispatch(const Frame& request) {
   switch (static_cast<Opcode>(request.opcode)) {
     case Opcode::kRiskMap:
       return HandleRiskMap(payload);
-    case Opcode::kRiskMapBatch:
-      return HandleRiskMapBatch(payload);
     case Opcode::kCellCurves:
       return HandleCellCurves(payload);
     case Opcode::kPlanForPost:
@@ -145,30 +145,6 @@ StatusOr<std::string> ParkServer::HandleRiskMap(const std::string& payload) {
   return EncodeRiskMapsPayload(*maps);
 }
 
-StatusOr<std::string> ParkServer::HandleRiskMapBatch(
-    const std::string& payload) {
-  PAWS_ASSIGN_OR_RETURN(RiskMapBatchRequest request,
-                        DecodeRiskMapBatchRequest(payload));
-  std::vector<ParkService::RiskRequest> service_requests;
-  service_requests.reserve(request.requests.size());
-  for (const RiskMapRequest& item : request.requests) {
-    service_requests.push_back({item.park_id, item.assumed_effort});
-  }
-  std::vector<StatusOr<std::shared_ptr<const RiskMaps>>> served =
-      service_->RiskMapBatch(service_requests);
-  // The wire carries maps by value; per-item statuses travel unchanged.
-  std::vector<StatusOr<RiskMaps>> results;
-  results.reserve(served.size());
-  for (const StatusOr<std::shared_ptr<const RiskMaps>>& item : served) {
-    if (item.ok()) {
-      results.push_back(**item);
-    } else {
-      results.push_back(item.status());
-    }
-  }
-  return EncodeRiskMapBatchPayload(results);
-}
-
 StatusOr<std::string> ParkServer::HandleRiskTile(const std::string& payload) {
   PAWS_ASSIGN_OR_RETURN(RiskTileRequest request,
                         DecodeRiskTileRequest(payload));
@@ -182,6 +158,17 @@ StatusOr<std::string> ParkServer::HandleCellCurves(
     const std::string& payload) {
   PAWS_ASSIGN_OR_RETURN(CellCurvesRequest request,
                         DecodeCellCurvesRequest(payload));
+  // The request sizes its answer: prob and variance alone take 16 bytes
+  // per (cell, grid point). Refuse an answer FinishResponse would refuse
+  // before the table is computed and kept in the park's curve cache.
+  const uint64_t table_bytes = uint64_t{16} * request.cell_ids.size() *
+                               request.effort_grid.size();
+  if (table_bytes > max_frame_bytes_) {
+    return Status::ResourceExhausted(
+        "ParkServer: CellCurves table of " + std::to_string(table_bytes) +
+        " bytes exceeds the " + std::to_string(max_frame_bytes_) +
+        "-byte frame cap");
+  }
   PAWS_ASSIGN_OR_RETURN(
       std::shared_ptr<const EffortCurveTable> table,
       service_->CellCurves(request.park_id, request.cell_ids,
@@ -310,11 +297,6 @@ StatusOr<std::string> ParkServer::HandleRepair(const std::string& payload) {
 
   // The park is missing or its artifact is damaged: re-pull from the
   // listed source replicas, first healthy source wins.
-  ClientOptions pull_options;
-  {
-    std::lock_guard<std::mutex> lock(fleet_mu_);
-    pull_options = repair_client_options_;
-  }
   Status last = Status::Internal("repair of '" + request.park_id +
                                  "': no sources listed");
   for (const std::string& source : request.sources) {
@@ -328,7 +310,7 @@ StatusOr<std::string> ParkServer::HandleRepair(const std::string& payload) {
         (endpoint->host == "127.0.0.1" || endpoint->host == "localhost")) {
       continue;  // never pull from ourselves — that is the damaged copy
     }
-    ParkClient peer(pull_options, endpoint->host, endpoint->port);
+    ParkClient peer(ClientOptions{}, endpoint->host, endpoint->port);
     StatusOr<std::string> pulled = peer.GetSnapshot(request.park_id);
     last = pulled.ok() ? Install(request.park_id, *pulled) : pulled.status();
     if (last.ok()) return EncodeRepairResponse({"repaired"});

@@ -5,7 +5,6 @@
 #include <mutex>
 #include <string>
 
-#include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
 #include "serve/park_service.h"
@@ -23,6 +22,8 @@ namespace paws {
 /// a kRiskMap, kRiskTile or kCellCurves request whose result sits in the
 /// park's cache, under locks taken without waiting, with an answer of at
 /// most kInlineAnswerBytes. Everything else goes to a worker and Handle.
+/// A kCellCurves request sizes its own answer, so one whose curve table
+/// alone would pass the frame cap is refused before it is computed.
 ///
 /// Wire SwapSnapshot is an upsert: replacing an unknown park id registers
 /// it instead, so a fresh field daemon can be bootstrapped entirely over
@@ -55,13 +56,6 @@ class ParkServer {
 
   FrameServer::Stats net_stats() const { return server_.stats(); }
 
-  /// Client options for the outbound repair-pull connections (kRepair
-  /// sources). Tests inject short timeouts or a fault injector here.
-  void set_repair_client_options(ClientOptions options) {
-    std::lock_guard<std::mutex> lock(fleet_mu_);
-    repair_client_options_ = std::move(options);
-  }
-
   /// The stored FleetMap version (0 until one is published).
   uint64_t fleet_map_version() const {
     std::lock_guard<std::mutex> lock(fleet_mu_);
@@ -80,7 +74,6 @@ class ParkServer {
   /// response's status frame.
   StatusOr<std::string> Dispatch(const Frame& request);
   StatusOr<std::string> HandleRiskMap(const std::string& payload);
-  StatusOr<std::string> HandleRiskMapBatch(const std::string& payload);
   StatusOr<std::string> HandleRiskTile(const std::string& payload);
   StatusOr<std::string> HandleCellCurves(const std::string& payload);
   StatusOr<std::string> HandlePlanForPost(const std::string& payload);
@@ -97,12 +90,13 @@ class ParkServer {
 
   ParkService* service_;
   FrameServer server_;
+  /// The frame cap Start gave FrameServer; set before any handler runs.
+  size_t max_frame_bytes_ = kDefaultMaxFrameBytes;
 
-  /// Guards the published fleet-map artifact and repair-client options.
+  /// Guards the published fleet-map artifact.
   mutable std::mutex fleet_mu_;
   uint64_t fleet_map_version_ = 0;
   std::string fleet_map_bytes_;
-  ClientOptions repair_client_options_;
 };
 
 }  // namespace paws

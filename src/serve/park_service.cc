@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/archive.h"
-#include "util/thread_pool.h"
 
 namespace paws {
 
@@ -289,26 +288,6 @@ StatusOr<std::string> ParkService::SnapshotBytes(
   ArchiveWriter writer;
   entry->snapshot.Save(&writer);
   return writer.Bytes();
-}
-
-std::vector<StatusOr<std::shared_ptr<const RiskMaps>>>
-ParkService::RiskMapBatch(const std::vector<RiskRequest>& requests) const {
-  const int n = static_cast<int>(requests.size());
-  std::vector<StatusOr<std::shared_ptr<const RiskMaps>>> results(
-      n, Status::Internal("ParkService: request not executed"));
-  // Requests are independent and each writes only its own slot, so the
-  // batch is bit-identical to a serial loop of RiskMap calls for every
-  // thread count. Fan-out deliberately uses dedicated threads, NOT the
-  // shared ThreadPool: each request acquires the park's reader lock, and
-  // other readers hold that lock while waiting on pool jobs (their
-  // PredictRisk runs ParallelFor). A pool chunk blocking on the lock
-  // while a lock holder waits for the pool — with a writer pending on a
-  // writer-preferring rwlock — would deadlock; keeping pool tasks
-  // lock-free breaks the cycle.
-  ForEachOnDedicatedThreads(ParallelismConfig(), n, [&](int i) {
-    results[i] = RiskMap(requests[i].park_id, requests[i].assumed_effort);
-  });
-  return results;
 }
 
 StatusOr<ParkService::CacheStats> ParkService::RiskCacheStats(

@@ -131,19 +131,6 @@ class ParkService {
   /// against a concurrent SwapSnapshot.
   StatusOr<std::string> SnapshotBytes(const std::string& park_id) const;
 
-  /// One batched entry point: requests for different parks (or efforts)
-  /// fan out across dedicated threads ($PAWS_NUM_THREADS wide, else one
-  /// per hardware thread) — NEVER the shared ThreadPool, whose tasks must
-  /// stay lock-free (see the RiskMapBatch definition for the deadlock this
-  /// avoids). Results line up with the request order; each is
-  /// bit-identical to the corresponding single RiskMap call.
-  struct RiskRequest {
-    std::string park_id;
-    double assumed_effort = 0.0;
-  };
-  std::vector<StatusOr<std::shared_ptr<const RiskMaps>>> RiskMapBatch(
-      const std::vector<RiskRequest>& requests) const;
-
   /// Cumulative cache counters for one park (zeroed on SwapSnapshot;
   /// Evict discards them).
   using CacheStats = ServedCacheStats;

@@ -6,11 +6,17 @@
 // snapshot that loads must also serve a whole-park risk map and a 4-cell
 // curve table whose every risk is in [0, 1] and every variance finite and
 // >= 0. The inputs are the ArchiveGoldenTest
-// fixtures and the 21 WireGoldenTest payload instances. Everything is
+// fixtures and the 19 WireGoldenTest payload instances. Everything is
 // seeded from kSeed, so a failure replays exactly.
+//
+// Random flips rarely land a whole hostile double, so a second case is
+// exhaustive instead: it writes NaN, -1 and +inf over every double-sized
+// window of a golden snapshot that holds a plausible field value.
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -36,19 +42,26 @@ std::string GoldenBytes(const std::string& name) {
   return *bytes;
 }
 
+constexpr int kHeaderBytes = 8, kCrcBytes = 4;
+
+// Replaces the trailing CRC with one computed over the mutated bytes.
+std::string Resealed(std::string bytes) {
+  bytes.resize(bytes.size() - kCrcBytes);
+  AppendU32(&bytes, Crc32(bytes.data(), bytes.size()));
+  return bytes;
+}
+
 // Flips 1-3 payload bytes (never the header or the CRC) and reseals.
 std::string Mutant(const std::string& archive, Rng* rng) {
   std::string bytes = archive;
-  const int header = 8, crc = 4;
-  const int payload = static_cast<int>(bytes.size()) - header - crc;
+  const int payload = static_cast<int>(bytes.size()) - kHeaderBytes -
+                      kCrcBytes;
   const int flips = 1 + rng->UniformInt(3);
   for (int i = 0; i < flips; ++i) {
-    const int at = header + rng->UniformInt(payload);
+    const int at = kHeaderBytes + rng->UniformInt(payload);
     bytes[at] = static_cast<char>(bytes[at] ^ (1 + rng->UniformInt(255)));
   }
-  bytes.resize(bytes.size() - crc);
-  AppendU32(&bytes, Crc32(bytes.data(), bytes.size()));
-  return bytes;
+  return Resealed(std::move(bytes));
 }
 
 struct Input {
@@ -103,7 +116,7 @@ std::vector<Input> ArchiveInputs() {
   return inputs;
 }
 
-// The WireGoldenTest instance of each of the 21 payload shapes.
+// The WireGoldenTest instance of each of the 19 payload shapes.
 std::vector<Input> WireInputs() {
   PlanForPostRequest plan_request;
   plan_request.park_id = "sws";
@@ -154,9 +167,6 @@ std::vector<Input> WireInputs() {
                    "compiled-dtb-avx2"},
                   {"b", 0, 1, 0, 2, 3, 4, 5, 6, 7, 8, 9, "reference"}};
 
-  const std::vector<StatusOr<RiskMaps>> batch = {
-      maps, Status::NotFound("unknown park id 'ghost'")};
-
   return {
       {"STAT", EncodeStatusPayload(Status::NotFound("park 'mfnp'")),
        [](const std::string& bytes) {
@@ -165,8 +175,6 @@ std::vector<Input> WireInputs() {
        }},
       {"RQRM", EncodeRiskMapRequest({"mfnp", 0.1 + 0.2}),
        Decoder(&DecodeRiskMapRequest)},
-      {"RQRB", EncodeRiskMapBatchRequest({{{"a", 1.0}, {"b", 2.5}}}),
-       Decoder(&DecodeRiskMapBatchRequest)},
       {"RQRT", EncodeRiskTileRequest({"mega", 3481, 1.5}),
        Decoder(&DecodeRiskTileRequest)},
       {"RQCC",
@@ -194,8 +202,6 @@ std::vector<Input> WireInputs() {
       {"RSRP", EncodeRepairResponse({"repaired"}),
        Decoder(&DecodeRepairResponse)},
       {"RISK", EncodeRiskMapsPayload(maps), Decoder(&DecodeRiskMapsPayload)},
-      {"RSRB", EncodeRiskMapBatchPayload(batch),
-       Decoder(&DecodeRiskMapBatchPayload)},
       {"RTIL", EncodeRiskTilePayload(tile), Decoder(&DecodeRiskTilePayload)},
       {"ECRV", EncodeEffortCurveTablePayload(curves),
        Decoder(&DecodeEffortCurveTablePayload)},
@@ -211,7 +217,7 @@ TEST(ArchiveResealFuzzTest, ResealedMutantsDecodeToStatusOrValue) {
               static_cast<unsigned long long>(kSeed), kMutantsPerInput);
   std::vector<Input> inputs = ArchiveInputs();
   const std::vector<Input> wire = WireInputs();
-  ASSERT_EQ(wire.size(), 21u);
+  ASSERT_EQ(wire.size(), 19u);
   inputs.insert(inputs.end(), wire.begin(), wire.end());
   for (const Input& input : inputs) {
     Rng rng(kSeed);
@@ -223,6 +229,44 @@ TEST(ArchiveResealFuzzTest, ResealedMutantsDecodeToStatusOrValue) {
     }
     std::printf("  %-20s %3d of %d mutants loaded\n", input.name.c_str(),
                 loaded, kMutantsPerInput);
+  }
+}
+
+// Every 8-byte payload window of a golden snapshot that reads as a finite
+// double with 1e-12 < |x| < 1e12 may hold a field value: a model
+// parameter, a standardizer moment, a raster cell. Each such window is
+// overwritten with NaN, with -1 and with +inf, and the archive resealed.
+// Every mutant must fail to load or serve in range.
+TEST(ArchiveResealFuzzTest, HostileDoublesFailToLoadOrServeInRange) {
+  const double kHostile[] = {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                             std::numeric_limits<double>::infinity()};
+  for (const char* file :
+       {"snapshot_dtb.paws", "snapshot_svb.paws", "snapshot_gpb.paws"}) {
+    const std::string golden = GoldenBytes(file);
+    int windows = 0, loaded = 0;
+    for (size_t at = kHeaderBytes; at + 8 + kCrcBytes <= golden.size();
+         ++at) {
+      double field = 0.0;
+      const uint64_t bits = LoadU64(golden.data() + at);
+      std::memcpy(&field, &bits, sizeof(field));
+      if (!(std::isfinite(field) && std::fabs(field) > 1e-12 &&
+            std::fabs(field) < 1e12)) {
+        continue;
+      }
+      ++windows;
+      for (const double value : kHostile) {
+        SCOPED_TRACE(std::string(file) + " offset " + std::to_string(at) +
+                     " := " + std::to_string(value));
+        uint64_t hostile = 0;
+        std::memcpy(&hostile, &value, sizeof(hostile));
+        std::string bytes = golden.substr(0, at);
+        AppendU64(&bytes, hostile);
+        bytes.append(golden, at + 8, std::string::npos);
+        loaded += ServeSnapshot(Resealed(std::move(bytes))) ? 1 : 0;
+      }
+    }
+    std::printf("  %-20s %4d windows, %4d of %d mutants loaded\n", file,
+                windows, loaded, 3 * windows);
   }
 }
 

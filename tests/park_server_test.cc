@@ -22,6 +22,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -193,25 +194,6 @@ TEST_F(ParkServerTest, LoopbackResultsAreBitIdenticalToDirectCalls) {
   EXPECT_EQ(wire_risk->variance, (*direct_risk)->variance);
   EXPECT_EQ(wire_risk->assumed_effort, (*direct_risk)->assumed_effort);
 
-  // RiskMapBatch: per-item results and statuses line up with the request
-  // order, including the NotFound hole in the middle.
-  const std::vector<RiskMapRequest> batch = {
-      {"p", 1.0}, {"ghost", 1.0}, {"p", 2.0}};
-  const auto wire_batch = client.RiskMapBatch(batch);
-  ASSERT_TRUE(wire_batch.ok()) << wire_batch.status();
-  ASSERT_EQ(wire_batch->size(), 3u);
-  const auto direct_batch = service.RiskMapBatch(
-      {{"p", 1.0}, {"ghost", 1.0}, {"p", 2.0}});
-  for (size_t i = 0; i < 3; ++i) {
-    ASSERT_EQ((*wire_batch)[i].ok(), direct_batch[i].ok()) << "item " << i;
-    if (direct_batch[i].ok()) {
-      EXPECT_EQ((*(*wire_batch)[i]).risk, (*direct_batch[i])->risk);
-    } else {
-      EXPECT_EQ((*wire_batch)[i].status().code(),
-                direct_batch[i].status().code());
-    }
-  }
-
   // CellCurves.
   const std::vector<int> cells = {0, 3, 11};
   const std::vector<double> grid = UniformEffortGrid(0.0, 4.0, 8);
@@ -238,10 +220,10 @@ TEST_F(ParkServerTest, LoopbackResultsAreBitIdenticalToDirectCalls) {
   EXPECT_EQ(wire_plan->simplex_iterations, direct_plan->simplex_iterations);
   EXPECT_EQ(wire_plan->nodes_explored, direct_plan->nodes_explored);
 
-  // Stats reflects the traffic this test produced.
+  // Stats reflects the traffic this test produced: four requests.
   const auto stats = client.Stats();
   ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_GE(stats->frames_in, 5u);
+  EXPECT_GE(stats->frames_in, 4u);
   EXPECT_EQ(stats->protocol_errors, 0u);
   ASSERT_EQ(stats->parks.size(), 1u);
   EXPECT_EQ(stats->parks[0].park_id, "p");
@@ -474,6 +456,30 @@ TEST_F(ParkServerTest, OversizedResponseIsAnsweredNotFramed) {
             std::string::npos)
       << map.status();
 
+  // A curve request sizes its own answer: every cell at two grid points
+  // needs a 16-byte pair per (cell, point), about four times the cap. It is
+  // refused from those counts, naming both sizes, before the park computes
+  // the table or keeps it in its curve cache.
+  std::vector<int> cells((*direct)->risk.size());
+  std::iota(cells.begin(), cells.end(), 0);
+  const uint64_t table_bytes = 16 * cells.size() * 2;
+  ASSERT_GT(table_bytes, cap);
+  const auto curves = client.CellCurves("p", cells, {0.0, 1.0});
+  ASSERT_FALSE(curves.ok());
+  EXPECT_EQ(curves.status().code(), StatusCode::kResourceExhausted)
+      << curves.status();
+  EXPECT_FALSE(client.last_error_was_transport());
+  EXPECT_NE(curves.status().message().find(std::to_string(table_bytes)),
+            std::string::npos)
+      << curves.status();
+  EXPECT_NE(curves.status().message().find(std::to_string(cap)),
+            std::string::npos)
+      << curves.status();
+  const auto curve_stats = service.CurveCacheStats("p");
+  ASSERT_TRUE(curve_stats.ok());
+  EXPECT_EQ(curve_stats->misses, 0u);
+  EXPECT_EQ(curve_stats->resident, 0u);
+
   // The same connection then answers the next request.
   const auto stats = client.Stats("p");
   ASSERT_TRUE(stats.ok()) << stats.status();
@@ -489,13 +495,17 @@ TEST_F(ParkServerTest, UnknownOpcodeAndBadPayloadGetStatusFramesNotCloses) {
   WireClient wire(FastClient());
   ASSERT_TRUE(wire.Connect("127.0.0.1", server_->port()).ok());
 
-  // Unknown-but-well-framed opcode: InvalidArgument status frame.
-  const auto unknown = wire.Call(static_cast<Opcode>(77), "");
-  ASSERT_TRUE(unknown.ok()) << unknown.status();
-  EXPECT_EQ(unknown->opcode, static_cast<uint32_t>(Opcode::kStatusResponse));
+  // Unknown-but-well-framed opcodes, the retired value 2 among them:
+  // InvalidArgument status frames.
   Status carried;
-  ASSERT_TRUE(DecodeStatusPayload(unknown->payload, &carried).ok());
-  EXPECT_EQ(carried.code(), StatusCode::kInvalidArgument);
+  for (const uint32_t opcode : {77u, 2u}) {
+    const auto unknown = wire.Call(static_cast<Opcode>(opcode), "");
+    ASSERT_TRUE(unknown.ok()) << unknown.status();
+    EXPECT_EQ(unknown->opcode,
+              static_cast<uint32_t>(Opcode::kStatusResponse));
+    ASSERT_TRUE(DecodeStatusPayload(unknown->payload, &carried).ok());
+    EXPECT_EQ(carried.code(), StatusCode::kInvalidArgument) << opcode;
+  }
 
   // Trailing garbage inside a request payload archive: same treatment.
   RiskMapRequest request;

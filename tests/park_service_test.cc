@@ -371,26 +371,6 @@ TEST_F(ParkServiceTest, CurveCacheInvalidatesOnCoverageAndSwap) {
             StatusCode::kNotFound);
 }
 
-TEST_F(ParkServiceTest, RiskMapBatchMatchesSingleCalls) {
-  ParkService service;
-  ASSERT_TRUE(service.Register("a", MakeSnapshot()).ok());
-  ASSERT_TRUE(service.Register("b", MakeSnapshot()).ok());
-  std::vector<ParkService::RiskRequest> requests = {
-      {"a", 1.0}, {"b", 2.0}, {"ghost", 1.0}, {"a", 2.0}, {"b", 2.0}};
-  const auto results = service.RiskMapBatch(requests);
-  ASSERT_EQ(results.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const auto single =
-        service.RiskMap(requests[i].park_id, requests[i].assumed_effort);
-    ASSERT_EQ(results[i].ok(), single.ok()) << "request " << i;
-    if (!single.ok()) {
-      EXPECT_EQ(results[i].status().code(), single.status().code());
-      continue;
-    }
-    EXPECT_EQ((*results[i])->risk, (*single)->risk) << "request " << i;
-  }
-}
-
 // The concurrency suite: names contain "Parallel" so the CI TSan job's
 // -R "Parallel|ThreadPool" filter runs them under real race detection.
 using ParkServiceParallelTest = ParkServiceTest;

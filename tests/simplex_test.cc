@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <ostream>
 
 #include "gtest/gtest.h"
 #include "util/rng.h"
@@ -143,6 +144,12 @@ struct KnapsackCase {
   int num_items;
 };
 
+// gtest prints a parameter that has no printer as its raw bytes, padding
+// included, and ctest names each case after that print.
+void PrintTo(const KnapsackCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_items" << c.num_items;
+}
+
 class SimplexKnapsackTest : public ::testing::TestWithParam<KnapsackCase> {};
 
 TEST_P(SimplexKnapsackTest, MatchesGreedyFractionalKnapsack) {
@@ -195,7 +202,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SimplexKnapsackTest,
                                            KnapsackCase{4, 50},
                                            KnapsackCase{5, 100},
                                            KnapsackCase{17, 13},
-                                           KnapsackCase{99, 64}));
+                                           KnapsackCase{99, 64}),
+                         [](const auto& info) {
+                           return ::testing::PrintToString(info.param);
+                         });
 
 // --- Property suite: random LPs with a feasible point by construction.
 // The solver must never report infeasibility, and its solution must be
